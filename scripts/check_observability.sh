@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Observability CI gate.
 #
-# 1. Runs a short faulted ADTS mix with --trace and validates the JSONL
+# 1. Runs a short-quantum ADTS mix with --trace and validates the JSONL
 #    event stream against the schema (required keys, known event kinds,
 #    stall-cause buckets).
 # 2. Validates the --stats-json document parses and carries the stall
@@ -24,8 +24,7 @@ fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-run=(--mix mem8 --adts --guard --fault-corrupt 0.3 --fault-dt-stall 0.2
-     --fault-blackout 0.2 --cycles 32768 --warmup 8192 --quantum 1024 --csv)
+run=(--mix mem8 --adts --cycles 32768 --warmup 8192 --quantum 1024 --csv)
 
 echo "== traced run (with pipeview sampling, host profiling and CPI stacks)"
 "$smtsim" "${run[@]}" --trace "$tmp/trace.jsonl" --trace-format jsonl \
@@ -48,8 +47,7 @@ import sys
 
 jsonl, stats_path, chrome = sys.argv[1:4]
 
-KINDS = {"quantum", "thread_quantum", "policy_switch", "guard_action",
-         "fault", "dt_stall_begin", "dt_stall_end", "invariant",
+KINDS = {"quantum", "thread_quantum", "policy_switch", "invariant",
          "pipeview", "switch_audit", "prof", "cpi_stack"}
 KEYS = {"event", "quantum", "cycle", "tid", "span", "policy_before",
         "policy_after", "code", "mask", "value", "ipc", "fetch_share",

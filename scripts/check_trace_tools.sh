@@ -10,8 +10,9 @@
 # 3. `smttrace pipeview` must render exactly the sampled instruction
 #    count; `summary` and `hist` must run and mention their key sections.
 # 4. `smtsim --trace -` piped into `smttrace summary -` works (stdout
-#    streaming), and exit codes hold: 2 for usage errors, 3 for
-#    unreadable input and for the write-only chrome format.
+#    streaming), and exit codes hold: 2 for usage errors (including every
+#    removed fault-injection / guard flag), 3 for unreadable input and for
+#    the write-only chrome format.
 #
 # Usage: scripts/check_trace_tools.sh [smtsim-binary] [smttrace-binary]
 set -euo pipefail
@@ -88,5 +89,20 @@ test "$rc" -eq 3
 rc=0; "$smtsim" --mix mem8 --cycles 8192 --trace - --csv >/dev/null 2>&1 \
   || rc=$?
 test "$rc" -eq 2  # stdout trace refuses to interleave with other stdout users
+# The fault injector and degradation guard were removed; their flags are
+# unknown options now, not silently ignored ones.
+for flag in --guard --fault-report "--fault-seed 1" "--fault-noise 0.3" \
+    "--fault-noise-mag 0.5" "--fault-freeze 0.3" "--fault-corrupt 0.3" \
+    "--fault-dt-stall 0.3" "--fault-stall-quanta 4" "--fault-drop 0.3" \
+    "--fault-delay 0.3" "--fault-delay-quanta 2" "--fault-blackout 0.3" \
+    "--fault-blackout-cycles 2048"; do
+  rc=0
+  # shellcheck disable=SC2086  # split "--flag value" into two arguments
+  "$smtsim" --mix mem8 --adts --cycles 1024 $flag >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "check_trace_tools: smtsim $flag exited $rc, want 2" >&2
+    exit 1
+  fi
+done
 
 echo "check_trace_tools: OK"

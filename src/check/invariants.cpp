@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <ostream>
 
-#include "core/detector.hpp"
-#include "core/guard.hpp"
 #include "pipeline/config.hpp"
 #include "pipeline/counters.hpp"
 #include "pipeline/pipeline.hpp"
@@ -30,7 +28,6 @@ std::string_view name(InvariantClass c) noexcept {
     case InvariantClass::kSlotConservation: return "slot_conservation";
     case InvariantClass::kCommitOrder: return "commit_order";
     case InvariantClass::kCounterEpoch: return "counter_epoch";
-    case InvariantClass::kGuardTransition: return "guard_transition";
     case InvariantClass::kPolicySwitch: return "policy_switch";
   }
   return "unknown";
@@ -41,40 +38,21 @@ std::string_view invariant_class_name(std::uint8_t code) noexcept {
   return name(static_cast<InvariantClass>(code));
 }
 
-bool guard_transition_legal(core::GuardState from,
-                            core::GuardState to) noexcept {
-  if (from == to) return true;
-  using core::GuardState;
-  switch (from) {
-    case GuardState::kArmed:
-      return to == GuardState::kReverting || to == GuardState::kSafeMode;
-    case GuardState::kReverting:
-      return to == GuardState::kArmed || to == GuardState::kSafeMode;
-    case GuardState::kSafeMode:
-      return to == GuardState::kCooldown;
-    case GuardState::kCooldown:
-      return to == GuardState::kArmed || to == GuardState::kSafeMode;
-  }
-  return false;
-}
-
 void InvariantChecker::report(InvariantClass cls, std::uint64_t cycle,
                               std::int32_t tid, std::uint64_t value,
                               const char* detail) {
   ++total_;
   ++per_class_[static_cast<std::size_t>(cls)];
-  if (log_.size() < cfg_.max_recorded) {
+  if (log_.size() < kMaxRecorded) {
     log_.push_back(Violation{cls, cycle, tid, value, detail});
   }
 }
 
-void InvariantChecker::arm(const pipeline::Pipeline& pipe,
-                           const core::DetectorThread& dt) {
+void InvariantChecker::arm(const pipeline::Pipeline& pipe) {
   armed_ = true;
   prev_cycle_ = pipe.now();
   prev_committed_ = pipe.stats().committed;
   prev_policy_ = pipe.policy();
-  prev_guard_ = dt.guard().state();
   threads_.assign(pipe.num_threads(), ThreadBase{});
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
     ThreadBase& b = threads_[tid];
@@ -91,10 +69,9 @@ void InvariantChecker::arm(const pipeline::Pipeline& pipe,
 }
 
 std::size_t InvariantChecker::on_cycle(const pipeline::Pipeline& pipe,
-                                       const core::DetectorThread& dt,
                                        bool adts_enabled) {
   if (!armed_) {
-    arm(pipe, dt);
+    arm(pipe);
     return 0;
   }
   const std::size_t recorded_before = log_.size();
@@ -210,28 +187,6 @@ std::size_t InvariantChecker::on_cycle(const pipeline::Pipeline& pipe,
            "fetch policy changed while ADTS could not act");
   }
   prev_policy_ = pol;
-
-  // --- guard FSM legality -------------------------------------------------
-  const core::GuardState gs = dt.guard().state();
-  if (gs != prev_guard_) {
-    if (!guard_transition_legal(prev_guard_, gs)) {
-      report(InvariantClass::kGuardTransition, now, -1,
-             static_cast<std::uint64_t>(gs),
-             "illegal guard state-machine edge");
-    }
-    // on_quantum runs only on boundary cycles (a starved boundary is
-    // skipped, not deferred), so any state change away from one is
-    // corruption — faulted or not. A boundary lies in (prev, now] iff the
-    // two cycles fall in different quanta.
-    const bool boundary_in_span =
-        now / cfg_.quantum_cycles > prev_cycle_ / cfg_.quantum_cycles;
-    if (!boundary_in_span) {
-      report(InvariantClass::kGuardTransition, now, -1,
-             static_cast<std::uint64_t>(gs),
-             "guard state changed away from a quantum boundary");
-    }
-    prev_guard_ = gs;
-  }
 
   // --- resource conservation (structural recount) ------------------------
   const pipeline::Pipeline::ResourceAudit a = pipe.audit_resources();

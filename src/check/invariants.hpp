@@ -8,7 +8,7 @@
 // attribution) per cycle; this subsystem generalises that into a
 // pluggable runtime checker that an end-to-end run can keep enabled.
 //
-// Six invariant classes (InvariantClass), checked every Simulator step:
+// Five invariant classes (InvariantClass), checked every Simulator step:
 //
 //   * resource conservation — every occupancy counter (icount / brcount /
 //     ldcount / memcount / L1D outstanding / front-end count), the shared
@@ -25,15 +25,12 @@
 //   * counter epochs — quantum/life epochs never go backwards, quantum
 //     accumulators never shrink within an epoch, and every sample passes
 //     the hard physical ceilings of pipeline::counters_plausible.
-//   * guard transitions — the degradation-guard FSM only moves along
-//     legal edges, and only at quantum boundaries (the only cycles the
-//     guard's on_quantum runs, fault or no fault).
 //   * policy switches — the fetch policy never changes while ADTS cannot
 //     act (disabled or suspended); with ADTS on, switches may land on any
 //     cycle because Policy_Switch applies when the DT's work drains.
 //
-// The checker is a pure observer: it reads the pipeline/detector through
-// const references, keeps its own baselines, and never mutates simulated
+// The checker is a pure observer: it reads the pipeline through a const
+// reference, keeps its own baselines, and never mutates simulated
 // state — a checked run is bit-identical to an unchecked one (enforced by
 // tests/test_invariants.cpp and scripts/check_invariants.sh). Violations
 // are recorded here, surfaced as kInvariant trace events by the
@@ -48,8 +45,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/detector.hpp"
-#include "core/guard.hpp"
 #include "pipeline/pipeline.hpp"
 #include "policy/fetch_policy.hpp"
 
@@ -69,21 +64,13 @@ enum class InvariantClass : std::uint8_t {
   kSlotConservation,
   kCommitOrder,
   kCounterEpoch,
-  kGuardTransition,
   kPolicySwitch,
 };
-inline constexpr std::size_t kNumInvariantClasses = 6;
+inline constexpr std::size_t kNumInvariantClasses = 5;
 
 [[nodiscard]] std::string_view name(InvariantClass c) noexcept;
 /// TraceDecoder-compatible namer (TraceEvent::code -> class name).
 [[nodiscard]] std::string_view invariant_class_name(std::uint8_t code) noexcept;
-
-/// Legal edges of the DegradationGuard FSM (guard.hpp). Self-loops are
-/// always legal; the directed edges follow the documented state machine:
-/// ARMED -> REVERTING | SAFE_MODE, REVERTING -> ARMED | SAFE_MODE,
-/// SAFE_MODE -> COOLDOWN, COOLDOWN -> ARMED | SAFE_MODE.
-[[nodiscard]] bool guard_transition_legal(core::GuardState from,
-                                          core::GuardState to) noexcept;
 
 /// One recorded violation. `detail` is a static string literal.
 struct Violation {
@@ -94,30 +81,22 @@ struct Violation {
   const char* detail = "";
 };
 
-struct CheckerConfig {
-  /// ADTS quantum (guard transitions are only legal on its boundaries).
-  std::uint64_t quantum_cycles = 8192;
-  /// Violations recorded with full context; counting never stops.
-  std::size_t max_recorded = 64;
-};
-
 class InvariantChecker {
  public:
-  InvariantChecker() = default;
-  explicit InvariantChecker(const CheckerConfig& cfg) : cfg_(cfg) {}
+  /// Violations recorded with full context; counting never stops.
+  static constexpr std::size_t kMaxRecorded = 64;
 
   /// Baseline every delta against the current state. Called implicitly by
   /// the first on_cycle; call explicitly to re-arm after external
   /// manipulation the checker should not attribute to the machine.
-  void arm(const pipeline::Pipeline& pipe, const core::DetectorThread& dt);
+  void arm(const pipeline::Pipeline& pipe);
 
   /// Run every pass. Call once per Simulator step, after all mutations of
-  /// the cycle (pipeline step, fault injection, detector tick). Gaps
+  /// the cycle (pipeline step, detector tick). Gaps
   /// (cycles advanced outside the checked step loop) are handled: the
   /// per-span laws stretch over the gap, the absolute laws don't care.
   /// Returns the number of violations newly *recorded* this call.
-  std::size_t on_cycle(const pipeline::Pipeline& pipe,
-                       const core::DetectorThread& dt, bool adts_enabled);
+  std::size_t on_cycle(const pipeline::Pipeline& pipe, bool adts_enabled);
 
   [[nodiscard]] bool ok() const noexcept { return total_ == 0; }
   [[nodiscard]] std::uint64_t violation_count() const noexcept {
@@ -126,19 +105,13 @@ class InvariantChecker {
   [[nodiscard]] std::uint64_t count(InvariantClass c) const noexcept {
     return per_class_[static_cast<std::size_t>(c)];
   }
-  /// Recorded violations, oldest first (capped at cfg.max_recorded).
+  /// Recorded violations, oldest first (capped at kMaxRecorded).
   [[nodiscard]] const std::vector<Violation>& violations() const noexcept {
     return log_;
   }
 
   /// Per-class summary + the recorded violations. No output when ok().
   void write_report(std::ostream& os) const;
-
-  /// Test-only: fabricate a guard-state baseline so the next on_cycle
-  /// observes a transition that never happened (negative tests).
-  void testing_set_prev_guard_state(core::GuardState s) noexcept {
-    prev_guard_ = s;
-  }
 
  private:
   void report(InvariantClass cls, std::uint64_t cycle, std::int32_t tid,
@@ -155,12 +128,10 @@ class InvariantChecker {
     std::uint64_t epoch_base_cycle = 0;
   };
 
-  CheckerConfig cfg_{};
   bool armed_ = false;
   std::uint64_t prev_cycle_ = 0;
   std::uint64_t prev_committed_ = 0;
   policy::FetchPolicy prev_policy_ = policy::FetchPolicy::kIcount;
-  core::GuardState prev_guard_ = core::GuardState::kArmed;
   std::vector<ThreadBase> threads_;
 
   std::uint64_t total_ = 0;

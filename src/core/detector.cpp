@@ -1,5 +1,4 @@
 #include "core/detector.hpp"
-#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/switch_audit.hpp"
 #include "pipeline/counters.hpp"
@@ -11,8 +10,7 @@
 
 namespace smt::core {
 
-DetectorThread::DetectorThread(const AdtsConfig& cfg)
-    : cfg_(cfg), guard_(cfg.guard) {
+DetectorThread::DetectorThread(const AdtsConfig& cfg) : cfg_(cfg) {
   if (cfg.quantum_cycles == 0) {
     throw std::invalid_argument("AdtsConfig: quantum_cycles must be > 0");
   }
@@ -21,14 +19,10 @@ DetectorThread::DetectorThread(const AdtsConfig& cfg)
 void DetectorThread::arm(const pipeline::Pipeline& pipe) {
   committed_at_quantum_start_ = pipe.committed_total();
   last_boundary_cycle_ = pipe.now();
-  missed_quanta_ = 0;
   ipc_last_ = 0.0;
   ipc_prev_ = 0.0;
   decision_pending_ = false;
-  pending_hold_until_cycle_ = 0;
-  switch_write_lost_ = false;
   switch_unscored_ = false;
-  switch_was_stale_ = false;
   unscored_audit_ = obs::SwitchAuditLog::npos;
 }
 
@@ -42,80 +36,33 @@ void DetectorThread::apply_policy(pipeline::Pipeline& pipe,
   }
 }
 
-pipeline::ThreadCounters DetectorThread::sample_counters(
-    const pipeline::Pipeline& pipe, fault::FaultInjector* faults,
-    std::uint32_t tid) const {
-  if (faults != nullptr && faults->enabled()) {
-    return faults->counters(pipe, tid);
-  }
-  return pipe.counters(tid);
-}
-
-void DetectorThread::tick(pipeline::Pipeline& pipe,
-                          fault::FaultInjector* faults) {
+void DetectorThread::tick(pipeline::Pipeline& pipe) {
   // Apply a pending switch as soon as the DT's decision routine has
-  // drained through idle fetch slots — unless the DT is stalled or the
-  // switch is held by a delay fault.
-  const bool dt_stalled = faults != nullptr && faults->dt_stalled();
-  if (decision_pending_ && pipe.dt_work_remaining() == 0 && !dt_stalled &&
-      pipe.now() >= pending_hold_until_cycle_) {
-    const auto fate = faults != nullptr
-                          ? faults->take_switch_fate()
-                          : fault::FaultInjector::SwitchFate::kApply;
-    if (fate == fault::FaultInjector::SwitchFate::kDrop) {
-      // The Policy_Switch register write was lost. The DT notices via
-      // read-back at the next boundary (switch_write_lost_ → guard).
-      decision_pending_ = false;
-      ++stats_.switches_dropped_fault;
-      switch_write_lost_ = true;
-    } else if (fate == fault::FaultInjector::SwitchFate::kDelay) {
-      pending_hold_until_cycle_ =
-          pipe.now() + faults->switch_delay_quanta() * cfg_.quantum_cycles;
-    } else {
-      decision_pending_ = false;
-      if (pending_policy_ != pipe.policy()) {
-        pending_audit_.policy_before =
-            static_cast<std::uint8_t>(pipe.policy());
-        pending_audit_.policy_after =
-            static_cast<std::uint8_t>(pending_policy_);
-        pending_audit_.applied_cycle = pipe.now();
-        apply_policy(pipe, pending_policy_);
-        ++stats_.switches;
-        switch_unscored_ = true;
-        // Strictly more than one quantum in flight ⇒ the decision
-        // out-lived the boundary that should have dropped it: a fault.
-        switch_was_stale_ =
-            pipe.now() > pending_decided_cycle_ + cfg_.quantum_cycles;
-        if (switch_was_stale_) {
-          ++stats_.switches_stale;
-          pending_audit_.flags |= obs::kAuditStale;
-        }
-        guard_.note_switch_applied();
-        unscored_audit_ = audit_log_.push(pending_audit_);
-      }
+  // drained through idle fetch slots.
+  if (decision_pending_ && pipe.dt_work_remaining() == 0) {
+    decision_pending_ = false;
+    if (pending_policy_ != pipe.policy()) {
+      pending_audit_.policy_before = static_cast<std::uint8_t>(pipe.policy());
+      pending_audit_.policy_after = static_cast<std::uint8_t>(pending_policy_);
+      pending_audit_.applied_cycle = pipe.now();
+      apply_policy(pipe, pending_policy_);
+      ++stats_.switches;
+      switch_unscored_ = true;
+      unscored_audit_ = audit_log_.push(pending_audit_);
     }
   }
 
   if (pipe.now() > 0 && pipe.now() % cfg_.quantum_cycles == 0) {
-    if (dt_stalled) {
-      // The DT never got scheduled this quantum: no monitoring, no
-      // scoring, no decisions — and no dropping of the pending one.
-      ++missed_quanta_;
-    } else {
-      on_quantum_boundary(pipe, faults);
-    }
+    on_quantum_boundary(pipe);
   }
 }
 
-void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe,
-                                         fault::FaultInjector* faults) {
+void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
   ++stats_.quanta;
   stats_.quanta_per_policy[static_cast<std::size_t>(pipe.policy())] += 1;
 
-  // Cycles since the DT last ran. Fault-free this is exactly one quantum;
-  // a starved DT normalises over the whole span it slept through (it
-  // reads the cycle counter, so the rates stay correct — what it lost is
-  // the chance to act).
+  // Cycles since the DT last ran: one quantum, or less for the first
+  // boundary after an arm() that landed mid-quantum.
   const std::uint64_t elapsed = pipe.now() - last_boundary_cycle_;
   last_boundary_cycle_ = pipe.now();
 
@@ -124,13 +71,6 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe,
   committed_at_quantum_start_ = pipe.committed_total();
   ipc_prev_ = ipc_last_;
   ipc_last_ = static_cast<double>(committed) / static_cast<double>(elapsed);
-
-  GuardObservation obs;
-  obs.ipc_last = ipc_last_;
-  obs.committed_truth = committed;
-  obs.switch_write_lost = switch_write_lost_;
-  obs.dt_starved = missed_quanta_ > 0;
-  switch_write_lost_ = false;
 
   // Score the switch applied during the previous quantum: benign iff the
   // quantum that just ended out-performed the one that triggered it.
@@ -146,92 +86,31 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe,
       ++stats_.malignant_switches;
     }
     history_.record(switch_incumbent_, switch_cond_value_, benign);
-    obs.switch_scored = true;
-    obs.switch_benign = benign;
-    obs.switch_stale = switch_was_stale_;
-    obs.ipc_before_switch = ipc_before_switch_;
-    obs.switch_incumbent = switch_incumbent_;
     switch_unscored_ = false;
-    switch_was_stale_ = false;
   }
 
   // A decision still pending from the previous quantum means the DT never
   // found enough idle slots to finish Determine_NewPolicy: the pipeline
-  // was saturated, drop the stale decision (paper §3). Two fault cases
-  // keep it alive instead: the DT just woke from starvation (the decision
-  // is pending because the DT was absent, not because the pipeline was
-  // busy — it resumes the in-flight Policy_Switch), or a delay fault is
-  // holding the register write.
+  // was saturated, drop the stale decision (paper §3).
   if (decision_pending_) {
-    const bool keep =
-        faults != nullptr &&
-        (missed_quanta_ > 0 || pending_hold_until_cycle_ > pipe.now());
-    if (!keep) {
-      decision_pending_ = false;
-      ++stats_.switches_skipped_dt_busy;
-    }
+    decision_pending_ = false;
+    ++stats_.switches_skipped_dt_busy;
   }
-  missed_quanta_ = 0;
 
   // Monitoring cost: the per-quantum counter scan.
   if (!cfg_.instant_switch) pipe.add_dt_work(cfg_.dt_check_instrs);
 
-  // Machine-wide condition rates: pooled across threads, sampled through
-  // the (possibly faulty) status-counter path. The guard's integrity
-  // checks ride on the same samples.
-  const bool guard_on = cfg_.guard.enabled;
+  // Machine-wide condition rates, pooled across threads. The
+  // accumulators cover the `elapsed` cycles since the DT last reset them.
   pipeline::QuantumRates machine{};
-  std::uint64_t counter_committed = 0;
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
-    const pipeline::ThreadCounters c = sample_counters(pipe, faults, tid);
-    // The accumulators cover the span since the DT last reset them —
-    // `elapsed` cycles, one quantum unless the DT was starved.
-    const pipeline::QuantumRates r = rates_for_quantum(c, elapsed);
+    const pipeline::QuantumRates r =
+        rates_for_quantum(pipe.counters(tid), elapsed);
     machine.ipc += r.ipc;
     machine.cond_branches_per_cycle += r.cond_branches_per_cycle;
     machine.mispredicts_per_cycle += r.mispredicts_per_cycle;
     machine.l1_misses_per_cycle += r.l1_misses_per_cycle;
     machine.lsq_full_per_cycle += r.lsq_full_per_cycle;
-    if (guard_on) {
-      counter_committed += c.committed_quantum;
-      if (!pipeline::counters_plausible(c, elapsed,
-                                        pipe.config().commit_width,
-                                        pipe.config().rob_per_thread)) {
-        obs.counters_implausible = true;
-      }
-    }
-  }
-  obs.committed_counters = guard_on ? counter_committed : committed;
-
-  allow_switch_ = true;
-  if (guard_on) {
-    const GuardVerdict v = guard_.on_quantum(obs);
-    last_verdict_ = v;
-    allow_switch_ = v.allow_switching;
-    if (v.pin_safe_policy) {
-      // SAFE_MODE: abandon any in-flight decision and hold the safe
-      // policy until the guard cools down. The abandoned switch's audit
-      // entry stays neutral (never scored).
-      decision_pending_ = false;
-      switch_unscored_ = false;
-      unscored_audit_ = obs::SwitchAuditLog::npos;
-      if (pipe.policy() != cfg_.guard.safe_policy) {
-        apply_policy(pipe, cfg_.guard.safe_policy);
-      }
-    } else if (v.revert) {
-      // Watchdog: undo the switch scored malignant above. Not an ADTS
-      // switch — it is not scored and not recorded in the history; it
-      // does pay the same switch penalty (reverting is itself a switch).
-      apply_policy(pipe, v.revert_to);
-    }
-    if (obs.dt_starved && decision_pending_) {
-      // The DT just woke from starvation with a Policy_Switch still in
-      // flight, decided for a phase several quanta gone. A naive DT
-      // resumes it (and applies it stale); the guard cancels it — the
-      // heuristic will re-decide from fresh data if still warranted.
-      decision_pending_ = false;
-      guard_.note_stale_decision_dropped();
-    }
   }
 
   // Effective thresholds: static calibration, or the profiled running
@@ -267,7 +146,7 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe,
   if (low_throughput) {
     ++stats_.low_throughput_quanta;
 
-    identify_clogging_threads(pipe, faults);
+    identify_clogging_threads(pipe);
 
     const SystemConditions conds = evaluate_conditions(machine, thresholds);
 
@@ -275,63 +154,45 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe,
         cfg_.heuristic, pipe.policy(), conds, ipc_last_, ipc_prev_,
         &history_);
     if (d.has_value() && d->next != pipe.policy()) {
-      if (!allow_switch_) {
-        // Guard hysteresis / safe mode: the heuristic wanted to switch
-        // but the guard vetoed it.
-        guard_.note_vetoed();
+      if (d->reversed) ++stats_.switches_reversed;
+      // Remember the context for outcome scoring / history recording.
+      ipc_before_switch_ = ipc_last_;
+      switch_incumbent_ = pipe.policy();
+      switch_cond_value_ = d->cond_value;
+
+      // Provenance: the full decision context, captured now; the
+      // policies and applied cycle are filled at apply time.
+      obs::SwitchAudit audit;
+      audit.heuristic = static_cast<std::uint8_t>(cfg_.heuristic);
+      audit.policy_before = static_cast<std::uint8_t>(pipe.policy());
+      audit.policy_after = static_cast<std::uint8_t>(d->next);
+      if (d->reversed) audit.flags |= obs::kAuditReversed;
+      if (conds.cond_mem) audit.flags |= obs::kAuditCondMem;
+      if (conds.cond_br) audit.flags |= obs::kAuditCondBr;
+      audit.quantum = pipe.now() / cfg_.quantum_cycles;
+      audit.decided_cycle = pipe.now();
+      audit.ipc_before = ipc_last_;
+      audit.ipc_prev = ipc_prev_;
+      audit.br_rate = machine.cond_branches_per_cycle;
+      audit.mispredict_rate = machine.mispredicts_per_cycle;
+      audit.l1_miss_rate = machine.l1_misses_per_cycle;
+      audit.lsq_full_rate = machine.lsq_full_per_cycle;
+      audit.cond_value = d->cond_value ? 1.0 : 0.0;
+
+      if (cfg_.instant_switch) {
+        audit.flags |= obs::kAuditInstant;
+        audit.applied_cycle = pipe.now();
+        apply_policy(pipe, d->next);
+        ++stats_.switches;
+        switch_unscored_ = true;
+        unscored_audit_ = audit_log_.push(audit);
       } else {
-        if (d->reversed) ++stats_.switches_reversed;
-        // Remember the context for outcome scoring / history recording.
-        ipc_before_switch_ = ipc_last_;
-        switch_incumbent_ = pipe.policy();
-        switch_cond_value_ = d->cond_value;
-
-        // Provenance: the full decision context, captured now; the
-        // decided→applied span and stale flag are filled at apply time.
-        obs::SwitchAudit audit;
-        audit.heuristic = static_cast<std::uint8_t>(cfg_.heuristic);
-        audit.policy_before = static_cast<std::uint8_t>(pipe.policy());
-        audit.policy_after = static_cast<std::uint8_t>(d->next);
-        if (d->reversed) audit.flags |= obs::kAuditReversed;
-        if (conds.cond_mem) audit.flags |= obs::kAuditCondMem;
-        if (conds.cond_br) audit.flags |= obs::kAuditCondBr;
-        audit.quantum = pipe.now() / cfg_.quantum_cycles;
-        audit.decided_cycle = pipe.now();
-        audit.ipc_before = ipc_last_;
-        audit.ipc_prev = ipc_prev_;
-        audit.br_rate = machine.cond_branches_per_cycle;
-        audit.mispredict_rate = machine.mispredicts_per_cycle;
-        audit.l1_miss_rate = machine.l1_misses_per_cycle;
-        audit.lsq_full_rate = machine.lsq_full_per_cycle;
-        audit.cond_value = d->cond_value ? 1.0 : 0.0;
-
-        if (cfg_.instant_switch) {
-          audit.flags |= obs::kAuditInstant;
-          audit.applied_cycle = pipe.now();
-          apply_policy(pipe, d->next);
-          ++stats_.switches;
-          switch_unscored_ = true;
-          guard_.note_switch_applied();
-          unscored_audit_ = audit_log_.push(audit);
-        } else {
-          // A still-pending decision (kept alive by a stall or delay
-          // fault) is refreshed in place: the target policy updates but
-          // the decision keeps its original timestamp and hold — the
-          // Policy_Switch has been in flight since then.
-          pending_policy_ = d->next;
-          if (!decision_pending_) {
-            decision_pending_ = true;
-            pending_decided_cycle_ = pipe.now();
-            pending_hold_until_cycle_ = 0;
-            pending_audit_ = audit;
-          } else {
-            // Refresh the context but keep the original decision stamp.
-            audit.quantum = pending_audit_.quantum;
-            audit.decided_cycle = pending_audit_.decided_cycle;
-            pending_audit_ = audit;
-          }
-          pipe.add_dt_work(cfg_.dt_decide_instrs);
-        }
+        // Any earlier decision was dropped above, so this one starts a
+        // fresh Policy_Switch.
+        pending_policy_ = d->next;
+        decision_pending_ = true;
+        pending_audit_ = audit;
+        pipe.add_dt_work(cfg_.dt_decide_instrs);
       }
     }
   }
@@ -339,17 +200,16 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe,
   pipe.reset_quantum_counters();
 }
 
-void DetectorThread::identify_clogging_threads(pipeline::Pipeline& pipe,
-                                               fault::FaultInjector* faults) {
+void DetectorThread::identify_clogging_threads(pipeline::Pipeline& pipe) {
   clogging_.clear();
   std::int64_t total_icount = 0;
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
-    total_icount += sample_counters(pipe, faults, tid).icount;
+    total_icount += pipe.counters(tid).icount;
   }
   if (total_icount <= 0) return;
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
     const double share =
-        static_cast<double>(sample_counters(pipe, faults, tid).icount) /
+        static_cast<double>(pipe.counters(tid).icount) /
         static_cast<double>(total_icount);
     if (share > cfg_.clog_icount_share) {
       clogging_.push_back(tid);
@@ -359,14 +219,7 @@ void DetectorThread::identify_clogging_threads(pipeline::Pipeline& pipe,
       }
       ++stats_.clog_flags;
       if (cfg_.enable_clog_control) {
-        // Blocking a thread on the word of counters currently under
-        // suspicion would punish an innocent thread; the guard withholds
-        // the destructive action until the samples reconcile again.
-        if (cfg_.guard.enabled && guard_.suspicious()) {
-          guard_.note_clog_suppressed();
-        } else {
-          pipe.block_fetch(tid, pipe.now() + cfg_.clog_block_cycles);
-        }
+        pipe.block_fetch(tid, pipe.now() + cfg_.clog_block_cycles);
       }
     }
   }
@@ -381,8 +234,6 @@ void DetectorThread::export_metrics(obs::MetricsRegistry& reg) const {
   reg.set("adts.benign_fraction", stats_.benign_fraction());
   reg.set("adts.switches_skipped_dt_busy", stats_.switches_skipped_dt_busy);
   reg.set("adts.switches_reversed", stats_.switches_reversed);
-  reg.set("adts.switches_dropped_fault", stats_.switches_dropped_fault);
-  reg.set("adts.switches_stale", stats_.switches_stale);
   reg.set("adts.clog_flags", stats_.clog_flags);
   reg.set("adts.heuristic", name(cfg_.heuristic));
   reg.set("adts.ipc_threshold", cfg_.ipc_threshold);
@@ -394,7 +245,6 @@ void DetectorThread::export_metrics(obs::MetricsRegistry& reg) const {
   audit_log_.export_metrics(reg, "audit.", [](std::uint8_t code) {
     return name(static_cast<HeuristicType>(code));
   });
-  if (cfg_.guard.enabled) guard_.export_metrics(reg);
 }
 
 }  // namespace smt::core

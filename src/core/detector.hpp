@@ -26,10 +26,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/guard.hpp"
 #include "core/heuristics.hpp"
 #include "core/history.hpp"
-#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/switch_audit.hpp"
 #include "pipeline/counters.hpp"
@@ -80,12 +78,6 @@ struct AdtsConfig {
   /// (the "prevent a specific thread from being fetched" action of §3).
   bool enable_clog_control = false;
   std::uint64_t clog_block_cycles = 512;
-
-  /// Graceful-degradation guard (core/guard.hpp): watchdog reverts,
-  /// switching hysteresis and the safe-mode fallback. Off by default;
-  /// when enabled on a fault-free run the guard observes but never acts,
-  /// so results are bit-identical to an unguarded run.
-  GuardConfig guard{};
 };
 
 struct AdtsStats {
@@ -96,8 +88,6 @@ struct AdtsStats {
   std::uint64_t malignant_switches = 0;
   std::uint64_t switches_skipped_dt_busy = 0;  ///< DT starved; switch dropped
   std::uint64_t switches_reversed = 0;         ///< Type 4 took the opposite arc
-  std::uint64_t switches_dropped_fault = 0;  ///< Policy_Switch write lost (fault)
-  std::uint64_t switches_stale = 0;  ///< applied ≥1 quantum late (fault)
   std::uint64_t clog_flags = 0;        ///< thread-flagging events
   /// Quanta spent under each fetch policy.
   std::array<std::uint64_t, policy::kNumFetchPolicies> quanta_per_policy{};
@@ -113,12 +103,8 @@ class DetectorThread {
   explicit DetectorThread(const AdtsConfig& cfg);
 
   /// Call after every pipeline step. Does quantum-boundary processing and
-  /// applies pending switches once the DT's work has drained. When
-  /// `faults` is non-null, all status-counter reads go through the fault
-  /// injector's (possibly perturbed) view and Policy_Switch writes are
-  /// subject to drop/delay interference — the architectural pipeline is
-  /// never read around the injector.
-  void tick(pipeline::Pipeline& pipe, fault::FaultInjector* faults = nullptr);
+  /// applies pending switches once the DT's work has drained.
+  void tick(pipeline::Pipeline& pipe);
 
   /// Re-baseline the DT's committed-instruction bookkeeping to the
   /// pipeline's current state. Call when the detector starts ticking on a
@@ -129,13 +115,6 @@ class DetectorThread {
 
   [[nodiscard]] const AdtsConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const AdtsStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const DegradationGuard& guard() const noexcept {
-    return guard_;
-  }
-  /// Guard verdict issued at the most recent quantum boundary (trace).
-  [[nodiscard]] const GuardVerdict& last_guard_verdict() const noexcept {
-    return last_verdict_;
-  }
   [[nodiscard]] const SwitchHistory& history() const noexcept {
     return history_;
   }
@@ -162,29 +141,18 @@ class DetectorThread {
   }
   void clear_clog_marks() { clog_marks_.clear(); }
 
-  /// Export ADTS statistics (and the guard's, when enabled) into `reg`
-  /// under "adts." / "guard." (--stats-json).
+  /// Export ADTS statistics into `reg` under "adts." (--stats-json).
   void export_metrics(obs::MetricsRegistry& reg) const;
 
  private:
-  void on_quantum_boundary(pipeline::Pipeline& pipe,
-                           fault::FaultInjector* faults);
+  void on_quantum_boundary(pipeline::Pipeline& pipe);
   /// Write Policy_Switch and charge the architectural switch penalty.
   void apply_policy(pipeline::Pipeline& pipe, policy::FetchPolicy next);
-  void identify_clogging_threads(pipeline::Pipeline& pipe,
-                                 fault::FaultInjector* faults);
-  /// Status-counter sample for `tid`: the injector's view under fault,
-  /// the live counters otherwise.
-  [[nodiscard]] pipeline::ThreadCounters sample_counters(
-      const pipeline::Pipeline& pipe, fault::FaultInjector* faults,
-      std::uint32_t tid) const;
+  void identify_clogging_threads(pipeline::Pipeline& pipe);
 
   AdtsConfig cfg_{};
   SwitchHistory history_{};
   AdtsStats stats_{};
-  DegradationGuard guard_{};
-  GuardVerdict last_verdict_{};
-  bool allow_switch_ = true;  ///< guard hysteresis gate for this quantum
 
   std::uint64_t committed_at_quantum_start_ = 0;
   double ipc_last_ = 0.0;
@@ -193,21 +161,10 @@ class DetectorThread {
   // Pending decision: chosen at a boundary, applied when DT work drains.
   bool decision_pending_ = false;
   policy::FetchPolicy pending_policy_ = policy::FetchPolicy::kIcount;
-  /// Cycle the pending decision was (first) made. An application more
-  /// than one quantum later is stale — impossible fault-free, because
-  /// undrained decisions drop at the next boundary the DT processes.
-  std::uint64_t pending_decided_cycle_ = 0;
-  /// Fault-delay hold: the pending switch may not apply before this
-  /// cycle (0 = no hold).
-  std::uint64_t pending_hold_until_cycle_ = 0;
-  /// Cycle of the last boundary the DT actually processed; IPC_last and
-  /// the condition rates are normalised over the span since then, so a
-  /// starved DT still computes correct rates when it resumes.
+  /// Cycle of the last boundary the DT processed (or of arm()); IPC_last
+  /// and the condition rates are normalised over the span since then, so
+  /// a quantum cut short by arm() still yields correct rates.
   std::uint64_t last_boundary_cycle_ = 0;
-  /// Boundaries skipped because the DT was stalled (fault).
-  std::uint64_t missed_quanta_ = 0;
-  /// A Policy_Switch write was lost since the last boundary (fault).
-  bool switch_write_lost_ = false;
 
   // Switch-audit provenance (obs/switch_audit.hpp). pending_audit_ is
   // filled at decision time and pushed into the log at apply time;
@@ -218,7 +175,6 @@ class DetectorThread {
 
   // Outcome tracking for the most recent applied switch.
   bool switch_unscored_ = false;
-  bool switch_was_stale_ = false;
   double ipc_before_switch_ = 0.0;
   policy::FetchPolicy switch_incumbent_ = policy::FetchPolicy::kIcount;
   bool switch_cond_value_ = false;

@@ -145,9 +145,4 @@ std::optional<Decision> determine_next_policy(HeuristicType h,
   return std::nullopt;
 }
 
-double switch_damage(double ipc_before, double ipc_after) noexcept {
-  if (ipc_before <= 0.0 || ipc_after >= ipc_before) return 0.0;
-  return (ipc_before - ipc_after) / ipc_before;
-}
-
 }  // namespace smt::core

@@ -98,13 +98,4 @@ struct Decision {
     const SystemConditions& conds, double ipc_last, double ipc_prev,
     const SwitchHistory* history);
 
-/// Relative IPC damage of a scored policy switch: 0 when throughput held
-/// or rose, else the fractional drop (0.25 ⇒ the quantum after the switch
-/// ran 25% slower than the one that triggered it). The degradation
-/// guard's watchdog compares this against its revert margin to separate
-/// ordinary malignant switches (the paper's Fig. 7 noise, left to the
-/// heuristics) from the severe ones worth undoing.
-[[nodiscard]] double switch_damage(double ipc_before,
-                                   double ipc_after) noexcept;
-
 }  // namespace smt::core

@@ -67,9 +67,8 @@ BatchSpec parse_batch(std::istream& in) {
   std::vector<AdtsVariant> adts_variants;
   std::uint64_t cycles = 262144, warmup = 32768, quantum = 8192;
   std::uint64_t threads = 8;
-  bool guard = false;
   bool saw_cycles = false, saw_warmup = false, saw_threads = false,
-       saw_quantum = false, saw_guard = false;
+       saw_quantum = false;
 
   const auto scalar_once = [](bool& seen, const std::string& directive) {
     if (seen) {
@@ -113,15 +112,6 @@ BatchSpec parse_batch(std::istream& in) {
       scalar_once(saw_quantum, directive);
       quantum = parse_u64(directive, args[0]);
       if (quantum == 0) throw ConfigError("batch: quantum must be > 0");
-    } else if (directive == "guard") {
-      scalar_once(saw_guard, directive);
-      if (args[0] == "on") {
-        guard = true;
-      } else if (args[0] == "off") {
-        guard = false;
-      } else {
-        throw ConfigError("batch: guard must be on|off, got '" + args[0] + "'");
-      }
     } else if (directive == "mix") {
       for (const std::string& m : args) {
         try {
@@ -199,7 +189,6 @@ BatchSpec parse_batch(std::istream& in) {
         j.heuristic_token = av.token.substr(0, at);
         j.threshold = av.threshold;
         j.quantum = quantum;
-        j.guard = guard;
         batch.jobs.push_back(j);
       }
     }
@@ -221,7 +210,6 @@ sim::SimConfig sim_config_for(const FleetJob& job) {
     cfg.adts.heuristic = job.heuristic;
     cfg.adts.ipc_threshold = job.threshold;
     cfg.adts.quantum_cycles = job.quantum;
-    cfg.adts.guard.enabled = job.guard;
   }
   return cfg;
 }
@@ -260,7 +248,6 @@ std::vector<std::string> smtsim_args(const FleetJob& job,
     args.emplace_back(buf);
     args.emplace_back("--quantum");
     args.push_back(std::to_string(job.quantum));
-    if (job.guard) args.emplace_back("--guard");
   } else {
     args.emplace_back("--policy");
     args.emplace_back(policy::name(job.policy));

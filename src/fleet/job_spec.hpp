@@ -14,7 +14,6 @@
 //   warmup N          warm-up cycles per job         (scalar, default 32768)
 //   threads N         contexts per job, 1..8         (scalar, default 8)
 //   quantum N         ADTS quantum in cycles         (scalar, default 8192)
-//   guard on|off      degradation guard for ADTS jobs (scalar, default off)
 //   mix A B ...       mix axis (accumulates; ≥ 1 required)
 //   seed N M ...      workload-seed axis             (default: 2003)
 //   policy P Q ...    fixed-policy variants (accumulates)
@@ -49,7 +48,6 @@ struct FleetJob {
   std::string heuristic_token = "3";  ///< CLI spelling ("3p", not "Type 3'")
   double threshold = 2.0;
   std::uint64_t quantum = 8192;
-  bool guard = false;
 };
 
 struct BatchSpec {

@@ -57,8 +57,9 @@ enum class CpiCause : std::uint8_t {
   /// Squash recovery: the head is refilling through the front-end delay
   /// after a mispredict/BTB-miss/syscall flush emptied the back end.
   kSquashRecovery,
-  /// DT/guard/switch machinery blocked the thread: ADTS fetch blackout,
-  /// policy-switch penalty window, or guard-imposed suspension.
+  /// Switch machinery blocked the thread: a fetch_blackout stall
+  /// (clogging-thread suspension or a policy-switch penalty window), or
+  /// the fetch drain after a job swap.
   kSwitchOverhead,
 };
 

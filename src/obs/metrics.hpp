@@ -1,6 +1,6 @@
 // MetricsRegistry: the machine-readable end-of-run export.
 //
-// Every subsystem (pipeline, detector thread, guard, fault injector)
+// Every subsystem (pipeline, detector thread, audit log, profiler)
 // exports its named counters into one registry; the registry serializes
 // to a nested JSON document (--stats-json). Names are dotted paths —
 // "adts.switches", "threads.3.stalls.icache_miss" — and the writer

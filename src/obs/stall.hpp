@@ -38,9 +38,8 @@ enum class StallCause : std::uint8_t {
   /// Recovery stall after a squash: mispredict penalty, BTB-miss bubble
   /// or syscall-flush drain.
   kSquashRecovery,
-  /// The thread-control flag is blocking fetch: ADTS clogging-thread
-  /// suspension, a policy-switch penalty window, or a fault-injected
-  /// fetch blackout.
+  /// The thread-control flag is blocking fetch (Pipeline::block_fetch):
+  /// ADTS clogging-thread suspension or a policy-switch penalty window.
   kFetchBlackout,
   /// Machine-level slack nobody could use: cache-block fragmentation or
   /// a predicted-taken branch ended every eligible thread's fetch group

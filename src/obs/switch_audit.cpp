@@ -7,9 +7,8 @@
 namespace smt::obs {
 
 std::string audit_flag_names(std::uint8_t mask) {
-  static constexpr std::array<std::pair<std::uint8_t, std::string_view>, 5>
+  static constexpr std::array<std::pair<std::uint8_t, std::string_view>, 4>
       kBits{{{kAuditReversed, "reversed"},
-             {kAuditStale, "stale"},
              {kAuditInstant, "instant"},
              {kAuditCondMem, "cond_mem"},
              {kAuditCondBr, "cond_br"}}};

@@ -15,8 +15,8 @@
 //
 // A SwitchAudit additionally carries the full decision context: the
 // heuristic, the machine counter rates and condition evaluations that
-// drove the decision, the guard's stance, and the decided→applied cycle
-// pair (non-zero span = the decision waited for DT work to drain).
+// drove the decision, and the decided→applied cycle pair (non-zero
+// span = the decision waited for DT work to drain).
 //
 // obs sits below core/, so heuristic and policy identities are stored as
 // raw codes here and named by the caller's decoder when serialized.
@@ -69,7 +69,6 @@ enum class SwitchLabel : std::uint8_t {
 /// kSwitchAudit payload bits (TraceEvent::mask).
 enum AuditFlag : std::uint8_t {
   kAuditReversed = 1,  ///< decision reversed an earlier switch (history)
-  kAuditStale = 2,     ///< applied after its scoring boundary had passed
   kAuditInstant = 4,   ///< applied at the boundary (no DT drain wait)
   kAuditCondMem = 8,   ///< memory condition held at decision time
   kAuditCondBr = 16,   ///< branch condition held at decision time

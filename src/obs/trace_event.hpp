@@ -7,17 +7,13 @@
 //   kind            tid    fields used
 //   --------------  -----  ------------------------------------------------
 //   kQuantum        -1     span (cycles), value (committed), ipc,
-//                          policy_after (active policy), code (guard state),
-//                          mask (fault classes injected this quantum)
+//                          policy_after (active policy)
 //   kThreadQuantum  >= 0   span, value (committed), ipc, fetch_share,
 //                          mispredict_rate, l1d/l1i_miss_rate, stalls
 //   kPolicySwitch   -1     policy_before → policy_after,
-//                          code (HeuristicType that decided), ipc (IPC_last)
-//   kGuardAction    -1     code (GuardAct), policy_after (policy imposed by
-//                          a revert/pin; unused for kHold)
-//   kFault          -1     mask (fault::FaultClass bits starting now)
-//   kDtStallBegin   -1     —
-//   kDtStallEnd     -1     span (cycles the DT slot was stalled)
+//                          code (HeuristicType that decided), ipc (IPC_last),
+//                          value (1-based audit index), span (decided →
+//                          applied wait), mask (AuditFlag bits)
 //   kInvariant      any    code (check::InvariantClass), value (offending
 //                          quantity: mismatch mask, excess delta, ...)
 //   kPipeview       >= 0   cycle (fetch cycle), value (instruction seq),
@@ -59,10 +55,6 @@ enum class EventKind : std::uint8_t {
   kQuantum,        ///< machine-level quantum summary row
   kThreadQuantum,  ///< per-thread quantum snapshot
   kPolicySwitch,   ///< fetch policy changed (ADTS decision landed)
-  kGuardAction,    ///< degradation guard intervened
-  kFault,          ///< fault injector scheduled events for this quantum
-  kDtStallBegin,   ///< detector-thread stall window opened
-  kDtStallEnd,     ///< detector-thread stall window closed
   kInvariant,      ///< invariant checker detected a violation (src/check)
   kPipeview,       ///< sampled instruction's full pipeline lifecycle
   kSwitchAudit,    ///< provenance + post-hoc label for an applied switch
@@ -75,31 +67,11 @@ enum class EventKind : std::uint8_t {
     case EventKind::kQuantum: return "quantum";
     case EventKind::kThreadQuantum: return "thread_quantum";
     case EventKind::kPolicySwitch: return "policy_switch";
-    case EventKind::kGuardAction: return "guard_action";
-    case EventKind::kFault: return "fault";
-    case EventKind::kDtStallBegin: return "dt_stall_begin";
-    case EventKind::kDtStallEnd: return "dt_stall_end";
     case EventKind::kInvariant: return "invariant";
     case EventKind::kPipeview: return "pipeview";
     case EventKind::kSwitchAudit: return "switch_audit";
     case EventKind::kProf: return "prof";
     case EventKind::kCpiStack: return "cpi_stack";
-  }
-  return "unknown";
-}
-
-/// kGuardAction payload (TraceEvent::code).
-enum class GuardAct : std::uint8_t {
-  kHold = 1,     ///< guard withheld a switch the heuristic wanted
-  kRevert = 2,   ///< watchdog undid a malignant switch
-  kPinSafe = 3,  ///< safe-mode entry / dwell pinned the safe policy
-};
-
-[[nodiscard]] constexpr std::string_view name(GuardAct a) noexcept {
-  switch (a) {
-    case GuardAct::kHold: return "hold";
-    case GuardAct::kRevert: return "revert";
-    case GuardAct::kPinSafe: return "pin_safe";
   }
   return "unknown";
 }
@@ -165,11 +137,11 @@ struct TraceEvent {
   std::uint64_t cycle = 0;    ///< cycle the event was recorded
   std::uint64_t quantum = 0;  ///< scheduling-quantum index (cycle / quantum)
   std::int32_t tid = -1;      ///< thread scope; -1 = machine scope
-  std::uint64_t span = 0;     ///< cycles covered (quantum rows, stall windows)
+  std::uint64_t span = 0;     ///< cycles covered (quantum rows, audits, ...)
   std::uint8_t policy_before = 0;  ///< policy::FetchPolicy code
   std::uint8_t policy_after = 0;   ///< policy::FetchPolicy code
-  std::uint8_t code = 0;  ///< kind-specific: heuristic / guard state / action
-  std::uint8_t mask = 0;  ///< fault::FaultClass bitmask
+  std::uint8_t code = 0;  ///< kind-specific: heuristic / terminal / class
+  std::uint8_t mask = 0;  ///< kind-specific flag bits (pipeview, audit)
   std::uint64_t value = 0;          ///< kind-specific count (committed, ...)
   double ipc = 0.0;
   double fetch_share = 0.0;

@@ -156,13 +156,11 @@ std::string as_code_string(const JsonValue& v, std::size_t line_no) {
 
 // --- field-name tables -----------------------------------------------------
 
-constexpr std::array<EventKind, 12> kAllKinds{
-    EventKind::kQuantum,    EventKind::kThreadQuantum,
-    EventKind::kPolicySwitch, EventKind::kGuardAction,
-    EventKind::kFault,      EventKind::kDtStallBegin,
-    EventKind::kDtStallEnd, EventKind::kInvariant,
-    EventKind::kPipeview,   EventKind::kSwitchAudit,
-    EventKind::kProf,       EventKind::kCpiStack};
+constexpr std::array<EventKind, 8> kAllKinds{
+    EventKind::kQuantum,     EventKind::kThreadQuantum,
+    EventKind::kPolicySwitch, EventKind::kInvariant,
+    EventKind::kPipeview,    EventKind::kSwitchAudit,
+    EventKind::kProf,        EventKind::kCpiStack};
 
 std::uint64_t parse_u64_field(const std::string& s, std::size_t line_no) {
   if (s.empty()) return 0;
@@ -318,7 +316,7 @@ ReadTrace read_trace(std::istream& is) {
       e.policy_before = field("policy_before");
       e.policy_after = field("policy_after");
       e.code = field("code");
-      e.mask = field("faults");
+      e.mask = field("mask");
       e.value = parse_u64_field(field("value"), line_no);
       e.ipc = parse_double_field(field("ipc"), line_no);
       e.fetch_share = parse_double_field(field("fetch_share"), line_no);

@@ -43,23 +43,20 @@ std::string pipe_flag_names(std::uint8_t mask) {
 }
 
 /// The mask column's decoding also depends on the event kind: pipeview
-/// and audit rows carry their own flag bits, everything else carries a
-/// fault::FaultClass bitmask.
-void put_mask(std::ostream& os, const TraceDecoder& dec, const TraceEvent& e) {
+/// rows carry pipe flags, switch and audit rows carry audit flags, and
+/// everything else prints raw.
+void put_mask(std::ostream& os, const TraceEvent& e) {
   switch (e.kind) {
     case EventKind::kPipeview:
       os << pipe_flag_names(e.mask);
-      return;
+      break;
+    case EventKind::kPolicySwitch:
     case EventKind::kSwitchAudit:
       os << audit_flag_names(e.mask);
-      return;
-    default:
       break;
-  }
-  if (dec.fault_mask != nullptr) {
-    os << dec.fault_mask(e.mask);
-  } else {
-    os << static_cast<unsigned>(e.mask);
+    default:
+      os << static_cast<unsigned>(e.mask);
+      break;
   }
 }
 
@@ -67,15 +64,9 @@ void put_mask(std::ostream& os, const TraceDecoder& dec, const TraceEvent& e) {
 void put_kind_code(std::ostream& os, const TraceDecoder& dec,
                    const TraceEvent& e) {
   switch (e.kind) {
-    case EventKind::kQuantum:
-      put_code(os, dec.guard_state, e.code);
-      break;
     case EventKind::kPolicySwitch:
     case EventKind::kSwitchAudit:
       put_code(os, dec.heuristic, e.code);
-      break;
-    case EventKind::kGuardAction:
-      os << name(static_cast<GuardAct>(e.code));
       break;
     case EventKind::kInvariant:
       put_code(os, dec.invariant, e.code);
@@ -194,7 +185,7 @@ void TraceSink::write_csv(std::ostream& os, const std::vector<TraceEvent>& evs,
     os << '\n';
   }
   os << "event,quantum,cycle,tid,span,policy_before,policy_after,code,"
-        "faults,value,ipc,fetch_share,mispredict_rate,l1d_miss_rate,"
+        "mask,value,ipc,fetch_share,mispredict_rate,l1d_miss_rate,"
         "l1i_miss_rate";
   for (std::size_t c = 0; c < kNumStallCauses; ++c) {
     os << ",stall_" << name(static_cast<StallCause>(c));
@@ -212,7 +203,7 @@ void TraceSink::write_csv(std::ostream& os, const std::vector<TraceEvent>& evs,
     os << ',';
     put_kind_code(os, dec, e);
     os << ',';
-    put_mask(os, dec, e);
+    put_mask(os, e);
     os << ',' << e.value << ',';
     put_double(os, e.ipc);
     os << ',';
@@ -382,29 +373,6 @@ void TraceSink::write_chrome(std::ostream& os,
         os << "\",\"ipc_last\":";
         put_double(os, e.ipc);
         os << "}}";
-        break;
-      }
-      case EventKind::kGuardAction: {
-        next();
-        os << "{\"name\":\"guard " << name(static_cast<GuardAct>(e.code))
-           << "\",\"cat\":\"guard\",\"ph\":\"i\",\"ts\":" << e.cycle
-           << ",\"pid\":0,\"tid\":0,\"s\":\"g\"}";
-        break;
-      }
-      case EventKind::kFault: {
-        next();
-        os << "{\"name\":\"fault ";
-        put_mask(os, dec, e);
-        os << "\",\"cat\":\"fault\",\"ph\":\"i\",\"ts\":" << e.cycle
-           << ",\"pid\":0,\"tid\":0,\"s\":\"g\"}";
-        break;
-      }
-      case EventKind::kDtStallBegin:
-      case EventKind::kDtStallEnd: {
-        next();
-        os << "{\"name\":\"" << name(e.kind)
-           << "\",\"cat\":\"fault\",\"ph\":\"i\",\"ts\":" << e.cycle
-           << ",\"pid\":0,\"tid\":0,\"s\":\"g\"}";
         break;
       }
       case EventKind::kInvariant: {

@@ -7,13 +7,13 @@
 // backends:
 //
 //   * CSV   — one flat table, one header, every event kind in the same
-//             schema (the --fault-report / trace-analysis format),
+//             schema (the trace-analysis format),
 //   * JSONL — one self-describing JSON object per line (machine-
 //             readable; byte-deterministic for a given run),
 //   * Chrome trace-event JSON — loads directly in Perfetto or
 //             chrome://tracing: policy timeline as duration events,
-//             per-thread IPC as counter tracks, switches/faults/guard
-//             actions as instants.
+//             per-thread IPC as counter tracks, switches and invariant
+//             violations as instants.
 //
 // The sink is observation-only: nothing in the simulator reads it back,
 // so attaching one can never perturb a run. Components that instrument
@@ -21,8 +21,8 @@
 // null check inlines to nothing, which is the zero-overhead-when-
 // disabled contract.
 //
-// Decoding: TraceEvent stores enum *codes* (policy, heuristic, guard
-// state) because obs sits below the policy/core layers. Writers accept a
+// Decoding: TraceEvent stores enum *codes* (policy, heuristic, invariant
+// class) because obs sits below the policy/core layers. Writers accept a
 // TraceDecoder of name callbacks — sim::trace_decoder() supplies the
 // real names; with the default (empty) decoder codes print numerically.
 #pragma once
@@ -50,11 +50,8 @@ enum class TraceFormat : std::uint8_t { kCsv, kJsonl, kChrome };
 struct TraceDecoder {
   std::string_view (*policy)(std::uint8_t code) = nullptr;
   std::string_view (*heuristic)(std::uint8_t code) = nullptr;
-  std::string_view (*guard_state)(std::uint8_t code) = nullptr;
   /// Decode a check::InvariantClass code on kInvariant events.
   std::string_view (*invariant)(std::uint8_t code) = nullptr;
-  /// Render a fault::FaultClass bitmask as "noise|blackout" etc.
-  std::string (*fault_mask)(std::uint8_t mask) = nullptr;
 };
 
 /// Build/run provenance stamped as the first line of every trace (and

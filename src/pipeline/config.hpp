@@ -3,9 +3,10 @@
 // Defaults mirror the ICOUNT.2.8 configuration of Tullsen et al. (the
 // paper configures SimpleSMT "to have resources compatible with previous
 // research on SMT [20] for verification purposes"): 8 contexts, 8-wide
-// fetch from up to 2 threads per cycle, separate 32-entry INT/FP
-// instruction queues, 100 extra renaming registers per file, 6 INT ALUs
-// of which 4 are load/store ports, 3 FP units.
+// fetch from up to 2 threads per cycle, separate INT/FP instruction
+// queues (24 entries here, 32 in Tullsen's machine), 100 extra renaming
+// registers per file, 6 INT ALUs of which 4 are load/store ports, 3 FP
+// units. DESIGN.md §5 lists every default and each departure.
 #pragma once
 
 #include <cstdint>

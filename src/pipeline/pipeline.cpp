@@ -710,7 +710,7 @@ void Pipeline::do_fetch() {
   // Leftover slots: idle, unless the detector thread has queued work.
   stats_.fetch_slots_idle += slots;
   std::uint64_t lost = slots;
-  if (!dt_frozen_ && dt_work_ > 0 && slots > 0) {
+  if (dt_work_ > 0 && slots > 0) {
     const std::uint64_t used = std::min<std::uint64_t>(slots, dt_work_);
     dt_work_ -= used;
     stats_.dt_slots_used += used;

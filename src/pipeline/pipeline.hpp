@@ -108,8 +108,10 @@ class Pipeline {
   void set_policy(policy::FetchPolicy p) noexcept { policy_ = p; }
   [[nodiscard]] policy::FetchPolicy policy() const noexcept { return policy_; }
 
-  /// Thread-control flag: prevent `tid` from fetching until `cycle`
-  /// (the "suspend a clogging thread" action of §3).
+  /// Thread-control flag: prevent `tid` from fetching until `cycle`.
+  /// Two callers set it, both charged as StallCause::kFetchBlackout:
+  /// clogging-thread suspension (the "suspend a clogging thread" action
+  /// of §3) and the policy-switch penalty window.
   void block_fetch(std::uint32_t tid, std::uint64_t until_cycle);
 
   /// Context switch: replace the workload on context `tid` with
@@ -131,12 +133,6 @@ class Pipeline {
   [[nodiscard]] std::uint64_t dt_work_remaining() const noexcept {
     return dt_work_;
   }
-
-  /// Freeze the DT's retirement: while frozen, queued DT work does not
-  /// drain even through idle fetch slots (the fault layer uses this to
-  /// model an OS that never schedules the lowest-priority context).
-  void set_dt_frozen(bool frozen) noexcept { dt_frozen_ = frozen; }
-  [[nodiscard]] bool dt_frozen() const noexcept { return dt_frozen_; }
 
   // --- observation ------------------------------------------------------
   [[nodiscard]] std::uint64_t now() const noexcept { return cycle_; }
@@ -571,7 +567,6 @@ class Pipeline {
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_age_ = 1;
   std::uint64_t dt_work_ = 0;
-  bool dt_frozen_ = false;
 
   PipelineStats stats_;
   obs::StallBreakdown machine_stalls_;  ///< lost slots with no thread to blame

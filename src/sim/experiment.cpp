@@ -5,7 +5,6 @@
 
 #include "core/detector.hpp"
 #include "core/heuristics.hpp"
-#include "fault/fault_plan.hpp"
 #include "obs/switch_audit.hpp"
 #include "par/thread_pool.hpp"
 #include "policy/fetch_policy.hpp"
@@ -53,21 +52,6 @@ SampleResult run_adts(const workload::Mix& mix, core::HeuristicType heuristic,
   if (overrides != nullptr) cfg.adts = *overrides;
   cfg.adts.heuristic = heuristic;
   cfg.adts.ipc_threshold = ipc_threshold;
-  return run_sampled(cfg, scale.plan);
-}
-
-SampleResult run_adts_faulted(const workload::Mix& mix,
-                              core::HeuristicType heuristic,
-                              double ipc_threshold, std::size_t threads,
-                              const ExperimentScale& scale,
-                              const fault::FaultConfig& faults,
-                              const core::AdtsConfig* overrides) {
-  SimConfig cfg = make_config(mix, threads, scale.base_seed);
-  cfg.use_adts = true;
-  if (overrides != nullptr) cfg.adts = *overrides;
-  cfg.adts.heuristic = heuristic;
-  cfg.adts.ipc_threshold = ipc_threshold;
-  cfg.fault = faults;
   return run_sampled(cfg, scale.plan);
 }
 

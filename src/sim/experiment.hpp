@@ -12,7 +12,6 @@
 
 #include "core/detector.hpp"
 #include "core/heuristics.hpp"
-#include "fault/fault_plan.hpp"
 #include "policy/fetch_policy.hpp"
 #include "sim/oracle.hpp"
 #include "sim/sampling.hpp"
@@ -50,17 +49,6 @@ struct ExperimentScale {
                                     double ipc_threshold, std::size_t threads,
                                     const ExperimentScale& scale,
                                     const core::AdtsConfig* overrides = nullptr);
-
-/// ADTS run under a fault plan (src/fault/), with or without the
-/// degradation guard (set `overrides->guard.enabled`). The fault seed is
-/// NOT varied per interval — the same fault schedule replays against
-/// each interval's workload, so guard on/off comparisons face identical
-/// perturbations.
-[[nodiscard]] SampleResult run_adts_faulted(
-    const workload::Mix& mix, core::HeuristicType heuristic,
-    double ipc_threshold, std::size_t threads, const ExperimentScale& scale,
-    const fault::FaultConfig& faults,
-    const core::AdtsConfig* overrides = nullptr);
 
 /// Oracle upper bound on a mix (averaged over scale.oracle_intervals).
 [[nodiscard]] OracleResult run_oracle_on_mix(const workload::Mix& mix,

@@ -2,7 +2,6 @@
 
 #include "common/rng.hpp"
 #include "core/detector.hpp"
-#include "core/guard.hpp"
 
 namespace smt::sim {
 
@@ -22,7 +21,6 @@ SampleResult run_sampled(const SimConfig& cfg, const SamplingPlan& plan) {
 
     const std::uint64_t committed0 = sim.committed();
     const core::AdtsStats adts0 = sim.detector().stats();
-    const core::GuardStats guard0 = sim.detector().guard().stats();
 
     sim.run(plan.measure_cycles);
 
@@ -43,18 +41,6 @@ SampleResult run_sampled(const SimConfig& cfg, const SamplingPlan& plan) {
         adts1.malignant_switches - adts0.malignant_switches;
     agg.switches_skipped_dt_busy +=
         adts1.switches_skipped_dt_busy - adts0.switches_skipped_dt_busy;
-    agg.switches_dropped_fault +=
-        adts1.switches_dropped_fault - adts0.switches_dropped_fault;
-    agg.switches_stale += adts1.switches_stale - adts0.switches_stale;
-
-    const core::GuardStats g0 = guard0;
-    const core::GuardStats& g1 = sim.detector().guard().stats();
-    agg.guard_anomalies += g1.anomalies - g0.anomalies;
-    agg.guard_reverts += g1.reverts - g0.reverts;
-    agg.guard_vetoes += g1.vetoed_switches - g0.vetoed_switches;
-    agg.guard_safe_mode_entries +=
-        g1.safe_mode_entries - g0.safe_mode_entries;
-    agg.guard_safe_mode_quanta += g1.safe_mode_quanta - g0.safe_mode_quanta;
   }
   return agg;
 }

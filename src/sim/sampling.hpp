@@ -35,15 +35,13 @@ struct SampleResult {
   std::uint64_t benign_switches = 0;
   std::uint64_t malignant_switches = 0;
   std::uint64_t switches_skipped_dt_busy = 0;
+
+  // Always 0; kept only because perfbench/driver.cpp hashes them.
   std::uint64_t switches_dropped_fault = 0;
   std::uint64_t switches_stale = 0;
-
-  // Degradation-guard accumulators (zero when the guard was disabled).
   std::uint64_t guard_anomalies = 0;
   std::uint64_t guard_reverts = 0;
   std::uint64_t guard_vetoes = 0;
-  std::uint64_t guard_safe_mode_entries = 0;
-  std::uint64_t guard_safe_mode_quanta = 0;
 
   [[nodiscard]] double ipc() const noexcept {
     return cycles ? static_cast<double>(committed) / static_cast<double>(cycles)

@@ -8,9 +8,7 @@
 #include "common/build_info.hpp"
 #include "common/host_info.hpp"
 #include "core/detector.hpp"
-#include "core/guard.hpp"
 #include "core/heuristics.hpp"
-#include "fault/fault_plan.hpp"
 #include "obs/cpi_stack.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stall.hpp"
@@ -36,26 +34,7 @@ obs::TraceDecoder trace_decoder() noexcept {
   d.heuristic = [](std::uint8_t code) -> std::string_view {
     return core::name(static_cast<core::HeuristicType>(code));
   };
-  d.guard_state = [](std::uint8_t code) -> std::string_view {
-    return core::name(static_cast<core::GuardState>(code));
-  };
   d.invariant = check::invariant_class_name;
-  d.fault_mask = [](std::uint8_t mask) -> std::string {
-    if (mask == 0) return "-";
-    std::string out;
-    const auto add = [&out](const char* s) {
-      if (!out.empty()) out += '|';
-      out += s;
-    };
-    if (mask & fault::kFaultCounterNoise) add("noise");
-    if (mask & fault::kFaultCounterFreeze) add("freeze");
-    if (mask & fault::kFaultCounterCorrupt) add("corrupt");
-    if (mask & fault::kFaultDtStall) add("dt-stall");
-    if (mask & fault::kFaultSwitchDrop) add("drop");
-    if (mask & fault::kFaultSwitchDelay) add("delay");
-    if (mask & fault::kFaultBlackout) add("blackout");
-    return out;
-  };
   return d;
 }
 
@@ -118,22 +97,6 @@ std::uint64_t config_digest(const SimConfig& cfg) noexcept {
   h.mix(a.clog_icount_share);
   h.mix(a.enable_clog_control);
   h.mix(a.clog_block_cycles);
-  h.mix(a.guard.enabled);
-
-  const fault::FaultConfig& f = cfg.fault;
-  h.mix(f.enabled);
-  h.mix(f.seed);
-  h.mix(f.counter_noise_prob);
-  h.mix(f.counter_noise_magnitude);
-  h.mix(f.counter_freeze_prob);
-  h.mix(f.counter_corrupt_prob);
-  h.mix(f.dt_stall_prob);
-  h.mix(f.dt_stall_quanta);
-  h.mix(f.switch_drop_prob);
-  h.mix(f.switch_delay_prob);
-  h.mix(f.switch_delay_quanta);
-  h.mix(f.blackout_prob);
-  h.mix(f.blackout_cycles);
 
   for (const pipeline::PipeviewWindow& w : cfg.pipeview) {
     h.mix(w.start_cycle);
@@ -173,24 +136,17 @@ Simulator::Simulator(const SimConfig& cfg)
     : cfg_(cfg),
       pipe_(cfg.machine, build_programs(cfg)),
       detector_(adts_config_of(cfg)),
-      injector_(cfg.fault, cfg.adts.quantum_cycles),
       use_adts_(cfg.use_adts),
       check_on_(check::check_enabled(cfg.check)) {
   pipe_.set_policy(cfg.fixed_policy);
   if (cfg.cpi) pipe_.set_cpi_accounting(true);
-  if (check_on_) {
-    check::CheckerConfig ccfg;
-    ccfg.quantum_cycles = cfg.adts.quantum_cycles;
-    checker_ = check::InvariantChecker(ccfg);
-    checker_.arm(pipe_, detector_);
-  }
+  if (check_on_) checker_.arm(pipe_);
 }
 
 Simulator::Simulator(const Simulator& other)
     : cfg_(other.cfg_),
       pipe_(other.pipe_),
       detector_(other.detector_),
-      injector_(other.injector_),
       use_adts_(other.use_adts_) {
   // sink_ and the snapshot baselines stay default: a copy is silent (see
   // the header; the oracle re-runs copies over already-recorded quanta).
@@ -203,7 +159,6 @@ Simulator& Simulator::operator=(const Simulator& other) {
   cfg_ = other.cfg_;
   pipe_ = other.pipe_;
   detector_ = other.detector_;
-  injector_ = other.injector_;
   use_adts_ = other.use_adts_;
   sink_ = nullptr;
   baselines_.clear();
@@ -275,8 +230,6 @@ void Simulator::attach_trace(obs::TraceSink* sink) {
       b.cpi_cycles = pipe_.cpi_cycles_accounted();
     }
   }
-  dt_stalled_prev_ = injector_.dt_stalled();
-  dt_stall_begin_cycle_ = pipe_.now();
 }
 
 void Simulator::set_adts_active(bool active) {
@@ -310,9 +263,8 @@ void Simulator::step_impl(bool profiled) {
   }
 
   // Snapshot the quantum that just ended *before* the detector tick: the
-  // detector resets the quantum accumulators at the boundary, and the
-  // injector's boundary advance rotates its fault schedule to the next
-  // quantum. Reading first keeps the snapshot about the finished quantum.
+  // detector resets the quantum accumulators at the boundary. Reading
+  // first keeps the snapshot about the finished quantum.
   const bool boundary =
       sink_ != nullptr && pipe_.now() % cfg_.adts.quantum_cycles == 0;
   if (boundary) {
@@ -322,23 +274,18 @@ void Simulator::step_impl(bool profiled) {
   const policy::FetchPolicy policy_before = pipe_.policy();
   const std::size_t audits_before = detector_.audit_log().size();
 
-  // The injector runs before the detector so boundary-cycle faults
-  // (fresh counter perturbations, stall windows, blackouts) are already
-  // in place when the detector samples its counters.
-  const bool faulted = injector_.enabled();
   {
     const Scope s(pp, prof_nodes_.detector);
-    if (faulted) injector_.tick(pipe_);
-    if (use_adts_) detector_.tick(pipe_, faulted ? &injector_ : nullptr);
+    if (use_adts_) detector_.tick(pipe_);
   }
 
-  // The checker observes the fully mutated cycle (pipeline step, fault
-  // injection, detector tick). It is a pure reader: a checked run is
-  // bit-identical to an unchecked one.
+  // The checker observes the fully mutated cycle (pipeline step, detector
+  // tick). It is a pure reader: a checked run is bit-identical to an
+  // unchecked one.
   std::size_t fresh_violations = 0;
   if (check_on_) {
     const Scope s(pp, prof_nodes_.checker);
-    fresh_violations = checker_.on_cycle(pipe_, detector_, use_adts_);
+    fresh_violations = checker_.on_cycle(pipe_, use_adts_);
   }
 
   if (sink_ == nullptr) return;
@@ -362,9 +309,9 @@ void Simulator::step_impl(bool profiled) {
     e.code = static_cast<std::uint8_t>(cfg_.adts.heuristic);
     e.ipc = detector_.last_quantum_ipc();
     if (audit_log.size() > audits_before) {
-      // This switch was audited (ADTS-decided, not a guard revert/pin):
-      // cross-link its provenance. value = 1-based audit index, span =
-      // decided→applied wait, mask = the audit flags.
+      // This switch was audited: cross-link its provenance. value =
+      // 1-based audit index, span = decided→applied wait, mask = the
+      // audit flags.
       const obs::SwitchAudit& a = audit_log[audit_log.size() - 1];
       e.value = audit_log.size();
       e.span = a.applied_cycle - a.decided_cycle;
@@ -383,41 +330,6 @@ void Simulator::step_impl(bool profiled) {
     ++audits_emitted_;
   }
 
-  if (boundary && detector_.config().guard.enabled) {
-    const core::GuardVerdict& v = detector_.last_guard_verdict();
-    obs::GuardAct act{};
-    policy::FetchPolicy imposed = pipe_.policy();
-    if (v.revert) {
-      act = obs::GuardAct::kRevert;
-      imposed = v.revert_to;
-    } else if (v.pin_safe_policy) {
-      act = obs::GuardAct::kPinSafe;
-      imposed = detector_.config().guard.safe_policy;
-    } else if (!v.allow_switching) {
-      act = obs::GuardAct::kHold;
-    }
-    if (act != obs::GuardAct{}) {
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::kGuardAction;
-      e.cycle = cycle;
-      e.quantum = quantum;
-      e.code = static_cast<std::uint8_t>(act);
-      e.policy_after = static_cast<std::uint8_t>(imposed);
-      sink_->record(e);
-    }
-  }
-
-  if (boundary && faulted && injector_.current_mask() != 0) {
-    // After the injector's boundary advance current_mask() describes the
-    // quantum that starts now.
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kFault;
-    e.cycle = cycle;
-    e.quantum = quantum;
-    e.mask = injector_.current_mask();
-    sink_->record(e);
-  }
-
   if (fresh_violations > 0) {
     const std::vector<check::Violation>& log = checker_.violations();
     for (std::size_t i = log.size() - fresh_violations; i < log.size(); ++i) {
@@ -431,19 +343,6 @@ void Simulator::step_impl(bool profiled) {
       e.value = v.value;
       sink_->record(e);
     }
-  }
-
-  const bool dt_stalled = injector_.dt_stalled();
-  if (dt_stalled != dt_stalled_prev_) {
-    obs::TraceEvent e;
-    e.kind = dt_stalled ? obs::EventKind::kDtStallBegin
-                        : obs::EventKind::kDtStallEnd;
-    e.cycle = cycle;
-    e.quantum = quantum;
-    if (!dt_stalled) e.span = cycle - dt_stall_begin_cycle_;
-    else dt_stall_begin_cycle_ = cycle;
-    sink_->record(e);
-    dt_stalled_prev_ = dt_stalled;
   }
 }
 
@@ -463,8 +362,6 @@ void Simulator::record_quantum_snapshot() {
   mrow.value = pipe_.committed_total() - snapshot_committed_;
   mrow.ipc = static_cast<double>(mrow.value) / dspan;
   mrow.policy_after = static_cast<std::uint8_t>(pipe_.policy());
-  mrow.code = static_cast<std::uint8_t>(detector_.guard().state());
-  mrow.mask = injector_.enabled() ? injector_.current_mask() : 0;
   const std::uint64_t frag =
       pipe_.machine_stall_breakdown()[obs::StallCause::kFragmentation];
   mrow.stalls[static_cast<std::size_t>(obs::StallCause::kFragmentation)] =
@@ -604,7 +501,6 @@ void Simulator::export_metrics(obs::MetricsRegistry& reg) const {
   }
   pipeline::export_metrics(pipe_, reg);
   if (use_adts_) detector_.export_metrics(reg);
-  if (injector_.enabled()) injector_.export_metrics(reg);
   // Only a FAILING checker shows up in the stats document: a clean
   // checked run must stay byte-identical to an unchecked one.
   if (check_on_ && !checker_.ok()) {

@@ -14,8 +14,6 @@
 
 #include "check/invariants.hpp"
 #include "core/detector.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/injector.hpp"
 #include "obs/cpi_stack.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stall.hpp"
@@ -42,11 +40,6 @@ struct SimConfig {
   bool use_adts = false;
   core::AdtsConfig adts{};
 
-  /// Fault injection (src/fault/): disabled by default. The injector is
-  /// aligned to the ADTS quantum so counter faults hit whole detector
-  /// observations.
-  fault::FaultConfig fault{};
-
   /// Runtime invariant checking (src/check/): kAuto defers to the
   /// SMT_CHECK environment variable, which the SMT_CHECK CMake option
   /// sets for every ctest run — so tests check by default while release
@@ -66,14 +59,14 @@ struct SimConfig {
 };
 
 /// FNV-1a fingerprint of the knobs that determine a run's results (machine
-/// geometry, workload, policy/ADTS/fault/pipeview settings). Stamped into
+/// geometry, workload, policy/ADTS/pipeview settings). Stamped into
 /// every trace and stats document (run.config_digest) so two artifacts can
 /// be checked for configuration identity without replaying either.
 [[nodiscard]] std::uint64_t config_digest(const SimConfig& cfg) noexcept;
 
 /// Enum-code → display-name callbacks for the trace writers, wired to the
-/// real policy / heuristic / guard-state / fault-mask names (the obs layer
-/// sits below policy and core, so it only stores codes).
+/// real policy / heuristic / invariant-class names (the obs layer sits
+/// below policy and core, so it only stores codes).
 [[nodiscard]] obs::TraceDecoder trace_decoder() noexcept;
 
 /// Build a SimConfig for a named mix at a given thread count.
@@ -106,9 +99,6 @@ class Simulator {
     return detector_;
   }
   [[nodiscard]] bool adts_enabled() const noexcept { return use_adts_; }
-  [[nodiscard]] const fault::FaultInjector& faults() const noexcept {
-    return injector_;
-  }
 
   /// Invariant checking active for this instance? Copies always answer
   /// false: like the trace sink, checking is dropped on copy — the oracle
@@ -118,13 +108,9 @@ class Simulator {
   [[nodiscard]] const check::InvariantChecker& checker() const noexcept {
     return checker_;
   }
-  /// Test hook: the checker's guard-state baseline (negative tests).
-  [[nodiscard]] check::InvariantChecker& checker_for_testing() noexcept {
-    return checker_;
-  }
   /// Attach (or detach, with nullptr) a trace sink. The simulator records
-  /// per-quantum machine + thread snapshots and policy-switch / guard /
-  /// fault / DT-stall events into it. Observation-only: the simulated
+  /// per-quantum machine + thread snapshots, policy-switch, switch-audit
+  /// and invariant events into it. Observation-only: the simulated
   /// machine is bit-identical with or without a sink attached. The sink
   /// must outlive the simulator (or be detached first); it is NOT owned.
   void attach_trace(obs::TraceSink* sink);
@@ -137,8 +123,8 @@ class Simulator {
   void flush_trace();
 
   /// Export end-of-run metrics from every subsystem (pipeline always;
-  /// detector/guard when ADTS is on; injector when faults are enabled)
-  /// plus the run configuration, into `reg` (--stats-json).
+  /// detector when ADTS is on) plus the run configuration, into `reg`
+  /// (--stats-json).
   void export_metrics(obs::MetricsRegistry& reg) const;
 
   /// Attach the host-phase profiler: resolves the standard per-cycle node
@@ -202,7 +188,6 @@ class Simulator {
   SimConfig cfg_;
   pipeline::Pipeline pipe_;
   core::DetectorThread detector_;
-  fault::FaultInjector injector_;
   bool use_adts_ = false;
 
   // --- invariant checking (inert while check_on_ == false) --------------
@@ -213,7 +198,7 @@ class Simulator {
   struct ProfNodes {
     prof::PhaseProfiler::Node cycle = 0;     ///< whole per-cycle body
     prof::PhaseProfiler::Node pipeline = 0;  ///< pipe_.step()
-    prof::PhaseProfiler::Node detector = 0;  ///< injector + detector ticks
+    prof::PhaseProfiler::Node detector = 0;  ///< detector tick
     prof::PhaseProfiler::Node checker = 0;   ///< invariant-checker pass
     prof::PhaseProfiler::Node trace = 0;     ///< snapshot + event emission
   };
@@ -228,8 +213,6 @@ class Simulator {
   std::uint64_t snapshot_frag_ = 0;  ///< machine fragmentation at snapshot
   std::uint64_t snapshot_dt_slots_ = 0;
   std::vector<ThreadBaseline> baselines_;
-  bool dt_stalled_prev_ = false;
-  std::uint64_t dt_stall_begin_cycle_ = 0;
   /// Audit-log entries already emitted as kSwitchAudit events. An entry is
   /// emitted once finalized: scored, or provably never-to-be-scored (a
   /// later entry exists — the detector scores at most one switch at a

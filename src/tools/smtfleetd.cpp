@@ -15,8 +15,7 @@
 //     is flushed, exit kExitCancelled; a second signal force-kills.
 //
 // Chaos options (--chaos-*) deliberately kill or stall workers on a
-// seeded schedule — the fault-injection discipline of src/fault/ turned
-// on the fleet itself; scripts/check_fleet.sh uses them as its test rig.
+// seeded schedule; scripts/check_fleet.sh uses them as its test rig.
 //
 // Exit codes: common/exit_codes.hpp (documented in --help).
 //

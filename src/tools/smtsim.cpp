@@ -12,7 +12,7 @@
 //   smtsim --mix ctrl8 --adts --heuristic 3 --threshold 2
 //   smtsim --mix bal1 --oracle --quanta 16
 //   smtsim --mix fp8 --threads 4 --csv
-//   smtsim --mix mem8 --adts --guard --fault-corrupt 0.3 --fault-report
+//   smtsim --mix mem8 --adts --trace - --trace-format csv
 #include <algorithm>
 #include <csignal>
 #include <fstream>
@@ -26,7 +26,6 @@
 #include "common/host_info.hpp"
 #include "common/table.hpp"
 #include "core/heuristics.hpp"
-#include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_sink.hpp"
@@ -55,8 +54,6 @@ scheduling (one of):
     --threshold M             IPC threshold, > 0 (default 2)
     --quantum CYCLES          scheduling quantum, > 0 (default 8192)
     --instant                 zero-cost switching (ablation)
-    --guard                   graceful-degradation guard (watchdog revert,
-                              switch hysteresis, safe-mode fallback)
   --oracle              per-quantum oracle over {ICOUNT,BRCOUNT,L1MISSCOUNT}
     --all-policies            oracle over all ten policies
     --quanta N                oracle quanta (default 16)
@@ -64,36 +61,19 @@ scheduling (one of):
                               trials (default: SMT_JOBS or 1; results are
                               bit-identical for every value)
 
-fault injection (all probabilities per quantum, in [0,1]):
-  --fault-seed N              fault schedule seed (default 0xFA017)
-  --fault-noise P             per-thread counter noise probability
-  --fault-noise-mag M         relative noise magnitude (default 0.5)
-  --fault-freeze P            per-thread stale-counter probability
-  --fault-corrupt P           per-thread garbage-counter probability
-  --fault-dt-stall P          DT stall-window start probability
-  --fault-stall-quanta K      stall window length in quanta (default 4)
-  --fault-drop P              Policy_Switch write-loss probability
-  --fault-delay P             Policy_Switch delay probability
-  --fault-delay-quanta K      switch delay in quanta (default 2)
-  --fault-blackout P          per-quantum fetch-blackout probability
-  --fault-blackout-cycles N   blackout length in cycles (default 2048)
-  --fault-report              event-trace CSV on stdout: per-quantum
-                              snapshots, faults, guard actions and the
-                              policy timeline (needs --adts)
-
 observability (normal runs; ignored under --oracle):
   --trace PATH          write the event trace to PATH after the run
                         ('-' = stdout; stdout then carries only the trace,
-                        so --stats-json -, --fault-report and --csv are
-                        rejected alongside it)
+                        so --stats-json - and --csv are rejected alongside
+                        it)
   --trace-format F      trace backend: csv | jsonl | chrome (default
                         jsonl; chrome loads in Perfetto / chrome://tracing)
   --pipeview N@CYCLE    sample the full pipeline lifecycle (fetch through
                         commit/squash, cycle-stamped per stage) of the N
                         instructions fetched from CYCLE onward, as
                         pipeview events in the trace. Comma-separable:
-                        --pipeview 64@0,64@131072. Needs --trace or
-                        --fault-report. Analyze with smttrace pipeview.
+                        --pipeview 64@0,64@131072. Needs --trace.
+                        Analyze with smttrace pipeview.
   --stats-json PATH     write end-of-run metrics from every subsystem as
                         nested JSON to PATH ('-' = stdout)
   --cpi                 per-slot commit-loss accounting (CPI stacks):
@@ -192,39 +172,6 @@ smt::core::HeuristicType parse_heuristic(const std::string& s) {
                          "'");
 }
 
-/// Read a probability option; rejects values outside [0,1].
-double get_prob(const smt::CliArgs& args, const std::string& key) {
-  const double p = args.get_double(key, 0.0);
-  if (p < 0.0 || p > 1.0) {
-    throw smt::ConfigError("--" + key + " is a probability and must be in "
-                           "[0,1], got " + std::to_string(p));
-  }
-  return p;
-}
-
-smt::fault::FaultConfig parse_fault_config(const smt::CliArgs& args) {
-  smt::fault::FaultConfig f;
-  f.seed = args.get_u64("fault-seed", f.seed);
-  f.counter_noise_prob = get_prob(args, "fault-noise");
-  f.counter_noise_magnitude = args.get_double("fault-noise-mag", 0.5);
-  if (f.counter_noise_magnitude < 0.0) {
-    throw smt::ConfigError("--fault-noise-mag must be >= 0");
-  }
-  f.counter_freeze_prob = get_prob(args, "fault-freeze");
-  f.counter_corrupt_prob = get_prob(args, "fault-corrupt");
-  f.dt_stall_prob = get_prob(args, "fault-dt-stall");
-  f.dt_stall_quanta =
-      static_cast<std::uint32_t>(args.get_u64("fault-stall-quanta", 4));
-  f.switch_drop_prob = get_prob(args, "fault-drop");
-  f.switch_delay_prob = get_prob(args, "fault-delay");
-  f.switch_delay_quanta =
-      static_cast<std::uint32_t>(args.get_u64("fault-delay-quanta", 2));
-  f.blackout_prob = get_prob(args, "fault-blackout");
-  f.blackout_cycles = args.get_u64("fault-blackout-cycles", 2048);
-  f.enabled = f.any_rate_set();
-  return f;
-}
-
 /// Parse one --pipeview window spec "N@CYCLE".
 smt::pipeline::PipeviewWindow parse_pipeview_window(const std::string& spec) {
   const std::size_t at = spec.find('@');
@@ -259,16 +206,12 @@ int main(int argc, char** argv) {
     const CliArgs args(
         argc, argv,
         {"mix", "apps", "threads", "seed", "policy", "adts", "heuristic",
-         "threshold", "quantum", "instant", "guard", "oracle", "all-policies",
+         "threshold", "quantum", "instant", "oracle", "all-policies",
          "quanta", "jobs", "cycles", "warmup", "csv", "list", "help",
-         "fault-seed",
-         "fault-noise", "fault-noise-mag", "fault-freeze", "fault-corrupt",
-         "fault-dt-stall", "fault-stall-quanta", "fault-drop", "fault-delay",
-         "fault-delay-quanta", "fault-blackout", "fault-blackout-cycles",
-         "fault-report", "trace", "trace-format", "pipeview", "stats-json",
+         "trace", "trace-format", "pipeview", "stats-json",
          "cpi", "prof", "prof-folded", "prof-stride", "check", "version"},
-        /*flag_keys=*/{"adts", "instant", "guard", "oracle", "all-policies",
-                       "csv", "list", "help", "fault-report", "check",
+        /*flag_keys=*/{"adts", "instant", "oracle", "all-policies",
+                       "csv", "list", "help", "check",
                        "cpi", "prof", "version"});
     if (args.has("help")) {
       std::cout << kUsage;
@@ -443,23 +386,13 @@ int main(int argc, char** argv) {
       cfg.adts.ipc_threshold = threshold;
       cfg.adts.quantum_cycles = quantum;
       cfg.adts.instant_switch = args.has("instant");
-      cfg.adts.guard.enabled = args.has("guard");
-    } else if (args.has("guard")) {
-      throw ConfigError("--guard protects the detector thread and needs "
-                        "--adts");
     }
-    if (args.has("fault-report") && !args.has("adts")) {
-      throw ConfigError("--fault-report traces the detector thread's quanta "
-                        "and needs --adts");
-    }
-
-    cfg.fault = parse_fault_config(args);
     cfg.cpi = args.has("cpi");
 
     if (args.has("pipeview")) {
-      if (!args.has("trace") && !args.has("fault-report")) {
+      if (!args.has("trace")) {
         throw ConfigError("--pipeview samples into the event trace and "
-                          "needs --trace (or --fault-report)");
+                          "needs --trace");
       }
       for (const std::string& spec : split_list(args.get_or("pipeview", ""))) {
         cfg.pipeview.push_back(parse_pipeview_window(spec));
@@ -495,11 +428,10 @@ int main(int argc, char** argv) {
     }
     const bool trace_to_stdout =
         args.has("trace") && args.get_or("trace", "-") == "-";
-    if (trace_to_stdout &&
-        (stats_to_stdout || args.has("fault-report") || csv)) {
+    if (trace_to_stdout && (stats_to_stdout || csv)) {
       throw UsageError("--trace - claims stdout for the trace; it cannot be "
-                       "combined with --stats-json -, --fault-report or "
-                       "--csv (their output would interleave)");
+                       "combined with --stats-json - or --csv (their output "
+                       "would interleave)");
     }
     std::ofstream trace_out;
     if (args.has("trace") && !trace_to_stdout) {
@@ -517,7 +449,7 @@ int main(int argc, char** argv) {
     const std::uint64_t t_init = prof_on ? prof::host_ticks() : 0;
     sim::Simulator sim(cfg);
     obs::TraceSink sink;
-    if (args.has("trace") || args.has("fault-report")) {
+    if (args.has("trace")) {
       const BuildInfo& bi = build_info();
       const HostInfo& hi = host_info();
       obs::RunInfo info;
@@ -589,7 +521,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (prof_on && (args.has("trace") || args.has("fault-report"))) {
+    if (prof_on && args.has("trace")) {
       for (const obs::TraceEvent& e : profiler.trace_events()) sink.record(e);
     }
     if (prof_out.is_open()) profiler.write_folded(prof_out);
@@ -598,11 +530,6 @@ int main(int argc, char** argv) {
       sink.write(trace_to_stdout ? std::cout : trace_out, trace_format,
                  sim::trace_decoder());
       if (trace_to_stdout) return finish(sim);
-    }
-
-    if (args.has("fault-report")) {
-      sink.write(std::cout, obs::TraceFormat::kCsv, sim::trace_decoder());
-      return finish(sim);
     }
     if (stats_to_stdout) {
       // stdout carries the JSON document; the violation report (if any)
@@ -614,13 +541,11 @@ int main(int argc, char** argv) {
     const auto& dt = sim.detector().stats();
     if (csv) {
       std::cout << "mode,ipc,cycles,committed,switches,benign,mispredicts,"
-                   "wrong_path_fetched,guard_reverts,guard_safe_mode\n"
+                   "wrong_path_fetched\n"
                 << (cfg.use_adts ? "adts" : "fixed") << ',' << ipc << ','
                 << measured << ',' << sim.committed() - c0 << ',' << dt.switches
                 << ',' << dt.benign_switches << ',' << st.mispredicts << ','
-                << st.fetched_wrong_path << ','
-                << sim.detector().guard().stats().reverts << ','
-                << sim.detector().guard().stats().safe_mode_entries << '\n';
+                << st.fetched_wrong_path << '\n';
       return finish(sim);
     }
 
@@ -643,24 +568,6 @@ int main(int argc, char** argv) {
                 << dt.benign_switches << " benign / " << dt.malignant_switches
                 << " malignant / " << dt.switches_skipped_dt_busy
                 << " skipped)\n";
-    }
-    if (cfg.fault.enabled) {
-      const auto& fs = sim.faults().stats();
-      std::cout << "faults injected: " << fs.noisy_counter_reads
-                << " noisy / " << fs.frozen_counter_reads << " frozen / "
-                << fs.corrupt_counter_reads << " corrupt counter reads, "
-                << fs.dt_stall_windows << " DT stalls, "
-                << fs.switches_dropped << " dropped + "
-                << fs.switches_delayed << " delayed switches, "
-                << fs.blackouts << " blackouts\n";
-    }
-    if (cfg.use_adts && cfg.adts.guard.enabled) {
-      const auto& gs = sim.detector().guard().stats();
-      std::cout << "guard [" << core::name(sim.detector().guard().state())
-                << "]: " << gs.anomalies << " anomalies, " << gs.reverts
-                << " reverts, " << gs.vetoed_switches << " vetoes, "
-                << gs.safe_mode_entries << " safe-mode entries ("
-                << gs.safe_mode_quanta << " quanta pinned)\n";
     }
     if (prof_on) {
       const auto ms = [](std::uint64_t ticks) {

@@ -124,16 +124,15 @@ std::string pipe_flag_names(std::uint8_t mask) {
 }
 
 /// The mask column's meaning depends on the event kind (mirroring the
-/// writers): pipe flags, audit flags, or a fault-class bitmask.
-std::string decode_mask(const ReadEvent& e,
-                        const smt::obs::TraceDecoder& dec) {
+/// writers): pipe flags, audit flags, or a raw number.
+std::string decode_mask(const ReadEvent& e) {
   if (!all_digits(e.mask)) return e.mask;
   const auto m = static_cast<std::uint8_t>(std::stoul(e.mask) & 0xffu);
   switch (e.kind) {
     case EventKind::kPipeview: return pipe_flag_names(m);
+    case EventKind::kPolicySwitch:
     case EventKind::kSwitchAudit: return smt::obs::audit_flag_names(m);
-    default:
-      return dec.fault_mask != nullptr ? dec.fault_mask(m) : e.mask;
+    default: return e.mask;
   }
 }
 
@@ -179,16 +178,12 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
   const smt::obs::TraceDecoder dec = smt::sim::trace_decoder();
   print_provenance(trace);
 
-  Table quanta({"quantum", "cycles", "committed", "ipc", "policy", "guard",
-                "faults"});
+  Table quanta({"quantum", "cycles", "committed", "ipc", "policy"});
   std::array<std::uint64_t, smt::obs::kNumStallCauses> stalls{};
   std::uint64_t committed = 0;
   std::uint64_t cycles = 0;
   std::uint64_t quantum_rows = 0;
   std::uint64_t switches = 0;
-  std::uint64_t guard_actions = 0;
-  std::uint64_t faults = 0;
-  std::uint64_t dt_stall_cycles = 0;
   std::size_t skipped = 0;
 
   for (const ReadEvent& e : trace.events) {
@@ -204,14 +199,9 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
         }
         quanta.add_row({std::to_string(e.quantum), std::to_string(e.span),
                         std::to_string(e.value), Table::num(e.ipc),
-                        decode(e.policy_after, dec.policy),
-                        decode(e.code, dec.guard_state),
-                        decode_mask(e, dec)});
+                        decode(e.policy_after, dec.policy)});
         break;
       case EventKind::kPolicySwitch: ++switches; break;
-      case EventKind::kGuardAction: ++guard_actions; break;
-      case EventKind::kFault: ++faults; break;
-      case EventKind::kDtStallEnd: dt_stall_cycles += e.span; break;
       default: break;
     }
   }
@@ -240,9 +230,7 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
   std::cout << '\n'
             << quantum_rows << " quanta, " << committed << " committed over "
             << cycles << " cycles (ipc " << Table::num(ipc) << "), "
-            << switches << " policy switches, " << guard_actions
-            << " guard actions, " << faults << " fault events, "
-            << dt_stall_cycles << " dt-stall cycles\n";
+            << switches << " policy switches\n";
   return smt::kExitOk;
 }
 
@@ -297,7 +285,7 @@ int cmd_switches(const ReadTrace& trace, const Options& opt) {
          std::to_string(e.span), heuristic,
          decode(e.policy_before, dec.policy) + "->" +
              decode(e.policy_after, dec.policy),
-         decode_mask(e, dec), Table::num(e.fetch_share), ipc_or_dash(e.ipc),
+         decode_mask(e), Table::num(e.fetch_share), ipc_or_dash(e.ipc),
          std::string(name(label))});
   }
 
@@ -367,7 +355,7 @@ int cmd_pipeview(const ReadTrace& trace, const Options& opt) {
     }
     if (!commit) lane[lane.size() - 1] = 'X';
 
-    const std::string mask = decode_mask(e, smt::obs::TraceDecoder{});
+    const std::string mask = decode_mask(e);
     std::cout << "seq " << e.value << " tid " << e.tid << " fetch@" << e.cycle
               << " +" << e.span << " " << terminal;
     if (!mask.empty()) std::cout << " [" << mask << "]";

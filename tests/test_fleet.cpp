@@ -430,7 +430,7 @@ TEST(JobDigest, HexSpellingsRoundTrip) {
 TEST(SmtsimArgs, CarriesEveryKnobAndTheStatsPath) {
   const BatchSpec b = parse(
       "mix bal1\nseed 7\ncycles 1024\nwarmup 256\nquantum 4096\n"
-      "guard on\nadts 3p@2.5\n");
+      "adts 3p@2.5\n");
   const std::vector<std::string> args = smtsim_args(b.jobs[0], "/tmp/out.json");
   const auto has = [&args](const std::string& s) {
     for (const std::string& a : args) {
@@ -446,8 +446,10 @@ TEST(SmtsimArgs, CarriesEveryKnobAndTheStatsPath) {
   EXPECT_TRUE(has("--heuristic") && has("3p"));
   EXPECT_TRUE(has("--threshold") && has("2.5"));
   EXPECT_TRUE(has("--quantum") && has("4096"));
-  EXPECT_TRUE(has("--guard"));
   EXPECT_TRUE(has("--stats-json") && has("/tmp/out.json"));
+  // The degradation guard is gone: its directive is a config error
+  // (exit 3), not a silently ignored knob.
+  EXPECT_THROW(parse("mix bal1\nguard on\nadts 3@2\n"), ConfigError);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests: runtime invariant checker (src/check/invariants.hpp).
 //
-// Positive direction: checked runs of clean, faulted, swapped and
+// Positive direction: checked runs of fixed-policy, ADTS, swapped and
 // externally-stepped simulators report zero violations, and checking is
 // a pure observation (bit-identical machine statistics with the checker
 // on vs. off). Negative direction: every invariant class has a test that
@@ -25,7 +25,6 @@ namespace {
 
 using check::CheckMode;
 using check::InvariantClass;
-using core::GuardState;
 
 sim::SimConfig checked_config(const char* mix = "bal1", std::size_t threads = 4,
                               CheckMode mode = CheckMode::kOn) {
@@ -35,29 +34,6 @@ sim::SimConfig checked_config(const char* mix = "bal1", std::size_t threads = 4,
 }
 
 // --- pure predicates -------------------------------------------------------
-
-TEST(GuardTransitionLegal, MatchesDocumentedStateMachine) {
-  const auto legal = [](GuardState f, GuardState t) {
-    return check::guard_transition_legal(f, t);
-  };
-  for (const GuardState s : {GuardState::kArmed, GuardState::kReverting,
-                             GuardState::kSafeMode, GuardState::kCooldown}) {
-    EXPECT_TRUE(legal(s, s));  // self-loops
-  }
-  EXPECT_TRUE(legal(GuardState::kArmed, GuardState::kReverting));
-  EXPECT_TRUE(legal(GuardState::kArmed, GuardState::kSafeMode));
-  EXPECT_TRUE(legal(GuardState::kReverting, GuardState::kArmed));
-  EXPECT_TRUE(legal(GuardState::kReverting, GuardState::kSafeMode));
-  EXPECT_TRUE(legal(GuardState::kSafeMode, GuardState::kCooldown));
-  EXPECT_TRUE(legal(GuardState::kCooldown, GuardState::kArmed));
-  EXPECT_TRUE(legal(GuardState::kCooldown, GuardState::kSafeMode));
-
-  EXPECT_FALSE(legal(GuardState::kArmed, GuardState::kCooldown));
-  EXPECT_FALSE(legal(GuardState::kReverting, GuardState::kCooldown));
-  EXPECT_FALSE(legal(GuardState::kSafeMode, GuardState::kArmed));
-  EXPECT_FALSE(legal(GuardState::kSafeMode, GuardState::kReverting));
-  EXPECT_FALSE(legal(GuardState::kCooldown, GuardState::kReverting));
-}
 
 TEST(InvariantClassNames, AllDistinctAndDecodable) {
   for (std::size_t c = 0; c < check::kNumInvariantClasses; ++c) {
@@ -103,19 +79,15 @@ TEST(InvariantChecker, CleanFixedPolicyRunHasNoViolations) {
   EXPECT_EQ(s.checker().violation_count(), 0u);
 }
 
-TEST(InvariantChecker, CleanFaultedAdtsGuardRunHasNoViolations) {
-  // Faults perturb only the *observed* counter view, never architectural
-  // state, so every invariant must keep holding under heavy injection.
+TEST(InvariantChecker, CleanSwitchingAdtsRunHasNoViolations) {
+  // A short quantum on a memory-bound mix makes ADTS switch often, so
+  // the policy-switch and counter-epoch passes see many live switches.
   sim::SimConfig cfg = checked_config("mem8", 8);
   cfg.use_adts = true;
   cfg.adts.quantum_cycles = 1024;
-  cfg.adts.guard.enabled = true;
-  cfg.fault.enabled = true;
-  cfg.fault.counter_corrupt_prob = 0.4;
-  cfg.fault.dt_stall_prob = 0.3;
-  cfg.fault.blackout_prob = 0.3;
   sim::Simulator s(cfg);
   s.run(16 * 1024);
+  EXPECT_GT(s.detector().stats().switches, 0u);
   EXPECT_TRUE(s.checker().ok()) << s.checker().violation_count()
                                 << " violations";
 }
@@ -268,17 +240,6 @@ TEST(InvariantNegative, CounterEpochFiresOnRewoundEpoch) {
   s.step();
   EXPECT_FALSE(s.checker().ok());
   EXPECT_GE(s.checker().count(InvariantClass::kCounterEpoch), 1u);
-}
-
-TEST(InvariantNegative, GuardTransitionFires) {
-  sim::Simulator s(checked_config());
-  s.run(100);
-  // Fabricate a SAFE_MODE baseline: the live guard reads ARMED, so the
-  // checker observes an illegal SAFE_MODE -> ARMED edge, off-boundary.
-  s.checker_for_testing().testing_set_prev_guard_state(GuardState::kSafeMode);
-  s.step();
-  EXPECT_FALSE(s.checker().ok());
-  EXPECT_GE(s.checker().count(InvariantClass::kGuardTransition), 1u);
 }
 
 TEST(InvariantNegative, PolicySwitchFires) {

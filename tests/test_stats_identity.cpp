@@ -78,19 +78,19 @@ struct Golden {
 // quantum), 8 threads, seed 2003, 4096 warmup + 24576 measured cycles.
 constexpr Golden kGolden[] = {
     // clang-format off
-    {"ctrl8",  0xcbadca66ae93ee99ULL, 0xda738cc380e1b506ULL},
-    {"mem8",   0xb6e95b5336e70577ULL, 0x337e79d0ed7a5dd4ULL},
-    {"ilp8",   0xa9764e0a4ea4df51ULL, 0x245e655b57a4a9a8ULL},
-    {"cache8", 0x403cc579e0a17a90ULL, 0x8126934855a587feULL},
-    {"bal1",   0x5d879e34e99a5c80ULL, 0xcf9f109b0569a312ULL},
-    {"bal2",   0x4c19a499a916e632ULL, 0x4a6c9fddf508adffULL},
-    {"bal3",   0x2439e8a346bcd99aULL, 0x8add01c5207d7996ULL},
-    {"bal4",   0x13627550b74792a7ULL, 0x99c1c934121941bcULL},
-    {"int8",   0xe0cafccdea47cd8fULL, 0xc52165af4c952fbfULL},
-    {"span8",  0xf1ae360c6a78770dULL, 0xde4a6242db8fc7e4ULL},
-    {"fp8",    0x960f027b3f258480ULL, 0x61592f7ca719428cULL},
-    {"var1",   0x3e307102edf3fd3eULL, 0x89fa507fb651db6dULL},
-    {"var2",   0x0fbd93124939a621ULL, 0x157a289260a3a1ddULL},
+    {"ctrl8",  0xd90df0eb64643431ULL, 0x145d07b312c5c9d0ULL},
+    {"mem8",   0x64505b8c570fc6a4ULL, 0xf522abffc51d6242ULL},
+    {"ilp8",   0x27c439ebc23726dfULL, 0xcc09b902e08dcdd6ULL},
+    {"cache8", 0x922524a26cf1e4ccULL, 0xfcca9e9693669c5cULL},
+    {"bal1",   0x0c33b44d226328adULL, 0xf379e0f8aefd1bbeULL},
+    {"bal2",   0xdfcd32c2a96deb97ULL, 0xc3c64482ff0644b6ULL},
+    {"bal3",   0x3cbc7a7215b0ffecULL, 0xcf87f4f1acd70f4cULL},
+    {"bal4",   0x2790c6f23dbbffb5ULL, 0x69f64482bb12da31ULL},
+    {"int8",   0x52475abbe79124ddULL, 0x1eabe11aa8989fbbULL},
+    {"span8",  0x1fb1767d31ae0a8eULL, 0xe728fceec78480f5ULL},
+    {"fp8",    0xa9ff1624a7c76226ULL, 0x6a9bc9c1cc4aab80ULL},
+    {"var1",   0x2df6664147115e1dULL, 0x912ac36eba28d4b2ULL},
+    {"var2",   0xe21dd39e34480450ULL, 0x0fbaa12ef0f029a6ULL},
     // clang-format on
 };
 

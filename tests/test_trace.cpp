@@ -144,7 +144,7 @@ TEST(MetricsRegistry, WritesNestedJsonFromDottedNames) {
   reg.set("adts.benign_fraction", 0.5);
   reg.set("machine.ipc", 3.25);
   reg.set("config.mode", "adts");
-  reg.set("guard.enabled", true);
+  reg.set("run.cancelled", true);
   std::ostringstream os;
   reg.write_json(os);
 
@@ -153,7 +153,7 @@ TEST(MetricsRegistry, WritesNestedJsonFromDottedNames) {
   EXPECT_EQ(flat.at("adts.benign_fraction"), "0.5");
   EXPECT_EQ(flat.at("machine.ipc"), "3.25");
   EXPECT_EQ(flat.at("config.mode"), "adts");
-  EXPECT_EQ(flat.at("guard.enabled"), "true");
+  EXPECT_EQ(flat.at("run.cancelled"), "true");
 }
 
 TEST(MetricsRegistry, NonFiniteDoublesSerializeAsNull) {
