@@ -2,6 +2,8 @@
 // must hold for every (mix, policy, machine-shape) combination.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "pipeline/pipeline.hpp"
@@ -27,15 +29,17 @@ Pipeline make_mix(const char* mix_name, std::size_t threads,
 // ---------------------------------------------------------------------------
 // Property: for every mix and policy, a medium run keeps all incremental
 // counters consistent with ground truth, commits monotonically, and stays
-// within structural bounds.
+// within structural bounds. The mix is held as a std::string, not a
+// const char*: gtest prints a pointer inside a tuple by address, which
+// would make the listed test names differ from one process to the next.
 // ---------------------------------------------------------------------------
 class MixPolicyProperty
     : public ::testing::TestWithParam<
-          std::tuple<const char*, policy::FetchPolicy>> {};
+          std::tuple<std::string, policy::FetchPolicy>> {};
 
 TEST_P(MixPolicyProperty, CountersConsistentAndBounded) {
-  const auto [mix_name, pol] = GetParam();
-  Pipeline p = make_mix(mix_name, 8);
+  const auto& [mix_name, pol] = GetParam();
+  Pipeline p = make_mix(mix_name.c_str(), 8);
   p.set_policy(pol);
   std::uint64_t prev_committed = 0;
   for (int chunk = 0; chunk < 8; ++chunk) {
@@ -61,10 +65,13 @@ TEST_P(MixPolicyProperty, CountersConsistentAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPoliciesKeyMixes, MixPolicyProperty,
-    ::testing::Combine(::testing::Values("ctrl8", "mem8", "ilp8", "bal1"),
+    ::testing::Combine(::testing::Values(std::string("ctrl8"),
+                                         std::string("mem8"),
+                                         std::string("ilp8"),
+                                         std::string("bal1")),
                        ::testing::ValuesIn(policy::all_policies())),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::string(policy::name(std::get<1>(info.param)));
     });
 
@@ -118,6 +125,10 @@ struct Shape {
   std::uint32_t renames;
   std::uint32_t fetch_threads;
 };
+
+// Without this, gtest prints a Shape as its raw bytes, name pointer
+// included, so the listed test names would change from run to run.
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
 
 class ShapeProperty : public ::testing::TestWithParam<Shape> {};
 
