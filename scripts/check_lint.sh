@@ -1,115 +1,31 @@
 #!/usr/bin/env bash
-# Determinism & hygiene lint gate.
-#
-# The analyzer behind this gate is smtlint (src/lint/, DESIGN.md §16): a
-# lexer-based checker that blanks comments, string literals and
-# preprocessor text before any rule pattern runs, so banned tokens
-# quoted in documentation never fire and real violations always do. It
-# covers the five original grep rules of this script (ambient
-# nondeterminism, unordered containers, library iostreams, #pragma
-# once, thread primitives outside src/par/) plus include hygiene,
-# exit-code literals, hot-path allocation bans and the trace/metrics
-# schema cross-check — see `smtlint --list-rules` for the catalog.
-#
-# Given a built smtlint (first argument, $SMTLINT, or build/src/smtlint)
-# this script runs the full catalog. Without one it falls back to the
-# historical grep subset so the gate still catches gross violations on a
-# machine that has not built the tree — the fallback is strictly weaker:
-# grep cannot lex, so it both misses rules and can false-positive on
-# banned tokens inside trailing comments or string literals.
+# Determinism & hygiene lint gate: runs smtlint (src/lint/, DESIGN.md
+# §16; its catalog via `smtlint --list-rules`) over the tree. It needs a
+# built smtlint (first argument, $SMTLINT, or build/src/smtlint) and
+# fails without one rather than pass unchecked.
 #
 # Usage: scripts/check_lint.sh [path/to/smtlint]
-# Exit 0 clean, 1 violations (either engine).
+# Exit 0 clean, 1 findings, 2 no smtlint binary, else smtlint's own
+# failure code.
 set -uo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
 smtlint="${1:-${SMTLINT:-build/src/smtlint}}"
-if [ -x "$smtlint" ]; then
-  if "$smtlint" --root "$repo"; then
-    exit 0
-  else
-    rc=$?
-    if [ "$rc" -eq 4 ]; then
-      echo "check_lint: FAILED (smtlint findings above)" >&2
-      exit 1
-    fi
-    echo "check_lint: smtlint itself failed (exit $rc)" >&2
-    exit "$rc"
+if [ ! -x "$smtlint" ]; then
+  echo "check_lint: no smtlint binary at $smtlint (build the smtlint" \
+    "target first)" >&2
+  exit 2
+fi
+if "$smtlint" --root "$repo"; then
+  exit 0
+else
+  rc=$?
+  if [ "$rc" -eq 4 ]; then
+    echo "check_lint: FAILED (smtlint findings above)" >&2
+    exit 1
   fi
+  echo "check_lint: smtlint itself failed (exit $rc)" >&2
+  exit "$rc"
 fi
-
-echo "check_lint: no smtlint binary at $smtlint — grep fallback" \
-  "(weaker: cannot lex comments/strings)" >&2
-
-fail=0
-complain() {
-  echo "lint: $1" >&2
-  shift
-  printf '  %s\n' "$@" >&2
-  fail=1
-}
-
-# Library sources: everything under src/ except the CLI drivers.
-mapfile -t lib_files < <(find src -name '*.cpp' -o -name '*.hpp' \
-  | grep -v '^src/tools/' | sort)
-mapfile -t headers < <(find src -name '*.hpp' | sort)
-mapfile -t bench_files < <(find bench -name '*.cpp' -o -name '*.hpp' | sort)
-
-# --- 1. ambient nondeterminism --------------------------------------------
-# src/prof/host_clock.cpp is the profiler's fenced clock — the one place
-# library code may read host time (ticks flow only into prof.* output).
-mapfile -t clock_fenced_files < <(printf '%s\n' "${lib_files[@]}" \
-  | grep -v '^src/prof/host_clock\.cpp$')
-bad=$(grep -nE '\b(srand|random_device|system_clock|steady_clock|high_resolution_clock)\b|[^_[:alnum:]]rand\(|std::time\(|\btime\(NULL\)|\btime\(0\)' \
-  "${clock_fenced_files[@]}" /dev/null | grep -vE '^\S+:[0-9]+:\s*(//|\*)' || true)
-if [ -n "$bad" ]; then
-  complain "ambient nondeterminism (use common/rng.hpp, cfg-seeded):" "$bad"
-fi
-
-# Benches may time themselves (steady_clock) but get no other ambient
-# nondeterminism — their simulated results must replay exactly too.
-bad=$(grep -nE '\b(srand|random_device|system_clock|high_resolution_clock)\b|[^_[:alnum:]]rand\(|std::time\(|\btime\(NULL\)|\btime\(0\)' \
-  "${bench_files[@]}" /dev/null | grep -vE '^\S+:[0-9]+:\s*(//|\*)' || true)
-if [ -n "$bad" ]; then
-  complain "ambient nondeterminism in bench/ (steady_clock only):" "$bad"
-fi
-
-# --- 2. unordered containers ----------------------------------------------
-bad=$(grep -nE 'unordered_(map|set|multimap|multiset)' \
-  "${lib_files[@]}" /dev/null | grep -vE '^\S+:[0-9]+:\s*(//|\*)' || true)
-if [ -n "$bad" ]; then
-  complain "unordered container (iteration order is not deterministic):" \
-    "$bad"
-fi
-
-# --- 3. streams in library code -------------------------------------------
-bad=$(grep -nE '#include <iostream>|std::(cout|cerr)\b' \
-  "${lib_files[@]}" /dev/null | grep -vE '^\S+:[0-9]+:\s*(//|\*)' || true)
-if [ -n "$bad" ]; then
-  complain "stream I/O in library code (only src/tools/ may print):" "$bad"
-fi
-
-# --- 4. #pragma once -------------------------------------------------------
-bad=$(grep -L '#pragma once' "${headers[@]}" || true)
-if [ -n "$bad" ]; then
-  complain "header without #pragma once:" "$bad"
-fi
-
-# --- 5. thread primitives outside src/par/ ---------------------------------
-mapfile -t no_thread_files < <(printf '%s\n' "${lib_files[@]}" \
-  | grep -v '^src/par/')
-bad=$(grep -nE '#include <(thread|mutex|condition_variable|atomic|future|shared_mutex|stop_token|barrier|latch|semaphore)>|std::(thread|jthread|mutex|timed_mutex|recursive_mutex|shared_mutex|condition_variable|atomic|future|promise|barrier|latch)\b' \
-  "${no_thread_files[@]}" /dev/null \
-  | grep -vE '^\S+:[0-9]+:\s*(//|\*)' || true)
-if [ -n "$bad" ]; then
-  complain "thread primitive outside src/par/ (use par::ThreadPool):" "$bad"
-fi
-
-if [ "$fail" -ne 0 ]; then
-  echo "check_lint: FAILED" >&2
-  exit 1
-fi
-echo "check_lint: OK (grep fallback: ${#lib_files[@]} library files," \
-  "${#headers[@]} headers, ${#bench_files[@]} bench files)"

@@ -14,23 +14,19 @@
 #    must account for >= 90% of prof.total_ns (wall time from profiler
 #    start to stats export) and never exceed it by more than rounding.
 # 4. CLI contract: --prof-stride rejects non-powers-of-two with exit 3;
-#    smtprof exits 2 on usage errors and 3 on malformed input.
-# 5. Fleet telemetry: a smtfleetd batch run with --status must journal
-#    the rusage quartet (host_ms/utime_ms/stime_ms/maxrss_kb) on settle
-#    records, write a schema-complete status snapshot (validated by
-#    `smtprof status`), and `smtprof fleet` must report worker time.
-# 6. Overhead: a profiled run may not be more than 25% slower than a
+#    smtprof exits 2 on usage errors (a bare call, an unknown command
+#    such as the retired `fleet`) and 3 on malformed input.
+# 5. Overhead: a profiled run may not be more than 25% slower than a
 #    plain run (generous bound so loaded CI hosts don't flake; the
 #    design budget is <5%, see DESIGN.md §15).
 #
-# Usage: scripts/check_prof.sh [smtsim] [smtfleetd] [smtprof]
+# Usage: scripts/check_prof.sh [smtsim] [smtprof]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 smtsim="${1:-${BUILD_DIR:-$repo/build}/src/smtsim}"
-smtfleetd="${2:-${BUILD_DIR:-$repo/build}/src/smtfleetd}"
-smtprof="${3:-${BUILD_DIR:-$repo/build}/src/smtprof}"
-for bin in "$smtsim" "$smtfleetd" "$smtprof"; do
+smtprof="${2:-${BUILD_DIR:-$repo/build}/src/smtprof}"
+for bin in "$smtsim" "$smtprof"; do
   if [ ! -x "$bin" ]; then
     echo "check_prof: $bin not built" >&2
     exit 2
@@ -40,8 +36,8 @@ done
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# JSON-level assertions (stats equality, coverage arithmetic, status
-# schema) need python3; the byte-level ones run everywhere.
+# JSON-level assertions (stats equality, coverage arithmetic) need
+# python3; the byte-level ones run everywhere.
 have_py=0
 command -v python3 >/dev/null 2>&1 && have_py=1
 
@@ -127,6 +123,9 @@ rc=0; "$smtsim" --mix bal1 --cycles 1024 --prof --prof-stride 3 --csv \
 rc=0; "$smtprof" > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] \
   || { echo "check_prof: bare smtprof exited $rc, want 2" >&2; exit 1; }
+rc=0; "$smtprof" fleet journal.jsonl > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "check_prof: smtprof fleet exited $rc, want 2" >&2; exit 1; }
 rc=0; "$smtprof" folded /nonexistent > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 3 ] \
   || { echo "check_prof: unreadable folded input exited $rc, want 3" >&2; exit 1; }
@@ -134,46 +133,6 @@ printf 'not a folded line\n' > "$tmp/garbage.folded"
 rc=0; "$smtprof" folded "$tmp/garbage.folded" > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 3 ] \
   || { echo "check_prof: malformed folded input exited $rc, want 3" >&2; exit 1; }
-
-echo "== fleet telemetry: rusage in the journal, --status snapshot"
-cat > "$tmp/grid.batch" <<'EOF'
-cycles 65536
-warmup 8192
-mix bal1 mem8 ilp8
-policy ICOUNT
-EOF
-"$smtfleetd" --batch "$tmp/grid.batch" --out "$tmp/fleet" \
-  --smtsim "$smtsim" --workers 2 --retries 3 --backoff-ms 20 --poll-ms 10 \
-  --status "$tmp/status.json" --status-interval-ms 50 \
-  > "$tmp/fleet.log" 2>&1 \
-  || { echo "check_prof: fleet batch failed" >&2; cat "$tmp/fleet.log" >&2; exit 1; }
-journal="$tmp/fleet/journal.jsonl"
-grep '"kind":"done"' "$journal" | head -1 | grep -q \
-  '"host_ms":[0-9]*,"utime_ms":[0-9]*,"stime_ms":[0-9]*,"maxrss_kb":[0-9]*' \
-  || { echo "check_prof: done records missing rusage telemetry" >&2
-       head -5 "$journal" >&2; exit 1; }
-[ -s "$tmp/status.json" ] \
-  || { echo "check_prof: no status snapshot written" >&2; exit 1; }
-"$smtprof" status "$tmp/status.json" > "$tmp/status.report" \
-  || { echo "check_prof: smtprof rejected the status snapshot" >&2
-       cat "$tmp/status.json" >&2; exit 1; }
-if [ "$have_py" -eq 1 ]; then
-  python3 - "$tmp/status.json" <<'EOF'
-import json, sys
-snap = json.load(open(sys.argv[1]))
-want = {"jobs", "queued", "running", "done", "cached", "failed", "settled",
-        "retries", "workers", "elapsed_ms", "jobs_per_min", "eta_ms",
-        "draining"}
-assert set(snap) == want, f"status keys {set(snap) ^ want}"
-assert snap["jobs"] == 3 and snap["settled"] == 3, "final snapshot counts"
-assert snap["queued"] == 0 and snap["running"] == 0, "final snapshot idle"
-EOF
-fi
-"$smtprof" fleet "$journal" > "$tmp/fleet.report"
-grep -q "worker time:" "$tmp/fleet.report" \
-  || { echo "check_prof: smtprof fleet reported no worker time" >&2
-       cat "$tmp/fleet.report" >&2; exit 1; }
-sed 's/^/   /' "$tmp/status.report"
 
 echo "== overhead: profiled run vs plain run (generous 25% bound)"
 overhead=(--mix ilp8 --cycles 1048576 --warmup 32768 --csv)

@@ -8,9 +8,10 @@
 # (build-asan-ubsan/) — what the CI matrix uses for its merged job.
 #
 # "thread" builds under TSan (build-tsan/) and runs only the tests that
-# actually exercise concurrency — the par::ThreadPool suite and the
-# fleet machinery — because the rest of the library is single-threaded
-# by construction (the thread-primitive lint rule fences it) and TSan's
+# actually exercise concurrency — the par::ThreadPool suite, the
+# parallel oracle/sim and the pooled grid runner (plus the grid parser
+# it runs on) — because the rest of the library is single-threaded by
+# construction (the thread-primitive lint rule fences it) and TSan's
 # ~5-15x slowdown would waste most of the run re-proving that.
 set -euo pipefail
 
@@ -27,7 +28,7 @@ for san in "${sanitizers[@]}"; do
     undefined)         dir="$repo/build-ubsan" ;;
     address,undefined|undefined,address) dir="$repo/build-asan-ubsan" ;;
     thread)            dir="$repo/build-tsan"
-                       filter="^(ThreadPool|ParallelOracle|ParallelSim|BatchSpec|ClassifyExit|FleetScheduler|JobDigest|Journal|ResultCache|SmtsimArgs|WorkerSupervisor)\." ;;
+                       filter="^(ThreadPool|ParallelOracle|ParallelSim|BatchSpec|JobDigest|GridRunner)\." ;;
     *) echo "unknown sanitizer: $san (use address | undefined |" \
             "address,undefined | thread)" >&2; exit 2 ;;
   esac

@@ -1,11 +1,10 @@
-// Process exit codes of the command-line tools (smtsim, smtfleetd).
+// Process exit codes of the command-line tools.
 //
 // Centralised so the scripts under scripts/ and the CI workflow can match
-// on stable numbers; documented in `smtsim --help` and `smtfleetd --help`.
-// Codes 2/3 mirror the UsageError/ConfigError split of common/cli.hpp; 1
-// is left to uncaught crashes so a wrapper can tell "rejected input" from
-// "tool bug". The fleet supervisor's crash/cancel classification
-// (src/fleet/scheduler.hpp) is built on these numbers.
+// on stable numbers; documented in each tool's --help. Codes 2/3 mirror
+// the UsageError/ConfigError split of common/cli.hpp; 1 is left to
+// uncaught crashes so a wrapper can tell "rejected input" from "tool
+// bug".
 #pragma once
 
 namespace smt {
@@ -18,15 +17,5 @@ inline constexpr int kExitConfig = 3;
 /// The run completed but the invariant checker recorded violations
 /// (src/check; enabled with --check or SMT_CHECK=1).
 inline constexpr int kExitCheck = 4;
-/// Graceful cancellation on SIGTERM/SIGINT: outputs were flushed but the
-/// work is incomplete. smtsim: the run stopped early with --stats-json /
-/// --trace written; smtfleetd: the batch drained with jobs still queued.
-/// Distinct from a signal death so supervisors can tell "asked to stop"
-/// from "crashed".
-inline constexpr int kExitCancelled = 5;
-/// smtfleetd: the batch settled, but at least one job failed permanently
-/// (retries exhausted or a deterministic worker error). The journal holds
-/// a per-job failure record.
-inline constexpr int kExitBatchFailed = 6;
 
 }  // namespace smt

@@ -1,4 +1,8 @@
 #include "core/heuristics.hpp"
+
+#include <string>
+
+#include "common/cli.hpp"
 #include "pipeline/counters.hpp"
 #include "policy/fetch_policy.hpp"
 
@@ -15,6 +19,16 @@ std::string_view name(HeuristicType h) noexcept {
     case HeuristicType::kType4: return "Type4";
   }
   return "?";
+}
+
+HeuristicType parse_heuristic(std::string_view s) {
+  if (s == "1") return HeuristicType::kType1;
+  if (s == "2") return HeuristicType::kType2;
+  if (s == "3") return HeuristicType::kType3;
+  if (s == "3p" || s == "3'") return HeuristicType::kType3Prime;
+  if (s == "4") return HeuristicType::kType4;
+  throw ConfigError("heuristic must be one of 1|2|3|3p|4, got '" +
+                    std::string(s) + "'");
 }
 
 const std::vector<HeuristicType>& all_heuristics() {

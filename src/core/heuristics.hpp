@@ -38,6 +38,9 @@ enum class HeuristicType : std::uint8_t {
 inline constexpr int kNumHeuristics = 5;
 
 [[nodiscard]] std::string_view name(HeuristicType h) noexcept;
+/// The spelling `smtsim --heuristic` and grid files share: 1, 2, 3, 3p
+/// (or 3'), 4. Throws smt::ConfigError for anything else.
+[[nodiscard]] HeuristicType parse_heuristic(std::string_view s);
 [[nodiscard]] const std::vector<HeuristicType>& all_heuristics();
 
 /// Machine-wide per-cycle rate thresholds for the Type 3/4 conditions.

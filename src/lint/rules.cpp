@@ -404,7 +404,7 @@ class ExitCodeLiteralRule : public Rule {
   std::string_view description() const noexcept override {
     return "CLI drivers return the named constants of "
            "common/exit_codes.hpp (smt::kExit*), never integer literals: "
-           "the scripts and the fleet supervisor match on these numbers";
+           "the scripts and the CI workflow match on these numbers";
   }
 
   void check(const SourceFile& f, std::vector<Finding>& out) const override {

@@ -74,8 +74,6 @@ void write_value(std::ostream& os, const MetricsRegistry::Value& v) {
       std::snprintf(buf, sizeof buf, "%.17g", *d);
       os << buf;
     }
-  } else if (const auto* b = std::get_if<bool>(&v)) {
-    os << (*b ? "true" : "false");
   } else {
     os << '"' << json_escape(std::get<std::string>(v)) << '"';
   }

@@ -7,7 +7,7 @@
 // rebuilds the hierarchy from the dots, so exporters stay one flat
 // set() call per counter and the JSON stays structured for tooling.
 //
-// Values are typed (u64 / i64 / double / bool / string). Doubles that
+// Values are typed (u64 / i64 / double / string). Doubles that
 // are NaN or infinite serialize as null: an empty accumulator must not
 // masquerade as a real zero in exported metrics (see
 // RunningStat::min()/max()).
@@ -26,12 +26,11 @@ namespace smt::obs {
 class MetricsRegistry {
  public:
   using Value =
-      std::variant<std::uint64_t, std::int64_t, double, bool, std::string>;
+      std::variant<std::uint64_t, std::int64_t, double, std::string>;
 
   void set(std::string_view name, std::uint64_t v) { put(name, Value{v}); }
   void set(std::string_view name, std::int64_t v) { put(name, Value{v}); }
   void set(std::string_view name, double v) { put(name, Value{v}); }
-  void set(std::string_view name, bool v) { put(name, Value{v}); }
   void set(std::string_view name, std::string_view v) {
     put(name, Value{std::string(v)});
   }

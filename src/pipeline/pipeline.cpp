@@ -118,7 +118,7 @@ void Pipeline::run(std::uint64_t n) {
 }
 
 void Pipeline::step() {
-  if (prof_.prof != nullptr && (cycle_ & prof_.mask) == 0) {
+  if (prof_.prof != nullptr && prof::sampled_cycle(cycle_, prof_.mask)) {
     step_stages_profiled();
   } else {
     do_commit();

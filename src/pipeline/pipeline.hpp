@@ -251,11 +251,11 @@ class Pipeline {
   };
 
   /// Attach per-stage host timers: on cycles where
-  /// `(now() & stride_mask) == 0` each of the five stage calls in step()
-  /// runs under an RAII phase scope. Copying a pipeline drops the
-  /// profiler (oracle snapshots must not time themselves), and host
-  /// ticks never feed back into simulated state, so a profiled run stays
-  /// bit-identical to an unprofiled one — same contract as pipeview.
+  /// `prof::sampled_cycle(now(), stride_mask)` each of the five stage
+  /// calls in step() runs under an RAII phase scope. Copying a pipeline
+  /// drops the profiler (oracle snapshots must not time themselves), and
+  /// host ticks never feed back into simulated state, so a profiled run
+  /// stays bit-identical to an unprofiled one — same contract as pipeview.
   /// Pass a null profiler to detach.
   void set_profiler(prof::PhaseProfiler* p, const ProfNodes& nodes,
                     std::uint64_t stride_mask);

@@ -5,8 +5,9 @@
 // handles (plain indices, resolved once at attach time) and opens RAII
 // Scopes around the region; each Scope costs two host_ticks() reads and
 // one accumulate on close. Hot per-cycle call sites additionally stride-
-// sample (time 1 of every N cycles) so the enabled-overhead budget of
-// DESIGN.md §15 holds even at per-stage granularity.
+// sample (time 1 of every N cycles, sampled_cycle below) so the
+// enabled-overhead budget of DESIGN.md §15 holds even at per-stage
+// granularity.
 //
 // Accumulation is per node: call count, inclusive ticks, min/max ticks.
 // Exclusive time (inclusive minus the children's inclusive, clamped at
@@ -33,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "prof/host_clock.hpp"
@@ -43,6 +45,18 @@ struct TraceEvent;
 }  // namespace smt::obs
 
 namespace smt::prof {
+
+/// The stride-sampling rule of every per-cycle call site
+/// (Simulator::step and Pipeline::step, both on the pre-step cycle):
+/// true on exactly one cycle of each aligned block of `mask + 1` cycles
+/// (a power of two; mask 0 samples every cycle), at a position hashed
+/// from the block. A fixed position would alias with periodic work: at
+/// `cycle & mask == 0` the detector's quantum-boundary cycle, which is
+/// ≡ quantum−1, was never sampled at any stride > 1.
+[[nodiscard]] constexpr bool sampled_cycle(std::uint64_t cycle,
+                                           std::uint64_t mask) noexcept {
+  return ((cycle ^ mix64(cycle & ~mask)) & mask) == 0;
+}
 
 class PhaseProfiler {
  public:

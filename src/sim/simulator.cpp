@@ -244,7 +244,7 @@ void Simulator::step() {
   // The stride test reads pipe_.now() *before* the pipeline increments
   // it, matching the pipeline's own entry test, so both layers sample
   // the same cycles.
-  if (prof_ != nullptr && (pipe_.now() & prof_mask_) == 0) {
+  if (prof_ != nullptr && prof::sampled_cycle(pipe_.now(), prof_mask_)) {
     const prof::PhaseProfiler::Scope s(prof_, prof_nodes_.cycle);
     step_impl(true);
   } else {

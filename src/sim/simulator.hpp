@@ -130,7 +130,7 @@ class Simulator {
   /// Attach the host-phase profiler: resolves the standard per-cycle node
   /// tree under `parent` — cycle/{pipeline/{commit,complete,issue,
   /// dispatch,fetch}, detector, checker, trace} — and times those
-  /// segments on every cycle where `now() & (stride-1) == 0` (`stride`
+  /// segments on one cycle per `stride` (prof::sampled_cycle; `stride`
   /// must be a power of two; 1 = every cycle). Observation-only and
   /// dropped on copy, exactly like the trace sink: a profiled run's
   /// simulated results are bit-identical to an unprofiled one. Pass a

@@ -1,16 +1,9 @@
-// smtprof — host-profile and fleet-telemetry reporter.
-//
-// Renders the three host-performance artifacts the toolchain produces:
+// smtprof — host-profile reporter.
 //
 //   smtprof folded FILE     per-phase breakdown of an `smtsim
 //                           --prof-folded` folded-stack file (exclusive
 //                           ns per phase path, share of total; call
 //                           counts live in --stats-json, not here)
-//   smtprof fleet JOURNAL   worker-telemetry rollup of a smtfleetd
-//                           journal: attempts, wall/CPU time, peak RSS,
-//                           slowest jobs
-//   smtprof status FILE     one-line rendering of a `smtfleetd --status`
-//                           snapshot (progress, throughput, ETA)
 //
 // Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input.
 #include <algorithm>
@@ -19,15 +12,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/exit_codes.hpp"
 #include "common/table.hpp"
-#include "fleet/journal.hpp"
 
 namespace {
 
@@ -35,8 +24,6 @@ constexpr const char* kUsage = R"(usage: smtprof <command> FILE
 
 commands:
   folded FILE      per-phase breakdown of an `smtsim --prof-folded` file
-  fleet JOURNAL    worker-telemetry rollup of a smtfleetd journal.jsonl
-  status FILE      render a `smtfleetd --status` JSON snapshot
   --help           this text
 
 exit codes:
@@ -103,146 +90,6 @@ int cmd_folded(const std::string& path) {
   return smt::kExitOk;
 }
 
-int cmd_fleet(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "smtprof: cannot read '" << path << "'\n";
-    return smt::kExitConfig;
-  }
-  const std::vector<smt::fleet::JournalRecord> records =
-      smt::fleet::read_journal(in);
-  if (records.empty()) {
-    std::cerr << "smtprof: '" << path << "' has no journal records\n";
-    return smt::kExitConfig;
-  }
-
-  std::size_t starts = 0, done = 0, cached = 0, retries = 0, fails = 0;
-  std::uint64_t host_ms = 0, utime_ms = 0, stime_ms = 0, peak_rss_kb = 0;
-  std::size_t telemetry_records = 0;
-  // Settling record per job (the last done/fail wins), for the slowest-
-  // jobs table.
-  std::map<std::uint64_t, smt::fleet::JournalRecord> settled;
-  for (const smt::fleet::JournalRecord& rec : records) {
-    using smt::fleet::JournalKind;
-    switch (rec.kind) {
-      case JournalKind::kStart: ++starts; break;
-      case JournalKind::kDone: ++done; break;
-      case JournalKind::kCached: ++cached; break;
-      case JournalKind::kRetry: ++retries; break;
-      case JournalKind::kFail: ++fails; break;
-      case JournalKind::kBatch: break;
-    }
-    if (rec.has_telemetry) {
-      ++telemetry_records;
-      host_ms += rec.host_ms;
-      utime_ms += rec.utime_ms;
-      stime_ms += rec.stime_ms;
-      peak_rss_kb = std::max(peak_rss_kb, rec.maxrss_kb);
-    }
-    if (rec.kind == JournalKind::kDone || rec.kind == JournalKind::kFail) {
-      settled[rec.job] = rec;
-    }
-  }
-
-  std::cout << "journal: " << records.size() << " records, " << starts
-            << " worker starts, " << done << " done, " << cached
-            << " cached, " << retries << " retries, " << fails
-            << " failed\n";
-  if (telemetry_records == 0) {
-    std::cout << "no worker telemetry recorded (journal predates rusage "
-                 "accounting)\n";
-    return smt::kExitOk;
-  }
-  const std::uint64_t cpu_ms = utime_ms + stime_ms;
-  std::cout << "worker time: " << host_ms << " ms wall, " << utime_ms
-            << " ms user + " << stime_ms << " ms system CPU";
-  if (host_ms > 0) {
-    std::cout << " ("
-              << smt::Table::num(100.0 * static_cast<double>(cpu_ms) /
-                                     static_cast<double>(host_ms),
-                                 1)
-              << "% busy)";
-  }
-  std::cout << "\npeak worker RSS: " << peak_rss_kb << " KiB\n";
-
-  std::vector<smt::fleet::JournalRecord> slow;
-  for (const auto& [job, rec] : settled) {
-    if (rec.has_telemetry) slow.push_back(rec);
-  }
-  std::stable_sort(slow.begin(), slow.end(),
-                   [](const smt::fleet::JournalRecord& a,
-                      const smt::fleet::JournalRecord& b) {
-                     return a.host_ms > b.host_ms;
-                   });
-  if (!slow.empty()) {
-    smt::Table t({"job", "attempts", "wall_ms", "cpu_ms", "maxrss_kb"});
-    const std::size_t n = std::min<std::size_t>(slow.size(), 5);
-    for (std::size_t i = 0; i < n; ++i) {
-      const smt::fleet::JournalRecord& r = slow[i];
-      t.add_row({std::to_string(r.job), std::to_string(r.attempt),
-                 std::to_string(r.host_ms),
-                 std::to_string(r.utime_ms + r.stime_ms),
-                 std::to_string(r.maxrss_kb)});
-    }
-    std::cout << "slowest settled jobs:\n";
-    t.print(std::cout);
-  }
-  return smt::kExitOk;
-}
-
-/// Extract the raw token after `"key":` from a one-object JSON document.
-std::optional<std::string> json_field(const std::string& doc,
-                                      const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = doc.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t i = at + needle.size();
-  std::size_t end = i;
-  while (end < doc.size() && doc[end] != ',' && doc[end] != '}') ++end;
-  if (end == doc.size() || end == i) return std::nullopt;
-  return doc.substr(i, end - i);
-}
-
-int cmd_status(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "smtprof: cannot read '" << path << "'\n";
-    return smt::kExitConfig;
-  }
-  const std::string doc((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  bool malformed = false;
-  const auto need = [&doc, &path, &malformed](const char* key) {
-    const std::optional<std::string> v = json_field(doc, key);
-    if (!v) {
-      std::cerr << "smtprof: '" << path << "' is not a smtfleetd --status "
-                << "snapshot (missing \"" << key << "\")\n";
-      malformed = true;
-      return std::string();
-    }
-    return *v;
-  };
-  const std::string jobs = need("jobs");
-  const std::string queued = need("queued");
-  const std::string running = need("running");
-  const std::string settled = need("settled");
-  const std::string failed = need("failed");
-  const std::string retries = need("retries");
-  const std::string elapsed_ms = need("elapsed_ms");
-  const std::string per_min = need("jobs_per_min");
-  const std::string eta_ms = need("eta_ms");
-  const std::string draining = need("draining");
-  if (malformed) return smt::kExitConfig;
-
-  std::cout << "fleet: " << settled << "/" << jobs << " settled ("
-            << running << " running, " << queued << " queued, " << failed
-            << " failed, " << retries << " retries)\n"
-            << "elapsed " << elapsed_ms << " ms, " << per_min
-            << " jobs/min, ETA " << eta_ms << " ms"
-            << (draining == "true" ? " [draining]" : "") << '\n';
-  return smt::kExitOk;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,15 +99,13 @@ int main(int argc, char** argv) {
     return args.empty() ? smt::kExitUsage : smt::kExitOk;
   }
   const std::string& cmd = args[0];
-  if (cmd == "folded" || cmd == "fleet" || cmd == "status") {
+  if (cmd == "folded") {
     if (args.size() != 2) {
       std::cerr << "smtprof: '" << cmd << "' takes exactly one file\n\n"
                 << kUsage;
       return smt::kExitUsage;
     }
-    if (cmd == "folded") return cmd_folded(args[1]);
-    if (cmd == "fleet") return cmd_fleet(args[1]);
-    return cmd_status(args[1]);
+    return cmd_folded(args[1]);
   }
   std::cerr << "smtprof: unknown command '" << cmd << "'\n\n" << kUsage;
   return smt::kExitUsage;

@@ -2,7 +2,9 @@
 //
 // Runs a mix (or an explicit application list) under a fixed fetch
 // policy, under ADTS, or under the oracle, with the machine knobs
-// exposed as options. Prints a human-readable report or CSV.
+// exposed as options. Prints a human-readable report or CSV. With
+// --grid it runs a whole experiment grid in-process instead, one stats
+// document per job (sim/grid.hpp).
 //
 // Exit codes: common/exit_codes.hpp (documented in --help).
 //
@@ -13,11 +15,13 @@
 //   smtsim --mix bal1 --oracle --quanta 16
 //   smtsim --mix fp8 --threads 4 --csv
 //   smtsim --mix mem8 --adts --trace - --trace-format csv
-#include <algorithm>
-#include <csignal>
+//   smtsim --grid fig7.grid --out results/fig7 --jobs 4
+#include <cstddef>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/invariants.hpp"
 #include "common/build_info.hpp"
@@ -32,6 +36,7 @@
 #include "par/thread_pool.hpp"
 #include "pipeline/pipeline.hpp"
 #include "prof/phase_profiler.hpp"
+#include "sim/grid.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
 #include "workload/app_profile.hpp"
@@ -58,8 +63,17 @@ scheduling (one of):
     --all-policies            oracle over all ten policies
     --quanta N                oracle quanta (default 16)
     --jobs N                  worker threads for the oracle's candidate
-                              trials (default: SMT_JOBS or 1; results are
-                              bit-identical for every value)
+                              trials and for --grid jobs (default:
+                              SMT_JOBS or 1; results are bit-identical
+                              for every value)
+
+grids (instead of a single run; only --jobs may accompany them):
+  --grid FILE           run every job of the grid file FILE (grammar in
+                        src/sim/grid.hpp), printing one "ran" or "cached"
+                        line per job
+  --out DIR             publish each job as DIR/<job digest>.json, equal
+                        to its direct --stats-json run; jobs already in
+                        DIR are skipped, so a killed grid resumes
 
 observability (normal runs; ignored under --oracle):
   --trace PATH          write the event trace to PATH after the run
@@ -114,36 +128,9 @@ exit codes:
   0  success
   2  usage error (unknown or malformed option)
   3  configuration error (valid syntax, invalid value)
-  4  invariant violations detected (--check / SMT_CHECK=1)
-  5  cancelled: SIGTERM/SIGINT during a normal run; --stats-json and
-     --trace output is flushed for the cycles already simulated (the
-     stats document carries run.cancelled=true), so a supervisor can
-     tell a graceful stop from a crash that drops all output
+  4  invariant violations detected (--check / SMT_CHECK=1); under
+     --grid, a job with violations is reported and not published
 )";
-
-// Graceful shutdown (SIGTERM/SIGINT): the handler only raises a flag;
-// the run loop polls it between slices, then the normal output path
-// flushes whatever was requested and main exits kExitCancelled. The
-// fleet daemon (smtfleetd) relies on this code to distinguish
-// "cancelled, partial output is coherent" from "crashed, discard".
-volatile std::sig_atomic_t g_cancel_signal = 0;
-
-void on_cancel_signal(int sig) { g_cancel_signal = sig; }
-
-/// Run in slices, polling the cancellation flag. Simulator::run is a
-/// plain step loop, so slicing is bit-identical to one run(cycles) call;
-/// a signal lands within kSlice cycles of delivery. Returns the cycles
-/// actually simulated.
-std::uint64_t run_cancellable(smt::sim::Simulator& sim, std::uint64_t cycles) {
-  constexpr std::uint64_t kSlice = 4096;
-  std::uint64_t done = 0;
-  while (done < cycles && g_cancel_signal == 0) {
-    const std::uint64_t n = std::min(kSlice, cycles - done);
-    sim.run(n);
-    done += n;
-  }
-  return done;
-}
 
 void list_everything() {
   std::cout << "mixes:\n";
@@ -159,17 +146,6 @@ void list_everything() {
     std::cout << ' ' << smt::policy::name(p);
   }
   std::cout << "\nheuristics: 1 2 3 3p 4\n";
-}
-
-smt::core::HeuristicType parse_heuristic(const std::string& s) {
-  using smt::core::HeuristicType;
-  if (s == "1") return HeuristicType::kType1;
-  if (s == "2") return HeuristicType::kType2;
-  if (s == "3") return HeuristicType::kType3;
-  if (s == "3p" || s == "3'") return HeuristicType::kType3Prime;
-  if (s == "4") return HeuristicType::kType4;
-  throw smt::ConfigError("--heuristic must be one of 1|2|3|3p|4, got '" + s +
-                         "'");
 }
 
 /// Parse one --pipeview window spec "N@CYCLE".
@@ -198,21 +174,72 @@ smt::pipeline::PipeviewWindow parse_pipeview_window(const std::string& spec) {
   return w;
 }
 
+/// One progress line per settled grid job: status, digest, job.
+std::string settle_line(const smt::sim::GridCell& cell) {
+  using Status = smt::sim::GridCell::Status;
+  std::ostringstream line;
+  line << (cell.status == Status::kCached       ? "cached"
+           : cell.status == Status::kViolations ? "violations"
+                                                : "ran")
+       << ' ' << smt::sim::digest_hex(cell.digest) << ' ' << cell.job.mix
+       << " seed " << cell.job.seed << ' ';
+  if (cell.job.adts) {
+    line << "adts " << smt::core::name(cell.job.heuristic) << '@'
+         << cell.job.threshold;
+  } else {
+    line << smt::policy::name(cell.job.policy);
+  }
+  line << '\n';
+  return line.str();
+}
+
+/// --grid FILE --out DIR: run every job of FILE whose document DIR does
+/// not hold yet.
+int run_grid_file(const smt::CliArgs& args,
+                  const std::vector<std::string>& keys, std::size_t jobs) {
+  using namespace smt;
+  if (!args.has("grid") || !args.has("out")) {
+    throw UsageError("--grid FILE and --out DIR go together");
+  }
+  for (const std::string& key : keys) {
+    if (key != "grid" && key != "out" && key != "jobs" && args.has(key)) {
+      throw UsageError("--" + key + " does not apply to --grid: the grid "
+                       "file sets every run option");
+    }
+  }
+  const std::string path = args.get_or("grid", "");
+  std::ifstream in(path);
+  if (!in) throw ConfigError("--grid: cannot read '" + path + "'");
+  const sim::BatchSpec batch = sim::parse_batch(in);
+  const std::string dir = args.get_or("out", "");
+  std::vector<sim::GridCell> cells = sim::plan_grid(batch, dir);
+  // Workers report as they publish; one whole line per write keeps the
+  // lines of concurrent jobs apart.
+  sim::run_grid(cells, dir, jobs, [](const sim::GridCell& cell) {
+    std::cout << settle_line(cell) << std::flush;
+  });
+  for (const sim::GridCell& cell : cells) {
+    if (cell.status == sim::GridCell::Status::kViolations) return kExitCheck;
+  }
+  return kExitOk;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace smt;
   try {
-    const CliArgs args(
-        argc, argv,
-        {"mix", "apps", "threads", "seed", "policy", "adts", "heuristic",
-         "threshold", "quantum", "instant", "oracle", "all-policies",
-         "quanta", "jobs", "cycles", "warmup", "csv", "list", "help",
-         "trace", "trace-format", "pipeview", "stats-json",
-         "cpi", "prof", "prof-folded", "prof-stride", "check", "version"},
-        /*flag_keys=*/{"adts", "instant", "oracle", "all-policies",
-                       "csv", "list", "help", "check",
-                       "cpi", "prof", "version"});
+    const std::vector<std::string> keys = {
+        "mix", "apps", "threads", "seed", "policy", "adts", "heuristic",
+        "threshold", "quantum", "instant", "oracle", "all-policies",
+        "quanta", "jobs", "cycles", "warmup", "csv", "list", "help",
+        "trace", "trace-format", "pipeview", "stats-json",
+        "cpi", "prof", "prof-folded", "prof-stride", "check", "version",
+        "grid", "out"};
+    const CliArgs args(argc, argv, keys,
+                       /*flag_keys=*/{"adts", "instant", "oracle",
+                                      "all-policies", "csv", "list", "help",
+                                      "check", "cpi", "prof", "version"});
     if (args.has("help")) {
       std::cout << kUsage;
       return kExitOk;
@@ -228,13 +255,62 @@ int main(int argc, char** argv) {
       return kExitOk;
     }
 
-    sim::SimConfig cfg;
-    cfg.workload_seed = args.get_u64("seed", 2003);
-    const std::uint64_t threads = args.get_u64("threads", 8);
-    if (threads < 1 || threads > 8) {
+    // Worker threads for the oracle's candidate trials and for grid
+    // jobs. The flag is harmless elsewhere (single runs have nothing to
+    // fan out).
+    const std::uint64_t jobs =
+        args.get_u64("jobs", static_cast<std::uint64_t>(par::default_jobs()));
+    if (jobs == 0) {
+      throw ConfigError("--jobs must be >= 1 worker threads");
+    }
+    if (args.has("grid") || args.has("out")) {
+      return run_grid_file(args, keys, static_cast<std::size_t>(jobs));
+    }
+
+    // The run's options as a grid job: sim_config_for is the one
+    // option → SimConfig mapping, shared with every --grid job.
+    sim::GridJob job;
+    job.mix = args.get_or("mix", "bal1");
+    job.seed = args.get_u64("seed", 2003);
+    job.threads = static_cast<std::size_t>(args.get_u64("threads", 8));
+    if (job.threads < 1 || job.threads > 8) {
       throw ConfigError("--threads must be between 1 and 8 (the machine has "
                         "8 hardware contexts), got " +
-                        std::to_string(threads));
+                        std::to_string(job.threads));
+    }
+    try {
+      job.policy = policy::parse_policy(args.get_or("policy", "ICOUNT"));
+    } catch (const std::exception&) {
+      throw ConfigError("unknown fetch policy '" +
+                        args.get_or("policy", "ICOUNT") +
+                        "' (see --list for the ten policies)");
+    }
+    job.threshold = args.get_double("threshold", 2.0);
+    if (job.threshold <= 0.0) {
+      throw ConfigError("--threshold must be > 0 (IPC units), got " +
+                        std::to_string(job.threshold));
+    }
+    job.quantum = args.get_u64("quantum", 8192);
+    if (job.quantum == 0) {
+      throw ConfigError("--quantum must be > 0 cycles");
+    }
+    job.warmup = args.get_u64("warmup", 32768);
+    job.cycles = args.get_u64("cycles", 262144);
+    if (job.cycles == 0) {
+      throw ConfigError("--cycles must be > 0");
+    }
+    // The oracle picks every quantum's policy itself; --adts is ignored.
+    job.adts = args.has("adts") && !args.has("oracle");
+    if (job.adts) {
+      job.heuristic = core::parse_heuristic(args.get_or("heuristic", "3"));
+    }
+
+    sim::SimConfig cfg;
+    try {
+      cfg = sim::sim_config_for(job);
+    } catch (const std::exception&) {
+      throw ConfigError("unknown mix '" + job.mix +
+                        "' (see --list for the 13 built-in mixes)");
     }
     if (args.has("apps")) {
       cfg.apps = split_list(args.get_or("apps", ""));
@@ -246,38 +322,6 @@ int main(int argc, char** argv) {
         throw ConfigError("--apps lists " + std::to_string(cfg.apps.size()) +
                           " applications but the machine has 8 contexts");
       }
-    } else {
-      try {
-        cfg.apps = workload::mix_for_threads(
-            workload::mix(args.get_or("mix", "bal1")),
-            static_cast<std::size_t>(threads), cfg.workload_seed);
-      } catch (const std::exception&) {
-        throw ConfigError("unknown mix '" + args.get_or("mix", "bal1") +
-                          "' (see --list for the 13 built-in mixes)");
-      }
-    }
-    try {
-      cfg.fixed_policy = policy::parse_policy(args.get_or("policy", "ICOUNT"));
-    } catch (const std::exception&) {
-      throw ConfigError("unknown fetch policy '" +
-                        args.get_or("policy", "ICOUNT") +
-                        "' (see --list for the ten policies)");
-    }
-
-    const double threshold = args.get_double("threshold", 2.0);
-    if (threshold <= 0.0) {
-      throw ConfigError("--threshold must be > 0 (IPC units), got " +
-                        std::to_string(threshold));
-    }
-    const std::uint64_t quantum = args.get_u64("quantum", 8192);
-    if (quantum == 0) {
-      throw ConfigError("--quantum must be > 0 cycles");
-    }
-
-    const std::uint64_t warmup = args.get_u64("warmup", 32768);
-    const std::uint64_t cycles = args.get_u64("cycles", 262144);
-    if (cycles == 0) {
-      throw ConfigError("--cycles must be > 0");
     }
     const bool csv = args.has("csv");
 
@@ -294,14 +338,6 @@ int main(int argc, char** argv) {
       s.checker().write_report(std::cerr);
       return kExitCheck;
     };
-
-    // Worker threads for the oracle's per-quantum candidate trials. The
-    // flag is harmless elsewhere (single runs have nothing to fan out).
-    const std::uint64_t jobs =
-        args.get_u64("jobs", static_cast<std::uint64_t>(par::default_jobs()));
-    if (jobs == 0) {
-      throw ConfigError("--jobs must be >= 1 worker threads");
-    }
 
     // Host-phase profiling (--prof). Observation-only: simulated results
     // and every non-prof output byte are identical with it on or off.
@@ -326,7 +362,7 @@ int main(int argc, char** argv) {
 
     if (args.has("oracle")) {
       sim::OracleConfig ocfg;
-      ocfg.quantum_cycles = quantum;
+      ocfg.quantum_cycles = job.quantum;
       if (args.has("all-policies")) ocfg.candidates = policy::all_policies();
       const std::uint64_t quanta = args.get_u64("quanta", 16);
 
@@ -336,7 +372,7 @@ int main(int argc, char** argv) {
       sim::Simulator base(cfg);
       {
         const prof::PhaseProfiler::Scope s(pp, n_warm);
-        base.run(warmup);
+        base.run(job.warmup);
       }
       sim::OracleTelemetry tel;
       sim::OracleResult r;
@@ -380,13 +416,7 @@ int main(int argc, char** argv) {
       return check_exit(base);
     }
 
-    if (args.has("adts")) {
-      cfg.use_adts = true;
-      cfg.adts.heuristic = parse_heuristic(args.get_or("heuristic", "3"));
-      cfg.adts.ipc_threshold = threshold;
-      cfg.adts.quantum_cycles = quantum;
-      cfg.adts.instant_switch = args.has("instant");
-    }
+    if (job.adts) cfg.adts.instant_switch = args.has("instant");
     cfg.cpi = args.has("cpi");
 
     if (args.has("pipeview")) {
@@ -467,46 +497,18 @@ int main(int argc, char** argv) {
       sim.attach_trace(&sink);
     }
     if (prof_on) profiler.add(n_init, prof::host_ticks() - t_init);
-    // From here the run is cancellable: SIGTERM/SIGINT stops the slice
-    // loop, the requested outputs are flushed below as usual, and main
-    // returns kExitCancelled instead of the check verdict.
-    std::signal(SIGTERM, on_cancel_signal);
-    std::signal(SIGINT, on_cancel_signal);
 
-    std::uint64_t warmup_done = 0;
-    {
-      const prof::PhaseProfiler::Scope s(pp, n_warm);
-      warmup_done = run_cancellable(sim, warmup);
-    }
-    const std::uint64_t c0 = sim.committed();
-    std::uint64_t measured = 0;
-    if (warmup_done >= warmup) {
-      // Per-cycle stage timing only covers the measured region: warm-up
-      // is excluded from simulated stats, so it is excluded here too.
-      const prof::PhaseProfiler::Scope s(pp, n_meas);
-      if (prof_on) sim.attach_profiler(&profiler, n_meas, prof_stride);
-      measured = run_cancellable(sim, cycles);
-      if (prof_on) sim.attach_profiler(nullptr, 0, 1);
-    }
-    sim.flush_trace();
-    const bool cancelled = g_cancel_signal != 0;
-    const auto finish = [&check_exit, &cancelled](const sim::Simulator& s) {
-      return cancelled ? kExitCancelled : check_exit(s);
-    };
-    const double ipc =
-        measured == 0 ? 0.0
-                      : static_cast<double>(sim.committed() - c0) /
-                            static_cast<double>(measured);
+    sim::RunProfile run_prof;
+    run_prof.profiler = pp;
+    run_prof.warmup = n_warm;
+    run_prof.measured = n_meas;
+    run_prof.stride = prof_stride;
+    obs::MetricsRegistry reg;
+    const sim::MeasuredRun run =
+        sim::run_measured(sim, job.warmup, job.cycles,
+                          args.has("stats-json") ? &reg : nullptr, &run_prof);
 
     if (args.has("stats-json")) {
-      obs::MetricsRegistry reg;
-      sim.export_metrics(reg);
-      reg.set("run.warmup_cycles", warmup_done);
-      reg.set("run.measured_cycles", measured);
-      reg.set("run.measured_ipc", ipc);
-      // Only a cancelled run carries the marker: a normal run's document
-      // stays byte-identical to what it was before cancellation existed.
-      if (cancelled) reg.set("run.cancelled", true);
       if (prof_on) {
         // Wall time from profiler start to here: the reference the phase
         // tree's telescoping exclusive sum is checked against.
@@ -529,12 +531,12 @@ int main(int argc, char** argv) {
     if (args.has("trace")) {
       sink.write(trace_to_stdout ? std::cout : trace_out, trace_format,
                  sim::trace_decoder());
-      if (trace_to_stdout) return finish(sim);
+      if (trace_to_stdout) return check_exit(sim);
     }
     if (stats_to_stdout) {
       // stdout carries the JSON document; the violation report (if any)
       // goes to stderr.
-      return finish(sim);
+      return check_exit(sim);
     }
 
     const auto& st = sim.pipeline().stats();
@@ -542,11 +544,11 @@ int main(int argc, char** argv) {
     if (csv) {
       std::cout << "mode,ipc,cycles,committed,switches,benign,mispredicts,"
                    "wrong_path_fetched\n"
-                << (cfg.use_adts ? "adts" : "fixed") << ',' << ipc << ','
-                << measured << ',' << sim.committed() - c0 << ',' << dt.switches
+                << (cfg.use_adts ? "adts" : "fixed") << ',' << run.ipc << ','
+                << job.cycles << ',' << run.committed << ',' << dt.switches
                 << ',' << dt.benign_switches << ',' << st.mispredicts << ','
                 << st.fetched_wrong_path << '\n';
-      return finish(sim);
+      return check_exit(sim);
     }
 
     std::cout << (cfg.use_adts
@@ -555,13 +557,8 @@ int main(int argc, char** argv) {
                       : "fixed " + std::string(policy::name(cfg.fixed_policy)))
               << " on";
     for (const auto& a : cfg.apps) std::cout << ' ' << a;
-    std::cout << "\nmeasured IPC " << Table::num(ipc) << " over " << measured
-              << " cycles (+" << warmup_done << " warm-up)\n";
-    if (cancelled) {
-      std::cout << "cancelled by signal " << static_cast<int>(g_cancel_signal)
-                << " after " << measured << " of " << cycles
-                << " measured cycles\n";
-    }
+    std::cout << "\nmeasured IPC " << Table::num(run.ipc) << " over "
+              << job.cycles << " cycles (+" << job.warmup << " warm-up)\n";
     if (cfg.use_adts) {
       std::cout << dt.quanta << " quanta, " << dt.low_throughput_quanta
                 << " low-throughput, " << dt.switches << " switches ("
@@ -579,7 +576,7 @@ int main(int argc, char** argv) {
                 << " ms (cycle stages sampled 1/" << prof_stride
                 << "; full tree via --stats-json / --prof-folded)\n";
     }
-    return finish(sim);
+    return check_exit(sim);
   } catch (const UsageError& e) {
     std::cerr << "smtsim: " << e.what() << "\n\n" << kUsage;
     return kExitUsage;

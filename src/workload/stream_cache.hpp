@@ -15,7 +15,7 @@
 //     read memoised chunks;
 //   - warmup + measured samples in benchmarks: repeated Simulator
 //     constructions over one (mix, seed) re-read the same streams;
-//   - repeated in-process fleet/sweep jobs sharing (profile, tid, seed).
+//   - repeated in-process grid/sweep jobs sharing (profile, tid, seed).
 //
 // Concurrency model: the cache is THREAD-LOCAL (StreamCache::local())
 // and a StreamEntry is only ever mutated by the thread whose cache owns

@@ -19,7 +19,7 @@
 // shared decoded stream (workload/stream_cache.hpp) rather than a live
 // generator — next() is an array read plus a PC update, and repeated
 // runs over the same key (oracle replays, warmup+measured samples,
-// repeat fleet jobs) skip synthesis entirely. Wrong-path synthesis stays
+// grid jobs) skip synthesis entirely. Wrong-path synthesis stays
 // live here: which PCs are fetched down the wrong path depends on
 // simulator timing, so it is not memoisable — but it only ever consumes
 // its own RNG, preserving the isolation property above.

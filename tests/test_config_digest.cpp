@@ -1,13 +1,13 @@
 // Unit tests: sim::config_digest — the content address under every
-// trace, stats document and fleet cache entry.
+// trace, stats document and grid result file.
 //
 // Two properties matter:
 //  1. Sensitivity — flipping any digest-relevant field changes the
 //     digest (a field the digest ignores would let two different
-//     configurations share a cache entry).
+//     configurations share a grid result).
 //  2. Stability — the digest of a fixed configuration never changes
 //     across refactors. The golden value below is a tripwire: if it
-//     moves, every content-addressed artifact (fleet result cache,
+//     moves, every content-addressed artifact (grid result files,
 //     trace/stats cross-checks) silently keys differently, so the
 //     change must be deliberate and release-noted, not incidental.
 #include <gtest/gtest.h>
@@ -157,10 +157,9 @@ TEST(ConfigDigest, DeterministicAcrossCalls) {
 }
 
 TEST(ConfigDigest, GoldenValueIsStable) {
-  // Tripwire: this exact configuration hashed to this value when the
-  // fleet cache shipped. If the expectation fails, the digest function
-  // or a struct default changed — every existing cache entry, journal
-  // and trace cross-check re-keys. Update the constant only as part of
+  // Tripwire: this exact configuration hashed to this value. If the
+  // expectation fails, the digest function or a struct default changed
+  // — every existing grid result file and trace cross-check re-keys. Update the constant only as part of
   // a deliberate, release-noted format change.
   const std::uint64_t golden = 0x965a67c2c7efddb7ull;
   EXPECT_EQ(config_digest(base_config()), golden)

@@ -1,6 +1,6 @@
 // Unit tests: hierarchical phase profiler (prof/phase_profiler.hpp),
-// the fenced host clock, histogram edge cases and MetricsRegistry
-// name-collision semantics.
+// its stride-sampling rule, the fenced host clock, histogram edge cases
+// and MetricsRegistry name-collision semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +15,8 @@
 #include "obs/trace_event.hpp"
 #include "prof/host_clock.hpp"
 #include "prof/phase_profiler.hpp"
+#include "sim/simulator.hpp"
+#include "workload/mix.hpp"
 
 namespace smt {
 namespace {
@@ -179,6 +181,65 @@ TEST(PhaseProfiler, TraceEventsNestPreorderWithDepths) {
   EXPECT_EQ(evs[1].cycle, evs[0].cycle);
   EXPECT_EQ(evs[2].cycle, evs[1].cycle + evs[1].span);
   EXPECT_LE(evs[2].cycle + evs[2].span, evs[0].cycle + evs[0].span);
+}
+
+// ---------------------------------------------------------------------------
+// Stride sampling
+// ---------------------------------------------------------------------------
+
+TEST(StrideSampling, OneHashedCyclePerAlignedBlock) {
+  for (const std::uint64_t stride : {1u, 64u, 1024u}) {
+    std::uint64_t offsets_seen = 0;  // in-block positions, mod 64
+    for (std::uint64_t block = 0; block < 4096; ++block) {
+      int hits = 0;
+      for (std::uint64_t i = 0; i < stride; ++i) {
+        if (prof::sampled_cycle(block * stride + i, stride - 1)) {
+          ++hits;
+          offsets_seen |= std::uint64_t{1} << (i % 64);
+        }
+      }
+      ASSERT_EQ(hits, 1) << "stride " << stride << " block " << block;
+    }
+    if (stride >= 64) {
+      EXPECT_EQ(offsets_seen, ~std::uint64_t{0}) << "stride " << stride;
+    }
+  }
+}
+
+TEST(StrideSampling, DetectorEnteredOnQuantumBoundariesAtDefaultStride) {
+  // ADTS, 256-cycle quanta: the detector's boundary work runs on the
+  // step whose pre-step cycle is ≡ 255 (mod 256).
+  constexpr std::uint64_t kQuantum = 256;
+  constexpr std::uint64_t kQuanta = 512;
+  constexpr std::uint64_t kStride = 64;  // smtsim's --prof-stride default
+  sim::SimConfig cfg = sim::make_config(workload::mix("mem8"), 4, 2003);
+  cfg.use_adts = true;
+  cfg.adts.quantum_cycles = kQuantum;
+  cfg.check = check::CheckMode::kOff;
+  sim::Simulator sim(cfg);
+  sim.run(kQuantum);
+
+  PhaseProfiler p;
+  sim.attach_profiler(&p, PhaseProfiler::kRoot, kStride);
+  const PhaseProfiler::Node detector =
+      p.child(p.child(PhaseProfiler::kRoot, "cycle"), "detector");
+  const std::uint64_t quanta_before = sim.detector().stats().quanta;
+  std::uint64_t boundary_samples = 0;
+  for (std::uint64_t q = 0; q < kQuanta; ++q) {
+    sim.run(kQuantum - 1);
+    ASSERT_EQ(sim.now() % kQuantum, kQuantum - 1);
+    const std::uint64_t before = p.count(detector);
+    sim.run(1);  // the boundary step
+    boundary_samples += p.count(detector) - before;
+  }
+  sim.attach_profiler(nullptr, 0, 1);
+
+  EXPECT_EQ(sim.detector().stats().quanta - quanta_before, kQuanta)
+      << "every boundary step did the detector's quantum work";
+  EXPECT_EQ(p.count(detector), kQuanta * kQuantum / kStride)
+      << "one sampled cycle per stride";
+  EXPECT_GT(boundary_samples, 0u)
+      << "the detector's boundary cycles must be sampled at stride 64";
 }
 
 // ---------------------------------------------------------------------------

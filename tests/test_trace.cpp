@@ -144,7 +144,6 @@ TEST(MetricsRegistry, WritesNestedJsonFromDottedNames) {
   reg.set("adts.benign_fraction", 0.5);
   reg.set("machine.ipc", 3.25);
   reg.set("config.mode", "adts");
-  reg.set("run.cancelled", true);
   std::ostringstream os;
   reg.write_json(os);
 
@@ -153,7 +152,6 @@ TEST(MetricsRegistry, WritesNestedJsonFromDottedNames) {
   EXPECT_EQ(flat.at("adts.benign_fraction"), "0.5");
   EXPECT_EQ(flat.at("machine.ipc"), "3.25");
   EXPECT_EQ(flat.at("config.mode"), "adts");
-  EXPECT_EQ(flat.at("run.cancelled"), "true");
 }
 
 TEST(MetricsRegistry, NonFiniteDoublesSerializeAsNull) {
