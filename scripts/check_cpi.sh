@@ -32,22 +32,21 @@ mixes=(ctrl8 mem8 ilp8 cache8 bal1 bal2 bal3 bal4 int8 span8 fp8 var1 var2)
 common=(--cycles 32768 --warmup 8192 --quantum 1024)
 
 echo "== conservation sweep over ${#mixes[@]} mixes (fixed + adts)"
+"$smttrace" schema > "$tmp/schema.json"  # the declared CPI cause names
 for mix in "${mixes[@]}"; do
   for mode in fixed adts; do
     extra=()
     [ "$mode" = adts ] && extra=(--adts)
     "$smtsim" --mix "$mix" "${common[@]}" "${extra[@]}" --cpi \
       --stats-json "$tmp/$mix.$mode.json" > /dev/null
-    python3 - "$tmp/$mix.$mode.json" "$mix/$mode" <<'EOF'
+    python3 - "$tmp/$mix.$mode.json" "$mix/$mode" "$tmp/schema.json" <<'EOF'
 import json, sys
 stats = json.load(open(sys.argv[1]))
 label = sys.argv[2]
 cpi = stats["cpi"]
 width = cpi["commit_width"]
 cycles = cpi["cycles_accounted"]
-causes = ["committed", "rob_empty", "dep_wait", "mem_latency",
-          "fu_contention", "structural_full", "squash_recovery",
-          "switch_overhead"]
+causes = json.load(open(sys.argv[3]))["cpi_causes"]
 assert cycles > 0, label
 total = 0
 for tid, t in stats["threads"].items():
@@ -86,14 +85,15 @@ cmp "$tmp/plain.csv" "$tmp/cpi.csv"
 echo "== smttrace cpi report + self-diff"
 "$smtsim" --mix mem8 --adts "${common[@]}" --cpi --trace "$tmp/a.jsonl" \
   > /dev/null
-"$smtsim" --mix mem8 --adts "${common[@]}" --cpi --trace "$tmp/b.csv" \
-  --trace-format csv > /dev/null
+"$smtsim" --mix mem8 --adts "${common[@]}" --cpi --trace "$tmp/b.jsonl" \
+  > /dev/null
 "$smttrace" cpi "$tmp/a.jsonl" > "$tmp/report.txt"
 grep -q "conservation OK" "$tmp/report.txt"
 grep -q "cpi rows" "$tmp/report.txt"
-# Same run, same rows: the A/B diff must find nothing, across formats.
+# Same run, same rows: the A/B diff must find nothing, within one trace
+# and across two runs of the same config.
 "$smttrace" cpi "$tmp/a.jsonl" "$tmp/a.jsonl" | grep -q ", 0 differing"
-"$smttrace" cpi "$tmp/a.jsonl" "$tmp/b.csv" | grep -q ", 0 differing"
+"$smttrace" cpi "$tmp/a.jsonl" "$tmp/b.jsonl" | grep -q ", 0 differing"
 # A run without --cpi yields the pointed no-rows message, not a crash.
 "$smtsim" --mix bal1 --cycles 4096 --warmup 0 --quantum 1024 \
   --trace "$tmp/nocpi.jsonl" > /dev/null

@@ -2,8 +2,9 @@
 # Observability CI gate.
 #
 # 1. Runs a short-quantum ADTS mix with --trace and validates the JSONL
-#    event stream against the schema (required keys, known event kinds,
-#    stall-cause buckets).
+#    event stream against the schema `smttrace schema` prints (required
+#    keys per kind, known event kinds, stall and CPI cause buckets,
+#    build_info keys), and the `smttrace chrome` export of it.
 # 2. Validates the --stats-json document parses and carries the stall
 #    conservation law (per-thread causes + machine bucket + DT slots ==
 #    idle fetch slots).
@@ -11,15 +12,15 @@
 #    run (with --cpi commit-slot accounting on) is byte-identical to the
 #    same run untraced and unaccounted.
 #
-# Usage: scripts/check_observability.sh [smtsim-binary]
+# Usage: scripts/check_observability.sh [smtsim-binary] [smttrace-binary]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 smtsim="${1:-${BUILD_DIR:-$repo/build}/src/smtsim}"
-if [ ! -x "$smtsim" ]; then
-  echo "check_observability: $smtsim not built" >&2
-  exit 2
-fi
+smttrace="${2:-$(dirname "$smtsim")/smttrace}"
+for bin in "$smtsim" "$smttrace"; do
+  [ -x "$bin" ] || { echo "check_observability: $bin not built" >&2; exit 2; }
+done
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -27,7 +28,7 @@ trap 'rm -rf "$tmp"' EXIT
 run=(--mix mem8 --adts --cycles 32768 --warmup 8192 --quantum 1024 --csv)
 
 echo "== traced run (with pipeview sampling, host profiling and CPI stacks)"
-"$smtsim" "${run[@]}" --trace "$tmp/trace.jsonl" --trace-format jsonl \
+"$smtsim" "${run[@]}" --trace "$tmp/trace.jsonl" \
   --pipeview 64@8192,48@16384 --prof --cpi \
   --stats-json "$tmp/stats.json" > "$tmp/traced.csv"
 echo "== untraced run"
@@ -36,30 +37,25 @@ echo "== untraced run"
 echo "== traced vs untraced --csv bit-identical"
 cmp "$tmp/traced.csv" "$tmp/untraced.csv"
 
-echo "== chrome backend accepted"
-"$smtsim" "${run[@]}" --trace "$tmp/trace.chrome" --trace-format chrome \
-  >/dev/null
+echo "== chrome export and schema"
+"$smttrace" chrome "$tmp/trace.jsonl" > "$tmp/trace.chrome"
+"$smttrace" schema > "$tmp/schema.json"
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$tmp/trace.jsonl" "$tmp/stats.json" "$tmp/trace.chrome" <<'EOF'
+  python3 - "$tmp/trace.jsonl" "$tmp/stats.json" "$tmp/trace.chrome" \
+    "$tmp/schema.json" <<'EOF'
 import json
 import sys
 
-jsonl, stats_path, chrome = sys.argv[1:4]
+jsonl, stats_path, chrome, schema_path = sys.argv[1:5]
 
-KINDS = {"quantum", "thread_quantum", "policy_switch", "invariant",
-         "pipeview", "switch_audit", "prof", "cpi_stack"}
-KEYS = {"event", "quantum", "cycle", "tid", "span", "policy_before",
-        "policy_after", "code", "mask", "value", "ipc", "fetch_share",
-        "mispredict_rate", "l1d_miss_rate", "l1i_miss_rate", "stalls"}
-BUILD_KEYS = {"event", "tool", "version", "git_sha", "compiler", "flags",
-              "seed", "config_digest", "host_cpu", "host_cores", "smt_jobs"}
-CAUSES = {"policy_throttle", "icache_miss", "rob_full",
-          "dispatch_backpressure", "squash_recovery", "fetch_blackout",
-          "fragmentation"}
-CPI_CAUSES = {"committed", "rob_empty", "dep_wait", "mem_latency",
-              "fu_contention", "structural_full", "squash_recovery",
-              "switch_overhead"}
+# The one declared schema (src/obs/trace_schema.hpp).
+schema = json.load(open(schema_path))
+KINDS = set(schema["event_kinds"])
+BUILD_KEYS = {"event"} | set(schema["build_info_keys"])
+CAUSES = set(schema["stall_causes"])
+CPI_CAUSES = set(schema["cpi_causes"])
+assert KINDS and CAUSES and CPI_CAUSES, "empty schema"
 
 n = 0
 pipeview = 0
@@ -71,31 +67,28 @@ with open(jsonl) as f:
         e = json.loads(line)
         if i == 0:
             # Provenance header: first line of every trace.
-            assert e["event"] == "build_info", "missing build_info header"
+            assert e["event"] == schema["build_info_event"], \
+                "missing build_info header"
             assert set(e) == BUILD_KEYS, f"build_info keys {set(e) ^ BUILD_KEYS}"
             digest = e["config_digest"]
             continue
-        if e["event"] == "pipeview":
-            want = KEYS | {"stages"}
-        elif e["event"] == "prof":
-            want = KEYS | {"label"}
-        elif e["event"] == "cpi_stack":
-            want = KEYS | {"cpi", "contend"}
-        else:
-            want = KEYS
+        want = {k["key"] for k in schema["event_keys"]
+                if k["only"] in (None, e["event"])}
         assert set(e) == want, f"line {i + 1}: keys {set(e) ^ want}"
         assert e["event"] in KINDS, f"line {i + 1}: kind {e['event']}"
         assert set(e["stalls"]) == CAUSES, f"line {i + 1}: stall causes"
         if e["event"] == "pipeview":
             pipeview += 1
-            assert len(e["stages"]) == 7, f"line {i + 1}: stage slots"
+            assert len(e["stages"]) == len(schema["pipe_stages"]), \
+                f"line {i + 1}: stage slots"
         elif e["event"] == "switch_audit":
             audits += 1
             assert int(e["value"]) in (0, 1, 2), f"line {i + 1}: label"
         elif e["event"] == "cpi_stack":
             cpi_rows += 1
             assert set(e["cpi"]) == CPI_CAUSES, f"line {i + 1}: cpi causes"
-            assert len(e["contend"]) == 8, f"line {i + 1}: contend slots"
+            assert len(e["contend"]) == schema["contend_slots"], \
+                f"line {i + 1}: contend slots"
             # Per-row conservation: every commit slot of the span charged.
             assert sum(e["cpi"].values()) == e["value"] * e["span"], \
                 f"line {i + 1}: cpi slots leak"

@@ -47,10 +47,10 @@ echo "== profiling-off byte-identity across 13 mixes"
 for mix in $mixes; do
   run=(--mix "$mix" --adts --cycles 32768 --warmup 8192 --quantum 1024 --csv)
   "$smtsim" "${run[@]}" \
-    --trace "$tmp/plain.jsonl" --trace-format jsonl \
+    --trace "$tmp/plain.jsonl" \
     --stats-json "$tmp/plain.json" > "$tmp/plain.csv"
   "$smtsim" "${run[@]}" \
-    --trace "$tmp/prof.jsonl" --trace-format jsonl \
+    --trace "$tmp/prof.jsonl" \
     --stats-json "$tmp/prof.json" \
     --prof --prof-folded "$tmp/$mix.folded" > "$tmp/prof.csv"
   cmp "$tmp/plain.csv" "$tmp/prof.csv" \

@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Trace-tools CI gate: smttrace end-to-end against real smtsim traces.
 #
-# 1. Writes the same run as JSONL and CSV; `smttrace diff` across the two
-#    formats must report zero differing quanta (cross-format parity), and
-#    a self-diff of one file must too.
+# 1. Writes the same run twice; the two JSONL traces must be byte-equal
+#    and `smttrace diff` across them must report zero differing quanta,
+#    as must a self-diff of one file.
 # 2. `smttrace switches` totals must agree with smtsim's own human
 #    summary line ("N switches (B benign / M malignant ...)") — both sides
 #    route through the shared classifier in src/obs/switch_audit.hpp.
 # 3. `smttrace pipeview` must render exactly the sampled instruction
 #    count; `summary` and `hist` must run and mention their key sections.
 # 4. `smtsim --trace -` piped into `smttrace summary -` works (stdout
-#    streaming), and exit codes hold: 2 for usage errors (including every
-#    removed fault-injection / guard flag), 3 for unreadable input and for
-#    the write-only chrome format.
+#    streaming), and exit codes hold: 2 for usage errors (every removed
+#    flag, --trace-format included), 3 for unreadable input, a `smttrace
+#    chrome` export fed back in, and hostile lines (nesting past the
+#    schema, null / negative / fractional / oversized integers).
 #
 # Usage: scripts/check_trace_tools.sh [smtsim-binary] [smttrace-binary]
 set -euo pipefail
@@ -33,12 +34,13 @@ trap 'rm -rf "$tmp"' EXIT
 run=(--mix mem8 --adts --cycles 32768 --warmup 8192 --quantum 1024
      --pipeview 48@8192)
 
-echo "== generate traces (jsonl + csv, same run)"
+echo "== generate traces (the same run twice)"
 "$smtsim" "${run[@]}" --trace "$tmp/t.jsonl" > "$tmp/report.txt"
-"$smtsim" "${run[@]}" --trace "$tmp/t.csv" --trace-format csv > /dev/null
+"$smtsim" "${run[@]}" --trace "$tmp/t2.jsonl" > /dev/null
+cmp "$tmp/t.jsonl" "$tmp/t2.jsonl"
 
-echo "== diff: jsonl vs csv of the same run has zero deltas"
-"$smttrace" diff "$tmp/t.jsonl" "$tmp/t.csv" | tee "$tmp/diff.txt"
+echo "== diff: two traces of the same run have zero deltas"
+"$smttrace" diff "$tmp/t.jsonl" "$tmp/t2.jsonl" | tee "$tmp/diff.txt"
 grep -q "quanta compared, 0 differing" "$tmp/diff.txt"
 
 echo "== diff: self-diff has zero deltas"
@@ -54,9 +56,6 @@ sim_malignant="$(echo "$sim_line" | sed 's/.*\/ \([0-9]*\) malignant.*/\1/')"
 "$smttrace" switches "$tmp/t.jsonl" > "$tmp/switches.txt"
 grep -q " switches: $sim_benign benign / $sim_malignant malignant / " \
   "$tmp/switches.txt"
-# Same totals from the CSV serialization of the identical run.
-"$smttrace" switches "$tmp/t.csv" \
-  | grep -q " switches: $sim_benign benign / $sim_malignant malignant / "
 echo "   $sim_benign benign / $sim_malignant malignant on both sides"
 
 echo "== pipeview: every sampled instruction renders"
@@ -77,21 +76,34 @@ echo "== stdout streaming: smtsim --trace - | smttrace summary -"
 "$smtsim" --mix mem8 --adts --cycles 8192 --quantum 1024 --trace - \
   | "$smttrace" summary - | grep -q "quanta,"
 
-echo "== exit codes: 2 usage, 3 bad input / chrome"
+echo "== exit codes: 2 usage, 3 bad input / chrome / hostile lines"
 rc=0; "$smttrace" bogus "$tmp/t.jsonl" >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
 rc=0; "$smttrace" summary "$tmp/does-not-exist" >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 3
-"$smtsim" --mix mem8 --cycles 8192 --trace "$tmp/t.chrome" \
-  --trace-format chrome > /dev/null
+"$smttrace" chrome "$tmp/t.jsonl" > "$tmp/t.chrome"
 rc=0; "$smttrace" summary "$tmp/t.chrome" >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 3
+# Nesting deeper than the schema's two levels is refused before the
+# parser recurses (2M levels would otherwise overflow the stack).
+head -c 2000000 /dev/zero | tr '\0' '[' > "$tmp/deep.jsonl"
+rc=0; "$smttrace" summary "$tmp/deep.jsonl" >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 3
+for line in '{"event":"quantum","span":-5}' '{"event":"quantum","cycle":null}' \
+    '{"event":"quantum","value":1.5}' '{"event":"quantum","code":256}' \
+    '{"event":"quantum","tid":2147483648}' \
+    '{"event":"prof","label":"sixteen_chars_ab"}'; do
+  rc=0; echo "$line" | "$smttrace" summary - >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 3 ] || { echo "check_trace_tools: $line exited $rc" >&2; exit 1; }
+done
 rc=0; "$smtsim" --mix mem8 --cycles 8192 --trace - --csv >/dev/null 2>&1 \
   || rc=$?
 test "$rc" -eq 2  # stdout trace refuses to interleave with other stdout users
-# The fault injector and degradation guard were removed; their flags are
-# unknown options now, not silently ignored ones.
-for flag in --guard --fault-report "--fault-seed 1" "--fault-noise 0.3" \
+# The fault injector, the degradation guard and the CSV / Chrome trace
+# backends were removed; their flags are unknown options now, not
+# silently ignored ones.
+for flag in "--trace-format csv" --guard --fault-report "--fault-seed 1" \
+    "--fault-noise 0.3" \
     "--fault-noise-mag 0.5" "--fault-freeze 0.3" "--fault-corrupt 0.3" \
     "--fault-dt-stall 0.3" "--fault-stall-quanta 4" "--fault-drop 0.3" \
     "--fault-delay 0.3" "--fault-delay-quanta 2" "--fault-blackout 0.3" \

@@ -10,15 +10,13 @@
 // Two shapes of rule:
 //   - per-file: check() is called once per lexed SourceFile;
 //   - cross-file: finish() is called once after every file has been
-//     lexed, with the whole Corpus (lexed sources plus raw text of
-//     non-C++ inputs such as scripts/check_observability.sh) — the
-//     direct-include symbol index and the schema-sync diff live here.
+//     lexed, with the whole Corpus of lexed sources — the direct-include
+//     symbol index lives here.
 //
 // Findings are plain data; the runner owns suppression, baselining,
 // ordering and rendering, so rules stay one-concern.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -44,9 +42,6 @@ struct Finding {
 struct Corpus {
   /// Lexed C++ sources (src/**, bench/**) in path order.
   std::vector<SourceFile> sources;
-  /// Raw text of non-C++ inputs the cross-file rules consume
-  /// (scripts/check_observability.sh).
-  std::map<std::string, std::string> extras;
 
   [[nodiscard]] const SourceFile* source(const std::string& path) const;
 };

@@ -564,235 +564,6 @@ class HotPathAllocRule : public Rule {
   }
 };
 
-// --- schema-sync -----------------------------------------------------------
-
-class SchemaSyncRule : public Rule {
- public:
-  std::string_view id() const noexcept override { return "schema-sync"; }
-  std::string_view description() const noexcept override {
-    return "the observability gate's asserted schema "
-           "(scripts/check_observability.sh: KINDS/CAUSES/KEYS/"
-           "BUILD_KEYS sets and stats[...] key paths) stays in sync with "
-           "the names the source actually emits";
-  }
-
-  void finish(const Corpus& corpus, std::vector<Finding>& out) const override {
-    const auto script_it = corpus.extras.find(kScript);
-    if (script_it == corpus.extras.end()) return;
-    const std::string& script = script_it->second;
-
-    check_name_switch(corpus, script, "KINDS", "src/obs/trace_event.hpp",
-                      "name(EventKind", "trace kind", out);
-    check_name_switch(corpus, script, "CAUSES", "src/obs/stall.hpp",
-                      "name(StallCause", "stall cause", out);
-    check_jsonl_keys(corpus, script, out);
-    check_metric_paths(corpus, script, out);
-  }
-
- private:
-  static constexpr const char* kScript = "scripts/check_observability.sh";
-
-  /// 1-based line of the first occurrence of `needle` in `text`, or 1.
-  [[nodiscard]] static int line_of(const std::string& text,
-                                   const std::string& needle) {
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos) return 1;
-    return 1 + static_cast<int>(
-                   std::count(text.begin(), text.begin() +
-                                  static_cast<std::ptrdiff_t>(pos), '\n'));
-  }
-
-  /// Parse the quoted strings of a python set literal `NAME = {...}`.
-  [[nodiscard]] static std::set<std::string> parse_set(
-      const std::string& text, const std::string& name) {
-    std::set<std::string> values;
-    // Word-bounded on the left so "KEYS" never matches "BUILD_KEYS".
-    std::size_t at = text.find(name + " = {");
-    while (at != std::string::npos && at > 0 &&
-           is_ident_char(text[at - 1])) {
-      at = text.find(name + " = {", at + 1);
-    }
-    if (at == std::string::npos) return values;
-    const std::size_t open = text.find('{', at);
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) return values;
-    std::size_t pos = open;
-    while (true) {
-      const std::size_t q1 = text.find('"', pos);
-      if (q1 == std::string::npos || q1 > close) break;
-      const std::size_t q2 = text.find('"', q1 + 1);
-      if (q2 == std::string::npos || q2 > close) break;
-      values.insert(text.substr(q1 + 1, q2 - q1 - 1));
-      pos = q2 + 1;
-    }
-    return values;
-  }
-
-  /// The string literals returned by a `name(Enum)` switch in `path`:
-  /// everything after the line containing `marker` up to (excluding)
-  /// the "unknown" fallback.
-  [[nodiscard]] static std::set<std::string> name_switch_values(
-      const SourceFile& f, const std::string& marker, int* start_line) {
-    *start_line = 1;
-    for (int line = 1; line <= f.line_count(); ++line) {
-      if (f.raw(line).find(marker) != std::string::npos) {
-        *start_line = line;
-        break;
-      }
-    }
-    std::set<std::string> values;
-    for (const StringLiteral& s : f.strings()) {
-      if (s.line <= *start_line) continue;
-      if (s.value == "unknown") break;  // the switch's fallback return
-      values.insert(s.value);
-    }
-    return values;
-  }
-
-  static void check_name_switch(const Corpus& corpus,
-                                const std::string& script,
-                                const std::string& set_name,
-                                const std::string& src_path,
-                                const std::string& marker,
-                                const std::string& what,
-                                std::vector<Finding>& out) {
-    const SourceFile* src = corpus.source(src_path);
-    if (src == nullptr) return;
-    const std::set<std::string> asserted = parse_set(script, set_name);
-    if (asserted.empty()) return;
-    int start_line = 1;
-    const std::set<std::string> emitted =
-        name_switch_values(*src, marker, &start_line);
-    for (const std::string& v : asserted) {
-      if (emitted.count(v) == 0) {
-        out.push_back({"schema-sync", kScript,
-                       line_of(script, "\"" + v + "\""), 1,
-                       set_name + " asserts " + what + " \"" + v +
-                           "\" but " + src_path + " never emits it"});
-      }
-    }
-    for (const std::string& v : emitted) {
-      if (asserted.count(v) == 0) {
-        out.push_back({"schema-sync", src_path, start_line, 1,
-                       what + " \"" + v + "\" is emitted here but missing "
-                       "from " + set_name + " in " + std::string(kScript)});
-      }
-    }
-  }
-
-  /// JSON keys (`\"key\":` spellings) in string literals inside the
-  /// given functions of src/obs/trace_sink.cpp (lambdas nested in them
-  /// count as inside).
-  [[nodiscard]] static std::set<std::string> sink_keys(
-      const SourceFile& f, const std::set<std::string>& functions) {
-    std::set<std::string> keys;
-    for (const StringLiteral& s : f.strings()) {
-      bool inside = false;
-      for (const std::string& fn : f.enclosing_functions(s.line)) {
-        if (functions.count(fn) > 0) inside = true;
-      }
-      if (!inside) continue;
-      const std::string& v = s.value;
-      for (std::size_t pos = v.find("\\\""); pos != std::string::npos;
-           pos = v.find("\\\"", pos + 1)) {
-        std::size_t i = pos + 2;
-        std::size_t end = i;
-        while (end < v.size() && is_ident_char(v[end])) ++end;
-        if (end == i) continue;
-        if (v.compare(end, 3, "\\\":") == 0) {
-          keys.insert(v.substr(i, end - i));
-        }
-      }
-    }
-    return keys;
-  }
-
-  static void check_jsonl_keys(const Corpus& corpus,
-                               const std::string& script,
-                               std::vector<Finding>& out) {
-    const SourceFile* sink = corpus.source("src/obs/trace_sink.cpp");
-    if (sink == nullptr) return;
-    const std::set<std::string> keys = parse_set(script, "KEYS");
-    const std::set<std::string> build_keys = parse_set(script, "BUILD_KEYS");
-    if (keys.empty() && build_keys.empty()) return;
-    const std::set<std::string> event_keys =
-        sink_keys(*sink, {"write_jsonl"});
-    const std::set<std::string> info_keys =
-        sink_keys(*sink, {"put_build_info"});
-    for (const std::string& k : keys) {
-      if (event_keys.count(k) == 0) {
-        out.push_back({"schema-sync", kScript,
-                       line_of(script, "\"" + k + "\""), 1,
-                       "KEYS asserts event field \"" + k +
-                           "\" but TraceSink::write_jsonl never emits it"});
-      }
-    }
-    for (const std::string& k : build_keys) {
-      if (info_keys.count(k) == 0) {
-        out.push_back({"schema-sync", kScript,
-                       line_of(script, "\"" + k + "\""), 1,
-                       "BUILD_KEYS asserts provenance field \"" + k +
-                           "\" but put_build_info never emits it"});
-      }
-    }
-  }
-
-  static void check_metric_paths(const Corpus& corpus,
-                                 const std::string& script,
-                                 std::vector<Finding>& out) {
-    // Asserted key paths: stats["a"]["b"] -> "a.b", stats["a"] -> "a".
-    std::set<std::string> paths;
-    for (std::size_t pos = script.find("stats[\"");
-         pos != std::string::npos; pos = script.find("stats[\"", pos + 1)) {
-      std::size_t i = pos + 7;
-      std::size_t end = i;
-      while (end < script.size() && is_ident_char(script[end])) ++end;
-      std::string path = script.substr(i, end - i);
-      if (script.compare(end, 3, "\"][", 3) == 0 &&
-          end + 3 < script.size() && script[end + 3] == '"') {
-        std::size_t j = end + 4;
-        std::size_t jend = j;
-        while (jend < script.size() && is_ident_char(script[jend])) ++jend;
-        path += '.';
-        path += script.substr(j, jend - j);
-      }
-      if (!path.empty()) paths.insert(path);
-    }
-    // Producer literals: every string literal in src/ library code.
-    std::set<std::string> literals;
-    for (const SourceFile& f : corpus.sources) {
-      if (f.path().rfind("src/", 0) != 0) continue;
-      for (const StringLiteral& s : f.strings()) literals.insert(s.value);
-    }
-    const auto producible = [&](const std::string& path) {
-      if (literals.count(path) > 0) return true;
-      for (const std::string& lit : literals) {
-        // Dynamic tail: "machine.stalls.%s" or "threads." covers the
-        // asserted family.
-        if (lit.rfind(path + ".", 0) == 0) return true;
-        // Prefix + suffix construction: reg.set("audit." + "records").
-        if (!lit.empty() && lit.back() == '.' &&
-            path.rfind(lit, 0) == 0 &&
-            literals.count(path.substr(lit.size())) > 0) {
-          return true;
-        }
-      }
-      return false;
-    };
-    for (const std::string& path : paths) {
-      if (!producible(path)) {
-        out.push_back({"schema-sync", kScript,
-                       line_of(script, "stats[\"" +
-                                           path.substr(0, path.find('.')) +
-                                           "\""),
-                       1,
-                       "check_observability.sh asserts stats key \"" + path +
-                           "\" but no src/ literal can produce it"});
-      }
-    }
-  }
-};
-
 // --- bad-nolint ------------------------------------------------------------
 
 class BadNolintRule : public Rule {
@@ -848,7 +619,6 @@ RuleRegistry builtin_rules() {
   reg.add(std::make_unique<DirectIncludeRule>());
   reg.add(std::make_unique<ExitCodeLiteralRule>());
   reg.add(std::make_unique<HotPathAllocRule>());
-  reg.add(std::make_unique<SchemaSyncRule>());
   reg.add(std::make_unique<BaselineStaleRule>());
   std::set<std::string> known;
   for (const auto& r : reg.rules()) known.insert(std::string(r->id()));

@@ -69,8 +69,6 @@ LintResult run_lint(const RuleRegistry& registry,
   for (const InputFile& in : inputs) {
     if (is_cpp_source(in.path)) {
       corpus.sources.emplace_back(in.path, in.content);
-    } else {
-      corpus.extras.emplace(in.path, in.content);
     }
   }
 
@@ -98,7 +96,7 @@ LintResult run_lint(const RuleRegistry& registry,
   }
 
   // NOLINT suppression: a finding anchored in a lexed source can be
-  // silenced on its line; findings in extras (scripts) cannot.
+  // silenced on its line.
   std::vector<Finding> kept;
   for (Finding& f : raw) {
     const SourceFile* src = corpus.source(f.path);
@@ -182,11 +180,6 @@ std::vector<InputFile> load_repo_inputs(const std::string& root) {
       if (!is_cpp_source(rel)) continue;
       inputs.push_back({rel, slurp(entry.path())});
     }
-  }
-  // Non-C++ inputs consumed by cross-file rules (schema-sync).
-  const fs::path obs_script = base / "scripts" / "check_observability.sh";
-  if (fs::is_regular_file(obs_script)) {
-    inputs.push_back({"scripts/check_observability.sh", slurp(obs_script)});
   }
   // run_lint sorts; directory iteration order never leaks into output.
   return inputs;

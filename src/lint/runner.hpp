@@ -16,7 +16,7 @@ namespace smt::lint {
 
 /// One analyzer input: a repo-relative path (forward slashes) plus its
 /// content. C++ sources (.cpp/.hpp under src/ or bench/) are lexed;
-/// everything else lands in Corpus::extras for cross-file rules.
+/// anything else is ignored.
 struct InputFile {
   std::string path;
   std::string content;
@@ -48,8 +48,8 @@ struct LintResult {
                                   std::vector<InputFile> inputs,
                                   const LintOptions& options);
 
-/// Read the analyzer's repo inputs from disk: src/** and bench/**
-/// C++ sources plus the scripts consumed by cross-file rules. Throws
+/// Read the analyzer's repo inputs from disk: the src/** and bench/**
+/// C++ sources. Throws
 /// std::runtime_error when `root` does not look like the repo (no src/).
 [[nodiscard]] std::vector<InputFile> load_repo_inputs(
     const std::string& root);

@@ -95,21 +95,10 @@ const std::string& SourceFile::raw(int line) const {
   return raw_.at(static_cast<std::size_t>(line - 1));
 }
 
-bool SourceFile::is_preprocessor(int line) const {
-  return preprocessor_.at(static_cast<std::size_t>(line - 1));
-}
-
 bool SourceFile::includes_project(const std::string& target) const {
   return std::any_of(includes_.begin(), includes_.end(),
                      [&](const Include& inc) {
                        return !inc.angled && inc.target == target;
-                     });
-}
-
-bool SourceFile::includes_system(const std::string& target) const {
-  return std::any_of(includes_.begin(), includes_.end(),
-                     [&](const Include& inc) {
-                       return inc.angled && inc.target == target;
                      });
 }
 
@@ -163,8 +152,6 @@ void SourceFile::blank_pass(const std::string& content) {
   State state = State::kNormal;
   bool in_preprocessor = false;   ///< continued by a trailing backslash
   std::string raw_delim;          ///< raw-string )delim" terminator
-  std::string literal;            ///< string literal being accumulated
-  int literal_line = 0;
   std::string comment;            ///< comment text on the current line
 
   for (std::size_t li = 0; li < lines.size(); ++li) {
@@ -233,8 +220,6 @@ void SourceFile::blank_pass(const std::string& content) {
                 (i < 2 || !is_ident(line[i - 2]) || line[i - 2] == '8' ||
                  line[i - 2] == 'u' || line[i - 2] == 'U' ||
                  line[i - 2] == 'L');
-            literal.clear();
-            literal_line = lineno;
             if (raw_str) {
               const std::size_t open = line.find('(', i + 1);
               const std::size_t delim_len =
@@ -266,26 +251,17 @@ void SourceFile::blank_pass(const std::string& content) {
         }
         case State::kString: {
           if (c == '\\') {
-            literal += c;
-            if (i + 1 < line.size()) literal += line[++i];
+            if (i + 1 < line.size()) ++i;
             break;
           }
-          if (c == '"') {
-            strings_.push_back({literal_line, literal});
-            state = State::kNormal;
-            break;
-          }
-          literal += c;
+          if (c == '"') state = State::kNormal;
           break;
         }
         case State::kRawString: {
           if (line.compare(i, raw_delim.size(), raw_delim) == 0) {
-            strings_.push_back({literal_line, literal});
             i += raw_delim.size() - 1;
             state = State::kNormal;
-            break;
           }
-          literal += c;
           break;
         }
         case State::kChar: {
@@ -313,14 +289,9 @@ void SourceFile::blank_pass(const std::string& content) {
     // End of line: close or continue multi-line constructs.
     if (state == State::kLineComment) {
       if (line.empty() || line.back() != '\\') state = State::kNormal;
-    } else if (state == State::kString) {
+    } else if (state == State::kString || state == State::kChar) {
       // Unterminated — treat the newline as the end (a backslash
       // continuation inside a narrow literal is vanishingly rare).
-      strings_.push_back({literal_line, literal});
-      state = State::kNormal;
-    } else if (state == State::kRawString || state == State::kBlockComment) {
-      literal += '\n';
-    } else if (state == State::kChar) {
       state = State::kNormal;
     }
     if (!comment.empty()) scan_comment(lineno, comment);

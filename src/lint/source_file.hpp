@@ -10,7 +10,6 @@
 //
 // The same pass collects the side tables rules need:
 //   - includes (with angled/quoted form and line number)
-//   - every string literal's raw spelling (for the schema-sync rule)
 //   - per-line NOLINT / NOLINTNEXTLINE suppression sets
 //   - a brace-tracking scope pass: enclosing function name per line,
 //     `using namespace` occurrences, and namespace-scope type
@@ -43,13 +42,6 @@ struct Include {
   int line = 0;        ///< 1-based line of the directive
   std::string target;  ///< header path as written ("obs/trace_sink.hpp")
   bool angled = false; ///< <system> vs "project" form
-};
-
-/// One string literal, as spelled in the source (escapes unprocessed,
-/// raw-string delimiters stripped). Adjacent literals are not merged.
-struct StringLiteral {
-  int line = 0;       ///< 1-based line the literal opens on
-  std::string value;  ///< contents between the quotes
 };
 
 /// A type definition at namespace scope in this file: the unit of the
@@ -86,9 +78,6 @@ class SourceFile {
   /// Raw text of 1-based `line`.
   [[nodiscard]] const std::string& raw(int line) const;
 
-  /// True when `line` is (part of) a preprocessor directive.
-  [[nodiscard]] bool is_preprocessor(int line) const;
-
   [[nodiscard]] bool has_pragma_once() const noexcept {
     return pragma_once_;
   }
@@ -97,11 +86,6 @@ class SourceFile {
     return includes_;
   }
   [[nodiscard]] bool includes_project(const std::string& target) const;
-  [[nodiscard]] bool includes_system(const std::string& target) const;
-
-  [[nodiscard]] const std::vector<StringLiteral>& strings() const noexcept {
-    return strings_;
-  }
 
   [[nodiscard]] const std::vector<TypeDecl>& type_decls() const noexcept {
     return type_decls_;
@@ -153,7 +137,6 @@ class SourceFile {
   std::map<int, LineSuppression> suppressions_;
   std::vector<std::pair<int, std::string>> nolint_ids_;
   std::vector<Include> includes_;
-  std::vector<StringLiteral> strings_;
   std::vector<TypeDecl> type_decls_;
   std::vector<UsingNamespace> using_namespaces_;
   bool pragma_once_ = false;

@@ -30,6 +30,7 @@
 #include <string_view>
 
 #include "obs/stall.hpp"
+#include "obs/trace_schema.hpp"
 
 namespace smt::obs {
 
@@ -63,24 +64,16 @@ enum class CpiCause : std::uint8_t {
   kSwitchOverhead,
 };
 
-inline constexpr std::size_t kNumCpiCauses = 8;
+inline constexpr std::size_t kNumCpiCauses = kCpiCauseNames.size();
+static_assert(static_cast<std::size_t>(CpiCause::kSwitchOverhead) + 1 ==
+              kNumCpiCauses);
 
 /// Upper bound on hardware threads a CPI stack tracks contention
 /// against (matches the pipeline's 8-thread ceiling).
 inline constexpr std::size_t kCpiMaxThreads = 8;
 
 [[nodiscard]] constexpr std::string_view name(CpiCause c) noexcept {
-  switch (c) {
-    case CpiCause::kCommitted: return "committed";
-    case CpiCause::kRobEmpty: return "rob_empty";
-    case CpiCause::kDepWait: return "dep_wait";
-    case CpiCause::kMemLatency: return "mem_latency";
-    case CpiCause::kFuContention: return "fu_contention";
-    case CpiCause::kStructuralFull: return "structural_full";
-    case CpiCause::kSquashRecovery: return "squash_recovery";
-    case CpiCause::kSwitchOverhead: return "switch_overhead";
-  }
-  return "unknown";
+  return name_at(kCpiCauseNames, static_cast<std::size_t>(c));
 }
 
 /// One thread's commit-slot account: slot counters per cause, the

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "obs/trace_schema.hpp"
+
 namespace smt::obs {
 
 /// Why a fetch slot went unused. One cause per lost slot.
@@ -47,19 +49,12 @@ enum class StallCause : std::uint8_t {
   kFragmentation,
 };
 
-inline constexpr std::size_t kNumStallCauses = 7;
+inline constexpr std::size_t kNumStallCauses = kStallCauseNames.size();
+static_assert(static_cast<std::size_t>(StallCause::kFragmentation) + 1 ==
+              kNumStallCauses);
 
 [[nodiscard]] constexpr std::string_view name(StallCause c) noexcept {
-  switch (c) {
-    case StallCause::kPolicyThrottle: return "policy_throttle";
-    case StallCause::kIcacheMiss: return "icache_miss";
-    case StallCause::kRobFull: return "rob_full";
-    case StallCause::kDispatchBackpressure: return "dispatch_backpressure";
-    case StallCause::kSquashRecovery: return "squash_recovery";
-    case StallCause::kFetchBlackout: return "fetch_blackout";
-    case StallCause::kFragmentation: return "fragmentation";
-  }
-  return "unknown";
+  return name_at(kStallCauseNames, static_cast<std::size_t>(c));
 }
 
 /// Lost-fetch-slot counters, one bucket per cause.

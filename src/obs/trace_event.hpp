@@ -1,4 +1,5 @@
-// The one trace-event schema every backend serializes.
+// The one trace-event record the sink buffers and the JSONL trace holds
+// (one line per event; the key and name tables are obs/trace_schema.hpp).
 //
 // TraceEvent is a flat, fixed-size POD so the TraceSink ring buffer never
 // allocates per event and a sink attached to a hot simulation costs one
@@ -44,37 +45,14 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "obs/cpi_stack.hpp"
 #include "obs/stall.hpp"
+#include "obs/trace_schema.hpp"
 
 namespace smt::obs {
-
-enum class EventKind : std::uint8_t {
-  kQuantum,        ///< machine-level quantum summary row
-  kThreadQuantum,  ///< per-thread quantum snapshot
-  kPolicySwitch,   ///< fetch policy changed (ADTS decision landed)
-  kInvariant,      ///< invariant checker detected a violation (src/check)
-  kPipeview,       ///< sampled instruction's full pipeline lifecycle
-  kSwitchAudit,    ///< provenance + post-hoc label for an applied switch
-  kProf,           ///< host-time phase node (src/prof PhaseProfiler)
-  kCpiStack,       ///< per-thread quantum CPI stack (commit-slot account)
-};
-
-[[nodiscard]] constexpr std::string_view name(EventKind k) noexcept {
-  switch (k) {
-    case EventKind::kQuantum: return "quantum";
-    case EventKind::kThreadQuantum: return "thread_quantum";
-    case EventKind::kPolicySwitch: return "policy_switch";
-    case EventKind::kInvariant: return "invariant";
-    case EventKind::kPipeview: return "pipeview";
-    case EventKind::kSwitchAudit: return "switch_audit";
-    case EventKind::kProf: return "prof";
-    case EventKind::kCpiStack: return "cpi_stack";
-  }
-  return "unknown";
-}
 
 /// Pipeview stage slots (TraceEvent::stage_delta indices). The fetch cycle
 /// is the event's `cycle`; every slot holds the cycle offset from fetch at
@@ -91,19 +69,12 @@ enum class PipeStage : std::uint8_t {
   kWriteback,     ///< result written back / completion handled
   kRetire,        ///< committed or squashed (see PipeTerminal)
 };
-inline constexpr std::size_t kNumPipeStages = 7;
+inline constexpr std::size_t kNumPipeStages = kPipeStageNames.size();
+static_assert(static_cast<std::size_t>(PipeStage::kRetire) + 1 ==
+              kNumPipeStages);
 
 [[nodiscard]] constexpr std::string_view name(PipeStage s) noexcept {
-  switch (s) {
-    case PipeStage::kDecode: return "decode";
-    case PipeStage::kRename: return "rename";
-    case PipeStage::kDispatch: return "dispatch";
-    case PipeStage::kIssue: return "issue";
-    case PipeStage::kExecute: return "execute";
-    case PipeStage::kWriteback: return "writeback";
-    case PipeStage::kRetire: return "retire";
-  }
-  return "unknown";
+  return name_at(kPipeStageNames, static_cast<std::size_t>(s));
 }
 
 /// How a sampled instruction left the window (TraceEvent::code of a
@@ -116,14 +87,12 @@ enum class PipeTerminal : std::uint8_t {
   kSquashSwap = 4,        ///< discarded by a job swap (no replay)
 };
 
+static_assert(static_cast<std::size_t>(PipeTerminal::kSquashSwap) ==
+              kPipeTerminalNames.size());
+
 [[nodiscard]] constexpr std::string_view name(PipeTerminal t) noexcept {
-  switch (t) {
-    case PipeTerminal::kCommit: return "commit";
-    case PipeTerminal::kSquashMispredict: return "squash_mispredict";
-    case PipeTerminal::kSquashSyscall: return "squash_syscall";
-    case PipeTerminal::kSquashSwap: return "squash_swap";
-  }
-  return "unknown";
+  // Codes start at 1; code 0 wraps past the table to "unknown".
+  return name_at(kPipeTerminalNames, static_cast<std::size_t>(t) - 1);
 }
 
 /// kPipeview payload bits (TraceEvent::mask).
@@ -131,6 +100,18 @@ enum PipeFlag : std::uint8_t {
   kPipeWrongPath = 1,    ///< fetched down a mispredicted path
   kPipeMispredicted = 2, ///< the instruction itself mispredicted
 };
+
+/// "wrong_path|mispredicted"-style names of the set PipeFlag bits; empty
+/// when none is set (each caller renders the empty case its own way).
+[[nodiscard]] inline std::string pipe_flag_names(std::uint8_t mask) {
+  std::string out;
+  if ((mask & kPipeWrongPath) != 0) out += "wrong_path";
+  if ((mask & kPipeMispredicted) != 0) {
+    if (!out.empty()) out += '|';
+    out += "mispredicted";
+  }
+  return out;
+}
 
 struct TraceEvent {
   EventKind kind = EventKind::kQuantum;

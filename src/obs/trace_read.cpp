@@ -1,10 +1,14 @@
 #include "obs/trace_read.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <functional>
 #include <istream>
 #include <limits>
+#include <map>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <variant>
 
 namespace smt::obs {
@@ -16,25 +20,34 @@ namespace {
 }
 
 // --- minimal JSON parser ---------------------------------------------------
-// Only what the JSONL backend emits: flat objects with string keys and
-// null / bool / number / string / object / array values. Recursive
-// descent over a string_view; depth is bounded by the schema (2).
+// Only what write_jsonl emits: one object per line whose values are null,
+// number, string, or one more object / array of scalars. Nesting
+// past kMaxDepth is rejected before the parser recurses, so no input can
+// exhaust the stack. Numbers keep their spelling so integer fields parse
+// exactly (a double holds only 53 bits).
+constexpr int kMaxDepth = 2;
+
 struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
+using JsonObject = std::map<std::string, JsonValue, std::less<>>;
 using JsonArray = std::vector<JsonValue>;
+struct JsonNumber {
+  std::string text;
+};
 struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonObject,
-               JsonArray>
+  std::variant<std::nullptr_t, JsonNumber, std::string, JsonObject, JsonArray>
       v = nullptr;
 };
 
 struct JsonParser {
   std::string_view s;
-  std::size_t pos = 0;
   std::size_t line_no;
+  std::size_t pos = 0;
 
   void skip_ws() {
-    while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t')) ++pos;
+    while (pos < s.size() &&
+           (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\r')) {
+      ++pos;
+    }
   }
   char peek() {
     skip_ws();
@@ -80,9 +93,14 @@ struct JsonParser {
     return out;
   }
 
-  JsonValue parse_value() {
+  /// `depth` = containers already open around this value.
+  JsonValue parse_value(int depth) {
     const char c = peek();
     JsonValue out;
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      fail(line_no, "JSON nested deeper than the trace schema's " +
+                        std::to_string(kMaxDepth) + " levels");
+    }
     if (c == '{') {
       ++pos;
       JsonObject obj;
@@ -90,7 +108,7 @@ struct JsonParser {
         do {
           std::string key = parse_string();
           expect(':');
-          obj.emplace(std::move(key), parse_value());
+          obj.insert_or_assign(std::move(key), parse_value(depth + 1));
         } while (consume(','));
         expect('}');
       }
@@ -100,7 +118,7 @@ struct JsonParser {
       JsonArray arr;
       if (!consume(']')) {
         do {
-          arr.push_back(parse_value());
+          arr.push_back(parse_value(depth + 1));
         } while (consume(','));
         expect(']');
       }
@@ -109,327 +127,200 @@ struct JsonParser {
       out.v = parse_string();
     } else if (s.compare(pos, 4, "null") == 0) {
       pos += 4;
-      out.v = nullptr;
-    } else if (s.compare(pos, 4, "true") == 0) {
-      pos += 4;
-      out.v = true;
-    } else if (s.compare(pos, 5, "false") == 0) {
-      pos += 5;
-      out.v = false;
     } else {
-      char* end = nullptr;
-      const double num = std::strtod(s.data() + pos, &end);
-      if (end == s.data() + pos) fail(line_no, "bad JSON value");
-      pos = static_cast<std::size_t>(end - s.data());
-      out.v = num;
+      const std::size_t start = pos;
+      while (pos < s.size() &&
+             ((s[pos] >= '0' && s[pos] <= '9') || s[pos] == '-' ||
+              s[pos] == '+' || s[pos] == '.' || s[pos] == 'e' ||
+              s[pos] == 'E')) {
+        ++pos;
+      }
+      if (pos == start) fail(line_no, "bad JSON value");
+      out.v = JsonNumber{std::string(s.substr(start, pos - start))};
     }
     return out;
   }
 };
 
 JsonObject parse_json_object(std::string_view line, std::size_t line_no) {
-  JsonParser p{line, 0, line_no};
-  JsonValue v = p.parse_value();
+  JsonParser p{line, line_no};
+  JsonValue v = p.parse_value(0);
   if (!std::holds_alternative<JsonObject>(v.v)) {
     fail(line_no, "expected a JSON object");
   }
+  p.skip_ws();
+  if (p.pos != line.size()) fail(line_no, "trailing text after the object");
   return std::get<JsonObject>(std::move(v.v));
 }
 
-double as_double(const JsonValue& v, std::size_t line_no) {
-  if (std::holds_alternative<double>(v.v)) return std::get<double>(v.v);
-  if (std::holds_alternative<std::nullptr_t>(v.v)) {
-    return std::numeric_limits<double>::quiet_NaN();
+// --- typed field access ----------------------------------------------------
+
+/// One value of an event line, named for error messages.
+struct Field {
+  const JsonValue& v;
+  std::string_view key;
+  std::size_t line_no;
+
+  [[noreturn]] void bad(const std::string& want) const {
+    fail(line_no, "\"" + std::string(key) + "\" must be " + want);
   }
-  fail(line_no, "expected a number");
-}
 
-std::string as_code_string(const JsonValue& v, std::size_t line_no) {
-  if (std::holds_alternative<std::string>(v.v)) return std::get<std::string>(v.v);
-  if (std::holds_alternative<double>(v.v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", std::get<double>(v.v));
-    return buf;
+  /// A number of type T. Integer types accept only an integer in T's
+  /// range: null, negative-for-unsigned, fractional, exponent and
+  /// out-of-range spellings are errors. For double, null (the writer's
+  /// spelling of NaN) reads as NaN.
+  template <typename T>
+  [[nodiscard]] T number() const {
+    if constexpr (std::is_floating_point_v<T>) {
+      if (std::holds_alternative<std::nullptr_t>(v.v)) {
+        return std::numeric_limits<T>::quiet_NaN();
+      }
+    }
+    T out{};
+    if (const auto* n = std::get_if<JsonNumber>(&v.v)) {
+      const char* end = n->text.data() + n->text.size();
+      const auto [p, ec] = std::from_chars(n->text.data(), end, out);
+      if (ec == std::errc{} && p == end) return out;
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      bad("a number or null");
+    } else {
+      bad("an integer in [" +
+          std::to_string(+std::numeric_limits<T>::min()) + ", " +
+          std::to_string(+std::numeric_limits<T>::max()) + "]");
+    }
   }
-  fail(line_no, "expected a string or number");
-}
 
-// --- field-name tables -----------------------------------------------------
-
-constexpr std::array<EventKind, 8> kAllKinds{
-    EventKind::kQuantum,     EventKind::kThreadQuantum,
-    EventKind::kPolicySwitch, EventKind::kInvariant,
-    EventKind::kPipeview,    EventKind::kSwitchAudit,
-    EventKind::kProf,        EventKind::kCpiStack};
-
-std::uint64_t parse_u64_field(const std::string& s, std::size_t line_no) {
-  if (s.empty()) return 0;
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') fail(line_no, "bad integer '" + s + "'");
-  return out;
-}
-
-std::int64_t parse_i64_field(const std::string& s, std::size_t line_no) {
-  if (s.empty()) return 0;
-  char* end = nullptr;
-  const std::int64_t out = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') fail(line_no, "bad integer '" + s + "'");
-  return out;
-}
-
-double parse_double_field(const std::string& s, std::size_t line_no) {
-  if (s.empty() || s == "null") {
-    return std::numeric_limits<double>::quiet_NaN();
+  [[nodiscard]] const std::string& string() const {
+    if (const auto* s = std::get_if<std::string>(&v.v)) return *s;
+    bad("a string");
   }
-  char* end = nullptr;
-  const double out = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') fail(line_no, "bad number '" + s + "'");
-  return out;
+
+  /// An object of counts keyed by the names of a cause table; keys the
+  /// table does not know are ignored.
+  template <std::size_t N>
+  void named(std::array<std::uint64_t, N>& out,
+             const std::array<std::string_view, N>& names) const {
+    const auto* obj = std::get_if<JsonObject>(&v.v);
+    if (obj == nullptr) bad("an object");
+    for (std::size_t i = 0; i < N; ++i) {
+      const auto it = obj->find(names[i]);
+      if (it != obj->end()) {
+        const Field count{it->second, names[i], line_no};
+        out[i] = count.number<std::uint64_t>();
+      }
+    }
+  }
+
+  /// An array of at most N integers.
+  template <typename T, std::size_t N>
+  void list(std::array<T, N>& out) const {
+    const auto* arr = std::get_if<JsonArray>(&v.v);
+    if (arr == nullptr) bad("an array");
+    if (arr->size() > N) bad("an array of at most " + std::to_string(N));
+    for (std::size_t i = 0; i < arr->size(); ++i) {
+      out[i] = Field{(*arr)[i], key, line_no}.number<T>();
+    }
+  }
+};
+
+void read_value(TraceKey k, const Field& f, TraceEvent& e) {
+  switch (k) {
+    case TraceKey::kEvent: break;  // decoded by the caller
+    case TraceKey::kQuantum: e.quantum = f.number<std::uint64_t>(); break;
+    case TraceKey::kCycle: e.cycle = f.number<std::uint64_t>(); break;
+    case TraceKey::kTid: e.tid = f.number<std::int32_t>(); break;
+    case TraceKey::kSpan: e.span = f.number<std::uint64_t>(); break;
+    case TraceKey::kPolicyBefore:
+      e.policy_before = f.number<std::uint8_t>();
+      break;
+    case TraceKey::kPolicyAfter:
+      e.policy_after = f.number<std::uint8_t>();
+      break;
+    case TraceKey::kCode: e.code = f.number<std::uint8_t>(); break;
+    case TraceKey::kMask: e.mask = f.number<std::uint8_t>(); break;
+    case TraceKey::kValue: e.value = f.number<std::uint64_t>(); break;
+    case TraceKey::kIpc: e.ipc = f.number<double>(); break;
+    case TraceKey::kFetchShare: e.fetch_share = f.number<double>(); break;
+    case TraceKey::kMispredictRate:
+      e.mispredict_rate = f.number<double>();
+      break;
+    case TraceKey::kL1dMissRate: e.l1d_miss_rate = f.number<double>(); break;
+    case TraceKey::kL1iMissRate: e.l1i_miss_rate = f.number<double>(); break;
+    case TraceKey::kStalls: f.named(e.stalls, kStallCauseNames); break;
+    case TraceKey::kStages: f.list(e.stage_delta); break;
+    case TraceKey::kLabel: {
+      const std::string& s = f.string();
+      if (s.size() >= e.label.size()) {
+        f.bad("at most " + std::to_string(e.label.size() - 1) +
+              " characters");
+      }
+      std::copy(s.begin(), s.end(), e.label.begin());
+      break;
+    }
+    case TraceKey::kCpi: f.named(e.cpi, kCpiCauseNames); break;
+    case TraceKey::kContend: f.list(e.contend); break;
+  }
 }
 
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    out.push_back(line.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+TraceEvent parse_event(const JsonObject& obj, EventKind kind,
+                       std::size_t line_no) {
+  TraceEvent e;
+  e.kind = kind;
+  for (std::size_t k = 0; k < kTraceKeys.size(); ++k) {
+    if (!carries(kTraceKeys[k], kind)) continue;
+    const auto it = obj.find(kTraceKeys[k].key);
+    if (it == obj.end()) continue;
+    read_value(static_cast<TraceKey>(k),
+               Field{it->second, kTraceKeys[k].key, line_no}, e);
   }
-  return out;
+  return e;
 }
 
-std::map<std::string, std::string> build_from_object(const JsonObject& obj) {
-  std::map<std::string, std::string> out;
-  for (const auto& [key, val] : obj) {
-    if (key == "event") continue;
-    out.emplace(key, as_code_string(val, 0));
+RunInfo parse_build_info(const JsonObject& obj, std::size_t line_no) {
+  std::array<std::string, kBuildInfoKeys.size()> values;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const auto it = obj.find(kBuildInfoKeys[i]);
+    if (it != obj.end()) {
+      values[i] = Field{it->second, kBuildInfoKeys[i], line_no}.string();
+    }
   }
-  return out;
-}
-
-// Parse a "d;d;...;d" stage list (CSV) into the fixed stage array.
-void parse_stage_list(const std::string& s, ReadEvent& e,
-                      std::size_t line_no) {
-  if (s.empty()) return;
-  std::size_t start = 0;
-  std::size_t slot = 0;
-  while (start <= s.size() && slot < e.stages.size()) {
-    const std::size_t semi = s.find(';', start);
-    const std::string tok = s.substr(
-        start, semi == std::string::npos ? std::string::npos : semi - start);
-    e.stages[slot++] = parse_u64_field(tok, line_no);
-    if (semi == std::string::npos) return;
-    start = semi + 1;
-  }
-  if (start <= s.size()) fail(line_no, "too many stage deltas");
-}
-
-// Parse a "d;d;...;d" contention list (CSV) into the holder-tid array.
-void parse_contend_list(const std::string& s, ReadEvent& e,
-                        std::size_t line_no) {
-  if (s.empty()) return;
-  std::size_t start = 0;
-  std::size_t slot = 0;
-  while (start <= s.size() && slot < e.contend.size()) {
-    const std::size_t semi = s.find(';', start);
-    const std::string tok = s.substr(
-        start, semi == std::string::npos ? std::string::npos : semi - start);
-    e.contend[slot++] = parse_u64_field(tok, line_no);
-    if (semi == std::string::npos) return;
-    start = semi + 1;
-  }
-  if (start <= s.size()) fail(line_no, "too many contention slots");
+  std::optional<RunInfo> info = run_info_from_values(values);
+  if (!info) fail(line_no, "malformed number in build_info");
+  return *std::move(info);
 }
 
 }  // namespace
-
-std::optional<EventKind> parse_event_kind(std::string_view s) noexcept {
-  for (const EventKind k : kAllKinds) {
-    if (name(k) == s) return k;
-  }
-  return std::nullopt;
-}
 
 ReadTrace read_trace(std::istream& is) {
   ReadTrace out;
   std::string line;
   std::size_t line_no = 0;
-  bool saw_header = false;        // CSV column header seen
-  std::vector<std::string> cols;  // CSV column names
-  bool format_known = false;
-  bool is_csv = false;
-
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    if (line.find("\"displayTimeUnit\"") != std::string::npos ||
-        line.find("\"traceEvents\"") != std::string::npos) {
+    if (line.find("\"traceEvents\"") != std::string::npos) {
       fail(line_no,
-           "chrome-format traces are a write-only export; "
-           "re-run with --trace-format csv or jsonl");
+           "this is a Chrome export (smttrace chrome); read the JSONL "
+           "trace that smtsim --trace writes");
     }
-
-    // build_info header: CSV comment or first JSONL object.
-    if (line[0] == '#') {
-      const std::size_t brace = line.find('{');
-      if (brace != std::string::npos) {
-        out.build = build_from_object(
-            parse_json_object(std::string_view(line).substr(brace), line_no));
-      }
-      continue;
-    }
-
-    if (!format_known) {
-      format_known = true;
-      is_csv = line[0] != '{';
-    }
-
-    if (is_csv) {
-      if (!saw_header) {
-        if (line.rfind("event,", 0) != 0) {
-          fail(line_no, "expected the CSV column header");
-        }
-        cols = split_csv(line);
-        saw_header = true;
-        continue;
-      }
-      std::vector<std::string> f = split_csv(line);
-      if (f.size() < cols.size() - 1) fail(line_no, "short CSV row");
-      auto field = [&](std::string_view col_name) -> const std::string& {
-        static const std::string kEmpty;
-        for (std::size_t i = 0; i < cols.size(); ++i) {
-          if (cols[i] == col_name) return i < f.size() ? f[i] : kEmpty;
-        }
-        return kEmpty;
-      };
-      ReadEvent e;
-      const std::optional<EventKind> kind = parse_event_kind(field("event"));
-      if (!kind) fail(line_no, "unknown event kind '" + field("event") + "'");
-      e.kind = *kind;
-      e.quantum = parse_u64_field(field("quantum"), line_no);
-      e.cycle = parse_u64_field(field("cycle"), line_no);
-      e.tid = parse_i64_field(field("tid"), line_no);
-      e.span = parse_u64_field(field("span"), line_no);
-      e.policy_before = field("policy_before");
-      e.policy_after = field("policy_after");
-      e.code = field("code");
-      e.mask = field("mask");
-      e.value = parse_u64_field(field("value"), line_no);
-      e.ipc = parse_double_field(field("ipc"), line_no);
-      e.fetch_share = parse_double_field(field("fetch_share"), line_no);
-      e.mispredict_rate = parse_double_field(field("mispredict_rate"), line_no);
-      e.l1d_miss_rate = parse_double_field(field("l1d_miss_rate"), line_no);
-      e.l1i_miss_rate = parse_double_field(field("l1i_miss_rate"), line_no);
-      for (std::size_t c = 0; c < kNumStallCauses; ++c) {
-        const std::string col =
-            "stall_" + std::string(name(static_cast<StallCause>(c)));
-        e.stalls[c] = parse_u64_field(field(col), line_no);
-      }
-      for (std::size_t c = 0; c < kNumCpiCauses; ++c) {
-        const std::string col =
-            "cpi_" + std::string(name(static_cast<CpiCause>(c)));
-        e.cpi[c] = parse_u64_field(field(col), line_no);
-      }
-      parse_stage_list(field("stages"), e, line_no);
-      e.label = field("label");
-      parse_contend_list(field("contend"), e, line_no);
-      out.events.push_back(std::move(e));
-      continue;
-    }
-
-    // JSONL object per line.
     const JsonObject obj = parse_json_object(line, line_no);
-    const auto ev = obj.find("event");
+    const auto ev = obj.find(key(TraceKey::kEvent));
     if (ev == obj.end()) fail(line_no, "missing \"event\" key");
-    const std::string kind_name = as_code_string(ev->second, line_no);
-    if (kind_name == "build_info") {
-      out.build = build_from_object(obj);
+    const std::string& kind_name =
+        Field{ev->second, key(TraceKey::kEvent), line_no}.string();
+    if (kind_name == kBuildInfoEvent) {
+      out.build = parse_build_info(obj, line_no);
       continue;
     }
-    const std::optional<EventKind> kind = parse_event_kind(kind_name);
-    if (!kind) fail(line_no, "unknown event kind '" + kind_name + "'");
-    ReadEvent e;
-    e.kind = *kind;
-    auto num = [&](const char* key, double fallback = 0.0) {
-      const auto it = obj.find(key);
-      return it == obj.end() ? fallback : as_double(it->second, line_no);
-    };
-    auto code_str = [&](const char* key) {
-      const auto it = obj.find(key);
-      return it == obj.end() ? std::string()
-                             : as_code_string(it->second, line_no);
-    };
-    e.quantum = static_cast<std::uint64_t>(num("quantum"));
-    e.cycle = static_cast<std::uint64_t>(num("cycle"));
-    e.tid = static_cast<std::int64_t>(num("tid", -1.0));
-    e.span = static_cast<std::uint64_t>(num("span"));
-    e.policy_before = code_str("policy_before");
-    e.policy_after = code_str("policy_after");
-    e.code = code_str("code");
-    e.mask = code_str("mask");
-    e.value = static_cast<std::uint64_t>(num("value"));
-    e.ipc = num("ipc");
-    e.fetch_share = num("fetch_share");
-    e.mispredict_rate = num("mispredict_rate");
-    e.l1d_miss_rate = num("l1d_miss_rate");
-    e.l1i_miss_rate = num("l1i_miss_rate");
-    if (const auto st = obj.find("stalls"); st != obj.end()) {
-      if (!std::holds_alternative<JsonObject>(st->second.v)) {
-        fail(line_no, "\"stalls\" must be an object");
-      }
-      const JsonObject& stalls = std::get<JsonObject>(st->second.v);
-      for (std::size_t c = 0; c < kNumStallCauses; ++c) {
-        const auto it = stalls.find(std::string(name(static_cast<StallCause>(c))));
-        if (it != stalls.end()) {
-          e.stalls[c] =
-              static_cast<std::uint64_t>(as_double(it->second, line_no));
-        }
-      }
+    const auto kind = std::find(kEventKindNames.begin(),
+                                kEventKindNames.end(), kind_name);
+    if (kind == kEventKindNames.end()) {
+      fail(line_no, "unknown event kind '" + kind_name + "'");
     }
-    if (const auto sg = obj.find("stages"); sg != obj.end()) {
-      if (!std::holds_alternative<JsonArray>(sg->second.v)) {
-        fail(line_no, "\"stages\" must be an array");
-      }
-      const JsonArray& stages = std::get<JsonArray>(sg->second.v);
-      if (stages.size() > e.stages.size()) {
-        fail(line_no, "too many stage deltas");
-      }
-      for (std::size_t i = 0; i < stages.size(); ++i) {
-        e.stages[i] =
-            static_cast<std::uint64_t>(as_double(stages[i], line_no));
-      }
-    }
-    if (const auto cp = obj.find("cpi"); cp != obj.end()) {
-      if (!std::holds_alternative<JsonObject>(cp->second.v)) {
-        fail(line_no, "\"cpi\" must be an object");
-      }
-      const JsonObject& cpi = std::get<JsonObject>(cp->second.v);
-      for (std::size_t c = 0; c < kNumCpiCauses; ++c) {
-        const auto it = cpi.find(std::string(name(static_cast<CpiCause>(c))));
-        if (it != cpi.end()) {
-          e.cpi[c] =
-              static_cast<std::uint64_t>(as_double(it->second, line_no));
-        }
-      }
-    }
-    if (const auto cn = obj.find("contend"); cn != obj.end()) {
-      if (!std::holds_alternative<JsonArray>(cn->second.v)) {
-        fail(line_no, "\"contend\" must be an array");
-      }
-      const JsonArray& contend = std::get<JsonArray>(cn->second.v);
-      if (contend.size() > e.contend.size()) {
-        fail(line_no, "too many contention slots");
-      }
-      for (std::size_t i = 0; i < contend.size(); ++i) {
-        e.contend[i] =
-            static_cast<std::uint64_t>(as_double(contend[i], line_no));
-      }
-    }
-    e.label = code_str("label");
-    out.events.push_back(std::move(e));
+    out.events.push_back(parse_event(
+        obj, static_cast<EventKind>(kind - kEventKindNames.begin()),
+        line_no));
   }
   return out;
 }

@@ -1,78 +1,42 @@
-// Offline trace reader: the inverse of TraceSink's CSV/JSONL writers,
-// consumed by the smttrace analysis tool and by tests.
+// Offline trace reader: the inverse of TraceSink::write_jsonl, consumed
+// by the smttrace analysis tool and by tests.
 //
-// Both on-disk formats decode into one ReadEvent shape. Fields whose
-// serialized form is a decoded *name* in CSV but a numeric code in JSONL
-// (policies, the kind-specific code column, the mask column) are kept as
-// the literal strings that were written; analysis that needs identity
-// (grouping, diffing) compares those strings, and pretty-printers map
-// numeric strings back through a decoder when they want names. The
-// Chrome backend is a write-only export for Perfetto and is rejected
-// here with a pointed error.
+// Each JSONL event line decodes back into the TraceEvent it was written
+// from, numeric codes and all, so write_jsonl(read_trace(t)) reproduces
+// t byte for byte and write_chrome() can export a read trace exactly as
+// it would the live sink. Keys and names come from obs/trace_schema.hpp.
 //
-// The build_info header (CSV "# {...}" comment line / first JSONL
-// object) surfaces as a flat key→value map so tools can report and
-// compare run provenance without knowing the field list.
+// Input is untrusted: nesting deeper than the schema's two levels, a
+// non-integer, negative or out-of-range value in an integer field, and a
+// label longer than TraceEvent::label holds are TraceReadErrors, never a
+// crash or a silently wrapped number. Chrome exports are rejected with
+// a pointed error.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "obs/trace_event.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace smt::obs {
 
 /// Malformed or unsupported trace input (bad JSON, unknown event kind,
-/// short CSV row, chrome-format input). what() carries the line number.
+/// out-of-range field, chrome-format input). what() carries the line
+/// number.
 struct TraceReadError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One decoded trace line, format-independent.
-struct ReadEvent {
-  EventKind kind = EventKind::kQuantum;
-  std::uint64_t quantum = 0;
-  std::uint64_t cycle = 0;
-  std::int64_t tid = -1;
-  std::uint64_t span = 0;
-  std::string policy_before;  ///< name (CSV) or numeric code (JSONL)
-  std::string policy_after;
-  std::string code;  ///< kind-specific column, as serialized
-  std::string mask;  ///< decoded flag names (CSV) or numeric (JSONL)
-  std::uint64_t value = 0;
-  double ipc = 0.0;  ///< NaN when the writer emitted null
-  double fetch_share = 0.0;
-  double mispredict_rate = 0.0;
-  double l1d_miss_rate = 0.0;
-  double l1i_miss_rate = 0.0;
-  std::array<std::uint64_t, kNumStallCauses> stalls{};
-  /// kPipeview only: stage deltas by PipeStage index (0 = unreached).
-  std::array<std::uint64_t, kNumPipeStages> stages{};
-  /// kProf only: leaf phase name ("fetch", "detector", ...).
-  std::string label;
-  /// kCpiStack only: commit slots charged by CpiCause index.
-  std::array<std::uint64_t, kNumCpiCauses> cpi{};
-  /// kCpiStack only: kFuContention slots by holder tid.
-  std::array<std::uint64_t, kCpiMaxThreads> contend{};
-};
-
 struct ReadTrace {
-  /// build_info provenance; empty when the trace predates the header.
-  std::map<std::string, std::string> build;
-  std::vector<ReadEvent> events;
+  /// build_info provenance; nullopt when the trace has no header line.
+  std::optional<RunInfo> build;
+  std::vector<TraceEvent> events;
 };
 
-[[nodiscard]] std::optional<EventKind> parse_event_kind(
-    std::string_view s) noexcept;
-
-/// Read a whole trace, auto-detecting CSV vs JSONL from the first line.
-/// Throws TraceReadError on malformed input.
+/// Read a whole JSONL trace. Throws TraceReadError on malformed input.
 [[nodiscard]] ReadTrace read_trace(std::istream& is);
 
 }  // namespace smt::obs

@@ -1,5 +1,6 @@
 #include "obs/trace_sink.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -32,101 +33,117 @@ void put_code(std::ostream& os, std::string_view (*namer)(std::uint8_t),
   }
 }
 
-std::string pipe_flag_names(std::uint8_t mask) {
-  std::string out;
-  if ((mask & kPipeWrongPath) != 0) out += "wrong_path";
-  if ((mask & kPipeMispredicted) != 0) {
-    if (!out.empty()) out += '|';
-    out += "mispredicted";
-  }
-  return out.empty() ? "-" : out;
-}
-
-/// The mask column's decoding also depends on the event kind: pipeview
-/// rows carry pipe flags, switch and audit rows carry audit flags, and
-/// everything else prints raw.
-void put_mask(std::ostream& os, const TraceEvent& e) {
-  switch (e.kind) {
-    case EventKind::kPipeview:
-      os << pipe_flag_names(e.mask);
-      break;
-    case EventKind::kPolicySwitch:
-    case EventKind::kSwitchAudit:
-      os << audit_flag_names(e.mask);
-      break;
-    default:
-      os << static_cast<unsigned>(e.mask);
-      break;
-  }
-}
-
-/// The column whose decoding depends on the event kind.
-void put_kind_code(std::ostream& os, const TraceDecoder& dec,
-                   const TraceEvent& e) {
-  switch (e.kind) {
-    case EventKind::kPolicySwitch:
-    case EventKind::kSwitchAudit:
-      put_code(os, dec.heuristic, e.code);
-      break;
-    case EventKind::kInvariant:
-      put_code(os, dec.invariant, e.code);
-      break;
-    case EventKind::kPipeview:
-      os << name(static_cast<PipeTerminal>(e.code));
-      break;
-    default:
-      os << static_cast<unsigned>(e.code);
-      break;
-  }
-}
-
 void put_json_string(std::ostream& os, std::string_view s) {
   os << '"' << json_escape(s) << '"';
 }
 
-/// One build_info JSON object — the same bytes serve as the first JSONL
-/// line and (behind "# ") as the CSV comment header, so one parser reads
-/// both (see obs/trace_read.cpp).
+/// One build_info JSON object: the first JSONL line, and the args of the
+/// Chrome export's build_info instant.
 void put_build_info(std::ostream& os, const RunInfo& info) {
-  char buf[32];
-  os << "{\"event\":\"build_info\",\"tool\":";
-  put_json_string(os, info.tool);
-  os << ",\"version\":";
-  put_json_string(os, info.version);
-  os << ",\"git_sha\":";
-  put_json_string(os, info.git_sha);
-  os << ",\"compiler\":";
-  put_json_string(os, info.compiler);
-  os << ",\"flags\":";
-  put_json_string(os, info.flags);
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(info.seed));
-  os << ",\"seed\":\"" << buf << "\"";
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(info.config_digest));
-  os << ",\"config_digest\":\"" << buf << "\"";
-  os << ",\"host_cpu\":";
-  put_json_string(os, info.host_cpu);
-  os << ",\"host_cores\":\"" << info.host_cores << "\"";
-  os << ",\"smt_jobs\":\"" << info.smt_jobs << "\"}";
+  os << "{\"" << key(TraceKey::kEvent) << "\":";
+  put_json_string(os, kBuildInfoEvent);
+  const auto values = build_info_values(info);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    os << ",\"" << kBuildInfoKeys[i] << "\":";
+    put_json_string(os, values[i]);
+  }
+  os << '}';
+}
+
+/// A JSON array of counts.
+template <typename T, std::size_t N>
+void put_list(std::ostream& os, const std::array<T, N>& v) {
+  os << '[';
+  for (std::size_t i = 0; i < N; ++i) {
+    if (i > 0) os << ',';
+    os << v[i];
+  }
+  os << ']';
+}
+
+/// A JSON object of counts keyed by `names` (a cause-name table).
+template <std::size_t N>
+void put_named(std::ostream& os, const std::array<std::uint64_t, N>& v,
+               const std::array<std::string_view, N>& names) {
+  os << '{';
+  for (std::size_t i = 0; i < N; ++i) {
+    if (i > 0) os << ',';
+    os << '"' << names[i] << "\":" << v[i];
+  }
+  os << '}';
+}
+
+/// The value of key `k` on event `e`, as write_jsonl spells it.
+void put_value(std::ostream& os, TraceKey k, const TraceEvent& e) {
+  switch (k) {
+    case TraceKey::kEvent: put_json_string(os, name(e.kind)); break;
+    case TraceKey::kQuantum: os << e.quantum; break;
+    case TraceKey::kCycle: os << e.cycle; break;
+    case TraceKey::kTid: os << e.tid; break;
+    case TraceKey::kSpan: os << e.span; break;
+    case TraceKey::kPolicyBefore:
+      os << static_cast<unsigned>(e.policy_before);
+      break;
+    case TraceKey::kPolicyAfter:
+      os << static_cast<unsigned>(e.policy_after);
+      break;
+    case TraceKey::kCode: os << static_cast<unsigned>(e.code); break;
+    case TraceKey::kMask: os << static_cast<unsigned>(e.mask); break;
+    case TraceKey::kValue: os << e.value; break;
+    case TraceKey::kIpc: put_double(os, e.ipc); break;
+    case TraceKey::kFetchShare: put_double(os, e.fetch_share); break;
+    case TraceKey::kMispredictRate: put_double(os, e.mispredict_rate); break;
+    case TraceKey::kL1dMissRate: put_double(os, e.l1d_miss_rate); break;
+    case TraceKey::kL1iMissRate: put_double(os, e.l1i_miss_rate); break;
+    case TraceKey::kStalls: put_named(os, e.stalls, kStallCauseNames); break;
+    case TraceKey::kStages: put_list(os, e.stage_delta); break;
+    case TraceKey::kLabel: put_json_string(os, e.label_view()); break;
+    case TraceKey::kCpi: put_named(os, e.cpi, kCpiCauseNames); break;
+    case TraceKey::kContend: put_list(os, e.contend); break;
+  }
 }
 
 }  // namespace
 
-std::string_view name(TraceFormat f) noexcept {
-  switch (f) {
-    case TraceFormat::kCsv: return "csv";
-    case TraceFormat::kJsonl: return "jsonl";
-    case TraceFormat::kChrome: return "chrome";
-  }
-  return "unknown";
+std::array<std::string, kBuildInfoKeys.size()> build_info_values(
+    const RunInfo& info) {
+  char digest[32];
+  std::snprintf(digest, sizeof digest, "0x%016llx",
+                static_cast<unsigned long long>(info.config_digest));
+  return {info.tool,
+          info.version,
+          info.git_sha,
+          info.compiler,
+          info.flags,
+          std::to_string(info.seed),
+          digest,
+          info.host_cpu,
+          std::to_string(info.host_cores),
+          std::to_string(info.smt_jobs)};
 }
 
-std::optional<TraceFormat> parse_trace_format(std::string_view s) noexcept {
-  if (s == "csv") return TraceFormat::kCsv;
-  if (s == "jsonl") return TraceFormat::kJsonl;
-  if (s == "chrome") return TraceFormat::kChrome;
-  return std::nullopt;
+std::optional<RunInfo> run_info_from_values(
+    const std::array<std::string, kBuildInfoKeys.size()>& values) {
+  const auto number = [](std::string_view s, auto& out, int base = 10) {
+    const char* end = s.data() + s.size();
+    return s.empty() || std::from_chars(s.data(), end, out, base) ==
+                            std::from_chars_result{end, std::errc{}};
+  };
+  RunInfo info;
+  info.tool = values[0];
+  info.version = values[1];
+  info.git_sha = values[2];
+  info.compiler = values[3];
+  info.flags = values[4];
+  info.host_cpu = values[7];
+  const std::string_view digest = values[6];
+  const bool ok =
+      number(values[5], info.seed) &&
+      (digest.empty() || digest.rfind("0x", 0) == 0) &&
+      number(digest.substr(digest.empty() ? 0 : 2), info.config_digest, 16) &&
+      number(values[8], info.host_cores) && number(values[9], info.smt_jobs);
+  if (!ok) return std::nullopt;
+  return info;
 }
 
 TraceSink::TraceSink(std::size_t capacity)
@@ -163,145 +180,35 @@ void TraceSink::clear() {
   dropped_ = 0;
 }
 
-void TraceSink::write(std::ostream& os, TraceFormat format,
-                      const TraceDecoder& dec) const {
-  const std::vector<TraceEvent> evs = snapshot();
-  const RunInfo* info = run_info_.has_value() ? &*run_info_ : nullptr;
-  switch (format) {
-    case TraceFormat::kCsv: write_csv(os, evs, dec, info); break;
-    case TraceFormat::kJsonl: write_jsonl(os, evs, dec, info); break;
-    case TraceFormat::kChrome: write_chrome(os, evs, dec, info); break;
-  }
+void TraceSink::write(std::ostream& os) const {
+  write_jsonl(os, snapshot(), run_info_.has_value() ? &*run_info_ : nullptr);
 }
 
 // ---------------------------------------------------------------------------
-// CSV backend — one flat schema for every event kind.
-// ---------------------------------------------------------------------------
-void TraceSink::write_csv(std::ostream& os, const std::vector<TraceEvent>& evs,
-                          const TraceDecoder& dec, const RunInfo* info) {
-  if (info != nullptr) {
-    os << "# ";
-    put_build_info(os, *info);
-    os << '\n';
-  }
-  os << "event,quantum,cycle,tid,span,policy_before,policy_after,code,"
-        "mask,value,ipc,fetch_share,mispredict_rate,l1d_miss_rate,"
-        "l1i_miss_rate";
-  for (std::size_t c = 0; c < kNumStallCauses; ++c) {
-    os << ",stall_" << name(static_cast<StallCause>(c));
-  }
-  for (std::size_t c = 0; c < kNumCpiCauses; ++c) {
-    os << ",cpi_" << name(static_cast<CpiCause>(c));
-  }
-  os << ",stages,label,contend\n";
-  for (const TraceEvent& e : evs) {
-    os << name(e.kind) << ',' << e.quantum << ',' << e.cycle << ',' << e.tid
-       << ',' << e.span << ',';
-    put_code(os, dec.policy, e.policy_before);
-    os << ',';
-    put_code(os, dec.policy, e.policy_after);
-    os << ',';
-    put_kind_code(os, dec, e);
-    os << ',';
-    put_mask(os, e);
-    os << ',' << e.value << ',';
-    put_double(os, e.ipc);
-    os << ',';
-    put_double(os, e.fetch_share);
-    os << ',';
-    put_double(os, e.mispredict_rate);
-    os << ',';
-    put_double(os, e.l1d_miss_rate);
-    os << ',';
-    put_double(os, e.l1i_miss_rate);
-    for (const std::uint64_t s : e.stalls) os << ',' << s;
-    for (const std::uint64_t s : e.cpi) os << ',' << s;
-    os << ',';
-    if (e.kind == EventKind::kPipeview) {
-      for (std::size_t i = 0; i < kNumPipeStages; ++i) {
-        if (i > 0) os << ';';
-        os << e.stage_delta[i];
-      }
-    }
-    os << ',';
-    if (e.kind == EventKind::kProf) os << e.label_view();
-    os << ',';
-    if (e.kind == EventKind::kCpiStack) {
-      for (std::size_t h = 0; h < kCpiMaxThreads; ++h) {
-        if (h > 0) os << ';';
-        os << e.contend[h];
-      }
-    }
-    os << '\n';
-  }
-}
-
-// ---------------------------------------------------------------------------
-// JSONL backend — one self-describing object per line, numeric codes,
-// fixed key set (scripts/check_observability.sh validates this schema).
+// JSONL — the trace format: one self-describing object per line, numeric
+// codes, the keys of kTraceKeys in table order (obs/trace_schema.hpp).
 // ---------------------------------------------------------------------------
 void TraceSink::write_jsonl(std::ostream& os,
                             const std::vector<TraceEvent>& evs,
-                            const TraceDecoder& /*dec*/, const RunInfo* info) {
+                            const RunInfo* info) {
   if (info != nullptr) {
     put_build_info(os, *info);
     os << '\n';
   }
   for (const TraceEvent& e : evs) {
-    os << "{\"event\":\"" << name(e.kind) << "\",\"quantum\":" << e.quantum
-       << ",\"cycle\":" << e.cycle << ",\"tid\":" << e.tid
-       << ",\"span\":" << e.span
-       << ",\"policy_before\":" << static_cast<unsigned>(e.policy_before)
-       << ",\"policy_after\":" << static_cast<unsigned>(e.policy_after)
-       << ",\"code\":" << static_cast<unsigned>(e.code)
-       << ",\"mask\":" << static_cast<unsigned>(e.mask)
-       << ",\"value\":" << e.value << ",\"ipc\":";
-    put_double(os, e.ipc);
-    os << ",\"fetch_share\":";
-    put_double(os, e.fetch_share);
-    os << ",\"mispredict_rate\":";
-    put_double(os, e.mispredict_rate);
-    os << ",\"l1d_miss_rate\":";
-    put_double(os, e.l1d_miss_rate);
-    os << ",\"l1i_miss_rate\":";
-    put_double(os, e.l1i_miss_rate);
-    os << ",\"stalls\":{";
-    for (std::size_t c = 0; c < kNumStallCauses; ++c) {
-      if (c > 0) os << ',';
-      os << '"' << name(static_cast<StallCause>(c)) << "\":" << e.stalls[c];
-    }
-    os << '}';
-    if (e.kind == EventKind::kPipeview) {
-      os << ",\"stages\":[";
-      for (std::size_t i = 0; i < kNumPipeStages; ++i) {
-        if (i > 0) os << ',';
-        os << e.stage_delta[i];
-      }
-      os << ']';
-    }
-    if (e.kind == EventKind::kProf) {
-      os << ",\"label\":";
-      put_json_string(os, e.label_view());
-    }
-    if (e.kind == EventKind::kCpiStack) {
-      os << ",\"cpi\":{";
-      for (std::size_t c = 0; c < kNumCpiCauses; ++c) {
-        if (c > 0) os << ',';
-        os << '"' << name(static_cast<CpiCause>(c)) << "\":" << e.cpi[c];
-      }
-      os << "},\"contend\":[";
-      for (std::size_t h = 0; h < kCpiMaxThreads; ++h) {
-        if (h > 0) os << ',';
-        os << e.contend[h];
-      }
-      os << ']';
+    char sep = '{';
+    for (std::size_t k = 0; k < kTraceKeys.size(); ++k) {
+      if (!carries(kTraceKeys[k], e.kind)) continue;
+      os << sep << '"' << kTraceKeys[k].key << "\":";
+      put_value(os, static_cast<TraceKey>(k), e);
+      sep = ',';
     }
     os << "}\n";
   }
 }
 
 // ---------------------------------------------------------------------------
-// Chrome trace-event backend — loads in Perfetto / chrome://tracing.
+// Chrome trace-event export — loads in Perfetto / chrome://tracing.
 // Timestamps are cycles reported as microseconds (1 cycle = 1 µs), so a
 // quantum shows as an 8.192 ms block; "dur" spans are exact.
 // ---------------------------------------------------------------------------
@@ -352,13 +259,9 @@ void TraceSink::write_chrome(std::ostream& os,
         next();
         os << "{\"name\":\"thread " << e.tid
            << " stalls\",\"ph\":\"C\",\"ts\":" << e.cycle
-           << ",\"pid\":0,\"tid\":0,\"args\":{";
-        for (std::size_t c = 0; c < kNumStallCauses; ++c) {
-          if (c > 0) os << ',';
-          os << '"' << name(static_cast<StallCause>(c))
-             << "\":" << e.stalls[c];
-        }
-        os << "}}";
+           << ",\"pid\":0,\"tid\":0,\"args\":";
+        put_named(os, e.stalls, kStallCauseNames);
+        os << '}';
         break;
       }
       case EventKind::kPolicySwitch: {
@@ -392,13 +295,11 @@ void TraceSink::write_chrome(std::ostream& os,
            << name(static_cast<PipeTerminal>(e.code))
            << "\",\"cat\":\"pipeview\",\"ph\":\"X\",\"ts\":" << e.cycle
            << ",\"dur\":" << e.span << ",\"pid\":1,\"tid\":" << e.tid
-           << ",\"args\":{\"flags\":\"" << pipe_flag_names(e.mask)
-           << "\",\"stages\":[";
-        for (std::size_t i = 0; i < kNumPipeStages; ++i) {
-          if (i > 0) os << ',';
-          os << e.stage_delta[i];
-        }
-        os << "]}}";
+           << ",\"args\":{\"flags\":\"";
+        const std::string flags = pipe_flag_names(e.mask);
+        os << (flags.empty() ? "-" : flags) << "\",\"stages\":";
+        put_list(os, e.stage_delta);
+        os << "}}";
         break;
       }
       case EventKind::kSwitchAudit: {
@@ -440,12 +341,9 @@ void TraceSink::write_chrome(std::ostream& os,
         next();
         os << "{\"name\":\"thread " << e.tid
            << " cpi\",\"ph\":\"C\",\"ts\":" << e.cycle
-           << ",\"pid\":0,\"tid\":0,\"args\":{";
-        for (std::size_t c = 0; c < kNumCpiCauses; ++c) {
-          if (c > 0) os << ',';
-          os << '"' << name(static_cast<CpiCause>(c)) << "\":" << e.cpi[c];
-        }
-        os << "}}";
+           << ",\"pid\":0,\"tid\":0,\"args\":";
+        put_named(os, e.cpi, kCpiCauseNames);
+        os << '}';
         break;
       }
     }

@@ -1,19 +1,17 @@
-// TraceSink: low-overhead event recorder with pluggable serializers.
+// TraceSink: low-overhead event recorder.
 //
 // Recording is a bounds-checked copy into a fixed-capacity ring buffer
 // (no allocation after construction; oldest events drop first when the
 // ring wraps, with a drop counter so truncation is never silent).
-// Serialization happens only when write() is called, to one of three
-// backends:
-//
-//   * CSV   — one flat table, one header, every event kind in the same
-//             schema (the trace-analysis format),
-//   * JSONL — one self-describing JSON object per line (machine-
-//             readable; byte-deterministic for a given run),
-//   * Chrome trace-event JSON — loads directly in Perfetto or
-//             chrome://tracing: policy timeline as duration events,
-//             per-thread IPC as counter tracks, switches and invariant
-//             violations as instants.
+// Serialization happens only when write() is called. The trace has one
+// on-disk format, JSONL: a build_info provenance line, then one
+// self-describing JSON object per event, numeric codes, keys and names
+// from obs/trace_schema.hpp, byte-deterministic for a given run.
+// obs/trace_read.hpp reads it back. write_chrome() turns any event
+// sequence into Chrome trace-event JSON for Perfetto or chrome://tracing
+// (policy timeline as duration events, per-thread IPC as counter
+// tracks, switches and invariant violations as instants); `smttrace
+// chrome` runs it on a JSONL trace.
 //
 // The sink is observation-only: nothing in the simulator reads it back,
 // so attaching one can never perturb a run. Components that instrument
@@ -22,11 +20,13 @@
 // disabled contract.
 //
 // Decoding: TraceEvent stores enum *codes* (policy, heuristic, invariant
-// class) because obs sits below the policy/core layers. Writers accept a
-// TraceDecoder of name callbacks — sim::trace_decoder() supplies the
-// real names; with the default (empty) decoder codes print numerically.
+// class) because obs sits below the policy/core layers. write_chrome()
+// takes a TraceDecoder of name callbacks for its labels —
+// sim::trace_decoder() supplies the real names; with the default (empty)
+// decoder codes print numerically.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -35,18 +35,12 @@
 #include <vector>
 
 #include "obs/trace_event.hpp"
+#include "obs/trace_schema.hpp"
 
 namespace smt::obs {
 
-enum class TraceFormat : std::uint8_t { kCsv, kJsonl, kChrome };
-
-[[nodiscard]] std::string_view name(TraceFormat f) noexcept;
-/// Parse "csv" | "jsonl" | "chrome"; nullopt on anything else.
-[[nodiscard]] std::optional<TraceFormat> parse_trace_format(
-    std::string_view s) noexcept;
-
-/// Enum-code → display-name callbacks for the writers. Any member may be
-/// null, in which case the raw code is printed.
+/// Enum-code → display-name callbacks for write_chrome(). Any member may
+/// be null, in which case the raw code is printed.
 struct TraceDecoder {
   std::string_view (*policy)(std::uint8_t code) = nullptr;
   std::string_view (*heuristic)(std::uint8_t code) = nullptr;
@@ -56,7 +50,8 @@ struct TraceDecoder {
 
 /// Build/run provenance stamped as the first line of every trace (and
 /// mirrored under run.* in --stats-json). All values serialize as JSON
-/// strings so 64-bit seeds survive tools that parse numbers as doubles.
+/// strings so 64-bit seeds survive tools that parse numbers as doubles;
+/// the keys are kBuildInfoKeys, in field order.
 struct RunInfo {
   std::string tool;      ///< producing binary, e.g. "smtsim"
   std::string version;   ///< project version
@@ -74,6 +69,15 @@ struct RunInfo {
   std::size_t smt_jobs = 0;    ///< resolved SMT_JOBS (par::default_jobs)
 };
 
+/// RunInfo's values as the build_info line spells them, in kBuildInfoKeys
+/// order ("0x%016llx" digest, decimal numbers).
+[[nodiscard]] std::array<std::string, kBuildInfoKeys.size()> build_info_values(
+    const RunInfo& info);
+/// The inverse of build_info_values(); an empty number reads as 0.
+/// nullopt when a number is malformed or out of range.
+[[nodiscard]] std::optional<RunInfo> run_info_from_values(
+    const std::array<std::string, kBuildInfoKeys.size()>& values);
+
 class TraceSink {
  public:
   /// `capacity` = maximum buffered events; the ring keeps the newest.
@@ -84,7 +88,6 @@ class TraceSink {
   void record(const TraceEvent& e);
 
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events lost to ring wrap-around since construction / clear().
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
@@ -95,23 +98,15 @@ class TraceSink {
   void clear();
 
   /// Provenance emitted as the first line of write() output. Unset sinks
-  /// write no header, preserving the pre-provenance format exactly.
+  /// write no header.
   void set_run_info(RunInfo info) { run_info_ = std::move(info); }
-  [[nodiscard]] const std::optional<RunInfo>& run_info() const noexcept {
-    return run_info_;
-  }
 
-  /// Serialize every buffered event (oldest first) to `os`.
-  void write(std::ostream& os, TraceFormat format,
-             const TraceDecoder& dec = {}) const;
+  /// Write every buffered event (oldest first) to `os` as the JSONL trace.
+  void write(std::ostream& os) const;
 
-  // Backends, usable directly on any event sequence. `info` (when
-  // non-null) prepends the build_info header line.
-  static void write_csv(std::ostream& os, const std::vector<TraceEvent>& evs,
-                        const TraceDecoder& dec = {},
-                        const RunInfo* info = nullptr);
+  // Serializers, usable directly on any event sequence. `info` (when
+  // non-null) prepends the build_info header line / instant.
   static void write_jsonl(std::ostream& os, const std::vector<TraceEvent>& evs,
-                          const TraceDecoder& dec = {},
                           const RunInfo* info = nullptr);
   static void write_chrome(std::ostream& os, const std::vector<TraceEvent>& evs,
                            const TraceDecoder& dec = {},

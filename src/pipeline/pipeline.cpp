@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/stall.hpp"
 #include "obs/trace_event.hpp"
+#include "obs/trace_schema.hpp"
 #include "obs/trace_sink.hpp"
 #include "prof/phase_profiler.hpp"
 #include "workload/thread_program.hpp"
@@ -161,7 +162,7 @@ void Pipeline::step_stages_profiled() {
 
 void Pipeline::set_profiler(prof::PhaseProfiler* p, const ProfNodes& nodes,
                             std::uint64_t stride_mask) {
-  prof_ = ProfState{};
+  prof_ = {};
   if (p == nullptr) return;
   prof_.prof = p;
   prof_.mask = stride_mask;
@@ -955,7 +956,7 @@ workload::ThreadProgram Pipeline::swap_program(std::uint32_t tid,
 void Pipeline::set_pipeview(obs::TraceSink* sink,
                             std::vector<PipeviewWindow> windows,
                             std::uint64_t quantum_cycles) {
-  pview_ = PipeviewState{};
+  pview_ = {};
   // Any in-flight pview indices refer to the previous state's records (or
   // to a copied-from pipeline's); scrub them so stale slots can never
   // alias new ones. Vacated slots' indices are dead anyway, so scrubbing
@@ -1087,7 +1088,7 @@ std::uint64_t Pipeline::charged_stall_slots() const noexcept {
 // tests/test_cpi_stack.cpp and scripts/check_cpi.sh.
 // ---------------------------------------------------------------------------
 void Pipeline::set_cpi_accounting(bool on) {
-  cpi_ = CpiState{};
+  cpi_ = {};
   if (!on) return;
   cpi_.enabled = true;
   const std::size_t n = threads_.size();

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "branch/predictor.hpp"
+#include "common/drop_on_copy.hpp"
 #include "common/fixed_queue.hpp"
 #include "common/rng.hpp"
 #include "isa/instruction.hpp"
@@ -579,9 +580,8 @@ class Pipeline {
     obs::TraceEvent ev;
     bool open = false;
   };
-  /// All sampler state, isolated so that copying a Pipeline can drop it
-  /// wholesale (copy constructs/assigns to the empty state) while the
-  /// pipeline itself keeps its defaulted copy operations.
+  /// All sampler state, in one DropOnCopy so a copied Pipeline starts
+  /// without it while the pipeline keeps defaulted copy operations.
   struct PipeviewState {
     obs::TraceSink* sink = nullptr;
     std::vector<PipeviewWindow> windows;  ///< sorted by start_cycle
@@ -592,41 +592,19 @@ class Pipeline {
     std::uint64_t live = 0;    ///< records currently in flight
     std::vector<PipeviewRecord> records;
     std::vector<std::int32_t> free_slots;
-
-    PipeviewState() = default;
-    PipeviewState(const PipeviewState&) {}  // copies drop the sampler
-    PipeviewState& operator=(const PipeviewState&) {
-      *this = PipeviewState{};
-      return *this;
-    }
-    PipeviewState(PipeviewState&&) = default;
-    PipeviewState& operator=(PipeviewState&&) = default;
-    ~PipeviewState() = default;
   };
-  PipeviewState pview_;
+  DropOnCopy<PipeviewState> pview_;
 
-  /// All profiler attach state, isolated like PipeviewState so copies
-  /// drop it wholesale while the pipeline keeps defaulted copy ops.
+  /// All profiler attach state, dropped on copy like PipeviewState.
   struct ProfState {
     prof::PhaseProfiler* prof = nullptr;
     std::uint64_t mask = 0;  ///< stride - 1 (stride is a power of two)
     ProfNodes nodes;
-
-    ProfState() = default;
-    ProfState(const ProfState&) {}  // copies drop the profiler
-    ProfState& operator=(const ProfState&) {
-      *this = ProfState{};
-      return *this;
-    }
-    ProfState(ProfState&&) = default;
-    ProfState& operator=(ProfState&&) = default;
-    ~ProfState() = default;
   };
-  ProfState prof_;
+  DropOnCopy<ProfState> prof_;
 
-  /// All CPI-stack accounting state, isolated like PipeviewState so
-  /// copies drop it wholesale (observer contract: an oracle snapshot
-  /// must not account) while the pipeline keeps defaulted copy ops.
+  /// All CPI-stack accounting state, dropped on copy like PipeviewState
+  /// (observer contract: an oracle snapshot must not account).
   /// The per-cycle scratch (fetch_cause, issued_tids) is written by the
   /// stages under an `enabled` guard and consumed by account_cpi() at
   /// the end of the same step().
@@ -650,18 +628,8 @@ class Pipeline {
     /// refill after e.g. an I-cache drain keeps that attribution.
     std::vector<std::uint8_t> refill_cause;  ///< CpiCause
     std::vector<std::int8_t> refill_sub;     ///< StallCause, -1 = none
-
-    CpiState() = default;
-    CpiState(const CpiState&) {}  // copies drop the accounting
-    CpiState& operator=(const CpiState&) {
-      *this = CpiState{};
-      return *this;
-    }
-    CpiState(CpiState&&) = default;
-    CpiState& operator=(CpiState&&) = default;
-    ~CpiState() = default;
   };
-  CpiState cpi_;
+  DropOnCopy<CpiState> cpi_;
 
   /// End-of-step() accounting pass: charge each thread's commit_width
   /// slots for this cycle. O(threads), no heap, reads the post-stage

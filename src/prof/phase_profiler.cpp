@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
+#include "obs/trace_schema.hpp"
 
 namespace smt::prof {
 

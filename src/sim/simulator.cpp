@@ -14,6 +14,7 @@
 #include "obs/stall.hpp"
 #include "obs/switch_audit.hpp"
 #include "obs/trace_event.hpp"
+#include "obs/trace_schema.hpp"
 #include "obs/trace_sink.hpp"
 #include "pipeline/config.hpp"
 #include "pipeline/counters.hpp"
@@ -136,85 +137,58 @@ Simulator::Simulator(const SimConfig& cfg)
     : cfg_(cfg),
       pipe_(cfg.machine, build_programs(cfg)),
       detector_(adts_config_of(cfg)),
-      use_adts_(cfg.use_adts),
-      check_on_(check::check_enabled(cfg.check)) {
+      use_adts_(cfg.use_adts) {
+  check_.on = check::check_enabled(cfg.check);
   pipe_.set_policy(cfg.fixed_policy);
   if (cfg.cpi) pipe_.set_cpi_accounting(true);
-  if (check_on_) checker_.arm(pipe_);
-}
-
-Simulator::Simulator(const Simulator& other)
-    : cfg_(other.cfg_),
-      pipe_(other.pipe_),
-      detector_(other.detector_),
-      use_adts_(other.use_adts_) {
-  // sink_ and the snapshot baselines stay default: a copy is silent (see
-  // the header; the oracle re-runs copies over already-recorded quanta).
-  // check_on_ stays false for the same reason: oracle trials set policies
-  // directly on copies, which the legality pass would flag on a live run.
-}
-
-Simulator& Simulator::operator=(const Simulator& other) {
-  if (this == &other) return *this;
-  cfg_ = other.cfg_;
-  pipe_ = other.pipe_;
-  detector_ = other.detector_;
-  use_adts_ = other.use_adts_;
-  sink_ = nullptr;
-  baselines_.clear();
-  checker_ = check::InvariantChecker{};
-  check_on_ = false;
-  prof_ = nullptr;  // like sink_: copies never profile (oracle re-runs)
-  prof_mask_ = 0;
-  return *this;
+  if (check_.on) check_.checker.arm(pipe_);
 }
 
 void Simulator::attach_profiler(prof::PhaseProfiler* p,
                                 prof::PhaseProfiler::Node parent,
                                 std::uint64_t stride) {
-  prof_ = p;
+  prof_.prof = p;
   if (p == nullptr) {
-    prof_mask_ = 0;
+    prof_.mask = 0;
     pipe_.set_profiler(nullptr, {}, 0);
     return;
   }
-  prof_mask_ = stride == 0 ? 0 : stride - 1;
-  prof_nodes_.cycle = p->child(parent, "cycle");
-  prof_nodes_.pipeline = p->child(prof_nodes_.cycle, "pipeline");
-  prof_nodes_.detector = p->child(prof_nodes_.cycle, "detector");
-  prof_nodes_.checker = p->child(prof_nodes_.cycle, "checker");
-  prof_nodes_.trace = p->child(prof_nodes_.cycle, "trace");
+  prof_.mask = stride == 0 ? 0 : stride - 1;
+  prof_.nodes.cycle = p->child(parent, "cycle");
+  prof_.nodes.pipeline = p->child(prof_.nodes.cycle, "pipeline");
+  prof_.nodes.detector = p->child(prof_.nodes.cycle, "detector");
+  prof_.nodes.checker = p->child(prof_.nodes.cycle, "checker");
+  prof_.nodes.trace = p->child(prof_.nodes.cycle, "trace");
   pipeline::Pipeline::ProfNodes stages;
-  stages.commit = p->child(prof_nodes_.pipeline, "commit");
-  stages.complete = p->child(prof_nodes_.pipeline, "complete");
-  stages.issue = p->child(prof_nodes_.pipeline, "issue");
-  stages.dispatch = p->child(prof_nodes_.pipeline, "dispatch");
-  stages.fetch = p->child(prof_nodes_.pipeline, "fetch");
-  pipe_.set_profiler(p, stages, prof_mask_);
+  stages.commit = p->child(prof_.nodes.pipeline, "commit");
+  stages.complete = p->child(prof_.nodes.pipeline, "complete");
+  stages.issue = p->child(prof_.nodes.pipeline, "issue");
+  stages.dispatch = p->child(prof_.nodes.pipeline, "dispatch");
+  stages.fetch = p->child(prof_.nodes.pipeline, "fetch");
+  pipe_.set_profiler(p, stages, prof_.mask);
 }
 
 void Simulator::attach_trace(obs::TraceSink* sink) {
-  sink_ = sink;
-  if (sink_ == nullptr) {
+  trace_.sink = sink;
+  if (trace_.sink == nullptr) {
     pipe_.set_pipeview(nullptr, {}, 0);
     return;
   }
   if (!cfg_.pipeview.empty()) {
-    pipe_.set_pipeview(sink_, cfg_.pipeview, cfg_.adts.quantum_cycles);
+    pipe_.set_pipeview(trace_.sink, cfg_.pipeview, cfg_.adts.quantum_cycles);
   }
   // Audit entries that predate the sink are not traced (the sink records
   // what happens while attached, like every other event kind).
-  audits_emitted_ = detector_.audit_log().size();
+  trace_.audits_emitted = detector_.audit_log().size();
   // Baseline every delta at the current state so the first snapshot spans
   // only cycles recorded under this sink.
-  snapshot_cycle_ = pipe_.now();
-  snapshot_committed_ = pipe_.committed_total();
-  snapshot_frag_ = pipe_.machine_stall_breakdown()[
+  trace_.snapshot_cycle = pipe_.now();
+  trace_.snapshot_committed = pipe_.committed_total();
+  trace_.snapshot_frag = pipe_.machine_stall_breakdown()[
       obs::StallCause::kFragmentation];
-  snapshot_dt_slots_ = pipe_.stats().dt_slots_used;
-  baselines_.assign(pipe_.num_threads(), ThreadBaseline{});
+  trace_.baselines.assign(pipe_.num_threads(), ThreadBaseline{});
   for (std::uint32_t tid = 0; tid < pipe_.num_threads(); ++tid) {
-    ThreadBaseline& b = baselines_[tid];
+    ThreadBaseline& b = trace_.baselines[tid];
     const pipeline::ThreadCounters& c = pipe_.counters(tid);
     b.quantum_epoch = pipe_.quantum_epoch(tid);
     b.life_epoch = pipe_.life_epoch(tid);
@@ -244,8 +218,8 @@ void Simulator::step() {
   // The stride test reads pipe_.now() *before* the pipeline increments
   // it, matching the pipeline's own entry test, so both layers sample
   // the same cycles.
-  if (prof_ != nullptr && prof::sampled_cycle(pipe_.now(), prof_mask_)) {
-    const prof::PhaseProfiler::Scope s(prof_, prof_nodes_.cycle);
+  if (prof_.prof != nullptr && prof::sampled_cycle(pipe_.now(), prof_.mask)) {
+    const prof::PhaseProfiler::Scope s(prof_.prof, prof_.nodes.cycle);
     step_impl(true);
   } else {
     step_impl(false);
@@ -256,9 +230,9 @@ void Simulator::step_impl(bool profiled) {
   using Scope = prof::PhaseProfiler::Scope;
   // Scopes built with a null profiler are inert, so the unprofiled path
   // pays only the construction of four no-op guards.
-  prof::PhaseProfiler* pp = profiled ? prof_ : nullptr;
+  prof::PhaseProfiler* pp = profiled ? prof_.prof : nullptr;
   {
-    const Scope s(pp, prof_nodes_.pipeline);
+    const Scope s(pp, prof_.nodes.pipeline);
     pipe_.step();
   }
 
@@ -266,16 +240,16 @@ void Simulator::step_impl(bool profiled) {
   // detector resets the quantum accumulators at the boundary. Reading
   // first keeps the snapshot about the finished quantum.
   const bool boundary =
-      sink_ != nullptr && pipe_.now() % cfg_.adts.quantum_cycles == 0;
+      trace_.sink != nullptr && pipe_.now() % cfg_.adts.quantum_cycles == 0;
   if (boundary) {
-    const Scope s(pp, prof_nodes_.trace);
+    const Scope s(pp, prof_.nodes.trace);
     record_quantum_snapshot();
   }
   const policy::FetchPolicy policy_before = pipe_.policy();
   const std::size_t audits_before = detector_.audit_log().size();
 
   {
-    const Scope s(pp, prof_nodes_.detector);
+    const Scope s(pp, prof_.nodes.detector);
     if (use_adts_) detector_.tick(pipe_);
   }
 
@@ -283,16 +257,16 @@ void Simulator::step_impl(bool profiled) {
   // tick). It is a pure reader: a checked run is bit-identical to an
   // unchecked one.
   std::size_t fresh_violations = 0;
-  if (check_on_) {
-    const Scope s(pp, prof_nodes_.checker);
-    fresh_violations = checker_.on_cycle(pipe_, use_adts_);
+  if (check_.on) {
+    const Scope s(pp, prof_.nodes.checker);
+    fresh_violations = check_.checker.on_cycle(pipe_, use_adts_);
   }
 
-  if (sink_ == nullptr) return;
+  if (trace_.sink == nullptr) return;
   // One scope over everything the sink records this cycle ("trace" also
   // times the boundary snapshot above, so its count tallies timed
   // segments, not cycles).
-  const Scope trace_scope(pp, prof_nodes_.trace);
+  const Scope trace_scope(pp, prof_.nodes.trace);
   const std::uint64_t cycle = pipe_.now();
   const std::uint64_t quantum = cycle / cfg_.adts.quantum_cycles;
 
@@ -317,21 +291,21 @@ void Simulator::step_impl(bool profiled) {
       e.span = a.applied_cycle - a.decided_cycle;
       e.mask = a.flags;
     }
-    sink_->record(e);
+    trace_.sink->record(e);
   }
 
   // Emit finalized audit records. An entry is finalized once scored, or
   // once a later entry exists (the detector scores at most one pending
   // switch, in order — a passed-over entry stays neutral forever).
-  while (audits_emitted_ < audit_log.size() &&
-         (audit_log[audits_emitted_].scored ||
-          audits_emitted_ + 1 < audit_log.size())) {
-    sink_->record(obs::to_trace_event(audit_log[audits_emitted_]));
-    ++audits_emitted_;
+  while (trace_.audits_emitted < audit_log.size() &&
+         (audit_log[trace_.audits_emitted].scored ||
+          trace_.audits_emitted + 1 < audit_log.size())) {
+    trace_.sink->record(obs::to_trace_event(audit_log[trace_.audits_emitted]));
+    ++trace_.audits_emitted;
   }
 
   if (fresh_violations > 0) {
-    const std::vector<check::Violation>& log = checker_.violations();
+    const std::vector<check::Violation>& log = check_.checker.violations();
     for (std::size_t i = log.size() - fresh_violations; i < log.size(); ++i) {
       const check::Violation& v = log[i];
       obs::TraceEvent e;
@@ -341,14 +315,14 @@ void Simulator::step_impl(bool profiled) {
       e.tid = v.tid;
       e.code = static_cast<std::uint8_t>(v.cls);
       e.value = v.value;
-      sink_->record(e);
+      trace_.sink->record(e);
     }
   }
 }
 
 void Simulator::record_quantum_snapshot() {
   const std::uint64_t cycle = pipe_.now();
-  const std::uint64_t span = cycle - snapshot_cycle_;
+  const std::uint64_t span = cycle - trace_.snapshot_cycle;
   if (span == 0) return;
   const std::uint64_t quantum = cycle / cfg_.adts.quantum_cycles;
   const double dspan = static_cast<double>(span);
@@ -359,24 +333,23 @@ void Simulator::record_quantum_snapshot() {
   mrow.cycle = cycle;
   mrow.quantum = quantum;
   mrow.span = span;
-  mrow.value = pipe_.committed_total() - snapshot_committed_;
+  mrow.value = pipe_.committed_total() - trace_.snapshot_committed;
   mrow.ipc = static_cast<double>(mrow.value) / dspan;
   mrow.policy_after = static_cast<std::uint8_t>(pipe_.policy());
   const std::uint64_t frag =
       pipe_.machine_stall_breakdown()[obs::StallCause::kFragmentation];
   mrow.stalls[static_cast<std::size_t>(obs::StallCause::kFragmentation)] =
-      frag - snapshot_frag_;
-  sink_->record(mrow);
-  snapshot_cycle_ = cycle;
-  snapshot_committed_ = pipe_.committed_total();
-  snapshot_frag_ = frag;
-  snapshot_dt_slots_ = pipe_.stats().dt_slots_used;
+      frag - trace_.snapshot_frag;
+  trace_.sink->record(mrow);
+  trace_.snapshot_cycle = cycle;
+  trace_.snapshot_committed = pipe_.committed_total();
+  trace_.snapshot_frag = frag;
 
-  if (baselines_.size() < n) baselines_.resize(n);
+  if (trace_.baselines.size() < n) trace_.baselines.resize(n);
   const double slot_budget =
       dspan * static_cast<double>(pipe_.config().fetch_width);
   for (std::uint32_t tid = 0; tid < n; ++tid) {
-    ThreadBaseline& b = baselines_[tid];
+    ThreadBaseline& b = trace_.baselines[tid];
     const pipeline::ThreadCounters& c = pipe_.counters(tid);
     // A bumped epoch means the accumulator restarted from zero since the
     // last snapshot; the stale baseline would underflow the delta.
@@ -412,7 +385,7 @@ void Simulator::record_quantum_snapshot() {
     for (std::size_t k = 0; k < obs::kNumStallCauses; ++k) {
       t.stalls[k] = cur.slots[k] - b.stalls.slots[k];
     }
-    sink_->record(t);
+    trace_.sink->record(t);
 
     if (pipe_.cpi_accounting()) {
       // One CPI-stack row per thread per quantum. The pipeline's stacks
@@ -443,7 +416,7 @@ void Simulator::record_quantum_snapshot() {
       for (std::size_t k = 0; k < obs::kCpiMaxThreads; ++k) {
         cr.contend[k] = cs.contend[k] - b.cpi.contend[k];
       }
-      sink_->record(cr);
+      trace_.sink->record(cr);
       b.cpi = cs;
       b.cpi_cycles = pipe_.cpi_cycles_accounted();
     }
@@ -465,11 +438,11 @@ void Simulator::run(std::uint64_t cycles) {
 }
 
 void Simulator::flush_trace() {
-  if (sink_ == nullptr) return;
+  if (trace_.sink == nullptr) return;
   const obs::SwitchAuditLog& audit_log = detector_.audit_log();
-  while (audits_emitted_ < audit_log.size()) {
-    sink_->record(obs::to_trace_event(audit_log[audits_emitted_]));
-    ++audits_emitted_;
+  while (trace_.audits_emitted < audit_log.size()) {
+    trace_.sink->record(obs::to_trace_event(audit_log[trace_.audits_emitted]));
+    ++trace_.audits_emitted;
   }
 }
 
@@ -503,18 +476,19 @@ void Simulator::export_metrics(obs::MetricsRegistry& reg) const {
   if (use_adts_) detector_.export_metrics(reg);
   // Only a FAILING checker shows up in the stats document: a clean
   // checked run must stay byte-identical to an unchecked one.
-  if (check_on_ && !checker_.ok()) {
-    reg.set("check.violations", checker_.violation_count());
+  if (check_.on && !check_.checker.ok()) {
+    reg.set("check.violations", check_.checker.violation_count());
     for (std::size_t c = 0; c < check::kNumInvariantClasses; ++c) {
       const auto cls = static_cast<check::InvariantClass>(c);
-      if (checker_.count(cls) > 0) {
-        reg.set("check." + std::string(check::name(cls)), checker_.count(cls));
+      if (check_.checker.count(cls) > 0) {
+        reg.set("check." + std::string(check::name(cls)),
+                check_.checker.count(cls));
       }
     }
   }
-  if (sink_ != nullptr) {
-    reg.set("trace.events", static_cast<std::uint64_t>(sink_->size()));
-    reg.set("trace.dropped", sink_->dropped());
+  if (trace_.sink != nullptr) {
+    reg.set("trace.events", static_cast<std::uint64_t>(trace_.sink->size()));
+    reg.set("trace.dropped", trace_.sink->dropped());
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/invariants.hpp"
+#include "common/drop_on_copy.hpp"
 #include "core/detector.hpp"
 #include "obs/cpi_stack.hpp"
 #include "obs/metrics.hpp"
@@ -78,14 +79,15 @@ class Simulator {
  public:
   explicit Simulator(const SimConfig& cfg);
 
-  // Copies drop the trace sink: the oracle re-runs copied simulators over
+  // Copies drop the observers (trace sink, profiler, invariant checker;
+  // DropOnCopy members below): the oracle re-runs copied simulators over
   // quanta already recorded by the original, and a shared sink would
   // record every such re-run as if it happened once. The copy keeps full
   // microarchitectural state and stays silent; re-attach explicitly to
   // trace it.
-  Simulator(const Simulator& other);
+  Simulator(const Simulator&) = default;
   Simulator(Simulator&&) = default;
-  Simulator& operator=(const Simulator& other);
+  Simulator& operator=(const Simulator&) = default;
   Simulator& operator=(Simulator&&) = default;
 
   void step();
@@ -104,9 +106,9 @@ class Simulator {
   /// false: like the trace sink, checking is dropped on copy — the oracle
   /// re-runs copies with policies it sets directly, which the legality
   /// pass would (correctly, for a live machine) flag.
-  [[nodiscard]] bool checking_enabled() const noexcept { return check_on_; }
+  [[nodiscard]] bool checking_enabled() const noexcept { return check_.on; }
   [[nodiscard]] const check::InvariantChecker& checker() const noexcept {
-    return checker_;
+    return check_.checker;
   }
   /// Attach (or detach, with nullptr) a trace sink. The simulator records
   /// per-quantum machine + thread snapshots, policy-switch, switch-audit
@@ -114,7 +116,9 @@ class Simulator {
   /// machine is bit-identical with or without a sink attached. The sink
   /// must outlive the simulator (or be detached first); it is NOT owned.
   void attach_trace(obs::TraceSink* sink);
-  [[nodiscard]] obs::TraceSink* trace_sink() const noexcept { return sink_; }
+  [[nodiscard]] obs::TraceSink* trace_sink() const noexcept {
+    return trace_.sink;
+  }
 
   /// Emit any switch-audit records not yet traced — the trailing switch
   /// that was applied but never reached its scoring boundary stays
@@ -137,9 +141,6 @@ class Simulator {
   /// null profiler to detach.
   void attach_profiler(prof::PhaseProfiler* p,
                        prof::PhaseProfiler::Node parent, std::uint64_t stride);
-  [[nodiscard]] bool profiler_attached() const noexcept {
-    return prof_ != nullptr;
-  }
 
   /// Suspend / resume the detector thread. Resuming re-baselines the
   /// detector (DetectorThread::arm) and resets quantum counters so the
@@ -190,11 +191,14 @@ class Simulator {
   core::DetectorThread detector_;
   bool use_adts_ = false;
 
-  // --- invariant checking (inert while check_on_ == false) --------------
-  check::InvariantChecker checker_;
-  bool check_on_ = false;  ///< dropped on copy, like sink_
+  // --- invariant checking (inert while check_.on == false) -------------
+  struct CheckState {
+    check::InvariantChecker checker;
+    bool on = false;
+  };
+  DropOnCopy<CheckState> check_;
 
-  // --- host-phase profiling (inert while prof_ == nullptr) --------------
+  // --- host-phase profiling (inert while prof_.prof == nullptr) ---------
   struct ProfNodes {
     prof::PhaseProfiler::Node cycle = 0;     ///< whole per-cycle body
     prof::PhaseProfiler::Node pipeline = 0;  ///< pipe_.step()
@@ -202,22 +206,27 @@ class Simulator {
     prof::PhaseProfiler::Node checker = 0;   ///< invariant-checker pass
     prof::PhaseProfiler::Node trace = 0;     ///< snapshot + event emission
   };
-  prof::PhaseProfiler* prof_ = nullptr;  ///< not owned; dropped on copy
-  std::uint64_t prof_mask_ = 0;          ///< stride − 1
-  ProfNodes prof_nodes_;
+  struct ProfState {
+    prof::PhaseProfiler* prof = nullptr;  ///< not owned
+    std::uint64_t mask = 0;               ///< stride − 1
+    ProfNodes nodes;
+  };
+  DropOnCopy<ProfState> prof_;
 
-  // --- trace instrumentation (inert while sink_ == nullptr) -------------
-  obs::TraceSink* sink_ = nullptr;  ///< not owned; dropped on copy
-  std::uint64_t snapshot_cycle_ = 0;      ///< cycle of the last snapshot
-  std::uint64_t snapshot_committed_ = 0;  ///< machine committed at snapshot
-  std::uint64_t snapshot_frag_ = 0;  ///< machine fragmentation at snapshot
-  std::uint64_t snapshot_dt_slots_ = 0;
-  std::vector<ThreadBaseline> baselines_;
-  /// Audit-log entries already emitted as kSwitchAudit events. An entry is
-  /// emitted once finalized: scored, or provably never-to-be-scored (a
-  /// later entry exists — the detector scores at most one switch at a
-  /// time, in order). flush_trace() emits the rest.
-  std::size_t audits_emitted_ = 0;
+  // --- trace instrumentation (inert while trace_.sink == nullptr) -------
+  struct TraceState {
+    obs::TraceSink* sink = nullptr;        ///< not owned
+    std::uint64_t snapshot_cycle = 0;      ///< cycle of the last snapshot
+    std::uint64_t snapshot_committed = 0;  ///< machine committed at snapshot
+    std::uint64_t snapshot_frag = 0;  ///< machine fragmentation at snapshot
+    std::vector<ThreadBaseline> baselines;
+    /// Audit-log entries already emitted as kSwitchAudit events. An entry
+    /// is emitted once finalized: scored, or provably never-to-be-scored
+    /// (a later entry exists — the detector scores at most one switch at
+    /// a time, in order). flush_trace() emits the rest.
+    std::size_t audits_emitted = 0;
+  };
+  DropOnCopy<TraceState> trace_;
 };
 
 }  // namespace smt::sim

@@ -51,10 +51,10 @@ options:
   --list-rules     print the rule catalog (id + description) and exit
   --help           this text
 
-Scope: src/** and bench/** C++ sources, plus the scripts cross-checked
-by schema-sync. Suppress a single finding with // NOLINT(rule-id) on its
-line or // NOLINTNEXTLINE(rule-id) above it; grandfather it with a
-"<rule-id> <path>:<line>" baseline entry. Output is byte-deterministic.
+Scope: src/** and bench/** C++ sources. Suppress a single finding with
+// NOLINT(rule-id) on its line or // NOLINTNEXTLINE(rule-id) above it;
+grandfather it with a "<rule-id> <path>:<line>" baseline entry. Output
+is byte-deterministic.
 
 exit codes: 0 clean, 4 findings, 2 usage error, 3 config error.
 )";

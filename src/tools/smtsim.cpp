@@ -14,7 +14,7 @@
 //   smtsim --mix ctrl8 --adts --heuristic 3 --threshold 2
 //   smtsim --mix bal1 --oracle --quanta 16
 //   smtsim --mix fp8 --threads 4 --csv
-//   smtsim --mix mem8 --adts --trace - --trace-format csv
+//   smtsim --mix mem8 --adts --trace - | smttrace summary -
 //   smtsim --grid fig7.grid --out results/fig7 --jobs 4
 #include <cstddef>
 #include <fstream>
@@ -76,12 +76,11 @@ grids (instead of a single run; only --jobs may accompany them):
                         DIR are skipped, so a killed grid resumes
 
 observability (normal runs; ignored under --oracle):
-  --trace PATH          write the event trace to PATH after the run
+  --trace PATH          write the JSONL event trace to PATH after the run
                         ('-' = stdout; stdout then carries only the trace,
                         so --stats-json - and --csv are rejected alongside
-                        it)
-  --trace-format F      trace backend: csv | jsonl | chrome (default
-                        jsonl; chrome loads in Perfetto / chrome://tracing)
+                        it). Analyze with smttrace; `smttrace chrome`
+                        exports it for Perfetto / chrome://tracing
   --pipeview N@CYCLE    sample the full pipeline lifecycle (fetch through
                         commit/squash, cycle-stamped per stage) of the N
                         instructions fetched from CYCLE onward, as
@@ -233,7 +232,7 @@ int main(int argc, char** argv) {
         "mix", "apps", "threads", "seed", "policy", "adts", "heuristic",
         "threshold", "quantum", "instant", "oracle", "all-policies",
         "quanta", "jobs", "cycles", "warmup", "csv", "list", "help",
-        "trace", "trace-format", "pipeview", "stats-json",
+        "trace", "pipeview", "stats-json",
         "cpi", "prof", "prof-folded", "prof-stride", "check", "version",
         "grid", "out"};
     const CliArgs args(argc, argv, keys,
@@ -432,17 +431,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    obs::TraceFormat trace_format = obs::TraceFormat::kJsonl;
-    if (args.has("trace-format")) {
-      const std::string f = args.get_or("trace-format", "jsonl");
-      const auto parsed = obs::parse_trace_format(f);
-      if (!parsed) {
-        throw ConfigError("--trace-format must be csv, jsonl or chrome, got '" +
-                          f + "'");
-      }
-      trace_format = *parsed;
-    }
-
     // Open output files before the (potentially long) run so a bad path
     // fails in milliseconds, not after the full simulation.
     const bool stats_to_stdout =
@@ -529,8 +517,7 @@ int main(int argc, char** argv) {
     if (prof_out.is_open()) profiler.write_folded(prof_out);
 
     if (args.has("trace")) {
-      sink.write(trace_to_stdout ? std::cout : trace_out, trace_format,
-                 sim::trace_decoder());
+      sink.write(trace_to_stdout ? std::cout : trace_out);
       if (trace_to_stdout) return check_exit(sim);
     }
     if (stats_to_stdout) {

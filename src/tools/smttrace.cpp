@@ -1,4 +1,4 @@
-// smttrace: offline analysis of smtsim trace files (CSV or JSONL).
+// smttrace: offline analysis of smtsim's JSONL trace files.
 //
 // Subcommands:
 //   summary  <trace>           per-quantum machine table + stall breakdown
@@ -16,13 +16,15 @@
 //                              time-series; with a second trace, an A/B
 //                              per-quantum-per-thread stack diff ending
 //                              with a greppable "compared/differing" line
+//   chrome   <trace>           the trace as Chrome trace-event JSON on
+//                              stdout, for Perfetto / chrome://tracing
+//   schema                     the trace schema (obs/trace_schema.hpp) as
+//                              JSON on stdout
 //
 // A trace path of "-" reads stdin, pairing with `smtsim --trace -`.
-// Both serialized formats decode through obs::read_trace; fields that CSV
-// stores as names but JSONL as numeric codes (policies, heuristics, flag
-// masks) are mapped back through sim::trace_decoder() when numeric, so
-// both formats pretty-print identically. The Chrome format is write-only
-// and rejected by the reader.
+// Every subcommand decodes through obs::read_trace, which returns the
+// numeric codes the trace holds; names come from the policy, heuristic
+// and obs name functions.
 //
 // Exit codes (common/exit_codes.hpp): 0 ok, 2 usage error, 3 unreadable
 // or malformed trace. `diff` exits 0 even when the traces differ — the
@@ -32,6 +34,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -41,24 +44,27 @@
 #include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "common/table.hpp"
+#include "core/heuristics.hpp"
 #include "obs/cpi_stack.hpp"
 #include "obs/histogram.hpp"
 #include "obs/stall.hpp"
 #include "obs/switch_audit.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_read.hpp"
+#include "obs/trace_schema.hpp"
 #include "obs/trace_sink.hpp"
+#include "policy/fetch_policy.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 using smt::Table;
 using smt::obs::EventKind;
-using smt::obs::ReadEvent;
 using smt::obs::ReadTrace;
+using smt::obs::TraceEvent;
 
 constexpr const char* kUsage =
-    R"(usage: smttrace <command> <trace> [<trace2>] [options]
+    R"(usage: smttrace <command> [<trace> [<trace2>]] [options]
 
 commands:
   summary  <trace>            per-quantum machine table + stall breakdown
@@ -70,14 +76,17 @@ commands:
                               shares, ROB-empty breakdown, contention
                               matrix, per-quantum series; two traces = A/B
                               per-quantum stack diff
+  chrome   <trace>            Chrome trace-event JSON on stdout (loads in
+                              Perfetto / chrome://tracing)
+  schema                      the trace schema as JSON on stdout
 
 options:
   --limit N    cap table / waterfall rows printed (0 = no cap, default)
   --csv        emit tables as CSV instead of aligned text
   --help       this text
 
-<trace> is a CSV or JSONL file written by `smtsim --trace`; "-" reads
-stdin. Chrome-format traces are a write-only export and are rejected.
+<trace> is the JSONL file written by `smtsim --trace`; "-" reads stdin.
+Chrome exports are output only and are rejected as input.
 
 exit codes: 0 ok, 2 usage error, 3 unreadable or malformed trace.
 `diff` always exits 0 when both traces parse; the verdict is the final
@@ -90,50 +99,16 @@ struct Options {
 };
 
 // ---------------------------------------------------------------------------
-// Decoding helpers: JSONL keeps numeric codes where CSV wrote names; map
-// numeric strings back through the real decoders so output is identical
-// for both formats, and pass CSV's names through verbatim.
+// Names of the numeric codes a trace holds.
 
-bool all_digits(const std::string& s) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
-
-std::string decode(const std::string& s,
-                   std::string_view (*namer)(std::uint8_t)) {
-  if (namer == nullptr || !all_digits(s)) return s;
+std::string policy_name(std::uint8_t code) {
   return std::string(
-      namer(static_cast<std::uint8_t>(std::stoul(s) & 0xffu)));
+      smt::policy::name(static_cast<smt::policy::FetchPolicy>(code)));
 }
 
-std::string_view pipe_terminal_name(std::uint8_t code) {
-  return name(static_cast<smt::obs::PipeTerminal>(code));
-}
-
-std::string pipe_flag_names(std::uint8_t mask) {
-  std::string out;
-  if ((mask & smt::obs::kPipeWrongPath) != 0) out += "wrong_path";
-  if ((mask & smt::obs::kPipeMispredicted) != 0) {
-    if (!out.empty()) out += '|';
-    out += "mispredicted";
-  }
-  return out;
-}
-
-/// The mask column's meaning depends on the event kind (mirroring the
-/// writers): pipe flags, audit flags, or a raw number.
-std::string decode_mask(const ReadEvent& e) {
-  if (!all_digits(e.mask)) return e.mask;
-  const auto m = static_cast<std::uint8_t>(std::stoul(e.mask) & 0xffu);
-  switch (e.kind) {
-    case EventKind::kPipeview: return pipe_flag_names(m);
-    case EventKind::kPolicySwitch:
-    case EventKind::kSwitchAudit: return smt::obs::audit_flag_names(m);
-    default: return e.mask;
-  }
+std::string heuristic_name(std::uint8_t code) {
+  return std::string(
+      smt::core::name(static_cast<smt::core::HeuristicType>(code)));
 }
 
 std::string ipc_or_dash(double v) {
@@ -148,7 +123,7 @@ void print_table(const Table& t, const Options& opt) {
   }
 }
 
-std::uint64_t stall_total(const ReadEvent& e) {
+std::uint64_t stall_total(const TraceEvent& e) {
   std::uint64_t t = 0;
   for (const std::uint64_t s : e.stalls) t += s;
   return t;
@@ -165,17 +140,36 @@ ReadTrace load(const std::string& path) {
 }
 
 void print_provenance(const ReadTrace& t) {
-  if (t.build.empty()) return;
+  if (!t.build) return;
+  const auto values = smt::obs::build_info_values(*t.build);
   std::cout << "build:";
-  for (const auto& [k, v] : t.build) std::cout << ' ' << k << '=' << v;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::cout << ' ' << smt::obs::kBuildInfoKeys[i] << '=' << values[i];
+  }
   std::cout << '\n';
+}
+
+/// Traces of two different configurations still diff; say so first.
+void note_digests(const ReadTrace& a, const ReadTrace& b) {
+  if (!a.build || !b.build ||
+      a.build->config_digest == b.build->config_digest) {
+    return;
+  }
+  const auto hex = [](std::uint64_t d) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(d));
+    return std::string(buf);
+  };
+  std::cout << "note: config digests differ ("
+            << hex(a.build->config_digest) << " vs "
+            << hex(b.build->config_digest) << ")\n";
 }
 
 // ---------------------------------------------------------------------------
 // summary
 
 int cmd_summary(const ReadTrace& trace, const Options& opt) {
-  const smt::obs::TraceDecoder dec = smt::sim::trace_decoder();
   print_provenance(trace);
 
   Table quanta({"quantum", "cycles", "committed", "ipc", "policy"});
@@ -186,7 +180,7 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
   std::uint64_t switches = 0;
   std::size_t skipped = 0;
 
-  for (const ReadEvent& e : trace.events) {
+  for (const TraceEvent& e : trace.events) {
     for (std::size_t i = 0; i < e.stalls.size(); ++i) stalls[i] += e.stalls[i];
     switch (e.kind) {
       case EventKind::kQuantum:
@@ -199,7 +193,7 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
         }
         quanta.add_row({std::to_string(e.quantum), std::to_string(e.span),
                         std::to_string(e.value), Table::num(e.ipc),
-                        decode(e.policy_after, dec.policy)});
+                        policy_name(e.policy_after)});
         break;
       case EventKind::kPolicySwitch: ++switches; break;
       default: break;
@@ -238,7 +232,6 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
 // switches
 
 int cmd_switches(const ReadTrace& trace, const Options& opt) {
-  const smt::obs::TraceDecoder dec = smt::sim::trace_decoder();
   print_provenance(trace);
 
   Table audits({"#", "quantum", "decided", "applied", "wait", "heuristic",
@@ -255,11 +248,11 @@ int cmd_switches(const ReadTrace& trace, const Options& opt) {
   std::size_t total = 0;
   std::size_t skipped = 0;
 
-  for (const ReadEvent& e : trace.events) {
+  for (const TraceEvent& e : trace.events) {
     if (e.kind != EventKind::kSwitchAudit) continue;
     ++total;
     const auto label = static_cast<smt::obs::SwitchLabel>(e.value);
-    const std::string heuristic = decode(e.code, dec.heuristic);
+    const std::string heuristic = heuristic_name(e.code);
     HeurStats& h = by_heuristic[heuristic];
     switch (label) {
       case smt::obs::SwitchLabel::kBenign:
@@ -283,10 +276,9 @@ int cmd_switches(const ReadTrace& trace, const Options& opt) {
         {std::to_string(total), std::to_string(e.quantum),
          std::to_string(e.cycle - e.span), std::to_string(e.cycle),
          std::to_string(e.span), heuristic,
-         decode(e.policy_before, dec.policy) + "->" +
-             decode(e.policy_after, dec.policy),
-         decode_mask(e), Table::num(e.fetch_share), ipc_or_dash(e.ipc),
-         std::string(name(label))});
+         policy_name(e.policy_before) + "->" + policy_name(e.policy_after),
+         smt::obs::audit_flag_names(e.mask), Table::num(e.fetch_share),
+         ipc_or_dash(e.ipc), std::string(name(label))});
   }
 
   print_table(audits, opt);
@@ -335,11 +327,11 @@ int cmd_pipeview(const ReadTrace& trace, const Options& opt) {
   std::uint64_t committed = 0;
   std::uint64_t squashed = 0;
 
-  for (const ReadEvent& e : trace.events) {
+  for (const TraceEvent& e : trace.events) {
     if (e.kind != EventKind::kPipeview) continue;
     ++total;
-    const std::string terminal = decode(e.code, pipe_terminal_name);
-    const bool commit = terminal == "commit";
+    const auto terminal = static_cast<smt::obs::PipeTerminal>(e.code);
+    const bool commit = terminal == smt::obs::PipeTerminal::kCommit;
     committed += commit ? 1 : 0;
     squashed += commit ? 0 : 1;
     if (opt.limit != 0 && shown >= opt.limit) continue;
@@ -349,15 +341,15 @@ int cmd_pipeview(const ReadTrace& trace, const Options& opt) {
     const std::uint64_t scale = e.span / kLaneWidth + 1;
     std::string lane(static_cast<std::size_t>(e.span / scale) + 1, '.');
     lane[0] = 'F';
-    for (std::size_t s = 0; s < e.stages.size(); ++s) {
-      if (e.stages[s] == 0) continue;  // never reached
-      lane[static_cast<std::size_t>(e.stages[s] / scale)] = kStageChar[s];
+    for (std::size_t s = 0; s < e.stage_delta.size(); ++s) {
+      if (e.stage_delta[s] == 0) continue;  // never reached
+      lane[static_cast<std::size_t>(e.stage_delta[s] / scale)] = kStageChar[s];
     }
     if (!commit) lane[lane.size() - 1] = 'X';
 
-    const std::string mask = decode_mask(e);
+    const std::string mask = smt::obs::pipe_flag_names(e.mask);
     std::cout << "seq " << e.value << " tid " << e.tid << " fetch@" << e.cycle
-              << " +" << e.span << " " << terminal;
+              << " +" << e.span << " " << name(terminal);
     if (!mask.empty()) std::cout << " [" << mask << "]";
     if (scale > 1) std::cout << " (1 col = " << scale << " cycles)";
     std::cout << "\n  " << lane << "\n";
@@ -407,20 +399,21 @@ int cmd_hist(const ReadTrace& trace, const Options& /*opt*/) {
   std::vector<std::uint64_t> lifetime;  // fetch -> retire
   std::vector<double> quantum_ipc;
 
-  for (const ReadEvent& e : trace.events) {
+  for (const TraceEvent& e : trace.events) {
     if (e.kind == EventKind::kQuantum) {
       quantum_ipc.push_back(e.ipc);
       continue;
     }
     if (e.kind != EventKind::kPipeview) continue;
     lifetime.push_back(e.span);
-    if (e.stages[kDispatch] != 0) {
-      frontend.push_back(e.stages[kDispatch]);
-      if (e.stages[kIssue] != 0) {
-        queue.push_back(e.stages[kIssue] - e.stages[kDispatch]);
-        if (e.stages[kWriteback] != 0) {
-          execute.push_back(e.stages[kWriteback] - e.stages[kIssue]);
-          commit.push_back(e.span - e.stages[kWriteback]);
+    const auto& st = e.stage_delta;
+    if (st[kDispatch] != 0) {
+      frontend.push_back(st[kDispatch]);
+      if (st[kIssue] != 0) {
+        queue.push_back(st[kIssue] - st[kDispatch]);
+        if (st[kWriteback] != 0) {
+          execute.push_back(st[kWriteback] - st[kIssue]);
+          commit.push_back(e.span - st[kWriteback]);
         }
       }
     }
@@ -463,7 +456,7 @@ struct QuantumFacts {
 
 std::map<std::uint64_t, QuantumFacts> collect(const ReadTrace& t) {
   std::map<std::uint64_t, QuantumFacts> m;
-  for (const ReadEvent& e : t.events) {
+  for (const TraceEvent& e : t.events) {
     QuantumFacts& q = m[e.quantum];
     q.stalls += stall_total(e);
     switch (e.kind) {
@@ -488,13 +481,7 @@ std::map<std::uint64_t, QuantumFacts> collect(const ReadTrace& t) {
 }
 
 int cmd_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
-  const auto da = a.build.find("config_digest");
-  const auto db = b.build.find("config_digest");
-  if (da != a.build.end() && db != b.build.end() &&
-      da->second != db->second) {
-    std::cout << "note: config digests differ (" << da->second << " vs "
-              << db->second << ")\n";
-  }
+  note_digests(a, b);
 
   const std::map<std::uint64_t, QuantumFacts> qa = collect(a);
   const std::map<std::uint64_t, QuantumFacts> qb = collect(b);
@@ -567,7 +554,7 @@ struct CpiAgg {
   std::array<std::uint64_t, smt::obs::kNumStallCauses> rob_by{};
   std::array<std::uint64_t, smt::obs::kCpiMaxThreads> contend{};
 
-  void add(const ReadEvent& e) {
+  void add(const TraceEvent& e) {
     span += e.span;
     width = e.value;
     for (std::size_t i = 0; i < cpi.size(); ++i) cpi[i] += e.cpi[i];
@@ -589,7 +576,7 @@ int cmd_cpi(const ReadTrace& trace, const Options& opt) {
 
   std::map<std::int64_t, CpiAgg> by_tid;
   std::size_t rows = 0;
-  for (const ReadEvent& e : trace.events) {
+  for (const TraceEvent& e : trace.events) {
     if (e.kind != EventKind::kCpiStack) continue;
     by_tid[e.tid].add(e);
     ++rows;
@@ -680,7 +667,7 @@ int cmd_cpi(const ReadTrace& trace, const Options& opt) {
   Table series({"quantum", "thread", "cycles", "ipc", "lost_share",
                 "top_cause", "top_share"});
   std::size_t skipped = 0;
-  for (const ReadEvent& e : trace.events) {
+  for (const TraceEvent& e : trace.events) {
     if (e.kind != EventKind::kCpiStack) continue;
     if (opt.limit != 0 && series.rows() >= opt.limit) {
       ++skipped;
@@ -722,20 +709,14 @@ int cmd_cpi(const ReadTrace& trace, const Options& opt) {
 }
 
 int cmd_cpi_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
-  const auto da = a.build.find("config_digest");
-  const auto db = b.build.find("config_digest");
-  if (da != a.build.end() && db != b.build.end() &&
-      da->second != db->second) {
-    std::cout << "note: config digests differ (" << da->second << " vs "
-              << db->second << ")\n";
-  }
+  note_digests(a, b);
 
   // Key rows by quantum × tid; each side contributes at most one
   // kCpiStack row per key.
   using Key = std::pair<std::uint64_t, std::int64_t>;
   const auto collect_cpi = [](const ReadTrace& t) {
     std::map<Key, CpiAgg> m;
-    for (const ReadEvent& e : t.events) {
+    for (const TraceEvent& e : t.events) {
       if (e.kind != EventKind::kCpiStack) continue;
       m[{e.quantum, e.tid}].add(e);
     }
@@ -807,10 +788,15 @@ int main(int argc, char** argv) {
     const std::vector<std::string>& pos = args.positional();
     if (pos.empty()) throw smt::UsageError("missing command");
     const std::string& cmd = pos[0];
+    if (cmd == "schema") {
+      if (pos.size() != 1) throw smt::UsageError("schema takes no arguments");
+      smt::obs::write_schema(std::cout);
+      return smt::kExitOk;
+    }
     const bool is_diff = cmd == "diff";
     const bool is_cpi = cmd == "cpi";
     if (cmd != "summary" && cmd != "switches" && cmd != "pipeview" &&
-        cmd != "hist" && !is_diff && !is_cpi) {
+        cmd != "hist" && cmd != "chrome" && !is_diff && !is_cpi) {
       throw smt::UsageError("unknown command: " + cmd);
     }
     if (is_cpi) {
@@ -835,6 +821,12 @@ int main(int argc, char** argv) {
     if (cmd == "switches") return cmd_switches(trace, opt);
     if (cmd == "pipeview") return cmd_pipeview(trace, opt);
     if (cmd == "hist") return cmd_hist(trace, opt);
+    if (cmd == "chrome") {
+      smt::obs::TraceSink::write_chrome(
+          std::cout, trace.events, smt::sim::trace_decoder(),
+          trace.build ? &*trace.build : nullptr);
+      return smt::kExitOk;
+    }
     if (is_cpi) {
       return pos.size() == 3 ? cmd_cpi_diff(trace, load(pos[2]), opt)
                              : cmd_cpi(trace, opt);

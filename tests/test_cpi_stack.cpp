@@ -195,13 +195,13 @@ TEST(CpiStack, TraceRowsSumToThePipelineStacks) {
   s.run(8 * 1024);
   s.flush_trace();
   std::stringstream ss;
-  sink.write(ss, obs::TraceFormat::kJsonl, sim::trace_decoder());
+  sink.write(ss);
   const obs::ReadTrace trace = obs::read_trace(ss);
 
   std::array<obs::CpiStack, obs::kCpiMaxThreads> sums{};
   std::array<std::uint64_t, obs::kCpiMaxThreads> spans{};
   std::size_t rows = 0;
-  for (const obs::ReadEvent& e : trace.events) {
+  for (const obs::TraceEvent& e : trace.events) {
     if (e.kind != obs::EventKind::kCpiStack) continue;
     ++rows;
     ASSERT_GE(e.tid, 0);

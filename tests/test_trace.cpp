@@ -55,14 +55,6 @@ TEST(TraceSink, ClearResetsRingAndDropCounter) {
   EXPECT_EQ(sink.snapshot().at(0).cycle, 42u);
 }
 
-TEST(TraceFormatParse, AcceptsTheThreeBackends) {
-  EXPECT_EQ(parse_trace_format("csv"), TraceFormat::kCsv);
-  EXPECT_EQ(parse_trace_format("jsonl"), TraceFormat::kJsonl);
-  EXPECT_EQ(parse_trace_format("chrome"), TraceFormat::kChrome);
-  EXPECT_FALSE(parse_trace_format("xml").has_value());
-  EXPECT_FALSE(parse_trace_format("").has_value());
-}
-
 // ---------------------------------------------------------------------------
 // A minimal JSON reader, just rich enough to round-trip what the writers
 // emit (objects, strings, numbers, bools, null). Flattens nested objects
@@ -199,8 +191,8 @@ TEST(SimulatorTrace, SameSeedAndConfigGiveByteIdenticalJsonl) {
   b.run(8 * 1024);
   std::ostringstream ja;
   std::ostringstream jb;
-  sa.write(ja, TraceFormat::kJsonl, sim::trace_decoder());
-  sb.write(jb, TraceFormat::kJsonl, sim::trace_decoder());
+  sa.write(ja);
+  sb.write(jb);
   ASSERT_GT(sa.size(), 0u);
   EXPECT_EQ(ja.str(), jb.str());
 }
@@ -268,7 +260,7 @@ TEST(SimulatorTrace, ChromeBackendEmitsAWellFormedDocument) {
   s.attach_trace(&sink);
   s.run(4 * 1024);
   std::ostringstream os;
-  sink.write(os, TraceFormat::kChrome, sim::trace_decoder());
+  TraceSink::write_chrome(os, sink.snapshot(), sim::trace_decoder());
   const std::string doc = os.str();
   EXPECT_EQ(doc.rfind("{\"displayTimeUnit\"", 0), 0u);
   EXPECT_NE(doc.find("\"traceEvents\":["), std::string::npos);
