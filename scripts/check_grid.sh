@@ -12,8 +12,13 @@
 #    temp file left.
 # 3. Direct identity: each published document must be byte-identical
 #    to the --stats-json document of a direct `smtsim` run of its job.
+# 4. BENCH_adts.json: scripts/run_bench_suite.sh runs
+#    bench/adts_suite.grid afresh with 4 workers and must reproduce the
+#    committed file byte for byte.
+# 5. Oracle: --jobs 1 and --jobs 8 print the same CSV bytes.
 #
 # Usage: scripts/check_grid.sh [smtsim-binary]
+#   (the binary must sit at BUILD/src/smtsim, as step 4 uses BUILD)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -119,5 +124,21 @@ while read -r _ digest mix _ seed variant; do
            "run" >&2; exit 1; }
 done < <(grep '^ran ' "$tmp/ref.log")
 echo "   $njobs documents byte-identical to direct runs"
+
+echo "== run_bench_suite.sh (4 workers) reproduces BENCH_adts.json"
+BUILD_DIR="$(dirname "$(dirname "$smtsim")")" SMT_JOBS=4 \
+  "$repo/scripts/run_bench_suite.sh" "$tmp/bench_adts.json" > /dev/null
+cmp "$tmp/bench_adts.json" "$repo/BENCH_adts.json" \
+  || { echo "check_grid: BENCH_adts.json differs from a fresh run;" \
+         "regenerate it with scripts/run_bench_suite.sh if the simulator" \
+         "changed" >&2; exit 1; }
+echo "   byte-identical"
+
+echo "== oracle: --jobs 1 and --jobs 8 print the same CSV"
+oracle=(--mix bal1 --oracle --quanta 6 --cycles 65536 --warmup 8192 --csv)
+"$smtsim" "${oracle[@]}" --jobs 1 > "$tmp/oracle.j1.csv"
+"$smtsim" "${oracle[@]}" --jobs 8 > "$tmp/oracle.j8.csv"
+cmp "$tmp/oracle.j1.csv" "$tmp/oracle.j8.csv"
+echo "   byte-identical"
 
 echo "check_grid: OK"

@@ -1,116 +1,79 @@
 #!/usr/bin/env bash
-# Performance-floor gate: the committed BENCH_perf.json is the baseline,
-# and a freshly built bench_sim_throughput must reach at least
-# SMT_PERF_FLOOR (default 0.7) of its single-run sim_mips. The generous
-# factor tolerates host-to-host variance while still catching
-# order-of-magnitude regressions: accidental debug/sanitizer builds,
-# hot-path slips, quadratic per-cycle scans. The measurement replays
-# the committed baseline's recorded bench_scale and passes if any of
-# three attempts clears the floor (shared hosts swing ~2x between
-# windows; real regressions fail every attempt).
+# Performance-floor gate on perfbench (BENCHMARK.json).
 #
-# The single-run number is host-dependent, so the gate is meaningful on
-# hosts comparable to the one that produced the committed baseline
-# (host_cpu/host_cores are recorded in the JSON for exactly this reason);
-# set SMT_PERF_FLOOR lower, or 0 to disable, on slower machines.
+# Runs `perfbench/run.py --workers 2 --workload W --seconds 5` for each
+# of the three workloads (~1 minute in all) and fails when
+#   - a run reports "correct": false (a failed unit or identity check:
+#     stats digests, serial-vs-pooled and copy-vs-fresh identity), or
+#   - ilp8_single sim_mips is below SMT_PERF_FLOOR x the sim_mips of the
+#     last record in BENCH_history.jsonl.
+# The floor hunts order-of-magnitude slips (debug or sanitizer builds,
+# quadratic per-cycle scans), not 10% drifts; a baseline from another
+# host needs a lower SMT_PERF_FLOOR, and 0 disables it.
 #
-# Usage: scripts/check_perf_floor.sh [build_dir]
-#   BUILD_DIR / $1    build tree (default: build)
-#   SMT_PERF_FLOOR    required fraction of baseline sim_mips (default 0.7)
+# A passing run prints one provenance-stamped record line on stdout
+# (every perfbench metric per workload, host, git describe, UTC); a
+# failing run prints it on stderr only, so it never becomes a baseline.
+# The baseline is read before anything is printed, so appending is safe:
+#   scripts/check_perf_floor.sh >> BENCH_history.jsonl
+# CI compares against the last committed record, so commit records from
+# a host like CI's: one from a slower host loosens the floor, one from a
+# faster host can make CI fail.
+#
+# Usage: scripts/check_perf_floor.sh
+#   SMT_PERF_FLOOR    required fraction of the baseline (default 0.7)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
-build="${1:-${BUILD_DIR:-$repo/build}}"
 floor="${SMT_PERF_FLOOR:-0.7}"
-baseline="$repo/BENCH_perf.json"
-bench="$build/bench/bench_sim_throughput"
-
-if [ ! -f "$baseline" ]; then
-  echo "check_perf_floor: no committed BENCH_perf.json; skipped"
-  exit 0
-fi
-if ! command -v python3 >/dev/null 2>&1; then
-  echo "check_perf_floor: python3 unavailable; skipped"
-  exit 0
-fi
-
-# Rebuild so the gate always measures the tree as it stands, never a
-# stale binary.
-cmake --build "$build" --target bench_sim_throughput >/dev/null
-
-# Re-measure at the scale that produced the committed baseline (recorded
-# as bench_scale; baselines from before that field default to "default"),
-# so the comparison is apples-to-apples. --single-only skips the per-mix
-# table and the parallel passes: the gate only reads single_run.
-scale="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get("bench_scale", "default"))' "$baseline")"
-
+seconds=5
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# Shared CI hosts show ~2x wall-clock swings between windows (neighbour
-# load, burst throttling), which a single sample would misreport as a
-# regression. The gate hunts order-of-magnitude slips — debug builds,
-# quadratic scans — and those fail every attempt, so passing if ANY of
-# three attempts clears the floor keeps the gate's teeth without the
-# host-noise flakes.
-attempts=3
-measurements=()
-for i in $(seq 1 "$attempts"); do
-  SMT_BENCH_SCALE="$scale" SMT_JOBS=1 "$bench" --json --single-only \
-    > "$tmp/perf.json"
-  line="$(python3 - "$baseline" "$tmp/perf.json" "$floor" "$i" "$attempts" \
-    <<'EOF'
+cd "$repo"
+for w in ilp8_single adts_sweep bal1_oracle; do
+  echo "== perfbench $w (--seconds $seconds)" >&2
+  python3 perfbench/run.py --workers 2 --workload "$w" \
+    --seconds "$seconds" > "$tmp/$w.out"
+done
+
+python3 - "$tmp" "$repo/BENCH_history.jsonl" "$floor" "$seconds" \
+  "$(git describe --always --dirty 2>/dev/null || echo unknown)" \
+  "$(date -u +%Y-%m-%dT%H:%M:%SZ)" <<'EOF'
 import json
 import sys
 
-base_doc = json.load(open(sys.argv[1]))
-cur_doc = json.load(open(sys.argv[2]))
-base = base_doc["single_run"]["sim_mips"]
-cur = cur_doc["single_run"]["sim_mips"]
-floor = float(sys.argv[3])
-need = base * floor
-ok = cur >= need
-print(f"attempt {sys.argv[4]}/{sys.argv[5]}: {cur:.2f} sim-MIPS vs "
-      f"baseline {base:.2f} at scale "
-      f"{base_doc.get('bench_scale', 'default')} "
-      f"(floor {floor:.2f}x -> {need:.2f}): "
-      f"{'ok' if ok else 'below floor'}")
+tmp, history, floor, seconds, describe, utc = sys.argv[1:]
+record = {"time_utc": utc, "git_describe": describe, "workers": 2,
+          "seconds": float(seconds), "workloads": {}}
+base = json.loads(open(history).read().splitlines()[-1])
+ok = True
+for w in ("ilp8_single", "adts_sweep", "bal1_oracle"):
+    lines = open(f"{tmp}/{w}.out").read().splitlines()
+    # run.py's "host <cpu>  nproc N  loadavg_1m ..." line.
+    host = next(l for l in lines if l.startswith("host "))
+    record["host_cpu"], rest = host[5:].split("  nproc ", 1)
+    record["host_nproc"] = int(rest.split()[0])
+    res = json.loads(lines[-1])
+    record["workloads"][w] = {"correct": res["correct"], **{
+        k: m["value"] for k, m in res["metrics"].items()}}
+    if not res["correct"]:
+        print(f"check_perf_floor: {w}: {res['failed']} of "
+              f"{res['attempted']} units and checks failed", file=sys.stderr)
+        ok = False
+
+base_mips = base["workloads"]["ilp8_single"]["sim_mips"]
+mips = record["workloads"]["ilp8_single"]["sim_mips"]
+need = float(floor) * base_mips
+print(f"check_perf_floor: ilp8_single {mips:.3f} sim-MIPS vs baseline "
+      f"{base_mips:.3f} ({base['host_cpu']}, {base['git_describe']}); "
+      f"floor {float(floor):.2f}x -> {need:.3f}", file=sys.stderr)
+if mips < need:
+    print("check_perf_floor: FAIL: below the floor; on a slower host rerun "
+          "with a lower SMT_PERF_FLOOR", file=sys.stderr)
+    ok = False
+print(json.dumps(record, sort_keys=True),
+      file=sys.stdout if ok else sys.stderr)
+print(f"check_perf_floor: {'OK' if ok else 'FAIL'}", file=sys.stderr)
 sys.exit(0 if ok else 1)
 EOF
-  )" && ok=1 || ok=0
-  measurements+=("$line")
-  if [ "$ok" -eq 1 ]; then
-    # Report the full picture, not a bare pass: which attempt cleared
-    # and every measurement taken on the way, so noisy-host passes
-    # (attempt 2+ clearing after slow early samples) stay diagnosable
-    # from the log alone.
-    echo "check_perf_floor: OK — attempt $i/$attempts cleared the floor"
-    for m in "${measurements[@]}"; do
-      echo "  $m"
-    done
-    exit 0
-  fi
-  if [ "$i" -lt "$attempts" ]; then
-    echo "check_perf_floor: attempt $i/$attempts below floor; retrying" \
-      "(host-noise tolerance)"
-  fi
-done
-
-echo "check_perf_floor: FAIL — all $attempts attempts below the floor" >&2
-for m in "${measurements[@]}"; do
-  echo "  $m" >&2
-done
-python3 - "$baseline" "$tmp/perf.json" <<'EOF' >&2
-import json
-import sys
-
-base_doc = json.load(open(sys.argv[1]))
-cur_doc = json.load(open(sys.argv[2]))
-print(f"  baseline host: {base_doc.get('host_cpu', '?')} "
-      f"({base_doc.get('host_cores', '?')} cores)")
-print(f"  current host:  {cur_doc.get('host_cpu', '?')} "
-      f"({cur_doc.get('host_cores', '?')} cores)")
-print("  if the hosts are not comparable, rerun with a lower "
-      "SMT_PERF_FLOOR; otherwise a change regressed the hot path")
-EOF
-exit 1

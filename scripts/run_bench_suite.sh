@@ -1,107 +1,62 @@
 #!/usr/bin/env bash
-# Run the ADTS benchmark suite and emit machine-readable results.
+# Regenerate BENCH_adts.json from the grid bench/adts_suite.grid.
 #
-# Runs the two headline paper-figure benches (Fig. 8 threshold/heuristic
-# grid, Fig. 7 switching behaviour) for the human-readable tables, then
-# sweeps every built-in mix through smtsim --stats-json (fixed ICOUNT and
-# ADTS) and assembles the per-mix metric documents into one
-# BENCH_adts.json.
+# Runs the grid with `smtsim --grid` and assembles its per-job
+# --stats-json documents into one file, keyed by mix and by mode: "fixed"
+# for the ICOUNT job, "adts" for the ADTS job. The build- and
+# host-identity keys of each document's run.* block (git sha, compiler,
+# flags, cpu model, core count, SMT_JOBS) are dropped, so the file can be
+# byte-compared across commits, toolchains and machines
+# (scripts/check_grid.sh does).
 #
 # Usage: scripts/run_bench_suite.sh [output.json]
-#   BUILD_DIR     build tree (default: build)
-#   BENCH_CYCLES  measured cycles per run (default: 65536)
-#   BENCH_WARMUP  warm-up cycles per run (default: 8192)
-#   SMT_BENCH_SCALE=quick|full  forwarded to the bench binaries
-#   SMT_JOBS      concurrency: worker threads inside the bench binaries and
-#                 concurrent smtsim processes in the per-mix sweep (default
-#                 1; every output is bit-identical for any value)
+#   BUILD_DIR  build tree (default: build)
+#   SMT_JOBS   grid workers (default 1; the output is identical for any
+#              value)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${BUILD_DIR:-$repo/build}"
 out="${1:-$repo/BENCH_adts.json}"
-cycles="${BENCH_CYCLES:-65536}"
-warmup="${BENCH_WARMUP:-8192}"
 smtsim="$build/src/smtsim"
+grid="$repo/bench/adts_suite.grid"
 
 if [ ! -x "$smtsim" ]; then
   echo "== building ($build)"
   cmake -B "$build" -S "$repo" >/dev/null
-  cmake --build "$build" -j "$(nproc)" >/dev/null
+  cmake --build "$build" -j "$(nproc)" --target smtsim >/dev/null
 fi
 
-export SMT_BENCH_SCALE="${SMT_BENCH_SCALE:-quick}"
-for bench in bench_fig8_ipc bench_fig7_switching; do
-  echo "== $bench (SMT_BENCH_SCALE=$SMT_BENCH_SCALE)"
-  "$build/bench/$bench"
-done
-
-jobs_n="${SMT_JOBS:-1}"
-case "$jobs_n" in
-  ''|*[!0-9]*|0) echo "run_bench_suite: SMT_JOBS must be >= 1" >&2; exit 2 ;;
-esac
-
-echo "== per-mix --stats-json sweep ($cycles cycles + $warmup warm-up," \
-  "$jobs_n jobs)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+dir="$tmp/grid"
 
-# Each mix is an independent process pair; fan them out bounded by SMT_JOBS
-# and assemble the JSON serially afterwards, in the fixed --list order.
-mixes="$("$smtsim" --list | sed -n 's/^  \([a-z0-9]*\) —.*/\1/p')"
-for mix in $mixes; do
-  # `|| true`: a failed run surfaces as a missing JSON file during
-  # assembly, not as a bare abort of the fan-out loop.
-  while [ "$(jobs -rp | wc -l)" -ge "$jobs_n" ]; do wait -n || true; done
-  (
-    "$smtsim" --mix "$mix" --cycles "$cycles" --warmup "$warmup" \
-      --stats-json "$tmp/$mix.fixed.json" >/dev/null
-    "$smtsim" --mix "$mix" --adts --cycles "$cycles" --warmup "$warmup" \
-      --stats-json "$tmp/$mix.adts.json" >/dev/null
-    echo "   $mix"
-  ) &
-done
-wait
+echo "== smtsim --grid $grid (${SMT_JOBS:-1} jobs)"
+"$smtsim" --grid "$grid" --out "$dir" --jobs "${SMT_JOBS:-1}" > "$tmp/log"
 
-{
-  printf '{\n"suite": "adts",\n"cycles": %s,\n"warmup": %s,\n"mixes": {\n' \
-    "$cycles" "$warmup"
-  first=1
-  for mix in $mixes; do
-    [ $first -eq 1 ] || printf ',\n'
-    first=0
-    printf '"%s": {\n"fixed": ' "$mix"
-    cat "$tmp/$mix.fixed.json"
-    printf ',\n"adts": '
-    cat "$tmp/$mix.adts.json"
-    printf '}'
-  done
-  printf '\n}\n}\n'
-} > "$out"
-
-if command -v python3 >/dev/null 2>&1; then
-  # The per-run run.* provenance block identifies the *binary* (git sha,
-  # compiler, flags) and the *host* (cpu model, core count, SMT_JOBS) —
-  # exactly what must NOT enter a document that is byte-compared across
-  # commits, toolchains and machines (run_perf_suite.sh). Keep the
-  # run-identity keys (seed, config_digest, version), drop the build- and
-  # host-identity ones, and re-serialize deterministically.
-  python3 - "$out" <<'EOF'
+# One "ran|cached <digest> <mix> seed <seed> <ICOUNT | adts Type3@2>" line
+# per job.
+python3 - "$dir" "$tmp/log" "$out" <<'PY'
 import json
 import sys
 
-path = sys.argv[1]
-doc = json.load(open(path))
-for mix in doc["mixes"].values():
-    for run in mix.values():
-        for volatile in ("git_sha", "compiler", "flags",
-                         "host_cpu", "host_cores", "smt_jobs"):
-            run.get("run", {}).pop(volatile, None)
-with open(path, "w") as f:
+dir_, log, out = sys.argv[1:]
+doc = {"suite": "adts", "mixes": {}}
+for line in open(log):
+    status, digest, mix, _, _, variant = line.split(maxsplit=5)
+    if status not in ("ran", "cached"):
+        sys.exit(f"run_bench_suite: {line.strip()}")
+    run = json.load(open(f"{dir_}/{digest}.json"))
+    for volatile in ("git_sha", "compiler", "flags",
+                     "host_cpu", "host_cores", "smt_jobs"):
+        run["run"].pop(volatile, None)
+    # Every job of the grid shares these.
+    doc["cycles"] = run["run"]["measured_cycles"]
+    doc["warmup"] = run["run"]["warmup_cycles"]
+    mode = "adts" if variant.startswith("adts ") else "fixed"
+    doc["mixes"].setdefault(mix, {})[mode] = run
+with open(out, "w") as f:
     json.dump(doc, f, indent=1, sort_keys=True)
     f.write("\n")
-EOF
-  echo "== $out valid JSON (volatile build provenance stripped)"
-else
-  echo "== $out written (python3 unavailable; raw, unvalidated)"
-fi
+PY
+echo "== wrote $out"

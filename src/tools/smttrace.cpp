@@ -38,6 +38,8 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -480,56 +482,34 @@ std::map<std::uint64_t, QuantumFacts> collect(const ReadTrace& t) {
   return m;
 }
 
-int cmd_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
-  note_digests(a, b);
+using Row = std::vector<std::string>;
 
-  const std::map<std::uint64_t, QuantumFacts> qa = collect(a);
-  const std::map<std::uint64_t, QuantumFacts> qb = collect(b);
+/// Compare two keyed maps over the sorted union of their keys. `row(key,
+/// a, b)` gets nullptr for a side that lacks the key and returns the row
+/// of a differing key, or nullopt when both sides agree. Prints at most
+/// opt.limit differing rows into `t`, then the "N <what> compared, M
+/// differing" tally.
+template <typename Map, typename RowFn>
+void print_map_diff(const Map& a, const Map& b, Table t, const Options& opt,
+                    const char* what, RowFn row) {
+  std::set<typename Map::key_type> keys;
+  for (const auto& [k, v] : a) keys.insert(k);
+  for (const auto& [k, v] : b) keys.insert(k);
 
-  std::vector<std::uint64_t> keys;
-  for (const auto& [k, v] : qa) keys.push_back(k);
-  for (const auto& [k, v] : qb) {
-    if (qa.find(k) == qa.end()) keys.push_back(k);
-  }
-  std::sort(keys.begin(), keys.end());
-
-  Table t({"quantum", "ipc_a", "ipc_b", "d_ipc", "d_committed", "d_stalls",
-           "d_switches"});
   std::size_t differing = 0;
   std::size_t skipped = 0;
-  for (const std::uint64_t k : keys) {
-    const auto ia = qa.find(k);
-    const auto ib = qb.find(k);
-    if (ia == qa.end() || ib == qb.end()) {
-      ++differing;
-      if (opt.limit != 0 && t.rows() >= opt.limit) {
-        ++skipped;
-        continue;
-      }
-      t.add_row({std::to_string(k),
-                 ia != qa.end() ? Table::num(ia->second.ipc) : "-",
-                 ib != qb.end() ? Table::num(ib->second.ipc) : "-", "-", "-",
-                 "-", "-"});
-      continue;
-    }
-    const QuantumFacts& fa = ia->second;
-    const QuantumFacts& fb = ib->second;
-    const bool same = fa.ipc == fb.ipc && fa.committed == fb.committed &&
-                      fa.stalls == fb.stalls && fa.switches == fb.switches;
-    if (same) continue;
+  for (const auto& k : keys) {
+    const auto ia = a.find(k);
+    const auto ib = b.find(k);
+    std::optional<Row> r = row(k, ia != a.end() ? &ia->second : nullptr,
+                               ib != b.end() ? &ib->second : nullptr);
+    if (!r) continue;
     ++differing;
     if (opt.limit != 0 && t.rows() >= opt.limit) {
       ++skipped;
       continue;
     }
-    t.add_row({std::to_string(k), Table::num(fa.ipc), Table::num(fb.ipc),
-               Table::num(fb.ipc - fa.ipc),
-               std::to_string(static_cast<std::int64_t>(fb.committed) -
-                              static_cast<std::int64_t>(fa.committed)),
-               std::to_string(static_cast<std::int64_t>(fb.stalls) -
-                              static_cast<std::int64_t>(fa.stalls)),
-               std::to_string(static_cast<std::int64_t>(fb.switches) -
-                              static_cast<std::int64_t>(fa.switches))});
+    t.add_row(std::move(*r));
   }
 
   if (t.rows() != 0) {
@@ -537,8 +517,39 @@ int cmd_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
     if (skipped != 0) std::cout << "  ... " << skipped << " more\n";
     std::cout << '\n';
   }
-  std::cout << keys.size() << " quanta compared, " << differing
+  std::cout << keys.size() << ' ' << what << " compared, " << differing
             << " differing\n";
+}
+
+/// b - a as a signed decimal.
+std::string delta(std::uint64_t a, std::uint64_t b) {
+  return std::to_string(static_cast<std::int64_t>(b) -
+                        static_cast<std::int64_t>(a));
+}
+
+int cmd_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
+  note_digests(a, b);
+  print_map_diff(
+      collect(a), collect(b),
+      Table({"quantum", "ipc_a", "ipc_b", "d_ipc", "d_committed", "d_stalls",
+             "d_switches"}),
+      opt, "quanta",
+      [](std::uint64_t k, const QuantumFacts* fa,
+         const QuantumFacts* fb) -> std::optional<Row> {
+        if (fa == nullptr || fb == nullptr) {
+          return Row{std::to_string(k), fa ? Table::num(fa->ipc) : "-",
+                     fb ? Table::num(fb->ipc) : "-", "-", "-", "-", "-"};
+        }
+        if (fa->ipc == fb->ipc && fa->committed == fb->committed &&
+            fa->stalls == fb->stalls && fa->switches == fb->switches) {
+          return std::nullopt;
+        }
+        return Row{std::to_string(k), Table::num(fa->ipc), Table::num(fb->ipc),
+                   Table::num(fb->ipc - fa->ipc),
+                   delta(fa->committed, fb->committed),
+                   delta(fa->stalls, fb->stalls),
+                   delta(fa->switches, fb->switches)};
+      });
   return smt::kExitOk;
 }
 
@@ -722,56 +733,28 @@ int cmd_cpi_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
     }
     return m;
   };
-  const std::map<Key, CpiAgg> qa = collect_cpi(a);
-  const std::map<Key, CpiAgg> qb = collect_cpi(b);
 
-  std::vector<Key> keys;
-  for (const auto& [k, v] : qa) keys.push_back(k);
-  for (const auto& [k, v] : qb) {
-    if (qa.find(k) == qa.end()) keys.push_back(k);
-  }
-  std::sort(keys.begin(), keys.end());
-
-  std::vector<std::string> head{"quantum", "thread"};
+  Row head{"quantum", "thread"};
   for (std::size_t c = 0; c < smt::obs::kNumCpiCauses; ++c) {
     head.push_back("d_" +
                    std::string(name(static_cast<smt::obs::CpiCause>(c))));
   }
-  Table t(head);
-  std::size_t differing = 0;
-  std::size_t skipped = 0;
-  for (const Key& k : keys) {
-    const auto ia = qa.find(k);
-    const auto ib = qb.find(k);
-    const CpiAgg ea = ia != qa.end() ? ia->second : CpiAgg{};
-    const CpiAgg eb = ib != qb.end() ? ib->second : CpiAgg{};
-    bool same = ia != qa.end() && ib != qb.end() && ea.span == eb.span;
-    if (same) {
-      same = ea.cpi == eb.cpi && ea.rob_by == eb.rob_by &&
-             ea.contend == eb.contend;
-    }
-    if (same) continue;
-    ++differing;
-    if (opt.limit != 0 && t.rows() >= opt.limit) {
-      ++skipped;
-      continue;
-    }
-    std::vector<std::string> row{std::to_string(k.first),
-                                 std::to_string(k.second)};
-    for (std::size_t c = 0; c < smt::obs::kNumCpiCauses; ++c) {
-      row.push_back(std::to_string(static_cast<std::int64_t>(eb.cpi[c]) -
-                                   static_cast<std::int64_t>(ea.cpi[c])));
-    }
-    t.add_row(row);
-  }
-
-  if (t.rows() != 0) {
-    print_table(t, opt);
-    if (skipped != 0) std::cout << "  ... " << skipped << " more\n";
-    std::cout << '\n';
-  }
-  std::cout << keys.size() << " cpi rows compared, " << differing
-            << " differing\n";
+  print_map_diff(
+      collect_cpi(a), collect_cpi(b), Table(head), opt, "cpi rows",
+      [](const Key& k, const CpiAgg* pa,
+         const CpiAgg* pb) -> std::optional<Row> {
+        const CpiAgg ea = pa ? *pa : CpiAgg{};
+        const CpiAgg eb = pb ? *pb : CpiAgg{};
+        if (pa && pb && ea.span == eb.span && ea.cpi == eb.cpi &&
+            ea.rob_by == eb.rob_by && ea.contend == eb.contend) {
+          return std::nullopt;
+        }
+        Row row{std::to_string(k.first), std::to_string(k.second)};
+        for (std::size_t c = 0; c < smt::obs::kNumCpiCauses; ++c) {
+          row.push_back(delta(ea.cpi[c], eb.cpi[c]));
+        }
+        return row;
+      });
   return smt::kExitOk;
 }
 

@@ -130,7 +130,9 @@ StreamEntry::StreamEntry(const AppProfile& profile, std::uint32_t thread_id,
 }
 
 std::shared_ptr<const StreamChunk> StreamEntry::generate_with(StreamGen& gen) {
-  auto chunk = std::make_shared<StreamChunk>();
+  // Allocated apart from its control block: chunks_ holds weak refs that
+  // outlive the chunk, and with make_shared they would pin its storage.
+  std::shared_ptr<StreamChunk> chunk(new StreamChunk());
   for (auto& in : chunk->instrs) in = gen.next();
   ++chunks_generated_;
   return chunk;

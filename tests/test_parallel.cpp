@@ -9,6 +9,7 @@
 
 #include "obs/metrics.hpp"
 #include "par/thread_pool.hpp"
+#include "sim/experiment.hpp"
 #include "sim/oracle.hpp"
 #include "workload/mix.hpp"
 
@@ -108,6 +109,32 @@ TEST(ParallelOracle, TrialsCrossingChunkBoundariesMatchSerial) {
   EXPECT_EQ(serial.committed, parallel.committed);
   EXPECT_EQ(serial.switches, parallel.switches);
   EXPECT_EQ(serial.quanta_per_policy, parallel.quanta_per_policy);
+}
+
+TEST(ParallelSweep, Fig78GridIsIdenticalForEveryJobsValue) {
+  // The whole Fig. 7/8 grid (ICOUNT baseline plus 5 heuristics x 5
+  // thresholds, every mix) at a tiny plan: pooled runs must reduce to
+  // exactly the serial grid, cell by cell.
+  sim::ExperimentScale scale;
+  scale.plan.intervals = 1;
+  scale.plan.warmup_cycles = 2048;
+  scale.plan.measure_cycles = 8192;
+  scale.jobs = 1;
+  const sim::SweepGrid serial = sim::run_fig78_sweep(scale);
+  scale.jobs = 3;
+  const sim::SweepGrid pooled = sim::run_fig78_sweep(scale);
+
+  EXPECT_EQ(serial.icount_baseline_ipc, pooled.icount_baseline_ipc);
+  EXPECT_EQ(serial.mixes, pooled.mixes);
+  ASSERT_EQ(serial.cells.size(), pooled.cells.size());
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    const sim::SweepCell& a = serial.cells[i];
+    const sim::SweepCell& b = pooled.cells[i];
+    EXPECT_EQ(a.ipc, b.ipc) << "cell " << i;
+    EXPECT_EQ(a.switches, b.switches) << "cell " << i;
+    EXPECT_EQ(a.benign_prob, b.benign_prob) << "cell " << i;
+    EXPECT_EQ(a.low_quanta_frac, b.low_quanta_frac) << "cell " << i;
+  }
 }
 
 /// One full simulation -> exported metrics as a JSON string. Everything a
