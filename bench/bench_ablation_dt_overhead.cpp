@@ -21,7 +21,7 @@
 int main() {
   using namespace smt;
   const sim::ExperimentScale scale = sim::ExperimentScale::from_env();
-  const auto mixes = sim::mixes_for_scale(scale);
+  const auto& mixes = scale.mixes;
 
   struct Variant {
     const char* name;

@@ -19,7 +19,7 @@
 int main() {
   using namespace smt;
   const sim::ExperimentScale scale = sim::ExperimentScale::from_env();
-  const auto mixes = sim::mixes_for_scale(scale);
+  const auto& mixes = scale.mixes;
 
   print_banner(std::cout,
                "Ablation: threads fetched per cycle (ICOUNT.n.8)");

@@ -18,7 +18,7 @@
 int main() {
   using namespace smt;
   const sim::ExperimentScale scale = sim::ExperimentScale::from_env();
-  const auto mixes = sim::mixes_for_scale(scale);
+  const auto& mixes = scale.mixes;
 
   print_banner(std::cout,
                "ADTS (Type 3, m=2) vs fixed ICOUNT, 8 threads — static "

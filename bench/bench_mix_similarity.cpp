@@ -47,7 +47,7 @@ double spearman(const std::vector<double>& x, const std::vector<double>& y) {
 int main() {
   using namespace smt;
   const sim::ExperimentScale scale = sim::ExperimentScale::from_env();
-  const auto mixes = sim::mixes_for_scale(scale);
+  const auto& mixes = scale.mixes;
 
   print_banner(std::cout,
                "Mix similarity vs ADTS improvement (Type 3, m=2, adaptive "

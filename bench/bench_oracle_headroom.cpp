@@ -33,7 +33,7 @@ struct MixRow {
 int main() {
   using namespace smt;
   const sim::ExperimentScale scale = sim::ExperimentScale::from_env();
-  const auto mixes = sim::mixes_for_scale(scale);
+  const auto& mixes = scale.mixes;
 
   print_banner(std::cout,
                "Oracle headroom over fixed ICOUNT (per-quantum best policy)");

@@ -17,7 +17,7 @@
 int main() {
   using namespace smt;
   const sim::ExperimentScale scale = sim::ExperimentScale::from_env();
-  const auto mixes = sim::mixes_for_scale(scale);
+  const auto& mixes = scale.mixes;
   const std::size_t thread_counts[] = {2, 4, 6, 8};
 
   print_banner(std::cout,

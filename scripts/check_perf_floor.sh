@@ -41,20 +41,31 @@ python3 - "$tmp" "$repo/BENCH_history.jsonl" "$floor" "$seconds" \
   "$(git describe --always --dirty 2>/dev/null || echo unknown)" \
   "$(date -u +%Y-%m-%dT%H:%M:%SZ)" <<'EOF'
 import json
+import os
 import sys
+
+
+def cpu_model():
+    # The first "model name" line of /proc/cpuinfo, as the simulator's
+    # own provenance (src/common/host_info.cpp) reads it.
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name") and ":" in line:
+                    return line.split(":", 1)[1].strip() or "unknown"
+    except OSError:
+        pass
+    return "unknown"
+
 
 tmp, history, floor, seconds, describe, utc = sys.argv[1:]
 record = {"time_utc": utc, "git_describe": describe, "workers": 2,
-          "seconds": float(seconds), "workloads": {}}
+          "seconds": float(seconds), "host_cpu": cpu_model(),
+          "host_nproc": os.cpu_count() or 0, "workloads": {}}
 base = json.loads(open(history).read().splitlines()[-1])
 ok = True
 for w in ("ilp8_single", "adts_sweep", "bal1_oracle"):
-    lines = open(f"{tmp}/{w}.out").read().splitlines()
-    # run.py's "host <cpu>  nproc N  loadavg_1m ..." line.
-    host = next(l for l in lines if l.startswith("host "))
-    record["host_cpu"], rest = host[5:].split("  nproc ", 1)
-    record["host_nproc"] = int(rest.split()[0])
-    res = json.loads(lines[-1])
+    res = json.loads(open(f"{tmp}/{w}.out").read().splitlines()[-1])
     record["workloads"][w] = {"correct": res["correct"], **{
         k: m["value"] for k, m in res["metrics"].items()}}
     if not res["correct"]:

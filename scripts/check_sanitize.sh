@@ -9,8 +9,9 @@
 #
 # "thread" builds under TSan (build-tsan/) and runs only the tests that
 # actually exercise concurrency — the par::ThreadPool suite, the
-# parallel oracle/sim/sweep and the pooled grid runner (plus the grid
-# parser it runs on) — because the rest of the library is
+# parallel oracle/sim/sweep, the stream chunk chain that simulator
+# copies share across workers, and the pooled grid runner (plus the
+# grid parser it runs on) — because the rest of the library is
 # single-threaded by construction (the thread-primitive lint rule fences
 # it) and TSan's ~5-15x slowdown would waste most of the run re-proving
 # that.
@@ -29,7 +30,7 @@ for san in "${sanitizers[@]}"; do
     undefined)         dir="$repo/build-ubsan" ;;
     address,undefined|undefined,address) dir="$repo/build-asan-ubsan" ;;
     thread)            dir="$repo/build-tsan"
-                       filter="^(ThreadPool|ParallelOracle|ParallelSim|ParallelSweep|BatchSpec|JobDigest|GridRunner)\." ;;
+                       filter="^(ThreadPool|ParallelOracle|ParallelSim|ParallelSweep|StreamChain|BatchSpec|JobDigest|GridRunner)\." ;;
     *) echo "unknown sanitizer: $san (use address | undefined |" \
             "address,undefined | thread)" >&2; exit 2 ;;
   esac

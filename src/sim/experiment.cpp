@@ -12,6 +12,12 @@
 
 namespace smt::sim {
 
+std::vector<std::string> all_mix_names() {
+  std::vector<std::string> names;
+  for (const auto& m : workload::all_mixes()) names.push_back(m.name);
+  return names;
+}
+
 ExperimentScale ExperimentScale::from_env() {
   ExperimentScale s;
   s.jobs = par::default_jobs();
@@ -23,6 +29,7 @@ ExperimentScale ExperimentScale::from_env() {
     s.plan.measure_cycles = 64 * 1024;  // 8 quanta
     s.oracle_quanta = 6;
     s.oracle_intervals = 1;
+    s.mixes = {"ctrl8", "mem8", "ilp8", "bal1", "var1"};
   } else if (mode == "full") {
     s.plan.intervals = 4;
     s.plan.warmup_cycles = 32 * 1024;
@@ -81,7 +88,7 @@ SweepGrid run_fig78_sweep(const ExperimentScale& scale, std::size_t threads) {
   SweepGrid grid;
   grid.thresholds = threshold_sweep();
   grid.types = core::all_heuristics();
-  grid.mixes = mixes_for_scale(scale);
+  grid.mixes = scale.mixes;
   grid.cells.resize(grid.types.size() * grid.thresholds.size());
 
   // Every run in the grid is independent, so the whole
@@ -144,19 +151,6 @@ SweepGrid run_fig78_sweep(const ExperimentScale& scale, std::size_t threads) {
     }
   }
   return grid;
-}
-
-std::vector<std::string> mixes_for_scale(const ExperimentScale& scale) {
-  std::vector<std::string> names;
-  const char* env = std::getenv("SMT_BENCH_SCALE");
-  const std::string_view mode = env ? env : "default";
-  if (mode == "quick") {
-    names = {"ctrl8", "mem8", "ilp8", "bal1", "var1"};
-  } else {
-    for (const auto& m : workload::all_mixes()) names.push_back(m.name);
-  }
-  (void)scale;
-  return names;
 }
 
 }  // namespace smt::sim

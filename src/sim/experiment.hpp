@@ -20,6 +20,9 @@
 
 namespace smt::sim {
 
+/// Names of all 13 evaluation mixes, in their stable order.
+[[nodiscard]] std::vector<std::string> all_mix_names();
+
 struct ExperimentScale {
   SamplingPlan plan{};
   /// Quanta per oracle run (oracle is ~|candidates|× the cost per quantum).
@@ -29,8 +32,11 @@ struct ExperimentScale {
   /// Worker threads for the embarrassingly parallel sweeps (src/par/).
   /// Results are bit-identical for any value; 1 = serial.
   std::size_t jobs = 1;
+  /// Names of the mixes to sweep: all 13 unless the scale narrows them.
+  std::vector<std::string> mixes = all_mix_names();
 
-  /// Read SMT_BENCH_SCALE and SMT_JOBS from the environment.
+  /// Read SMT_BENCH_SCALE and SMT_JOBS from the environment. The quick
+  /// scale sweeps a representative 5 mixes.
   [[nodiscard]] static ExperimentScale from_env();
 };
 
@@ -55,11 +61,6 @@ struct ExperimentScale {
                                              std::size_t threads,
                                              const ExperimentScale& scale,
                                              const OracleConfig& ocfg);
-
-/// Names of the mixes to sweep at this scale (all 13 at default/full, a
-/// representative 5 at quick).
-[[nodiscard]] std::vector<std::string> mixes_for_scale(
-    const ExperimentScale& scale);
 
 // ---------------------------------------------------------------------------
 // The Figure 7 / Figure 8 sweep: heuristic type × IPC threshold, averaged
@@ -88,7 +89,8 @@ struct SweepGrid {
   }
 };
 
-/// Run the full (type × threshold × mix) grid at `threads` contexts.
+/// Run the full (type × threshold × scale.mixes) grid at `threads`
+/// contexts.
 /// Individual runs fan out over scale.jobs workers; the grid is
 /// bit-identical for any jobs value.
 [[nodiscard]] SweepGrid run_fig78_sweep(const ExperimentScale& scale,

@@ -1,54 +1,37 @@
-// Decoded-stream memo cache.
+// Shared decoded streams.
 //
 // A thread's correct-path instruction stream is a pure function of
 // (profile, thread_id, workload seed): every class draw, dependency
 // distance, data address and branch outcome comes from dedicated RNG
 // streams that timing never touches (the property test_thread_program
-// locks). That makes the per-instruction synthesis work — ~60 ns of
-// distribution sampling per instruction — re-derivable, so this module
-// memoises it: streams are generated once, in chunks, and every
-// consumer with the same key reads the same decoded arrays.
+// locks). So the stream is decoded once, in chunks, and every reader of
+// it reads the same arrays.
 //
-// Who hits the cache:
-//   - oracle candidate replays: each policy candidate re-runs the same
-//     instruction region from a snapshot, so all but the first replay
-//     read memoised chunks;
-//   - warmup + measured samples in benchmarks: repeated Simulator
-//     constructions over one (mix, seed) re-read the same streams;
-//   - repeated in-process grid/sweep jobs sharing (profile, tid, seed).
+// The chunks form a chain. Each StreamChunk holds 4096 decoded
+// instructions, the StreamGen state at its end and a fill-once link to
+// the next chunk (par::OnceSlot). A ThreadProgram is a cursor that holds
+// only the chunk it is in; the first reader to reach the end of a chunk
+// builds the next one, and later readers follow the link.
 //
-// Concurrency model: the cache is THREAD-LOCAL (StreamCache::local())
-// and a StreamEntry is only ever mutated by the thread whose cache owns
-// it. That invariant is not automatic — Simulators DO cross threads (the
-// parallel oracle copies the base simulator into pool workers; sweep
-// cells move results back) — so ThreadProgram records which cache
-// resolved its entry and re-resolves from the executing thread's cache
-// before the first chunk fetch on a foreign thread
-// (thread_program.cpp; the cross-boundary regression test is
-// ParallelOracle.TrialsCrossingChunkBoundariesMatchSerial under TSan).
-// Published chunks themselves are immutable, so a pinned chunk_ can be
-// read from any thread. This keeps the library free of locks and
-// atomics (the thread-primitive lint rule stays one-module-long).
-// Sharing is therefore per-thread, which is where the repeat-run wins
-// live anyway: a job runs start-to-finish on one thread, and each
-// oracle worker replays its trials from its own cache.
+// Who shares: a Simulator copy shares its chunk pointers with the
+// original, so the oracle's candidate trials and every snapshot replay
+// read one copy of each chunk, on whichever pool worker they run.
+// Chunks are immutable once built, so readers need no lock; the link is
+// the only shared write, and par::OnceSlot guards it.
 //
-// Memory model: chunks are published as shared_ptr and tracked weakly;
-// a byte-budgeted retention pool (SMT_STREAM_CACHE_MB, default 64 MiB
-// per thread) additionally keeps the most recently used chunks alive for
-// reuse. Evicted chunks are regenerable from per-chunk StreamGen
-// checkpoints (~300 B each), so retention is purely a performance knob —
-// correctness never depends on what stayed resident.
+// Memory: a chunk is held by the readers in it and by its predecessor's
+// link, so it is freed as soon as no reader is at or behind it. A run
+// with no snapshot holds one or two chunks per thread.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "isa/instruction.hpp"
+#include "par/once_slot.hpp"
 #include "workload/address_gen.hpp"
 #include "workload/app_profile.hpp"
 #include "workload/branch_site.hpp"
@@ -56,7 +39,7 @@
 namespace smt::workload {
 
 // --- shared stream model ----------------------------------------------------
-// The drawing rules below are used by BOTH the memoised correct-path
+// The drawing rules below are used by BOTH the decoded correct-path
 // generator (StreamGen) and the live wrong-path synthesiser kept in
 // ThreadProgram, so the two paths cannot drift apart.
 
@@ -131,27 +114,23 @@ inline void fill_deps(isa::Instruction& in, Rng& dep_rng,
 // --- correct-path generator -------------------------------------------------
 
 /// The complete correct-path generator state: what ThreadProgram used to
-/// advance inline, extracted so it can run ahead in bulk and be
-/// checkpointed per chunk (copies are ~300 B: RNGs, cursors and a pointer
-/// to the entry-owned profile). Draw order per RNG stream is the
-/// determinism contract — it must match the historical ThreadProgram
-/// exactly, which the golden stats digests (test_stats_identity) lock.
+/// advance inline, extracted so it can run ahead in bulk and be stored at
+/// the end of each chunk (copies are ~300 B: RNGs, cursors and shared
+/// pointers to the profile and branch sites). Draw order per RNG stream
+/// is the determinism contract — it must match the historical
+/// ThreadProgram exactly, which the golden stats digests
+/// (test_stats_identity) lock.
 class StreamGen {
  public:
   StreamGen() = default;
-  StreamGen(const AppProfile* profile, std::uint32_t thread_id,
+  StreamGen(std::shared_ptr<const AppProfile> profile, std::uint32_t thread_id,
             std::uint64_t seed,
             std::shared_ptr<const BranchSiteModel> branches);
 
   [[nodiscard]] isa::Instruction next();
 
-  [[nodiscard]] const std::shared_ptr<const BranchSiteModel>& branches()
-      const noexcept {
-    return branches_;
-  }
-
  private:
-  const AppProfile* profile_ = nullptr;  ///< owned by the StreamEntry
+  std::shared_ptr<const AppProfile> profile_{};
   std::uint64_t code_base_ = 0;
   std::uint64_t pc_ = 0;
   std::uint64_t count_ = 0;
@@ -172,137 +151,59 @@ class StreamGen {
   std::uint64_t branch_pc_salt_ = 0;
 };
 
-// --- memoised stream --------------------------------------------------------
+// --- chunk chain ------------------------------------------------------------
 
 /// Instructions per chunk (power of two). 4096 × sizeof(Instruction)
 /// ≈ 160 KiB: big enough to amortise bulk-generation overhead, small
 /// enough that a reader pinning two chunks costs well under a MiB.
 inline constexpr std::uint64_t kStreamChunkInstrs = 4096;
 
-struct StreamChunk {
+/// One immutable link of a decoded stream. Built from the generator
+/// state where the previous chunk ended; builds its successor on the
+/// first next() call from any thread.
+class StreamChunk {
+ public:
+  explicit StreamChunk(StreamGen gen);
+  ~StreamChunk();
+  StreamChunk(const StreamChunk&) = delete;
+  StreamChunk& operator=(const StreamChunk&) = delete;
+
+  /// The following chunk; the first caller builds it, the rest share it.
+  [[nodiscard]] std::shared_ptr<const StreamChunk> next() const;
+
   std::array<isa::Instruction, kStreamChunkInstrs> instrs;
-};
-
-/// One memoised correct-path stream, keyed by (profile, tid, seed).
-/// Chunks are tracked weakly and regenerated from checkpoints when dead;
-/// the owning cache's retention pool decides what stays resident.
-class StreamEntry {
- public:
-  StreamEntry(const AppProfile& profile, std::uint32_t thread_id,
-              std::uint64_t seed);
-
-  // Checkpoints hold pointers into profile_; the entry must stay put.
-  StreamEntry(const StreamEntry&) = delete;
-  StreamEntry& operator=(const StreamEntry&) = delete;
-
-  /// The chunk containing instruction `index` (0-based position in the
-  /// correct-path stream). Generates or regenerates on demand.
-  [[nodiscard]] std::shared_ptr<const StreamChunk> chunk_for(
-      std::uint64_t index);
-
-  /// Immutable branch-site model shared with wrong-path synthesis.
-  [[nodiscard]] const std::shared_ptr<const BranchSiteModel>& branches()
-      const noexcept {
-    return branches_;
-  }
-
-  [[nodiscard]] const AppProfile& profile() const noexcept { return profile_; }
-  [[nodiscard]] std::uint64_t chunks_generated() const noexcept {
-    return chunks_generated_;
-  }
-  [[nodiscard]] std::uint64_t chunk_hits() const noexcept {
-    return chunk_hits_;
-  }
 
  private:
-  [[nodiscard]] std::shared_ptr<const StreamChunk> generate_with(
-      StreamGen& gen);
-
-  AppProfile profile_;  ///< stable address for StreamGen back-pointers
-  std::shared_ptr<const BranchSiteModel> branches_;
-  /// checkpoints_[i] = generator state at the start of chunk i; grows as
-  /// the stream frontier advances (~300 B per 4096 instructions).
-  std::vector<StreamGen> checkpoints_;
-  std::vector<std::weak_ptr<const StreamChunk>> chunks_;
-  std::uint64_t chunks_generated_ = 0;
-  std::uint64_t chunk_hits_ = 0;
+  StreamGen end_;  ///< generator state after instrs.back()
+  /// mutable: readers hold const chunks and fill the link once, and
+  /// teardown empties it.
+  mutable par::OnceSlot<StreamChunk> next_;
 };
 
-/// Bounded strong-reference pool: keeps recently used chunks alive past
-/// their readers, up to a byte budget, evicting least-recently-touched
-/// first. Ticks are a logical counter (no host clocks in library code).
-class RetentionPool {
- public:
-  explicit RetentionPool(std::uint64_t budget_bytes)
-      : budget_bytes_(budget_bytes) {}
-
-  void touch(const std::shared_ptr<const StreamChunk>& chunk);
-  [[nodiscard]] std::uint64_t resident_bytes() const noexcept {
-    return sizeof(StreamChunk) * items_.size();
-  }
-  void clear() { items_.clear(); }
-
- private:
-  struct Item {
-    std::shared_ptr<const StreamChunk> chunk;
-    std::uint64_t tick = 0;
-  };
-  std::vector<Item> items_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t budget_bytes_ = 0;
-};
-
-/// Per-thread registry of memoised streams. See the header comment for
-/// why this is thread-local rather than locked.
+/// Per-thread chunk counters. No cache stands behind this name any more:
+/// chunks are shared through the chain and freed behind their last
+/// reader. The facade stays because perfbench reads these Stats to
+/// report its workload.* metrics.
 class StreamCache {
  public:
-  /// This thread's cache instance.
+  /// This thread's counters.
   [[nodiscard]] static StreamCache& local();
 
-  /// The memoised stream for (profile, thread_id, seed), creating it on
-  /// first use. Profiles are keyed by a digest of every generation-
-  /// relevant field (not the name), so identical-parameter profiles
-  /// share a stream.
-  [[nodiscard]] std::shared_ptr<StreamEntry> entry(const AppProfile& profile,
-                                                   std::uint32_t thread_id,
-                                                   std::uint64_t seed);
-
-  [[nodiscard]] RetentionPool& pool() noexcept { return pool_; }
-
   struct Stats {
-    std::uint64_t entries = 0;
-    std::uint64_t chunks_generated = 0;  ///< chunk generations (incl. regen)
-    std::uint64_t chunk_hits = 0;        ///< chunk lookups served memoised
-    std::uint64_t resident_bytes = 0;
+    std::uint64_t chunks_generated = 0;  ///< chunks this thread built
+    std::uint64_t chunk_hits = 0;  ///< links this thread found built
+    std::uint64_t resident_bytes = 0;  ///< live chunks, whole process
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Drop every entry and resident chunk (testing / memory pressure).
-  void clear();
+  /// Nothing is left to drop; kept for callers that start a run on an
+  /// empty cache.
+  void clear() noexcept {}
 
  private:
-  StreamCache();
-
-  struct Rec {
-    std::uint64_t profile_digest = 0;
-    std::uint32_t thread_id = 0;
-    std::uint64_t seed = 0;
-    std::shared_ptr<StreamEntry> entry;
-  };
-  std::vector<Rec> recs_;
-  RetentionPool pool_;
+  friend class StreamChunk;
+  std::uint64_t generated_ = 0;
+  std::uint64_t hits_ = 0;
 };
-
-/// Generation-algorithm revision, mixed into profile_stream_digest so a
-/// stream key names the generator that produced it, not just its inputs.
-/// Bump whenever StreamGen's draw order, the RNG stream layout
-/// (StreamTag), or any upstream model changes what a (profile, tid,
-/// seed) key decodes to — the golden digests in test_stats_identity
-/// move in lockstep with such changes.
-inline constexpr std::uint64_t kStreamGenVersion = 1;
-
-/// FNV-1a digest over every AppProfile field that affects stream
-/// generation (the name is deliberately excluded) plus kStreamGenVersion.
-[[nodiscard]] std::uint64_t profile_stream_digest(const AppProfile& profile);
 
 }  // namespace smt::workload

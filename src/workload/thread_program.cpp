@@ -6,16 +6,15 @@ namespace smt::workload {
 
 ThreadProgram::ThreadProgram(const AppProfile& profile,
                              std::uint32_t thread_id, std::uint64_t seed)
-    : profile_(profile),
-      thread_id_(thread_id),
-      seed_(seed),
+    : profile_(std::make_shared<const AppProfile>(profile)),
       code_base_(kCodeRegionBase + thread_id * kCodeSegmentStride),
       pc_(code_base_),
-      stream_(StreamCache::local().entry(profile, thread_id, seed)),
-      home_(&StreamCache::local()),
+      branches_(std::make_shared<const BranchSiteModel>(
+          profile, code_base_, make_stream(seed, {kTagSites, thread_id}))),
+      chunk_(std::make_shared<const StreamChunk>(
+          StreamGen(profile_, thread_id, seed, branches_))),
       wrong_addr_(profile, (thread_id + 1) * kDataSegmentStride,
                   make_stream(seed, {kTagAddr, thread_id})),
-      branches_(stream_->branches()),
       wrong_rng_(make_stream(seed, {kTagWrong, thread_id})),
       ph_(phase_state(profile, profile.phases.empty() ? PhaseKind::kBase
                                                       : profile.phases[0])),
@@ -24,31 +23,22 @@ ThreadProgram::ThreadProgram(const AppProfile& profile,
 
 isa::Instruction ThreadProgram::next() {
   // Phase rotation on correct-path instruction count (mirrors the
-  // memoised generator so wrong-path draws see the right distribution).
+  // stream generator so wrong-path draws see the right distribution).
   // Countdown form, same as StreamGen::next: count_ is += 1 per call, so
   // the boundary test replaces a per-instruction divide.
-  if (!profile_.phases.empty() && profile_.phase_len_instrs > 0) {
+  const AppProfile& profile = *profile_;
+  if (!profile.phases.empty() && profile.phase_len_instrs > 0) {
     if (count_ >= phase_rotate_at_) {
       phase_idx_ =
-          phase_idx_ + 1 == profile_.phases.size() ? 0 : phase_idx_ + 1;
-      ph_ = phase_state(profile_, profile_.phases[phase_idx_]);
-      phase_rotate_at_ += profile_.phase_len_instrs;
+          phase_idx_ + 1 == profile.phases.size() ? 0 : phase_idx_ + 1;
+      ph_ = phase_state(profile, profile.phases[phase_idx_]);
+      phase_rotate_at_ += profile.phase_len_instrs;
     }
   }
 
-  if (!chunk_ || count_ - chunk_base_ >= kStreamChunkInstrs) {
-    StreamCache& cache = StreamCache::local();
-    if (&cache != home_) {
-      // This program was copied onto another thread (oracle trial, sweep
-      // worker). Entries are single-threaded, so swap to the executing
-      // thread's own entry before touching one; the stream is a pure
-      // function of (profile, tid, seed), so the chunks are identical.
-      stream_ = cache.entry(profile_, thread_id_, seed_);
-      home_ = &cache;
-    }
-    chunk_ = stream_->chunk_for(count_);
-    chunk_base_ = count_ & ~(kStreamChunkInstrs - 1);
-    cache.pool().touch(chunk_);
+  if (count_ - chunk_base_ == kStreamChunkInstrs) {
+    chunk_ = chunk_->next();
+    chunk_base_ = count_;
   }
   const isa::Instruction in = chunk_->instrs[count_ - chunk_base_];
 
@@ -56,7 +46,7 @@ isa::Instruction ThreadProgram::next() {
   // this instruction: sequential with code-segment wrap, overridden by a
   // taken branch's target.
   std::uint64_t next_pc = in.pc + isa::kInstrBytes;
-  if (next_pc >= code_base_ + profile_.code_bytes) next_pc = code_base_;
+  if (next_pc >= code_base_ + profile.code_bytes) next_pc = code_base_;
   if (in.cls == isa::InstrClass::kBranch && in.taken) {
     next_pc = in.branch_target;
   }
@@ -73,14 +63,14 @@ isa::Instruction ThreadProgram::next_wrong(std::uint64_t& wrong_pc) {
                : draw_class(wrong_rng_, ph_);
   if (in.cls == isa::InstrClass::kSyscall) in.cls = isa::InstrClass::kIntAlu;
   // Wrong-path "dependencies" only matter for issue-timing realism.
-  fill_deps(in, wrong_rng_, profile_);
+  fill_deps(in, wrong_rng_, *profile_);
 
   if (isa::is_mem(in.cls)) {
     in.mem_addr = wrong_addr_.wrong_path(wrong_rng_);
   }
 
   std::uint64_t next_pc = wrong_pc + isa::kInstrBytes;
-  if (next_pc >= code_base_ + profile_.code_bytes) next_pc = code_base_;
+  if (next_pc >= code_base_ + profile_->code_bytes) next_pc = code_base_;
   if (in.cls == isa::InstrClass::kBranch) {
     // Wrong-path branches never redirect fetch again (no nested recovery);
     // they just look like branches to the occupancy counters.

@@ -14,15 +14,16 @@
 // time-varying behaviour that gives the paper's quantum-granularity
 // adaptive scheduler something to adapt to.
 //
-// The correct-path stream itself is memoised: because it is a pure
+// The correct-path stream itself is decoded ahead: because it is a pure
 // function of (profile, thread id, seed), this class is a cursor over a
-// shared decoded stream (workload/stream_cache.hpp) rather than a live
-// generator — next() is an array read plus a PC update, and repeated
-// runs over the same key (oracle replays, warmup+measured samples,
-// grid jobs) skip synthesis entirely. Wrong-path synthesis stays
-// live here: which PCs are fetched down the wrong path depends on
-// simulator timing, so it is not memoisable — but it only ever consumes
-// its own RNG, preserving the isolation property above.
+// chain of decoded chunks (workload/stream_cache.hpp) rather than a live
+// generator — next() is an array read plus a PC update. A copy of a
+// ThreadProgram (a Simulator snapshot, an oracle trial) shares the chain
+// with the original, so replays from a snapshot skip synthesis, and a
+// chunk is freed once no cursor is at or behind it. Wrong-path
+// synthesis stays live here: which PCs are fetched down the wrong path
+// depends on simulator timing, so it is not decoded ahead — but it only
+// ever consumes its own RNG, preserving the isolation property above.
 #pragma once
 
 #include <cstdint>
@@ -59,34 +60,24 @@ class ThreadProgram {
   /// flow would. Never touches correct-path state.
   [[nodiscard]] isa::Instruction next_wrong(std::uint64_t& wrong_pc);
 
-  [[nodiscard]] const AppProfile& app() const noexcept { return profile_; }
+  [[nodiscard]] const AppProfile& app() const noexcept { return *profile_; }
   [[nodiscard]] std::uint64_t generated() const noexcept { return count_; }
   [[nodiscard]] PhaseKind current_phase() const noexcept {
-    return profile_.phases.empty() ? PhaseKind::kBase
-                                   : profile_.phases[phase_idx_];
+    return profile_->phases.empty() ? PhaseKind::kBase
+                                    : profile_->phases[phase_idx_];
   }
 
   /// Total bytes of the per-thread code segment (I-cache footprint).
   [[nodiscard]] std::uint64_t code_base() const noexcept { return code_base_; }
 
  private:
-  AppProfile profile_{};
-  std::uint32_t thread_id_ = 0;
-  std::uint64_t seed_ = 0;
+  /// Shared with the stream generator and with every copy.
+  std::shared_ptr<const AppProfile> profile_{};
   std::uint64_t code_base_ = 0;
   std::uint64_t pc_ = 0;
-  std::uint64_t count_ = 0;  ///< cursor into the memoised stream
+  std::uint64_t count_ = 0;  ///< cursor into the decoded stream
 
-  std::shared_ptr<StreamEntry> stream_{};
-  /// The thread-local cache `stream_` was resolved from. Simulators are
-  /// copied across threads (parallel oracle trials, sweep workers); a
-  /// StreamEntry must only ever be mutated by the thread whose cache
-  /// owns it, so next() re-resolves from the executing thread's cache —
-  /// cheap pointer compare at chunk-refill granularity — before its
-  /// first chunk fetch on a foreign thread. Reads of the already-pinned
-  /// immutable chunk_ need no guard. The pointer is only compared, never
-  /// dereferenced, so it is harmless after its home thread exits.
-  StreamCache* home_ = nullptr;
+  std::shared_ptr<const BranchSiteModel> branches_{};
   std::shared_ptr<const StreamChunk> chunk_{};  ///< chunk holding `count_`
   std::uint64_t chunk_base_ = 0;  ///< stream index of chunk_->instrs[0]
 
@@ -95,7 +86,6 @@ class ThreadProgram {
   // wrong-path class draws see the same distribution the old inline
   // generator used.
   AddressGen wrong_addr_{};  ///< wrong_path() only (construction constants)
-  std::shared_ptr<const BranchSiteModel> branches_{};
   Rng wrong_rng_{};
   std::size_t phase_idx_ = 0;
   StreamPhase ph_{};

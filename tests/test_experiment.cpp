@@ -65,15 +65,16 @@ TEST(Experiment, ThresholdSweepMatchesPaper) {
 TEST(Experiment, MixesForScaleQuickIsSubset) {
   ScopedEnv env("SMT_BENCH_SCALE", "quick");
   const ExperimentScale s = ExperimentScale::from_env();
-  const auto quick = mixes_for_scale(s);
-  EXPECT_LT(quick.size(), 13u);
-  EXPECT_FALSE(quick.empty());
+  EXPECT_LT(s.mixes.size(), 13u);
+  EXPECT_FALSE(s.mixes.empty());
 }
 
 TEST(Experiment, MixesForScaleDefaultIsAllThirteen) {
   ScopedEnv env("SMT_BENCH_SCALE", nullptr);
   const ExperimentScale s = ExperimentScale::from_env();
-  EXPECT_EQ(mixes_for_scale(s).size(), 13u);
+  EXPECT_EQ(s.mixes.size(), 13u);
+  // A default-constructed scale sweeps the same 13 mixes.
+  EXPECT_EQ(ExperimentScale{}.mixes, s.mixes);
 }
 
 TEST(Experiment, RunFixedProducesThroughput) {

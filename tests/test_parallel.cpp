@@ -88,14 +88,12 @@ TEST(ParallelOracle, ResultIsIdenticalForEveryJobsValue) {
 }
 
 TEST(ParallelOracle, TrialsCrossingChunkBoundariesMatchSerial) {
-  // Regression: candidate trials are Simulator copies fanned out to pool
-  // workers, while `base` resolved its memoised streams on this thread.
-  // Quanta long enough that every trial crosses 4096-instruction chunk
-  // boundaries force each copy to fetch fresh chunks on its worker; a
-  // ThreadProgram must re-resolve its stream on the executing thread
-  // rather than mutate the base's StreamEntry concurrently. TSan runs of
-  // this suite (scripts/check_sanitize.sh thread) are the teeth; the
-  // serial-vs-parallel equality below is the determinism half.
+  // Candidate trials are Simulator copies fanned out to pool workers,
+  // and every copy shares `base`'s chunk chain. Quanta long enough that
+  // every trial crosses 4096-instruction chunk boundaries make the
+  // copies race to build the same next chunks on different workers.
+  // TSan runs of this suite (scripts/check_sanitize.sh thread) are the
+  // teeth; the serial-vs-parallel equality below is the determinism half.
   // Two SMT threads: per-thread fetch bandwidth is high enough that every
   // candidate walks through several chunks per quantum.
   sim::Simulator base(sim::make_config(workload::mix("bal1"), 2, 7));
@@ -112,10 +110,11 @@ TEST(ParallelOracle, TrialsCrossingChunkBoundariesMatchSerial) {
 }
 
 TEST(ParallelSweep, Fig78GridIsIdenticalForEveryJobsValue) {
-  // The whole Fig. 7/8 grid (ICOUNT baseline plus 5 heuristics x 5
-  // thresholds, every mix) at a tiny plan: pooled runs must reduce to
+  // The Fig. 7/8 grid (ICOUNT baseline plus 5 heuristics x 5
+  // thresholds) over 3 mixes at a tiny plan: pooled runs must reduce to
   // exactly the serial grid, cell by cell.
   sim::ExperimentScale scale;
+  scale.mixes = {"ctrl8", "mem8", "bal1"};
   scale.plan.intervals = 1;
   scale.plan.warmup_cycles = 2048;
   scale.plan.measure_cycles = 8192;
