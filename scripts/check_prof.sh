@@ -129,10 +129,12 @@ rc=0; "$smtprof" fleet journal.jsonl > /dev/null 2>&1 || rc=$?
 rc=0; "$smtprof" folded /nonexistent > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 3 ] \
   || { echo "check_prof: unreadable folded input exited $rc, want 3" >&2; exit 1; }
-printf 'not a folded line\n' > "$tmp/garbage.folded"
-rc=0; "$smtprof" folded "$tmp/garbage.folded" > /dev/null 2>&1 || rc=$?
-[ "$rc" -eq 3 ] \
-  || { echo "check_prof: malformed folded input exited $rc, want 3" >&2; exit 1; }
+for bad in 'not a folded line' 'sim;run -1'; do
+  printf '%s\n' "$bad" > "$tmp/garbage.folded"
+  rc=0; "$smtprof" folded "$tmp/garbage.folded" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 3 ] \
+    || { echo "check_prof: folded '$bad' exited $rc, want 3" >&2; exit 1; }
+done
 
 echo "== overhead: profiled run vs plain run (generous 25% bound)"
 overhead=(--mix ilp8 --cycles 1048576 --warmup 32768 --csv)

@@ -9,12 +9,12 @@
 #
 # "thread" builds under TSan (build-tsan/) and runs only the tests that
 # actually exercise concurrency — the par::ThreadPool suite, the
-# parallel oracle/sim/sweep, the stream chunk chain that simulator
-# copies share across workers, and the pooled grid runner (plus the
-# grid parser it runs on) — because the rest of the library is
-# single-threaded by construction (the thread-primitive lint rule fences
-# it) and TSan's ~5-15x slowdown would waste most of the run re-proving
-# that.
+# parallel oracle/sim/sweep, the (variant x mix) fan-out every paper
+# table runs on, the stream chunk chain that simulator copies share
+# across workers, and the pooled grid runner (plus the grid parser it
+# runs on) — because the rest of the library is single-threaded by
+# construction (the thread-primitive lint rule fences it) and TSan's
+# ~5-15x slowdown would waste most of the run re-proving that.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -30,7 +30,7 @@ for san in "${sanitizers[@]}"; do
     undefined)         dir="$repo/build-ubsan" ;;
     address,undefined|undefined,address) dir="$repo/build-asan-ubsan" ;;
     thread)            dir="$repo/build-tsan"
-                       filter="^(ThreadPool|ParallelOracle|ParallelSim|ParallelSweep|StreamChain|BatchSpec|JobDigest|GridRunner)\." ;;
+                       filter="^(ThreadPool|ParallelOracle|ParallelSim|ParallelSweep|MixSweep|StreamChain|BatchSpec|JobDigest|GridRunner)\." ;;
     *) echo "unknown sanitizer: $san (use address | undefined |" \
             "address,undefined | thread)" >&2; exit 2 ;;
   esac

@@ -1,7 +1,8 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace smt {
@@ -67,31 +68,23 @@ std::uint64_t CliArgs::get_u64(const std::string& key,
                                std::uint64_t fallback) const {
   const auto v = get(key);
   if (!v.has_value()) return fallback;
-  if (v->empty()) {
-    throw UsageError("--" + key + " expects an integer, got an empty value");
+  const std::optional<std::uint64_t> out = parse_u64(*v);
+  if (!out.has_value()) {
+    throw UsageError("--" + key + " expects an unsigned integer, got '" + *v +
+                     "'");
   }
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(v->c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    throw UsageError("--" + key + " expects an integer, got '" +
-                                *v + "'");
-  }
-  return out;
+  return *out;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v.has_value()) return fallback;
-  if (v->empty()) {
-    throw UsageError("--" + key + " expects a number, got an empty value");
+  const std::optional<double> out = parse_double(*v);
+  if (!out.has_value()) {
+    throw UsageError("--" + key + " expects a finite number, got '" + *v +
+                     "'");
   }
-  char* end = nullptr;
-  const double out = std::strtod(v->c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    throw UsageError("--" + key + " expects a number, got '" +
-                                *v + "'");
-  }
-  return out;
+  return *out;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
@@ -103,6 +96,24 @@ bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
   throw UsageError("--" + key + " expects a boolean, got '" + *v +
                               "'");
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  std::uint64_t out = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  double out = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
+    return std::nullopt;
+  }
+  return out;
 }
 
 std::vector<std::string> split_list(const std::string& csv) {

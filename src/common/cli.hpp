@@ -11,6 +11,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smt {
@@ -65,6 +66,15 @@ class CliArgs {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// All of `text` as a base-10 unsigned integer; nullopt for an empty
+/// token, a sign, trailing characters or a value above 2^64-1 (strtoull
+/// would wrap "-1" to 2^64-1).
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
+
+/// All of `text` as a finite decimal number; nullopt for an empty token,
+/// trailing characters, nan, inf or a magnitude that overflows a double.
+[[nodiscard]] std::optional<double> parse_double(std::string_view text);
 
 /// Split a comma-separated list ("gzip,mcf,swim") into tokens; empty
 /// tokens are dropped.

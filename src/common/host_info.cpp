@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+
+#include "common/cli.hpp"
 
 namespace smt {
 
@@ -33,28 +36,23 @@ std::string read_cpu_model() {
   return "unknown";
 }
 
-/// SMT_JOBS resolved with the same rules as par::default_jobs() (positive
-/// integer, clamped to par::kMaxJobs = 64, else 1). Re-implemented here
-/// because common sits below par in the library layering.
-std::size_t read_smt_jobs() {
-  const char* env = std::getenv("SMT_JOBS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) return 1;
-  return std::min<std::size_t>(static_cast<std::size_t>(v), 64);
-}
-
 HostInfo gather() {
   HostInfo info;
   info.cpu_model = read_cpu_model();
   const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
   info.cores = n > 0 ? static_cast<unsigned>(n) : 0;
-  info.smt_jobs = read_smt_jobs();
+  info.smt_jobs = smt_jobs_from_env();
   return info;
 }
 
 }  // namespace
+
+std::size_t smt_jobs_from_env() {
+  const char* env = std::getenv("SMT_JOBS");
+  const std::optional<std::uint64_t> v = parse_u64(env ? env : "");
+  if (!v.has_value() || *v == 0) return 1;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(*v, 64));
+}
 
 const HostInfo& host_info() {
   static const HostInfo info = gather();

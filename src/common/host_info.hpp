@@ -9,6 +9,7 @@
 // list drops them before byte-comparing across regenerations).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace smt {
@@ -16,8 +17,13 @@ namespace smt {
 struct HostInfo {
   std::string cpu_model;   ///< "model name" from /proc/cpuinfo, or "unknown"
   unsigned cores = 0;      ///< online host cores (0 when undeterminable)
-  std::size_t smt_jobs = 0;  ///< par::default_jobs() — resolved SMT_JOBS
+  std::size_t smt_jobs = 0;  ///< smt_jobs_from_env() at first call
 };
+
+/// Worker count requested by the environment, read on every call: SMT_JOBS
+/// if set to a positive integer (clamped to par::kMaxJobs = 64), else 1.
+/// Parallelism is strictly opt-in; results are identical either way.
+[[nodiscard]] std::size_t smt_jobs_from_env();
 
 /// Gathered once on first call, then cached for the process lifetime.
 const HostInfo& host_info();

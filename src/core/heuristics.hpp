@@ -58,7 +58,7 @@ inline constexpr int kNumHeuristics = 5;
 /// shipped defaults are therefore the 75th percentile of the per-quantum
 /// machine-wide rate distributions over the 13 mixes (the "profiled
 /// update" the paper prescribes): a condition now flags a genuinely
-/// abnormal quantum. bench_ablation_conditions sweeps scale factors
+/// abnormal quantum. `paper ablation_conditions` sweeps scale factors
 /// around these values.
 struct ConditionThresholds {
   double l1_miss_per_cycle = 0.25;

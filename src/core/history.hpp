@@ -5,9 +5,9 @@
 // quantum's IPC is known, the event is scored as a positive outcome
 // (throughput rose) or a negative one. Type 4 consults the per-state
 // counters before switching: if negatives dominate, it takes the opposite
-// transition. (The paper's finding — reproduced by bench_fig7 — is that
-// this is *not* worth it: policy/condition outcomes show no usable
-// temporal correlation.)
+// transition. (The paper's finding, reproduced by `paper fig7_switching`,
+// is that this is *not* worth it: policy/condition outcomes show no
+// usable temporal correlation.)
 #pragma once
 
 #include <array>

@@ -66,7 +66,7 @@ struct RunInfo {
   // they ran on.
   std::string host_cpu;        ///< /proc/cpuinfo model name, or "unknown"
   unsigned host_cores = 0;     ///< online host cores
-  std::size_t smt_jobs = 0;    ///< resolved SMT_JOBS (par::default_jobs)
+  std::size_t smt_jobs = 0;    ///< resolved SMT_JOBS (smt_jobs_from_env)
 };
 
 /// RunInfo's values as the build_info line spells them, in kBuildInfoKeys

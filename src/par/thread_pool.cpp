@@ -1,18 +1,8 @@
 #include "par/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace smt::par {
-
-std::size_t default_jobs() {
-  const char* env = std::getenv("SMT_JOBS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) return 1;
-  return std::min<std::size_t>(static_cast<std::size_t>(v), kMaxJobs);
-}
 
 ThreadPool::ThreadPool(std::size_t jobs) {
   if (jobs < 2) {  // inline mode: submit() executes on the caller

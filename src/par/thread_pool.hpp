@@ -33,11 +33,6 @@ namespace smt::par {
 /// threads.
 inline constexpr std::size_t kMaxJobs = 64;
 
-/// Worker count requested by the environment: SMT_JOBS if set to a
-/// positive integer (clamped to kMaxJobs), else 1. Parallelism is
-/// strictly opt-in; results are identical either way.
-[[nodiscard]] std::size_t default_jobs();
-
 /// Host-time telemetry for one worker slot (slot 0 is the calling thread
 /// in inline mode). `busy_ticks` is in whatever unit the injected clock
 /// returns; it stays 0 when no clock is set.

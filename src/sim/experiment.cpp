@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "common/host_info.hpp"
 #include "core/detector.hpp"
 #include "core/heuristics.hpp"
 #include "obs/switch_audit.hpp"
@@ -20,7 +21,7 @@ std::vector<std::string> all_mix_names() {
 
 ExperimentScale ExperimentScale::from_env() {
   ExperimentScale s;
-  s.jobs = par::default_jobs();
+  s.jobs = smt_jobs_from_env();
   const char* env = std::getenv("SMT_BENCH_SCALE");
   const std::string_view mode = env ? env : "default";
   if (mode == "quick") {
@@ -42,15 +43,15 @@ ExperimentScale ExperimentScale::from_env() {
 
 std::vector<double> threshold_sweep() { return {1.0, 2.0, 3.0, 4.0, 5.0}; }
 
-SampleResult run_fixed(const workload::Mix& mix, policy::FetchPolicy policy,
+SimConfig fixed_config(const workload::Mix& mix, policy::FetchPolicy policy,
                        std::size_t threads, const ExperimentScale& scale) {
   SimConfig cfg = make_config(mix, threads, scale.base_seed);
   cfg.fixed_policy = policy;
   cfg.use_adts = false;
-  return run_sampled(cfg, scale.plan);
+  return cfg;
 }
 
-SampleResult run_adts(const workload::Mix& mix, core::HeuristicType heuristic,
+SimConfig adts_config(const workload::Mix& mix, core::HeuristicType heuristic,
                       double ipc_threshold, std::size_t threads,
                       const ExperimentScale& scale,
                       const core::AdtsConfig* overrides) {
@@ -59,7 +60,21 @@ SampleResult run_adts(const workload::Mix& mix, core::HeuristicType heuristic,
   if (overrides != nullptr) cfg.adts = *overrides;
   cfg.adts.heuristic = heuristic;
   cfg.adts.ipc_threshold = ipc_threshold;
-  return run_sampled(cfg, scale.plan);
+  return cfg;
+}
+
+SampleResult run_fixed(const workload::Mix& mix, policy::FetchPolicy policy,
+                       std::size_t threads, const ExperimentScale& scale) {
+  return run_sampled(fixed_config(mix, policy, threads, scale), scale.plan);
+}
+
+SampleResult run_adts(const workload::Mix& mix, core::HeuristicType heuristic,
+                      double ipc_threshold, std::size_t threads,
+                      const ExperimentScale& scale,
+                      const core::AdtsConfig* overrides) {
+  return run_sampled(
+      adts_config(mix, heuristic, ipc_threshold, threads, scale, overrides),
+      scale.plan);
 }
 
 OracleResult run_oracle_on_mix(const workload::Mix& mix, std::size_t threads,
@@ -84,71 +99,70 @@ OracleResult run_oracle_on_mix(const workload::Mix& mix, std::size_t threads,
   return agg;
 }
 
+SweepCell MixSweep::summary(std::size_t variant) const {
+  std::vector<double> ipcs;
+  double switches = 0.0;
+  double skipped = 0.0;
+  std::uint64_t benign = 0;
+  std::uint64_t malignant = 0;
+  std::uint64_t low = 0;
+  std::uint64_t quanta = 0;
+  for (std::size_t k = 0; k < mixes.size(); ++k) {
+    const SampleResult& r = run(variant, k);
+    ipcs.push_back(r.ipc());
+    switches += static_cast<double>(r.switches);
+    skipped += static_cast<double>(r.switches_skipped_dt_busy);
+    benign += r.benign_switches;
+    malignant += r.malignant_switches;
+    low += r.low_throughput_quanta;
+    quanta += r.quanta;
+  }
+  const double n = static_cast<double>(mixes.size());
+  SweepCell c;
+  c.ipc = mean(ipcs);
+  c.switches = switches / n;
+  c.dt_skipped = skipped / n;
+  c.benign_prob = obs::benign_probability(benign, malignant);
+  c.low_quanta_frac =
+      quanta ? static_cast<double>(low) / static_cast<double>(quanta) : 0.0;
+  return c;
+}
+
+std::vector<SampleResult> run_configs(const std::vector<SimConfig>& configs,
+                                      const ExperimentScale& scale) {
+  // Every run is independent; parallel_map returns them in submission
+  // order, and all reduction happens afterwards on the caller's thread.
+  par::ThreadPool pool(scale.jobs);
+  return par::parallel_map(pool, configs.size(), [&](std::size_t i) {
+    return run_sampled(configs[i], scale.plan);
+  });
+}
+
 SweepGrid run_fig78_sweep(const ExperimentScale& scale, std::size_t threads) {
   SweepGrid grid;
   grid.thresholds = threshold_sweep();
   grid.types = core::all_heuristics();
   grid.mixes = scale.mixes;
-  grid.cells.resize(grid.types.size() * grid.thresholds.size());
-
-  // Every run in the grid is independent, so the whole
-  // (baseline ∪ type × threshold) × mix task set fans out across one
-  // pool; the per-cell reductions below consume results in the same
-  // order the serial loops did, so the grid is bit-identical for any
-  // scale.jobs.
-  par::ThreadPool pool(scale.jobs);
   const std::size_t n_thr = grid.thresholds.size();
-  const std::size_t n_mix = grid.mixes.size();
 
-  // Fixed-ICOUNT baseline over the same mixes.
-  {
-    const std::vector<double> ipcs =
-        par::parallel_map(pool, n_mix, [&](std::size_t k) {
-          return run_fixed(workload::mix(grid.mixes[k]),
-                           policy::FetchPolicy::kIcount, threads, scale)
-              .ipc();
-        });
-    grid.icount_baseline_ipc = mean(ipcs);
-  }
-
-  // One task per (type, threshold, mix) run, flattened mix-fastest so a
-  // cell's results sit contiguously in submission order.
-  const std::vector<SampleResult> runs =
-      par::parallel_map(pool, grid.types.size() * n_thr * n_mix,
-                        [&](std::size_t idx) {
-                          const std::size_t ti = idx / (n_thr * n_mix);
-                          const std::size_t mi = (idx / n_mix) % n_thr;
-                          const std::size_t k = idx % n_mix;
-                          return run_adts(workload::mix(grid.mixes[k]),
-                                          grid.types[ti], grid.thresholds[mi],
-                                          threads, scale);
-                        });
-
-  for (std::size_t ti = 0; ti < grid.types.size(); ++ti) {
-    for (std::size_t mi = 0; mi < n_thr; ++mi) {
-      std::vector<double> ipcs;
-      double switches = 0.0;
-      std::uint64_t benign = 0;
-      std::uint64_t malignant = 0;
-      std::uint64_t low = 0;
-      std::uint64_t quanta = 0;
-      for (std::size_t k = 0; k < n_mix; ++k) {
-        const SampleResult& r = runs[(ti * n_thr + mi) * n_mix + k];
-        ipcs.push_back(r.ipc());
-        switches += static_cast<double>(r.switches);
-        benign += r.benign_switches;
-        malignant += r.malignant_switches;
-        low += r.low_throughput_quanta;
-        quanta += r.quanta;
-      }
-      SweepCell& c = grid.cells[ti * n_thr + mi];
-      c.ipc = mean(ipcs);
-      c.switches = switches / static_cast<double>(n_mix);
-      c.benign_prob = obs::benign_probability(benign, malignant);
-      c.low_quanta_frac =
-          quanta ? static_cast<double>(low) / static_cast<double>(quanta)
-                 : 0.0;
-    }
+  // Variant 0 is the fixed-ICOUNT baseline; variant 1 + ti * n_thr + mi
+  // is heuristic type ti at threshold mi, so the cells come out in
+  // cell() order.
+  const std::size_t n_cells = grid.types.size() * n_thr;
+  const MixSweep sweep = run_mix_sweep(
+      1 + n_cells,
+      [&](std::size_t v, const workload::Mix& mix) {
+        if (v == 0) {
+          return fixed_config(mix, policy::FetchPolicy::kIcount, threads,
+                              scale);
+        }
+        return adts_config(mix, grid.types[(v - 1) / n_thr],
+                           grid.thresholds[(v - 1) % n_thr], threads, scale);
+      },
+      scale);
+  grid.icount_baseline_ipc = sweep.summary(0).ipc;
+  for (std::size_t v = 1; v <= n_cells; ++v) {
+    grid.cells.push_back(sweep.summary(v));
   }
   return grid;
 }

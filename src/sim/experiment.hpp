@@ -1,9 +1,8 @@
-// Shared experiment plumbing for the benchmark harnesses.
-//
-// Every figure/table bench runs the same kinds of configurations; this
-// module centralises them so a bench is just "sweep, collect, print".
+// Shared experiment plumbing for the paper tables (bench/paper.cpp): a
+// table names its variants, runs each on every mix as one pooled
+// (variant x mix) sweep, and prints each variant's one reduction.
 // The SMT_BENCH_SCALE environment variable ("quick" | "default" | "full")
-// trades runtime for statistical quality without touching bench code.
+// trades runtime for statistical quality without touching table code.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +42,20 @@ struct ExperimentScale {
 /// The paper's threshold sweep: m = 1..5 (IPC units).
 [[nodiscard]] std::vector<double> threshold_sweep();
 
+/// The configuration run_fixed samples.
+[[nodiscard]] SimConfig fixed_config(const workload::Mix& mix,
+                                     policy::FetchPolicy policy,
+                                     std::size_t threads,
+                                     const ExperimentScale& scale);
+
+/// The configuration run_adts samples; `overrides` replaces the default
+/// AdtsConfig before the heuristic and threshold are set.
+[[nodiscard]] SimConfig adts_config(const workload::Mix& mix,
+                                    core::HeuristicType heuristic,
+                                    double ipc_threshold, std::size_t threads,
+                                    const ExperimentScale& scale,
+                                    const core::AdtsConfig* overrides = nullptr);
+
 /// IPC of a fixed policy on a mix.
 [[nodiscard]] SampleResult run_fixed(const workload::Mix& mix,
                                      policy::FetchPolicy policy,
@@ -62,18 +75,53 @@ struct ExperimentScale {
                                              const ExperimentScale& scale,
                                              const OracleConfig& ocfg);
 
-// ---------------------------------------------------------------------------
-// The Figure 7 / Figure 8 sweep: heuristic type × IPC threshold, averaged
-// over the mixes. Both figures plot views of the same grid, so the sweep
-// is shared.
-// ---------------------------------------------------------------------------
-
+/// One variant reduced over a sweep's mixes, in mix order.
 struct SweepCell {
   double ipc = 0.0;           ///< mean aggregate IPC over mixes
   double switches = 0.0;      ///< mean switch count per run (Fig. 7a/b)
   double benign_prob = 0.0;   ///< pooled P(benign switch) (Fig. 7c/d)
   double low_quanta_frac = 0.0;
+  double dt_skipped = 0.0;    ///< mean switches skipped per run (DT starved)
 };
+
+struct MixSweep {
+  std::vector<std::string> mixes;
+  /// Variant-major, mix-fastest: run(v, k) is runs[v * mixes.size() + k].
+  std::vector<SampleResult> runs;
+
+  [[nodiscard]] const SampleResult& run(std::size_t variant,
+                                        std::size_t mix) const {
+    return runs[variant * mixes.size() + mix];
+  }
+  [[nodiscard]] SweepCell summary(std::size_t variant) const;
+};
+
+/// Sample every config under scale.plan over one pool of scale.jobs
+/// workers. result[i] belongs to configs[i], so the results are
+/// bit-identical for any jobs value.
+[[nodiscard]] std::vector<SampleResult> run_configs(
+    const std::vector<SimConfig>& configs, const ExperimentScale& scale);
+
+/// Sample config(v, mix) for every variant v < variants and every mix of
+/// scale.mixes, as one run_configs fan-out.
+template <typename ConfigFn>
+[[nodiscard]] MixSweep run_mix_sweep(std::size_t variants,
+                                     const ConfigFn& config,
+                                     const ExperimentScale& scale) {
+  std::vector<SimConfig> configs;
+  for (std::size_t v = 0; v < variants; ++v) {
+    for (const std::string& m : scale.mixes) {
+      configs.push_back(config(v, workload::mix(m)));
+    }
+  }
+  return {scale.mixes, run_configs(configs, scale)};
+}
+
+// ---------------------------------------------------------------------------
+// The Figure 7 / Figure 8 sweep: heuristic type x IPC threshold, averaged
+// over the mixes. Both figures plot views of the same grid, so the sweep
+// is shared.
+// ---------------------------------------------------------------------------
 
 struct SweepGrid {
   std::vector<double> thresholds;            ///< m = 1..5
@@ -89,10 +137,8 @@ struct SweepGrid {
   }
 };
 
-/// Run the full (type × threshold × scale.mixes) grid at `threads`
-/// contexts.
-/// Individual runs fan out over scale.jobs workers; the grid is
-/// bit-identical for any jobs value.
+/// Run the fixed-ICOUNT baseline and the full (type x threshold) grid
+/// over scale.mixes at `threads` contexts, as one run_mix_sweep.
 [[nodiscard]] SweepGrid run_fig78_sweep(const ExperimentScale& scale,
                                         std::size_t threads = 8);
 

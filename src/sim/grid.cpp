@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -21,28 +22,22 @@ namespace smt::sim {
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& directive, const std::string& tok) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(tok, &used);
-    if (used != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
+std::uint64_t batch_u64(const std::string& directive, const std::string& tok) {
+  const std::optional<std::uint64_t> v = parse_u64(tok);
+  if (!v.has_value()) {
     throw ConfigError("batch: '" + directive + "' needs an unsigned integer, "
                       "got '" + tok + "'");
   }
+  return *v;
 }
 
-double parse_double(const std::string& directive, const std::string& tok) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(tok, &used);
-    if (used != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
-    throw ConfigError("batch: '" + directive + "' needs a number, got '" +
-                      tok + "'");
+double batch_double(const std::string& directive, const std::string& tok) {
+  const std::optional<double> v = parse_double(tok);
+  if (!v.has_value()) {
+    throw ConfigError("batch: '" + directive + "' needs a finite number, "
+                      "got '" + tok + "'");
   }
+  return *v;
 }
 
 }  // namespace
@@ -85,20 +80,20 @@ BatchSpec parse_batch(std::istream& in) {
 
     if (directive == "cycles") {
       scalar_once(saw_cycles, directive);
-      cycles = parse_u64(directive, args[0]);
+      cycles = batch_u64(directive, args[0]);
       if (cycles == 0) throw ConfigError("batch: cycles must be > 0");
     } else if (directive == "warmup") {
       scalar_once(saw_warmup, directive);
-      warmup = parse_u64(directive, args[0]);
+      warmup = batch_u64(directive, args[0]);
     } else if (directive == "threads") {
       scalar_once(saw_threads, directive);
-      threads = parse_u64(directive, args[0]);
+      threads = batch_u64(directive, args[0]);
       if (threads < 1 || threads > 8) {
         throw ConfigError("batch: threads must be 1..8, got " + args[0]);
       }
     } else if (directive == "quantum") {
       scalar_once(saw_quantum, directive);
-      quantum = parse_u64(directive, args[0]);
+      quantum = batch_u64(directive, args[0]);
       if (quantum == 0) throw ConfigError("batch: quantum must be > 0");
     } else if (directive == "mix") {
       for (const std::string& m : args) {
@@ -110,7 +105,7 @@ BatchSpec parse_batch(std::istream& in) {
         mixes.push_back(m);
       }
     } else if (directive == "seed") {
-      for (const std::string& s : args) seeds.push_back(parse_u64(directive, s));
+      for (const std::string& s : args) seeds.push_back(batch_u64(directive, s));
     } else if (directive == "policy") {
       for (const std::string& p : args) {
         GridJob& j = fixed.emplace_back();
@@ -130,7 +125,7 @@ BatchSpec parse_batch(std::istream& in) {
         GridJob& j = adaptive.emplace_back();
         j.adts = true;
         j.heuristic = core::parse_heuristic(v.substr(0, at));
-        j.threshold = parse_double(directive, v.substr(at + 1));
+        j.threshold = batch_double(directive, v.substr(at + 1));
         if (j.threshold <= 0.0) {
           throw ConfigError("batch: adts threshold must be > 0, got '" + v +
                             "'");

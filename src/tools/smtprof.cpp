@@ -7,14 +7,15 @@
 //
 // Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input.
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "common/table.hpp"
 
@@ -59,17 +60,15 @@ int cmd_folded(const std::string& path) {
                 << ": not a folded stack line: '" << line << "'\n";
       return smt::kExitConfig;
     }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long ns =
-        std::strtoull(line.c_str() + sp + 1, &end, 10);
-    if (end == line.c_str() + sp + 1 || *end != '\0' || errno != 0) {
+    const std::optional<std::uint64_t> ns =
+        smt::parse_u64(std::string_view(line).substr(sp + 1));
+    if (!ns.has_value()) {
       std::cerr << "smtprof: " << path << ':' << lineno
                 << ": malformed exclusive-ns value: '" << line << "'\n";
       return smt::kExitConfig;
     }
-    rows.push_back({line.substr(0, sp), static_cast<std::uint64_t>(ns)});
-    total += ns;
+    rows.push_back({line.substr(0, sp), *ns});
+    total += *ns;
   }
   if (rows.empty()) {
     std::cerr << "smtprof: '" << path << "' has no folded stacks\n";

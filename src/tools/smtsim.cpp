@@ -19,8 +19,10 @@
 #include <cstddef>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/invariants.hpp"
@@ -33,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_sink.hpp"
-#include "par/thread_pool.hpp"
 #include "pipeline/pipeline.hpp"
 #include "prof/phase_profiler.hpp"
 #include "sim/grid.hpp"
@@ -154,18 +155,17 @@ smt::pipeline::PipeviewWindow parse_pipeview_window(const std::string& spec) {
     throw smt::ConfigError("--pipeview windows are N@CYCLE (e.g. 64@8192), "
                            "got '" + spec + "'");
   }
-  smt::pipeline::PipeviewWindow w;
-  try {
-    std::size_t used = 0;
-    w.count = std::stoull(spec.substr(0, at), &used);
-    if (used != at) throw std::invalid_argument(spec);
-    const std::string cyc = spec.substr(at + 1);
-    w.start_cycle = std::stoull(cyc, &used);
-    if (used != cyc.size()) throw std::invalid_argument(spec);
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> count =
+      smt::parse_u64(std::string_view(spec).substr(0, at));
+  const std::optional<std::uint64_t> start =
+      smt::parse_u64(std::string_view(spec).substr(at + 1));
+  if (!count.has_value() || !start.has_value()) {
     throw smt::ConfigError("--pipeview windows are N@CYCLE (e.g. 64@8192), "
                            "got '" + spec + "'");
   }
+  smt::pipeline::PipeviewWindow w;
+  w.count = *count;
+  w.start_cycle = *start;
   if (w.count == 0) {
     throw smt::ConfigError("--pipeview window '" + spec +
                            "' samples zero instructions");
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
     // jobs. The flag is harmless elsewhere (single runs have nothing to
     // fan out).
     const std::uint64_t jobs =
-        args.get_u64("jobs", static_cast<std::uint64_t>(par::default_jobs()));
+        args.get_u64("jobs", static_cast<std::uint64_t>(smt_jobs_from_env()));
     if (jobs == 0) {
       throw ConfigError("--jobs must be >= 1 worker threads");
     }

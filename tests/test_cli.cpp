@@ -62,6 +62,22 @@ TEST(Cli, NumericValidation) {
   const CliArgs a = parse({"prog", "--threads", "abc", "--threshold", "x"});
   EXPECT_THROW((void)a.get_u64("threads", 0), std::invalid_argument);
   EXPECT_THROW((void)a.get_double("threshold", 0), std::invalid_argument);
+  // strtoull wraps "-1" to 2^64-1 and strtod accepts nan/inf: a signed
+  // unsigned value, an overflow or a non-finite number is a usage error.
+  for (const char* bad : {"-1", "+1", " 1", "18446744073709551616", "1e3"}) {
+    const CliArgs b = parse({"prog", "--threads", bad});
+    EXPECT_THROW((void)b.get_u64("threads", 0), UsageError) << bad;
+  }
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "1e999", "2x"}) {
+    const CliArgs b = parse({"prog", "--threshold", bad});
+    EXPECT_THROW((void)b.get_double("threshold", 0), UsageError) << bad;
+  }
+  EXPECT_EQ(parse({"prog", "--threads", "18446744073709551615"})
+                .get_u64("threads", 0),
+            18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(parse({"prog", "--threshold", "-0.5"})
+                       .get_double("threshold", 0),
+                   -0.5);
 }
 
 TEST(Cli, ExplicitEmptyNumericValueThrows) {

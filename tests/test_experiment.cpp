@@ -55,6 +55,18 @@ TEST(Experiment, FullScaleGrowsPlan) {
   EXPECT_GE(s.plan.intervals, 4u);
 }
 
+TEST(Experiment, JobsComeFromSmtJobsAndASignMeansSerial) {
+  {
+    ScopedEnv env("SMT_JOBS", "3");
+    EXPECT_EQ(ExperimentScale::from_env().jobs, 3u);
+  }
+  // strtoul wrapped "-1" to ULONG_MAX, which clamped to 64 workers.
+  for (const char* bad : {"-1", "0", "x", ""}) {
+    ScopedEnv env("SMT_JOBS", bad);
+    EXPECT_EQ(ExperimentScale::from_env().jobs, 1u) << bad;
+  }
+}
+
 TEST(Experiment, ThresholdSweepMatchesPaper) {
   const auto ts = threshold_sweep();
   ASSERT_EQ(ts.size(), 5u) << "the paper sweeps m = 1..5";

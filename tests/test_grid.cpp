@@ -81,6 +81,11 @@ TEST(BatchSpec, MalformedInputThrowsConfigError) {
   EXPECT_THROW(parse("bogus 1\nmix bal1\npolicy ICOUNT\n"), ConfigError);
   EXPECT_THROW(parse("threads 9\nmix bal1\npolicy ICOUNT\n"), ConfigError);
   EXPECT_THROW(parse("cycles zero\nmix bal1\npolicy ICOUNT\n"), ConfigError);
+  // A sign must not wrap to 2^64-1 cycles, and nan is not a threshold.
+  EXPECT_THROW(parse("cycles -1\nmix bal1\npolicy ICOUNT\n"), ConfigError);
+  EXPECT_THROW(parse("seed -5\nmix bal1\npolicy ICOUNT\n"), ConfigError);
+  EXPECT_THROW(parse("mix bal1\nadts 3@nan\n"), ConfigError);
+  EXPECT_THROW(parse("mix bal1\nadts 3@inf\n"), ConfigError);
   // The degradation guard is gone: its directive is a config error
   // (exit 3), not a silently ignored knob.
   EXPECT_THROW(parse("mix bal1\nguard on\nadts 3@2\n"), ConfigError);
@@ -213,10 +218,12 @@ int smtsim_exit(const std::string& args) {
 TEST(GridCli, MalformedGridLinesAreConfigErrors) {
   const std::string dir = fresh_dir("grid_cli");
   std::filesystem::create_directories(dir);
-  // The grammar's error cases are BatchSpec's; two pin the exit code.
+  // The grammar's error cases are BatchSpec's; these pin the exit code.
   const std::vector<std::string> malformed = {
       "mix bal1\npolicy ICOUNT\nbogus 1\n",  // unknown directive
       "mix bal1\nadts 3-2\n",                // variant without '@'
+      "cycles -1\nmix bal1\npolicy ICOUNT\n",  // would wrap to 2^64-1
+      "mix bal1\nadts 3@nan\n",              // non-finite threshold
   };
   for (std::size_t i = 0; i < malformed.size(); ++i) {
     const std::string grid = dir + "/bad" + std::to_string(i) + ".grid";
@@ -234,6 +241,9 @@ TEST(GridCli, MalformedGridLinesAreConfigErrors) {
   EXPECT_EQ(smtsim_exit("--grid " + dir + "/bad0.grid --out " + dir +
                         " --mix bal1"),
             kExitUsage);
+  // The same numbers as flags are usage errors, rejected before any run.
+  EXPECT_EQ(smtsim_exit("--mix ilp8 --cycles -1"), kExitUsage);
+  EXPECT_EQ(smtsim_exit("--adts --threshold nan"), kExitUsage);
 }
 
 }  // namespace

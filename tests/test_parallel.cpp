@@ -136,6 +136,63 @@ TEST(ParallelSweep, Fig78GridIsIdenticalForEveryJobsValue) {
   }
 }
 
+TEST(MixSweep, PooledRunsLandVariantMajor) {
+  // Two variants of different cost over three mixes on three workers:
+  // every pooled run must equal the direct run_sampled of its (variant,
+  // mix) config, in the variant-major slot the tables read.
+  sim::ExperimentScale scale;
+  scale.mixes = {"ctrl8", "mem8", "bal1"};
+  scale.plan.intervals = 1;
+  scale.plan.warmup_cycles = 2048;
+  scale.plan.measure_cycles = 8192;
+  scale.jobs = 3;
+  core::AdtsConfig fast;
+  fast.quantum_cycles = 1024;
+  const auto config = [&](std::size_t v, const workload::Mix& mix) {
+    if (v == 0) {
+      return sim::fixed_config(mix, policy::FetchPolicy::kBrcount, 4, scale);
+    }
+    return sim::adts_config(mix, core::HeuristicType::kType2, 100.0, 8, scale,
+                            &fast);
+  };
+  const sim::MixSweep sweep = sim::run_mix_sweep(2, config, scale);
+  ASSERT_EQ(sweep.runs.size(), 6u);
+  for (std::size_t v = 0; v < 2; ++v) {
+    for (std::size_t k = 0; k < scale.mixes.size(); ++k) {
+      const sim::SampleResult direct = sim::run_sampled(
+          config(v, workload::mix(scale.mixes[k])), scale.plan);
+      EXPECT_EQ(sweep.run(v, k).committed, direct.committed) << v << k;
+      EXPECT_EQ(sweep.run(v, k).switches, direct.switches) << v << k;
+    }
+  }
+  EXPECT_GT(sweep.summary(1).switches, 0.0);
+}
+
+TEST(MixSweep, SummaryReducesOneVariantInMixOrder) {
+  sim::MixSweep sweep;
+  sweep.mixes = {"a", "b"};
+  sweep.runs.resize(4);  // variant 0 stays empty
+  sim::SampleResult& a = sweep.runs[2];
+  sim::SampleResult& b = sweep.runs[3];
+  a.cycles = b.cycles = 100;
+  a.committed = 300;
+  b.committed = 100;
+  a.quanta = b.quanta = 4;
+  a.low_throughput_quanta = 1;
+  a.switches = 3;
+  b.switches = 2;
+  a.benign_switches = 2;
+  a.malignant_switches = b.malignant_switches = 1;
+  a.switches_skipped_dt_busy = 1;
+  const sim::SweepCell c = sweep.summary(1);
+  EXPECT_DOUBLE_EQ(c.ipc, 2.0);
+  EXPECT_DOUBLE_EQ(c.switches, 2.5);
+  EXPECT_DOUBLE_EQ(c.dt_skipped, 0.5);
+  EXPECT_DOUBLE_EQ(c.benign_prob, 0.5) << "pooled, not a mean of ratios";
+  EXPECT_DOUBLE_EQ(c.low_quanta_frac, 0.125);
+  EXPECT_EQ(sweep.summary(0).ipc, 0.0);
+}
+
 /// One full simulation -> exported metrics as a JSON string. Everything a
 /// run can observe is in here, so string equality is run equality.
 std::string stats_json_for(const std::string& mix_name) {
