@@ -296,7 +296,8 @@ void oracle_headroom(Paper& p) {
   std::vector<double> head10;
 
   const sim::OracleConfig o3;
-  const sim::OracleConfig o10{o3.quantum_cycles, policy::all_policies()};
+  sim::OracleConfig o10;
+  o10.candidates = policy::all_policies();
 
   struct MixRow {
     double fixed_ipc = 0.0;

@@ -5,8 +5,10 @@
 # of the three workloads (~1 minute in all) and fails when
 #   - a run reports "correct": false (a failed unit or identity check:
 #     stats digests, serial-vs-pooled and copy-vs-fresh identity), or
-#   - ilp8_single sim_mips is below SMT_PERF_FLOOR x the sim_mips of the
-#     last record in BENCH_history.jsonl.
+#   - any workload's sim_kcycles_per_s is below SMT_PERF_FLOOR x that
+#     workload's sim_kcycles_per_s in the last record of
+#     BENCH_history.jsonl (simulated cycles per host second: the rate
+#     that quiet-cycle leaping and the per-cycle stage costs move).
 # The floor hunts order-of-magnitude slips (debug or sanitizer builds,
 # quadratic per-cycle scans), not 10% drifts; a baseline from another
 # host needs a lower SMT_PERF_FLOOR, and 0 disables it.
@@ -73,16 +75,18 @@ for w in ("ilp8_single", "adts_sweep", "bal1_oracle"):
               f"{res['attempted']} units and checks failed", file=sys.stderr)
         ok = False
 
-base_mips = base["workloads"]["ilp8_single"]["sim_mips"]
-mips = record["workloads"]["ilp8_single"]["sim_mips"]
-need = float(floor) * base_mips
-print(f"check_perf_floor: ilp8_single {mips:.3f} sim-MIPS vs baseline "
-      f"{base_mips:.3f} ({base['host_cpu']}, {base['git_describe']}); "
-      f"floor {float(floor):.2f}x -> {need:.3f}", file=sys.stderr)
-if mips < need:
-    print("check_perf_floor: FAIL: below the floor; on a slower host rerun "
-          "with a lower SMT_PERF_FLOOR", file=sys.stderr)
-    ok = False
+print(f"check_perf_floor: baseline {base['git_describe']} "
+      f"({base['host_cpu']}), floor {float(floor):.2f}x", file=sys.stderr)
+for w in ("ilp8_single", "adts_sweep", "bal1_oracle"):
+    base_rate = base["workloads"][w]["sim_kcycles_per_s"]
+    rate = record["workloads"][w]["sim_kcycles_per_s"]
+    need = float(floor) * base_rate
+    print(f"check_perf_floor: {w} {rate:.1f} kcycles/s vs baseline "
+          f"{base_rate:.1f} -> floor {need:.1f}", file=sys.stderr)
+    if rate < need:
+        print(f"check_perf_floor: FAIL: {w} below the floor; on a slower "
+              "host rerun with a lower SMT_PERF_FLOOR", file=sys.stderr)
+        ok = False
 print(json.dumps(record, sort_keys=True),
       file=sys.stdout if ok else sys.stderr)
 print(f"check_perf_floor: {'OK' if ok else 'FAIL'}", file=sys.stderr)

@@ -9,7 +9,10 @@
 #    the prof.* subtree is dropped. Host timing may never leak into
 #    simulated results.
 # 2. Folded-stack well-formedness: every line is `path ns` with a
-#    [A-Za-z0-9_;] path, and `smtprof folded` renders it (exit 0).
+#    [A-Za-z0-9_;] path, and `smtprof folded` renders it (exit 0). The
+#    memory-bound mem8 run must show time under run;measured;cycle;skip,
+#    the node that times leaps over quiet cycles, and its count (cycles
+#    leapt) must be a positive share of the measured cycles.
 # 3. Telescoping coverage: the sum of exclusive ns over the phase tree
 #    must account for >= 90% of prof.total_ns (wall time from profiler
 #    start to stats export) and never exceed it by more than rounding.
@@ -83,6 +86,8 @@ for mix in $mixes; do
     exit 1
   fi
 done
+grep -qE '^run;measured;cycle;skip [0-9]+$' "$tmp/mem8.folded" \
+  || { echo "check_prof: mem8 folded output has no cycle;skip node" >&2; exit 1; }
 "$smtprof" folded "$tmp/mem8.folded" > "$tmp/folded.report"
 grep -q "total " "$tmp/folded.report" \
   || { echo "check_prof: smtprof folded printed no total" >&2; exit 1; }
@@ -106,6 +111,11 @@ def excl(node):
 
 total_ns = stats["prof"]["total_ns"]
 sum_excl = excl(stats["prof"]["run"])
+leapt = stats["prof"]["run"]["measured"]["cycle"]["skip"]["count"]
+measured = stats["run"]["measured_cycles"]
+assert 0 < leapt < measured, \
+    f"skip node counts {leapt} leapt cycles of {measured} measured"
+print(f"   {leapt / measured:.1%} of measured cycles leapt (cycle.skip.count)")
 ratio = sum_excl / total_ns
 assert 0.90 <= ratio <= 1.001, \
     f"exclusive sum covers {ratio:.1%} of wall (want 90%..100%)"

@@ -131,9 +131,11 @@ std::size_t InvariantChecker::on_cycle(const pipeline::Pipeline& pipe,
     const bool life_reset = life != b.life_epoch;
     const bool quantum_reset = qep != b.quantum_epoch;
     if (quantum_reset) {
-      // The reset happened somewhere in (prev_cycle_, now]; baselining
-      // one cycle early keeps the span an upper bound.
-      b.epoch_base_cycle = now > 0 ? now - 1 : 0;
+      // The reset happened somewhere in [prev_cycle_, now] (at
+      // prev_cycle_ itself when a swap or re-arm came between two run()
+      // calls); baselining at prev_cycle_ keeps the span an upper bound
+      // also when one call covers a multi-cycle leap.
+      b.epoch_base_cycle = prev_cycle_;
     } else if (c.committed_quantum < b.committed_quantum) {
       report(InvariantClass::kCounterEpoch, now, stid, c.committed_quantum,
              "quantum accumulator shrank without an epoch bump");

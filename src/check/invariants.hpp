@@ -8,7 +8,8 @@
 // attribution) per cycle; this subsystem generalises that into a
 // pluggable runtime checker that an end-to-end run can keep enabled.
 //
-// Five invariant classes (InvariantClass), checked every Simulator step:
+// Five invariant classes (InvariantClass), checked after every Simulator
+// step and every leap over quiet cycles:
 //
 //   * resource conservation — every occupancy counter (icount / brcount /
 //     ldcount / memcount / L1D outstanding / front-end count), the shared
@@ -91,10 +92,10 @@ class InvariantChecker {
   /// manipulation the checker should not attribute to the machine.
   void arm(const pipeline::Pipeline& pipe);
 
-  /// Run every pass. Call once per Simulator step, after all mutations of
-  /// the cycle (pipeline step, detector tick). Gaps
-  /// (cycles advanced outside the checked step loop) are handled: the
-  /// per-span laws stretch over the gap, the absolute laws don't care.
+  /// Run every pass. Call once per Simulator step or leap, after all
+  /// mutations (pipeline, detector tick). Multi-cycle spans (a leap, or
+  /// cycles advanced outside the checked loop) are handled: the per-span
+  /// laws stretch over the span, the absolute laws don't care.
   /// Returns the number of violations newly *recorded* this call.
   std::size_t on_cycle(const pipeline::Pipeline& pipe, bool adts_enabled);
 

@@ -57,6 +57,19 @@ void DetectorThread::tick(pipeline::Pipeline& pipe) {
   }
 }
 
+std::uint64_t DetectorThread::next_event(
+    const pipeline::Pipeline& pipe) const noexcept {
+  const std::uint64_t now = pipe.now();
+  std::uint64_t at = (now / cfg_.quantum_cycles + 1) * cfg_.quantum_cycles;
+  if (decision_pending_) {
+    const std::uint64_t work = pipe.dt_work_remaining();
+    const std::uint64_t width = pipe.config().fetch_width;
+    if (work == 0) return now + 1;
+    if (width > 0) at = std::min(at, now + (work + width - 1) / width);
+  }
+  return at;
+}
+
 void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
   ++stats_.quanta;
   stats_.quanta_per_policy[static_cast<std::size_t>(pipe.policy())] += 1;

@@ -106,6 +106,15 @@ class DetectorThread {
   /// applies pending switches once the DT's work has drained.
   void tick(pipeline::Pipeline& pipe);
 
+  /// The first cycle after pipe.now() at which tick() may act, provided
+  /// the pipeline stays quiet until then (every fetch slot idle, so the
+  /// DT drains fetch_width queued instructions a cycle): the next quantum
+  /// boundary, or the tick that applies a pending decision once the DT's
+  /// work has drained. Ticks before it are no-ops, which is what lets
+  /// Simulator::run leap up to it.
+  [[nodiscard]] std::uint64_t next_event(
+      const pipeline::Pipeline& pipe) const noexcept;
+
   /// Re-baseline the DT's committed-instruction bookkeeping to the
   /// pipeline's current state. Call when the detector starts ticking on a
   /// pipeline that has already been running (e.g. after a measurement

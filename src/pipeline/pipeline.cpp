@@ -115,7 +115,15 @@ Pipeline::Pipeline(const PipelineConfig& cfg,
 }
 
 void Pipeline::run(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) step();
+  const std::uint64_t end = cycle_ + n;
+  while (cycle_ < end) {
+    const std::uint64_t k = quiet_span(end - cycle_);
+    if (k > 0) {
+      leap(k);
+    } else {
+      step();
+    }
+  }
 }
 
 void Pipeline::step() {
@@ -129,7 +137,7 @@ void Pipeline::step() {
     do_fetch();
   }
 
-  if (cpi_.enabled) account_cpi();
+  if (cpi_.enabled) account_cpi(1);
 
   for (Thread& t : threads_) ++t.counters.cycles_seen;
   ++stats_.cycles;
@@ -440,6 +448,22 @@ void Pipeline::place_entry(std::uint32_t id, const IqRef& r) {
 // blocking on IQ / LSQ / renaming-register exhaustion (the rename stage is
 // in-order, so one thread's stuck instruction stalls everything behind it).
 // ---------------------------------------------------------------------------
+Pipeline::DispatchHazard Pipeline::dispatch_hazard(
+    isa::InstrClass cls) const noexcept {
+  const bool fp = isa::is_fp(cls);
+  if (popcount64(fp ? fp_iq_.occ : int_iq_.occ) >=
+      (fp ? cfg_.fp_iq_size : cfg_.int_iq_size)) {
+    return DispatchHazard::kIqFull;
+  }
+  if (isa::is_mem(cls) && lsq_used_ >= cfg_.lsq_size) {
+    return DispatchHazard::kLsqFull;
+  }
+  if (has_dst_reg(cls) && (fp ? fp_rename_free_ : int_rename_free_) == 0) {
+    return DispatchHazard::kRenameFull;
+  }
+  return DispatchHazard::kNone;
+}
+
 void Pipeline::do_dispatch() {
   std::uint32_t budget = cfg_.dispatch_width;
   while (budget > 0 && !dispatch_fifo_.empty()) {
@@ -457,21 +481,12 @@ void Pipeline::do_dispatch() {
     const bool is_mem = isa::is_mem(cls);
 
     // Structural-hazard checks; failure stalls the whole stage.
-    if (fp) {
-      if (popcount64(fp_iq_.occ) >= cfg_.fp_iq_size) break;
-    } else {
-      if (popcount64(int_iq_.occ) >= cfg_.int_iq_size) break;
-    }
-    if (is_mem && lsq_used_ >= cfg_.lsq_size) {
-      ++t.counters.lsq_full_events_quantum;
-      break;
-    }
-    if (has_dst_reg(cls)) {
-      if (fp) {
-        if (fp_rename_free_ == 0) break;
-      } else {
-        if (int_rename_free_ == 0) break;
+    const DispatchHazard hazard = dispatch_hazard(cls);
+    if (hazard != DispatchHazard::kNone) {
+      if (hazard == DispatchHazard::kLsqFull) {
+        ++t.counters.lsq_full_events_quantum;
       }
+      break;
     }
 
     // Acquire resources and enqueue.
@@ -513,6 +528,25 @@ void Pipeline::do_dispatch() {
 // Fetch: thread selection by the active policy, ICOUNT.2.8 bandwidth,
 // cache-block fragmentation, wrong-path synthesis, detector-thread slots.
 // ---------------------------------------------------------------------------
+std::uint8_t Pipeline::fetch_block_cause(const Thread& t) const noexcept {
+  const auto code = [](obs::StallCause c) {
+    return static_cast<std::uint8_t>(static_cast<std::uint8_t>(c) + 1);
+  };
+  if (t.fetch_stall_until > cycle_) {
+    return code(t.icache_stalled ? obs::StallCause::kIcacheMiss
+                                 : obs::StallCause::kSquashRecovery);
+  }
+  if (t.fetch_block_until > cycle_) {
+    return code(obs::StallCause::kFetchBlackout);
+  }
+  if (win_full(t)) return code(obs::StallCause::kRobFull);
+  if (t.frontend_count >= static_cast<std::int32_t>(cfg_.fetch_buffer_cap)) {
+    // front-end buffer full: dispatch is backed up
+    return code(obs::StallCause::kDispatchBackpressure);
+  }
+  return 0;
+}
+
 void Pipeline::do_fetch() {
   const std::uint32_t n = num_threads();
   // Rotating offset for every fair-share tie-break this cycle, computed
@@ -541,26 +575,9 @@ void Pipeline::do_fetch() {
     block_cause[tid] = static_cast<std::uint8_t>(c) + 1;
   };
   for (std::uint32_t tid = 0; tid < n; ++tid) {
-    Thread& t = threads_[tid];
-    if (t.fetch_stall_until > cycle_) {
-      blocked_by(tid, t.icache_stalled ? obs::StallCause::kIcacheMiss
-                                       : obs::StallCause::kSquashRecovery);
-      continue;
-    }
-    if (t.fetch_block_until > cycle_) {
-      blocked_by(tid, obs::StallCause::kFetchBlackout);
-      continue;
-    }
-    if (win_full(t)) {
-      blocked_by(tid, obs::StallCause::kRobFull);
-      continue;
-    }
-    if (t.frontend_count >=
-        static_cast<std::int32_t>(cfg_.fetch_buffer_cap)) {
-      // front-end buffer full: dispatch is backed up
-      blocked_by(tid, obs::StallCause::kDispatchBackpressure);
-      continue;
-    }
+    const Thread& t = threads_[tid];
+    block_cause[tid] = fetch_block_cause(t);
+    if (block_cause[tid] != 0) continue;
     const double key =
         policy::priority_key(policy_, t.counters, tid, n, cycle_);
     const std::uint32_t tie = tid + rot;
@@ -760,6 +777,131 @@ void Pipeline::do_fetch() {
           fetched_per_thread[tid] > 0 ? 0 : block_cause[tid];
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Quiet-cycle leaping (DESIGN.md §19).
+//
+// A cycle is quiet when every stage finds nothing to do. Nothing then
+// changes but counters, so the next cycle is quiet too, until an event
+// bound below comes due. leap() applies the counters' per-cycle
+// increments in bulk; the stall and CPI ledgers' conservation laws, which
+// the invariant checker and check_cpi.sh hold to, are what it preserves.
+// ---------------------------------------------------------------------------
+std::uint64_t Pipeline::quiet_span(std::uint64_t limit) const {
+  constexpr std::uint64_t kLaneMask = kCompletionRing - 1;
+  // Complete: even a stale entry empties its lane, so any entry is live.
+  if (limit == 0 || completion_n_[cycle_ & kLaneMask] != 0) return 0;
+  // Issue: do_issue's first pick, with every budget still full.
+  if (cfg_.issue_width > 0) {
+    std::uint64_t int_cand = cfg_.int_alus > 0 ? int_iq_.ready : 0;
+    if (cfg_.mem_ports == 0) int_cand &= ~int_iq_.mem;
+    const std::uint64_t fp_cand = cfg_.fp_units > 0 ? fp_iq_.ready : 0;
+    if ((int_cand | fp_cand) != 0) return 0;
+  }
+
+  std::uint64_t end = cycle_ + limit;  // first cycle not in the span
+  const auto until = [this, &end](std::uint64_t event) {
+    if (event > cycle_ && event < end) end = event;
+  };
+  // Dispatch: the FIFO head waits out the front end, or a hazard holds it.
+  if (cfg_.dispatch_width > 0 && !dispatch_fifo_.empty()) {
+    const FifoRef& head = dispatch_fifo_.front();
+    const Thread& t = threads_[head.tid];
+    if (t.dispatch_ready[head.slot] > cycle_) {
+      until(t.dispatch_ready[head.slot]);
+    } else if (dispatch_hazard(t.si[head.slot].cls) ==
+               DispatchHazard::kNone) {
+      return 0;
+    }
+  }
+  for (std::uint32_t tid = 0; tid < num_threads(); ++tid) {
+    const Thread& t = threads_[tid];
+    // Fetch: no candidate, and no expired I-cache stall left to clear.
+    if (fetch_block_cause(t) == 0) return 0;
+    if (t.icache_stalled && t.fetch_stall_until <= cycle_) return 0;
+    // Commit: no completed window head.
+    if (cfg_.commit_width > 0 && !win_empty(t) &&
+        t.state[slot_of(t.head_seq)] ==
+            static_cast<std::uint8_t>(InstrState::kDone)) {
+      return 0;
+    }
+    until(t.fetch_stall_until);
+    until(t.fetch_block_until);
+    if (cpi_.enabled) {
+      // account_cpi tells switch overhead from squash recovery by
+      // swap_stall_until, and a refilling head from a dispatch-blocked
+      // one by its dispatch_ready.
+      until(cpi_.swap_stall_until[tid]);
+      if (!win_empty(t)) until(t.dispatch_ready[slot_of(t.head_seq)]);
+    }
+  }
+  // The next non-empty completion lane. Every pending completion lies
+  // within one ring turn, so a full turn of empty lanes means none.
+  for (std::uint64_t c = cycle_ + 1;
+       c < end && c - cycle_ < kCompletionRing; ++c) {
+    if (completion_n_[c & kLaneMask] != 0) return c - cycle_;
+  }
+  return end - cycle_;
+}
+
+void Pipeline::leap(std::uint64_t k) {
+  assert(k > 0 && quiet_span(k) == k);
+  const std::uint32_t n = num_threads();
+  const std::uint64_t width = cfg_.fetch_width;
+
+  // Dispatch: a head held by the full LSQ counts the event every cycle.
+  if (cfg_.dispatch_width > 0 && !dispatch_fifo_.empty()) {
+    const FifoRef& head = dispatch_fifo_.front();
+    Thread& t = threads_[head.tid];
+    if (t.dispatch_ready[head.slot] <= cycle_ &&
+        dispatch_hazard(t.si[head.slot].cls) == DispatchHazard::kLsqFull) {
+      t.counters.lsq_full_events_quantum += k;
+    }
+  }
+
+  // Fetch: every slot is idle. The DT absorbs what it has queued; each
+  // cycle's remaining `lost` slots go round-robin over all n threads (all
+  // are blocked) from tid cycle % n, as in do_fetch. Over any n
+  // consecutive cycles of equal `lost`, every thread gets `lost` slots.
+  stats_.fetch_slots_idle += width * k;
+  std::array<std::uint64_t, 64> slots{};  // n <= 64
+  std::uint64_t each = 0;                 // slots charged to every thread
+  const auto charge_cycle = [&slots, &each, n](std::uint64_t cycle,
+                                               std::uint64_t lost) {
+    each += lost / n;
+    std::uint32_t tid = static_cast<std::uint32_t>(cycle % n);
+    for (std::uint64_t j = lost % n; j > 0;
+         --j, tid = (tid + 1 == n ? 0 : tid + 1)) {
+      ++slots[tid];
+    }
+  };
+  const std::uint64_t end = cycle_ + k;
+  std::uint64_t c = cycle_;
+  for (; c < end && dt_work_ > 0 && width > 0; ++c) {
+    const std::uint64_t used = std::min(width, dt_work_);
+    dt_work_ -= used;
+    stats_.dt_slots_used += used;
+    charge_cycle(c, width - used);
+  }
+  const std::uint64_t periods = (end - c) / n;
+  each += width * periods;
+  for (c += periods * n; c < end; ++c) charge_cycle(c, width);
+
+  for (std::uint32_t tid = 0; tid < n; ++tid) {
+    Thread& t = threads_[tid];
+    const std::uint8_t cause = fetch_block_cause(t);
+    t.stalls.charge(static_cast<obs::StallCause>(cause - 1),
+                    each + slots[tid]);
+    t.counters.stalls_quantum += k;
+    t.counters.cycles_seen += k;
+    if (cpi_.enabled) cpi_.fetch_cause[tid] = cause;
+  }
+  if (cpi_.enabled) account_cpi(k);
+
+  stats_.cycles += k;
+  cycle_ += k;
+  cycles_leapt_ += k;
 }
 
 // ---------------------------------------------------------------------------
@@ -1121,16 +1263,19 @@ void Pipeline::charge_cpi_contention(std::uint32_t tid, std::uint64_t lost,
     ids[m++] = std::min<std::uint32_t>(
         ctz64(b), static_cast<std::uint32_t>(obs::kCpiMaxThreads) - 1);
   }
-  // Rotate the start with the cycle so repeated single-slot losses do
-  // not systematically blame the lowest-numbered holder.
+  // Slot k blames ids[(cycle % m + k) % m]: the start rotates with the
+  // cycle so repeated single-slot losses do not systematically blame the
+  // lowest-numbered holder. Whole rounds of m slots blame every holder
+  // once, which keeps a leap's width × cycles loss O(m).
+  for (std::uint32_t i = 0; i < m; ++i) st.contend[ids[i]] += lost / m;
   std::uint32_t at = static_cast<std::uint32_t>(cycle_ % m);
-  for (std::uint64_t k = 0; k < lost;
-       ++k, at = (at + 1 == m ? 0 : at + 1)) {
+  for (std::uint64_t k = lost % m; k > 0;
+       --k, at = (at + 1 == m ? 0 : at + 1)) {
     ++st.contend[ids[at]];
   }
 }
 
-void Pipeline::account_cpi() {
+void Pipeline::account_cpi(std::uint64_t cycles) {
   const std::uint32_t n = num_threads();
   const std::uint64_t width = cfg_.commit_width;
 
@@ -1145,13 +1290,16 @@ void Pipeline::account_cpi() {
     committed_total += c;
     if (c != 0) committers |= 1ull << tid;
   }
+  // A leapt span commits and issues nothing, so below every loss has one
+  // cause and contention blames only the thread itself (no rotation).
+  assert(cycles == 1 || (committed_total == 0 && cpi_.issued_tids == 0));
 
   for (std::uint32_t tid = 0; tid < n; ++tid) {
     Thread& t = threads_[tid];
     obs::CpiStack& st = cpi_.stacks[tid];
     cpi_.prev_head_seq[tid] = t.head_seq;
     st.charge(obs::CpiCause::kCommitted, committed[tid]);
-    const std::uint64_t lost = width - committed[tid];
+    const std::uint64_t lost = width * cycles - committed[tid];
     if (lost == 0) continue;
 
     if (win_empty(t)) {
@@ -1238,7 +1386,7 @@ void Pipeline::account_cpi() {
   }
 
   cpi_.issued_tids = 0;
-  ++cpi_.cycles_accounted;
+  cpi_.cycles_accounted += cycles;
 }
 
 // ---------------------------------------------------------------------------

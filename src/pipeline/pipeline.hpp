@@ -99,11 +99,35 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = default;
   Pipeline& operator=(Pipeline&&) = default;
 
-  /// Advance one cycle.
+  /// Advance one cycle. Always runs every stage: the per-cycle reference
+  /// path that run()'s leaps are checked against.
   void step();
 
-  /// Advance n cycles.
+  /// Advance n cycles: step() on live cycles, leap() over quiet spans.
+  /// The resulting state equals that of n step() calls.
   void run(std::uint64_t n);
+
+  // --- quiet-cycle leaping (DESIGN.md §19) --------------------------------
+  /// Cycles, starting at now() and at most `limit`, in which no stage can
+  /// act: nothing completes (empty completion lanes), issues, dispatches,
+  /// commits or fetches (every thread is fetch-blocked). 0 when this cycle
+  /// is live. The span ends at the first cycle where any of that can
+  /// change: a non-empty lane, a fetch stall or block expiring, the
+  /// dispatch-FIFO head leaving the front end, and with CPI accounting
+  /// on, a switch-stall window or a window head's front-end release.
+  [[nodiscard]] std::uint64_t quiet_span(std::uint64_t limit) const;
+
+  /// Advance `k` quiet cycles at once, applying in bulk exactly the side
+  /// effects k step() calls would have had (cycle counters, idle fetch
+  /// slots, DT slot use, the round-robin stall ledger, LSQ-full events,
+  /// CPI charges). Precondition: k <= quiet_span(k).
+  void leap(std::uint64_t k);
+
+  /// Cycles advanced by leap() (observability for tests; deliberately
+  /// not exported to the stats document).
+  [[nodiscard]] std::uint64_t cycles_leapt() const noexcept {
+    return cycles_leapt_;
+  }
 
   // --- fetch policy control (what the detector thread manipulates) -----
   void set_policy(policy::FetchPolicy p) noexcept { policy_ = p; }
@@ -499,6 +523,21 @@ class Pipeline {
   void do_dispatch();
   void do_fetch();
 
+  /// Why `t` cannot be a fetch candidate this cycle, in do_fetch's order:
+  /// StallCause + 1, or 0 when it can fetch.
+  [[nodiscard]] std::uint8_t fetch_block_cause(const Thread& t) const noexcept;
+
+  /// First structural hazard, in do_dispatch's check order, that keeps an
+  /// instruction of class `cls` at the FIFO head out of the queues.
+  enum class DispatchHazard : std::uint8_t {
+    kNone,
+    kIqFull,
+    kLsqFull,
+    kRenameFull,
+  };
+  [[nodiscard]] DispatchHazard dispatch_hazard(
+      isa::InstrClass cls) const noexcept;
+
   /// Classify IQ entry `id` (int queue 0–63, fp queue 64–127) whose ref
   /// is `r`: set its ready bit, or enlist it on the waiter chain of its
   /// first outstanding producer so do_complete wakes it later.
@@ -568,6 +607,7 @@ class Pipeline {
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_age_ = 1;
   std::uint64_t dt_work_ = 0;
+  std::uint64_t cycles_leapt_ = 0;
 
   PipelineStats stats_;
   obs::StallBreakdown machine_stalls_;  ///< lost slots with no thread to blame
@@ -632,9 +672,11 @@ class Pipeline {
   DropOnCopy<CpiState> cpi_;
 
   /// End-of-step() accounting pass: charge each thread's commit_width
-  /// slots for this cycle. O(threads), no heap, reads the post-stage
-  /// window heads only.
-  void account_cpi();
+  /// slots for this cycle, or for `cycles` identical quiet cycles from
+  /// leap() (nothing committed or issued, so every charge is constant
+  /// over the span). O(threads), no heap, reads the post-stage window
+  /// heads only.
+  void account_cpi(std::uint64_t cycles);
   /// Charge `lost` kFuContention slots on `tid`, distributing holder
   /// blame round-robin over `holders` (a tid bitmask; self is excluded
   /// unless it is the only holder).

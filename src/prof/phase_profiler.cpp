@@ -44,9 +44,10 @@ PhaseProfiler::Node PhaseProfiler::child(Node parent, std::string_view name) {
   return id;
 }
 
-void PhaseProfiler::add(Node n, std::uint64_t ticks) noexcept {
+void PhaseProfiler::add(Node n, std::uint64_t ticks,
+                        std::uint64_t count) noexcept {
   NodeData& d = nodes_[n];
-  ++d.count;
+  d.count += count;
   d.incl_ticks += ticks;
   d.min_ticks = std::min(d.min_ticks, ticks);
   d.max_ticks = std::max(d.max_ticks, ticks);

@@ -72,24 +72,26 @@ class PhaseProfiler {
   /// segments and folded-stack frames); violations are clamped to '_'.
   Node child(Node parent, std::string_view name);
 
-  /// Account one timed interval of `ticks` host ticks to `n`.
-  void add(Node n, std::uint64_t ticks) noexcept;
+  /// Account one timed interval of `ticks` host ticks to `n`, counted as
+  /// `count` calls (a leap over k quiet cycles counts k).
+  void add(Node n, std::uint64_t ticks, std::uint64_t count = 1) noexcept;
 
   /// RAII timed region. A Scope built with a null profiler is inert, so
   /// call sites need no branch of their own.
   class Scope {
    public:
-    Scope(PhaseProfiler* p, Node n) noexcept
-        : p_(p), n_(n), t0_(p != nullptr ? host_ticks() : 0) {}
+    Scope(PhaseProfiler* p, Node n, std::uint64_t count = 1) noexcept
+        : p_(p), n_(n), count_(count), t0_(p != nullptr ? host_ticks() : 0) {}
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
     ~Scope() {
-      if (p_ != nullptr) p_->add(n_, host_ticks() - t0_);
+      if (p_ != nullptr) p_->add(n_, host_ticks() - t0_, count_);
     }
 
    private:
     PhaseProfiler* p_;
     Node n_;
+    std::uint64_t count_;
     std::uint64_t t0_;
   };
 

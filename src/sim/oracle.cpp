@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "par/thread_pool.hpp"
 #include "policy/fetch_policy.hpp"
@@ -22,6 +23,11 @@ struct Trial {
 };
 
 }  // namespace
+
+std::vector<policy::FetchPolicy> type3_policies() {
+  return {policy::FetchPolicy::kIcount, policy::FetchPolicy::kBrcount,
+          policy::FetchPolicy::kL1MissCount};
+}
 
 OracleResult run_oracle(Simulator base, std::uint64_t quanta,
                         const OracleConfig& cfg, std::size_t jobs,

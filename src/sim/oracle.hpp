@@ -19,14 +19,17 @@
 
 namespace smt::sim {
 
+/// The three states of the ADTS Type-3 FSM: ICOUNT, BRCOUNT, L1MISSCOUNT.
+[[nodiscard]] std::vector<policy::FetchPolicy> type3_policies();
+
 struct OracleConfig {
   std::uint64_t quantum_cycles = 8192;
   /// Policies the oracle may pick from each quantum. Default: the three
-  /// states of the ADTS Type-3 FSM; pass policy::all_policies() for the
-  /// full ten-policy oracle.
-  std::vector<policy::FetchPolicy> candidates = {
-      policy::FetchPolicy::kIcount, policy::FetchPolicy::kBrcount,
-      policy::FetchPolicy::kL1MissCount};
+  /// states of the ADTS Type-3 FSM; assign policy::all_policies() for
+  /// the full ten-policy oracle. (Built out of line: a braced list here
+  /// trips GCC 12's -Wmaybe-uninitialized wherever two configs are
+  /// default-constructed and one is reassigned.)
+  std::vector<policy::FetchPolicy> candidates = type3_policies();
 };
 
 struct OracleResult {

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -156,6 +157,7 @@ void Simulator::attach_profiler(prof::PhaseProfiler* p,
   prof_.mask = stride == 0 ? 0 : stride - 1;
   prof_.nodes.cycle = p->child(parent, "cycle");
   prof_.nodes.pipeline = p->child(prof_.nodes.cycle, "pipeline");
+  prof_.nodes.skip = p->child(prof_.nodes.cycle, "skip");
   prof_.nodes.detector = p->child(prof_.nodes.cycle, "detector");
   prof_.nodes.checker = p->child(prof_.nodes.cycle, "checker");
   prof_.nodes.trace = p->child(prof_.nodes.cycle, "trace");
@@ -235,7 +237,33 @@ void Simulator::step_impl(bool profiled) {
     const Scope s(pp, prof_.nodes.pipeline);
     pipe_.step();
   }
+  after_cycles(pp);
+}
 
+std::uint64_t Simulator::leapable(std::uint64_t end) const {
+  const std::uint64_t now = pipe_.now();
+  const std::uint64_t k = pipe_.quiet_span(end - now);
+  if (k == 0) return 0;
+  // The span may end on, but not cross, a cycle whose post-cycle work
+  // acts: the quantum boundary (snapshot, detector) or a detector event.
+  const std::uint64_t q = cfg_.adts.quantum_cycles;
+  std::uint64_t stop = (now / q + 1) * q;
+  if (use_adts_) stop = std::min(stop, detector_.next_event(pipe_));
+  return std::min(k, stop - now);
+}
+
+void Simulator::leap(std::uint64_t k) {
+  // Every leap is timed, whole, under cycle/skip: the per-segment nodes
+  // keep sampling stepped cycles only, and skip's count is cycles leapt.
+  using Scope = prof::PhaseProfiler::Scope;
+  const Scope s(prof_.prof, prof_.nodes.cycle);
+  const Scope skip(prof_.prof, prof_.nodes.skip, k);
+  pipe_.leap(k);
+  after_cycles(nullptr);
+}
+
+void Simulator::after_cycles(prof::PhaseProfiler* pp) {
+  using Scope = prof::PhaseProfiler::Scope;
   // Snapshot the quantum that just ended *before* the detector tick: the
   // detector resets the quantum accumulators at the boundary. Reading
   // first keeps the snapshot about the finished quantum.
@@ -434,7 +462,15 @@ void Simulator::record_quantum_snapshot() {
 }
 
 void Simulator::run(std::uint64_t cycles) {
-  for (std::uint64_t i = 0; i < cycles; ++i) step();
+  const std::uint64_t end = pipe_.now() + cycles;
+  while (pipe_.now() < end) {
+    const std::uint64_t k = leapable(end);
+    if (k > 0) {
+      leap(k);
+    } else {
+      step();
+    }
+  }
 }
 
 void Simulator::flush_trace() {

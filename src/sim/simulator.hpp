@@ -90,7 +90,12 @@ class Simulator {
   Simulator& operator=(const Simulator&) = default;
   Simulator& operator=(Simulator&&) = default;
 
+  /// One cycle, every stage and observer: the per-cycle reference path.
   void step();
+  /// Advance `cycles` cycles: step() on live cycles, and one leap over
+  /// each quiet span (Pipeline::quiet_span) that no quantum boundary or
+  /// detector event interrupts. The end state, stats document and trace
+  /// equal those of `cycles` step() calls.
   void run(std::uint64_t cycles);
 
   [[nodiscard]] pipeline::Pipeline& pipeline() noexcept { return pipe_; }
@@ -133,12 +138,13 @@ class Simulator {
 
   /// Attach the host-phase profiler: resolves the standard per-cycle node
   /// tree under `parent` — cycle/{pipeline/{commit,complete,issue,
-  /// dispatch,fetch}, detector, checker, trace} — and times those
-  /// segments on one cycle per `stride` (prof::sampled_cycle; `stride`
-  /// must be a power of two; 1 = every cycle). Observation-only and
-  /// dropped on copy, exactly like the trace sink: a profiled run's
-  /// simulated results are bit-identical to an unprofiled one. Pass a
-  /// null profiler to detach.
+  /// dispatch,fetch}, skip, detector, checker, trace} — and times those
+  /// segments on one stepped cycle per `stride` (prof::sampled_cycle;
+  /// `stride` must be a power of two; 1 = every cycle). Every leap, with
+  /// its post-cycle work, is timed under "skip", whose count adds the
+  /// cycles leapt. Observation-only and dropped on copy, exactly like
+  /// the trace sink: a profiled run's simulated results are
+  /// bit-identical to an unprofiled one. Pass a null profiler to detach.
   void attach_profiler(prof::PhaseProfiler* p,
                        prof::PhaseProfiler::Node parent, std::uint64_t stride);
 
@@ -185,6 +191,15 @@ class Simulator {
   /// One simulated cycle; `profiled` gates the per-segment phase scopes
   /// (true only on stride-sampled cycles of a profiler-attached run).
   void step_impl(bool profiled);
+  /// Quiet cycles run() may leap from now without passing `end`, a
+  /// quantum boundary or the detector's next event; 0 = step instead.
+  [[nodiscard]] std::uint64_t leapable(std::uint64_t end) const;
+  /// Leap `k` quiet cycles, then do the post-cycle work once.
+  void leap(std::uint64_t k);
+  /// Post-cycle work once the pipeline has advanced (one step or one
+  /// leap): quantum snapshot, detector tick, checker, trace events. Scopes
+  /// time under `pp` when non-null.
+  void after_cycles(prof::PhaseProfiler* pp);
 
   SimConfig cfg_;
   pipeline::Pipeline pipe_;
@@ -202,6 +217,7 @@ class Simulator {
   struct ProfNodes {
     prof::PhaseProfiler::Node cycle = 0;     ///< whole per-cycle body
     prof::PhaseProfiler::Node pipeline = 0;  ///< pipe_.step()
+    prof::PhaseProfiler::Node skip = 0;      ///< a leap of k cycles, count += k
     prof::PhaseProfiler::Node detector = 0;  ///< detector tick
     prof::PhaseProfiler::Node checker = 0;   ///< invariant-checker pass
     prof::PhaseProfiler::Node trace = 0;     ///< snapshot + event emission

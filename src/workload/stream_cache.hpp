@@ -7,11 +7,11 @@
 // locks). So the stream is decoded once, in chunks, and every reader of
 // it reads the same arrays.
 //
-// The chunks form a chain. Each StreamChunk holds 4096 decoded
-// instructions, the StreamGen state at its end and a fill-once link to
-// the next chunk (par::OnceSlot). A ThreadProgram is a cursor that holds
-// only the chunk it is in; the first reader to reach the end of a chunk
-// builds the next one, and later readers follow the link.
+// The chunks form a chain. Each StreamChunk holds kStreamChunkInstrs
+// decoded instructions, the StreamGen state at its end and a fill-once
+// link to the next chunk (par::OnceSlot). A ThreadProgram is a cursor
+// that holds only the chunk it is in; the first reader to reach the end
+// of a chunk builds the next one, and later readers follow the link.
 //
 // Who shares: a Simulator copy shares its chunk pointers with the
 // original, so the oracle's candidate trials and every snapshot replay
@@ -153,10 +153,11 @@ class StreamGen {
 
 // --- chunk chain ------------------------------------------------------------
 
-/// Instructions per chunk (power of two). 4096 × sizeof(Instruction)
-/// ≈ 160 KiB: big enough to amortise bulk-generation overhead, small
-/// enough that a reader pinning two chunks costs well under a MiB.
-inline constexpr std::uint64_t kStreamChunkInstrs = 4096;
+/// Instructions per chunk (power of two). 1024 × sizeof(Instruction)
+/// = 40 KiB: big enough to amortise bulk-generation overhead, small
+/// enough that a short run (an oracle trial, a sweep unit of a few
+/// thousand instructions per thread) builds little past what it reads.
+inline constexpr std::uint64_t kStreamChunkInstrs = 1024;
 
 /// One immutable link of a decoded stream. Built from the generator
 /// state where the previous chunk ended; builds its successor on the

@@ -1,6 +1,10 @@
 // Unit tests: oracle scheduler (sim/oracle.hpp).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "policy/fetch_policy.hpp"
 #include "sim/oracle.hpp"
 #include "workload/mix.hpp"
 
@@ -11,6 +15,28 @@ Simulator warm_sim(const char* mix_name = "bal1", std::uint64_t seed = 3) {
   Simulator s(make_config(workload::mix(mix_name), 8, seed));
   s.run(8192);
   return s;
+}
+
+/// Two default configs, one reassigned to the ten-policy set, in a
+/// function that is not main(): the shape that made the braced default
+/// member initializer trip GCC 12's -Wmaybe-uninitialized. The -Werror
+/// build of this file is the regression check.
+std::pair<OracleConfig, OracleConfig> three_and_ten_policy_configs() {
+  const OracleConfig three;
+  OracleConfig ten;
+  ten.candidates = policy::all_policies();
+  return {three, ten};
+}
+
+TEST(Oracle, DefaultConfigIsTheType3SetAndReassigns) {
+  const auto [three, ten] = three_and_ten_policy_configs();
+  EXPECT_EQ(three.candidates, type3_policies());
+  EXPECT_EQ(three.candidates,
+            (std::vector<policy::FetchPolicy>{
+                policy::FetchPolicy::kIcount, policy::FetchPolicy::kBrcount,
+                policy::FetchPolicy::kL1MissCount}));
+  EXPECT_EQ(ten.candidates, policy::all_policies());
+  EXPECT_EQ(ten.quantum_cycles, three.quantum_cycles);
 }
 
 TEST(Oracle, AccountsCyclesAndQuanta) {

@@ -90,7 +90,7 @@ TEST(ParallelOracle, ResultIsIdenticalForEveryJobsValue) {
 TEST(ParallelOracle, TrialsCrossingChunkBoundariesMatchSerial) {
   // Candidate trials are Simulator copies fanned out to pool workers,
   // and every copy shares `base`'s chunk chain. Quanta long enough that
-  // every trial crosses 4096-instruction chunk boundaries make the
+  // every trial crosses chunk boundaries (kStreamChunkInstrs) make the
   // copies race to build the same next chunks on different workers.
   // TSan runs of this suite (scripts/check_sanitize.sh thread) are the
   // teeth; the serial-vs-parallel equality below is the determinism half.

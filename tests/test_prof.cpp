@@ -208,7 +208,9 @@ TEST(StrideSampling, OneHashedCyclePerAlignedBlock) {
 
 TEST(StrideSampling, DetectorEnteredOnQuantumBoundariesAtDefaultStride) {
   // ADTS, 256-cycle quanta: the detector's boundary work runs on the
-  // step whose pre-step cycle is ≡ 255 (mod 256).
+  // step whose pre-step cycle is ≡ 255 (mod 256). Every cycle is driven
+  // through step(): stride sampling covers stepped cycles, and run()
+  // would leap over quiet ones (timed under cycle/skip instead).
   constexpr std::uint64_t kQuantum = 256;
   constexpr std::uint64_t kQuanta = 512;
   constexpr std::uint64_t kStride = 64;  // smtsim's --prof-stride default
@@ -226,10 +228,10 @@ TEST(StrideSampling, DetectorEnteredOnQuantumBoundariesAtDefaultStride) {
   const std::uint64_t quanta_before = sim.detector().stats().quanta;
   std::uint64_t boundary_samples = 0;
   for (std::uint64_t q = 0; q < kQuanta; ++q) {
-    sim.run(kQuantum - 1);
+    for (std::uint64_t c = 0; c + 1 < kQuantum; ++c) sim.step();
     ASSERT_EQ(sim.now() % kQuantum, kQuantum - 1);
     const std::uint64_t before = p.count(detector);
-    sim.run(1);  // the boundary step
+    sim.step();  // the boundary step
     boundary_samples += p.count(detector) - before;
   }
   sim.attach_profiler(nullptr, 0, 1);
@@ -240,6 +242,33 @@ TEST(StrideSampling, DetectorEnteredOnQuantumBoundariesAtDefaultStride) {
       << "one sampled cycle per stride";
   EXPECT_GT(boundary_samples, 0u)
       << "the detector's boundary cycles must be sampled at stride 64";
+}
+
+TEST(StrideSampling, LeapsAreTimedUnderSkipCountingCyclesLeapt) {
+  sim::SimConfig cfg = sim::make_config(workload::mix("mem8"), 8, 2003);
+  cfg.check = check::CheckMode::kOff;
+  sim::Simulator sim(cfg);
+  sim.run(4096);
+
+  constexpr std::uint64_t kCycles = 65536;
+  constexpr std::uint64_t kStride = 64;
+  PhaseProfiler p;
+  sim.attach_profiler(&p, PhaseProfiler::kRoot, kStride);
+  const std::uint64_t leapt_before = sim.pipeline().cycles_leapt();
+  sim.run(kCycles);
+  sim.attach_profiler(nullptr, 0, 1);
+  const std::uint64_t leapt = sim.pipeline().cycles_leapt() - leapt_before;
+
+  const PhaseProfiler::Node cycle = p.child(PhaseProfiler::kRoot, "cycle");
+  const PhaseProfiler::Node skip = p.child(cycle, "skip");
+  const PhaseProfiler::Node pipeline = p.child(cycle, "pipeline");
+  EXPECT_GT(leapt, kCycles / 4) << "mem8 is quiet about half the time";
+  EXPECT_EQ(p.count(skip), leapt);
+  EXPECT_GT(p.inclusive_ticks(skip), 0u);
+  EXPECT_GE(p.inclusive_ticks(cycle), p.inclusive_ticks(skip));
+  // The stage timers sample stepped cycles only, at most one per stride.
+  EXPECT_GT(p.count(pipeline), 0u);
+  EXPECT_LE(p.count(pipeline), kCycles / kStride);
 }
 
 // ---------------------------------------------------------------------------
