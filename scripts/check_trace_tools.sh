@@ -11,9 +11,10 @@
 #    count; `summary` and `hist` must run and mention their key sections.
 # 4. `smtsim --trace -` piped into `smttrace summary -` works (stdout
 #    streaming), and exit codes hold: 2 for usage errors (every removed
-#    flag, --trace-format included), 3 for unreadable input, a `smttrace
-#    chrome` export fed back in, and hostile lines (nesting past the
-#    schema, null / negative / fractional / oversized integers).
+#    flag, --trace-format included, and a stray positional argument),
+#    3 for unreadable input, a `smttrace chrome` export fed back in, and
+#    hostile lines (nesting past the schema, null / negative /
+#    fractional / oversized integers).
 #
 # Usage: scripts/check_trace_tools.sh [smtsim-binary] [smttrace-binary]
 set -euo pipefail
@@ -99,6 +100,10 @@ done
 rc=0; "$smtsim" --mix mem8 --cycles 8192 --trace - --csv >/dev/null 2>&1 \
   || rc=$?
 test "$rc" -eq 2  # stdout trace refuses to interleave with other stdout users
+# A stray positional (here a mistyped single-dash option and its value)
+# is a usage error, not a silently ignored argument.
+rc=0; "$smtsim" --mix ilp8 --warmup 0 -cycles 1000 >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
 # The fault injector, the degradation guard and the CSV / Chrome trace
 # backends were removed; their flags are unknown options now, not
 # silently ignored ones.

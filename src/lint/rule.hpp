@@ -1,9 +1,8 @@
 // Rule engine contract for smtlint.
 //
 // A Rule encodes one project invariant as a machine check. Rules are
-// registered with stable kebab-case ids — the id is the suppression key
-// a NOLINT comment names, the baseline key, the SARIF ruleId and the
-// `[rule-id]` tag in text output, so it must never change once shipped.
+// registered with stable kebab-case ids — the id is the `[rule-id]` tag
+// in text output, so it must never change once shipped.
 // DESIGN.md §16 is the catalog; every id there has a firing negative
 // test in tests/test_lint.cpp.
 //
@@ -13,8 +12,8 @@
 //     lexed, with the whole Corpus of lexed sources — the direct-include
 //     symbol index lives here.
 //
-// Findings are plain data; the runner owns suppression, baselining,
-// ordering and rendering, so rules stay one-concern.
+// Findings are plain data; the runner owns ordering and rendering, so
+// rules stay one-concern. There is no suppression: a finding is fixed.
 #pragma once
 
 #include <memory>
@@ -51,7 +50,7 @@ class Rule {
   virtual ~Rule() = default;
 
   [[nodiscard]] virtual std::string_view id() const noexcept = 0;
-  /// One-line description for --list-rules and SARIF rule metadata.
+  /// One-line description for --list-rules.
   [[nodiscard]] virtual std::string_view description() const noexcept = 0;
 
   /// Per-file check; default no-op for cross-file rules.
@@ -77,7 +76,6 @@ class RuleRegistry {
       const noexcept {
     return rules_;
   }
-  [[nodiscard]] bool has(const std::string& id) const;
 
  private:
   std::vector<std::unique_ptr<Rule>> rules_;  ///< sorted by id

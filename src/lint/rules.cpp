@@ -8,12 +8,13 @@
 //   tools     = src/tools/**              (CLI drivers; may print)
 //   bench     = bench/**                  (may read steady_clock only)
 //
-// Rule ids are stable API: suppression keys, baseline keys and SARIF
-// ruleIds. Add new rules by subclassing Rule, registering the instance
-// in builtin_rules(), documenting the id in DESIGN.md §16 and adding a
+// Rule ids are stable API: the `[rule-id]` tag of every finding. Add
+// new rules by subclassing Rule, registering the instance in
+// builtin_rules(), documenting the id in DESIGN.md §16 and adding a
 // firing negative fixture to tests/test_lint.cpp.
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -42,11 +43,6 @@ void RuleRegistry::add(std::unique_ptr<Rule> rule) {
   rules_.push_back(std::move(rule));
   std::sort(rules_.begin(), rules_.end(),
             [](const auto& a, const auto& b) { return a->id() < b->id(); });
-}
-
-bool RuleRegistry::has(const std::string& id) const {
-  return std::any_of(rules_.begin(), rules_.end(),
-                     [&](const auto& r) { return r->id() == id; });
 }
 
 bool is_tools_path(const std::string& path) {
@@ -468,7 +464,8 @@ class HotPathAllocRule : public Rule {
            "allocation (new, make_unique, make_shared, malloc) or "
            "element-shifting container call (erase, mid-vector insert) "
            "inside their per-cycle step paths (functions named step*, "
-           "*_step, do_*, tick, cycle)";
+           "*_step, do_*, tick, cycle, and the quiet-leap path: run, "
+           "leap, quiet_span, account_cpi, after_cycles)";
   }
 
   void check(const SourceFile& f, std::vector<Finding>& out) const override {
@@ -556,52 +553,15 @@ class HotPathAllocRule : public Rule {
   }
 
   [[nodiscard]] static bool is_step_path(const std::string& fn) {
-    if (fn == "step" || fn == "tick" || fn == "cycle") return true;
+    static const std::set<std::string> kExact = {
+        "step", "tick", "cycle",
+        // The quiet-leap path (DESIGN.md §19) runs as often as step().
+        "run", "leap", "quiet_span", "account_cpi", "after_cycles"};
+    if (kExact.count(fn) > 0) return true;
     if (fn.rfind("step_", 0) == 0 || fn.rfind("do_", 0) == 0) return true;
     const std::string suffix = "_step";
     return fn.size() > suffix.size() &&
            fn.compare(fn.size() - suffix.size(), suffix.size(), suffix) == 0;
-  }
-};
-
-// --- bad-nolint ------------------------------------------------------------
-
-class BadNolintRule : public Rule {
- public:
-  explicit BadNolintRule(std::set<std::string> known)
-      : known_(std::move(known)) {}
-
-  std::string_view id() const noexcept override { return "bad-nolint"; }
-  std::string_view description() const noexcept override {
-    return "a NOLINT(...) comment names a rule id the registry does not "
-           "know — a typo'd suppression silently suppresses nothing";
-  }
-
-  void check(const SourceFile& f, std::vector<Finding>& out) const override {
-    for (const auto& [line, rule_id] : f.nolint_ids()) {
-      if (known_.count(rule_id) == 0) {
-        out.push_back({"bad-nolint", f.path(), line, 1,
-                       "NOLINT names unknown rule \"" + rule_id +
-                           "\" (see smtlint --list-rules)"});
-      }
-    }
-  }
-
- private:
-  std::set<std::string> known_;
-};
-
-// --- baseline-stale --------------------------------------------------------
-
-/// Metadata-only registration: the runner emits baseline-stale findings
-/// itself (it owns baseline matching), but the id must exist for SARIF
-/// rule metadata and NOLINT/baseline validation.
-class BaselineStaleRule : public Rule {
- public:
-  std::string_view id() const noexcept override { return "baseline-stale"; }
-  std::string_view description() const noexcept override {
-    return "a baseline entry no longer matches any finding — delete it "
-           "so grandfathered debt only ever shrinks";
   }
 };
 
@@ -619,11 +579,6 @@ RuleRegistry builtin_rules() {
   reg.add(std::make_unique<DirectIncludeRule>());
   reg.add(std::make_unique<ExitCodeLiteralRule>());
   reg.add(std::make_unique<HotPathAllocRule>());
-  reg.add(std::make_unique<BaselineStaleRule>());
-  std::set<std::string> known;
-  for (const auto& r : reg.rules()) known.insert(std::string(r->id()));
-  known.insert("bad-nolint");
-  reg.add(std::make_unique<BadNolintRule>(std::move(known)));
   return reg;
 }
 

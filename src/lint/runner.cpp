@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 namespace smt::lint {
 
@@ -24,42 +23,8 @@ namespace {
 
 }  // namespace
 
-std::vector<BaselineEntry> parse_baseline(const std::string& text) {
-  std::vector<BaselineEntry> entries;
-  std::istringstream is(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::size_t begin = line.find_first_not_of(" \t");
-    if (begin == std::string::npos || line[begin] == '#') continue;
-    // "<rule-id> <path>:<line>"
-    const std::size_t sp = line.find(' ', begin);
-    const std::size_t colon = line.rfind(':');
-    if (sp == std::string::npos || colon == std::string::npos ||
-        colon < sp) {
-      throw std::runtime_error(
-          "baseline line " + std::to_string(lineno) +
-          ": expected \"<rule-id> <path>:<line>\", got: " + line);
-    }
-    BaselineEntry e;
-    e.source_line = lineno;
-    e.rule_id = line.substr(begin, sp - begin);
-    e.path = line.substr(sp + 1, colon - sp - 1);
-    try {
-      e.line = std::stoi(line.substr(colon + 1));
-    } catch (const std::exception&) {
-      throw std::runtime_error("baseline line " + std::to_string(lineno) +
-                               ": bad line number in: " + line);
-    }
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
 LintResult run_lint(const RuleRegistry& registry,
-                    std::vector<InputFile> inputs,
-                    const LintOptions& options) {
+                    std::vector<InputFile> inputs) {
   std::sort(inputs.begin(), inputs.end(),
             [](const InputFile& a, const InputFile& b) {
               return a.path < b.path;
@@ -72,82 +37,22 @@ LintResult run_lint(const RuleRegistry& registry,
     }
   }
 
-  const auto selected = [&](std::string_view id) {
-    if (options.only_rules.empty()) return true;
-    return std::find(options.only_rules.begin(), options.only_rules.end(),
-                     std::string(id)) != options.only_rules.end();
-  };
-  for (const std::string& id : options.only_rules) {
-    if (!registry.has(id)) {
-      throw std::runtime_error("unknown rule id: " + id +
-                               " (see --list-rules)");
-    }
-  }
-
   LintResult result;
   result.files_scanned = static_cast<int>(corpus.sources.size());
+  result.rules_run = static_cast<int>(registry.rules().size());
 
-  std::vector<Finding> raw;
+  std::vector<Finding>& findings = result.findings;
   for (const auto& rule : registry.rules()) {
-    if (!selected(rule->id())) continue;
-    ++result.rules_run;
-    for (const SourceFile& f : corpus.sources) rule->check(f, raw);
-    rule->finish(corpus, raw);
+    for (const SourceFile& f : corpus.sources) rule->check(f, findings);
+    rule->finish(corpus, findings);
   }
-
-  // NOLINT suppression: a finding anchored in a lexed source can be
-  // silenced on its line.
-  std::vector<Finding> kept;
-  for (Finding& f : raw) {
-    const SourceFile* src = corpus.source(f.path);
-    if (src != nullptr && src->is_suppressed(f.line, f.rule_id)) {
-      ++result.suppressed;
-    } else {
-      kept.push_back(std::move(f));
-    }
-  }
-
-  // Baseline: exact (rule, path, line) matches drop out; every entry
-  // must still match something or it is itself a finding.
-  const std::vector<BaselineEntry> baseline =
-      parse_baseline(options.baseline);
-  std::vector<bool> used(baseline.size(), false);
-  std::vector<Finding> survivors;
-  for (Finding& f : kept) {
-    bool matched = false;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      const BaselineEntry& e = baseline[i];
-      if (e.rule_id == f.rule_id && e.path == f.path && e.line == f.line) {
-        used[i] = true;
-        matched = true;
-      }
-    }
-    if (matched) {
-      ++result.baselined;
-    } else {
-      survivors.push_back(std::move(f));
-    }
-  }
-  if (selected("baseline-stale")) {
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      if (used[i]) continue;
-      survivors.push_back(
-          {"baseline-stale", options.baseline_path, baseline[i].source_line,
-           1,
-           "baseline entry matches no finding (" + baseline[i].rule_id +
-               " " + baseline[i].path + ":" +
-               std::to_string(baseline[i].line) + ") — delete it"});
-    }
-  }
-
-  std::sort(survivors.begin(), survivors.end(), finding_less);
-  survivors.erase(std::unique(survivors.begin(), survivors.end(),
-                              [](const Finding& a, const Finding& b) {
-                                return !finding_less(a, b) &&
-                                       !finding_less(b, a);
-                              }),
-                  survivors.end());
-  result.findings = std::move(survivors);
+  std::sort(findings.begin(), findings.end(), finding_less);
+  findings.erase(std::unique(findings.begin(), findings.end(),
+                             [](const Finding& a, const Finding& b) {
+                               return !finding_less(a, b) &&
+                                      !finding_less(b, a);
+                             }),
+                 findings.end());
   return result;
 }
 
@@ -183,6 +88,23 @@ std::vector<InputFile> load_repo_inputs(const std::string& root) {
   }
   // run_lint sorts; directory iteration order never leaks into output.
   return inputs;
+}
+
+void write_text(std::ostream& os, const LintResult& result) {
+  for (const Finding& f : result.findings) {
+    os << f.path << ':' << f.line << ':' << f.col << ": error: "
+       << f.message << " [" << f.rule_id << "]\n";
+  }
+  const std::string tallies = std::to_string(result.files_scanned) +
+                              " files, " + std::to_string(result.rules_run) +
+                              " rules";
+  if (result.findings.empty()) {
+    os << "smtlint: OK (" << tallies << ")\n";
+  } else {
+    os << "smtlint: " << result.findings.size() << " finding"
+       << (result.findings.size() == 1 ? "" : "s") << " (" << tallies
+       << ")\n";
+  }
 }
 
 }  // namespace smt::lint

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <stdexcept>
+#include <set>
 
 namespace smt::lint {
 
@@ -91,10 +91,6 @@ const std::string& SourceFile::code(int line) const {
   return code_.at(static_cast<std::size_t>(line - 1));
 }
 
-const std::string& SourceFile::raw(int line) const {
-  return raw_.at(static_cast<std::size_t>(line - 1));
-}
-
 bool SourceFile::includes_project(const std::string& target) const {
   return std::any_of(includes_.begin(), includes_.end(),
                      [&](const Include& inc) {
@@ -108,20 +104,6 @@ const std::string& SourceFile::enclosing_function(int line) const {
 
 std::vector<std::string> SourceFile::enclosing_functions(int line) const {
   return func_stack_of_line_.at(static_cast<std::size_t>(line - 1));
-}
-
-bool SourceFile::is_suppressed(int line, const std::string& rule_id) const {
-  const auto same = suppressions_.find(line);
-  if (same != suppressions_.end()) {
-    if (same->second.all || same->second.ids.count(rule_id) > 0) return true;
-  }
-  const auto above = suppressions_.find(line - 1);
-  if (above != suppressions_.end()) {
-    if (above->second.next_all || above->second.next.count(rule_id) > 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -152,13 +134,11 @@ void SourceFile::blank_pass(const std::string& content) {
   State state = State::kNormal;
   bool in_preprocessor = false;   ///< continued by a trailing backslash
   std::string raw_delim;          ///< raw-string )delim" terminator
-  std::string comment;            ///< comment text on the current line
 
   for (std::size_t li = 0; li < lines.size(); ++li) {
     const std::string& line = lines[li];
     const int lineno = static_cast<int>(li) + 1;
     std::string code(line.size(), ' ');
-    comment.clear();
 
     // A fresh directive starts only from the normal state; a backslash
     // continuation extends the previous one.
@@ -167,14 +147,10 @@ void SourceFile::blank_pass(const std::string& content) {
       pp = true;
     }
     if (pp) {
-      raw_.push_back(line);
       code_.push_back(std::move(code));  // all blank: macros are opaque
       preprocessor_.push_back(true);
       in_preprocessor = !line.empty() && line.back() == '\\';
-      // Directive text still carries NOLINT comments and the directives
-      // themselves; parse them from the raw line.
-      const std::size_t slash = line.find("//");
-      if (slash != std::string::npos) scan_comment(lineno, line.substr(slash));
+      // The directive itself is parsed from the raw line.
       std::size_t pos = line.find('#');
       pos = line.find_first_not_of(" \t", pos + 1);
       if (pos == std::string::npos) continue;
@@ -201,7 +177,6 @@ void SourceFile::blank_pass(const std::string& content) {
       switch (state) {
         case State::kNormal: {
           if (c == '/' && i + 1 < line.size() && line[i + 1] == '/') {
-            comment += line.substr(i);
             state = State::kLineComment;
             i = line.size();  // comment may continue via backslash below
             break;
@@ -276,8 +251,6 @@ void SourceFile::blank_pass(const std::string& content) {
           if (c == '*' && i + 1 < line.size() && line[i + 1] == '/') {
             state = State::kNormal;
             ++i;
-          } else {
-            comment += c;
           }
           break;
         }
@@ -294,46 +267,9 @@ void SourceFile::blank_pass(const std::string& content) {
       // continuation inside a narrow literal is vanishingly rare).
       state = State::kNormal;
     }
-    if (!comment.empty()) scan_comment(lineno, comment);
 
-    raw_.push_back(line);
     code_.push_back(std::move(code));
     preprocessor_.push_back(false);
-  }
-}
-
-void SourceFile::scan_comment(int line, const std::string& text) {
-  for (std::size_t pos = text.find("NOLINT"); pos != std::string::npos;
-       pos = text.find("NOLINT", pos + 1)) {
-    if (pos > 0 && is_ident(text[pos - 1])) continue;
-    std::size_t after = pos + 6;
-    const bool nextline = text.compare(after, 8, "NEXTLINE") == 0;
-    if (nextline) after += 8;
-    LineSuppression& sup = suppressions_[line];
-    if (after < text.size() && text[after] == '(') {
-      const std::size_t close = text.find(')', after + 1);
-      if (close == std::string::npos) continue;
-      std::string id;
-      for (std::size_t i = after + 1; i <= close; ++i) {
-        if (i == close || text[i] == ',') {
-          // Trim surrounding whitespace.
-          const auto b = id.find_first_not_of(" \t");
-          if (b != std::string::npos) {
-            const auto e = id.find_last_not_of(" \t");
-            const std::string trimmed = id.substr(b, e - b + 1);
-            (nextline ? sup.next : sup.ids).insert(trimmed);
-            nolint_ids_.emplace_back(line, trimmed);
-          }
-          id.clear();
-        } else {
-          id += text[i];
-        }
-      }
-    } else if (nextline) {
-      sup.next_all = true;
-    } else {
-      sup.all = true;
-    }
   }
 }
 

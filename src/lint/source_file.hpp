@@ -10,19 +10,16 @@
 //
 // The same pass collects the side tables rules need:
 //   - includes (with angled/quoted form and line number)
-//   - per-line NOLINT / NOLINTNEXTLINE suppression sets
 //   - a brace-tracking scope pass: enclosing function name per line,
 //     `using namespace` occurrences, and namespace-scope type
 //     declarations (the symbol index behind the direct-include rule)
 //
 // Determinism is load-bearing: lexing is a pure function of (path,
 // content), all containers are ordered, and no clocks or ambient state
-// are read — smtlint's own output gate (scripts/check_smtlint.sh)
-// byte-compares two runs.
+// are read — the lint gate (scripts/check_lint.sh) byte-compares two
+// runs.
 #pragma once
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -75,9 +72,6 @@ class SourceFile {
   /// and preprocessor text replaced by spaces, columns preserved.
   [[nodiscard]] const std::string& code(int line) const;
 
-  /// Raw text of 1-based `line`.
-  [[nodiscard]] const std::string& raw(int line) const;
-
   [[nodiscard]] bool has_pragma_once() const noexcept {
     return pragma_once_;
   }
@@ -104,38 +98,15 @@ class SourceFile {
   /// inside Pipeline::step() reports {"step", "lambda"}).
   [[nodiscard]] std::vector<std::string> enclosing_functions(int line) const;
 
-  /// True when `rule_id` is suppressed on `line` by a NOLINT naming it
-  /// (or bare) on the line, or a NOLINTNEXTLINE on the line above.
-  [[nodiscard]] bool is_suppressed(int line, const std::string& rule_id) const;
-
-  /// Rule ids named in NOLINT()/NOLINTNEXTLINE() comments, with the line
-  /// they appear on — the bad-nolint rule checks them against the
-  /// registry. A bare NOLINT contributes nothing here.
-  [[nodiscard]] const std::vector<std::pair<int, std::string>>&
-  nolint_ids() const noexcept {
-    return nolint_ids_;
-  }
-
  private:
-  struct LineSuppression {
-    bool all = false;            ///< bare NOLINT
-    bool next_all = false;       ///< bare NOLINTNEXTLINE
-    std::set<std::string> ids;   ///< ids a NOLINT names
-    std::set<std::string> next;  ///< ids a NOLINTNEXTLINE names
-  };
-
   void blank_pass(const std::string& content);
   void scope_pass();
-  void scan_comment(int line, const std::string& text);
 
   std::string path_;
-  std::vector<std::string> raw_;
   std::vector<std::string> code_;
   std::vector<bool> preprocessor_;
   std::vector<std::string> func_of_line_;  ///< innermost function per line
   std::vector<std::vector<std::string>> func_stack_of_line_;
-  std::map<int, LineSuppression> suppressions_;
-  std::vector<std::pair<int, std::string>> nolint_ids_;
   std::vector<Include> includes_;
   std::vector<TypeDecl> type_decls_;
   std::vector<UsingNamespace> using_namespaces_;

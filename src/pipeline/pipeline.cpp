@@ -1048,7 +1048,8 @@ void Pipeline::syscall_flush(std::uint32_t /*syscall_tid*/) {
 }
 
 void Pipeline::block_fetch(std::uint32_t tid, std::uint64_t until_cycle) {
-  threads_[tid].fetch_block_until = until_cycle;
+  std::uint64_t& until = threads_[tid].fetch_block_until;
+  until = std::max(until, until_cycle);
 }
 
 workload::ThreadProgram Pipeline::swap_program(std::uint32_t tid,

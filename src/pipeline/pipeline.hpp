@@ -136,7 +136,8 @@ class Pipeline {
   /// Thread-control flag: prevent `tid` from fetching until `cycle`.
   /// Two callers set it, both charged as StallCause::kFetchBlackout:
   /// clogging-thread suspension (the "suspend a clogging thread" action
-  /// of §3) and the policy-switch penalty window.
+  /// of §3) and the policy-switch penalty window. The later deadline
+  /// wins: a short switch penalty never cuts a running suspension short.
   void block_fetch(std::uint32_t tid, std::uint64_t until_cycle);
 
   /// Context switch: replace the workload on context `tid` with

@@ -126,7 +126,7 @@ run control:
 
 exit codes:
   0  success
-  2  usage error (unknown or malformed option)
+  2  usage error (unknown or malformed option, stray argument)
   3  configuration error (valid syntax, invalid value)
   4  invariant violations detected (--check / SMT_CHECK=1); under
      --grid, a job with violations is reported and not published
@@ -239,6 +239,9 @@ int main(int argc, char** argv) {
                        /*flag_keys=*/{"adts", "instant", "oracle",
                                       "all-policies", "csv", "list", "help",
                                       "check", "cpi", "prof", "version"});
+    if (!args.positional().empty()) {
+      throw UsageError("unexpected argument: " + args.positional().front());
+    }
     if (args.has("help")) {
       std::cout << kUsage;
       return kExitOk;

@@ -1,6 +1,7 @@
 // Unit tests: SMT pipeline basics (pipeline/pipeline.hpp).
 #include <gtest/gtest.h>
 
+#include "obs/stall.hpp"
 #include "pipeline/pipeline.hpp"
 #include "workload/app_profile.hpp"
 
@@ -100,6 +101,24 @@ TEST(Pipeline, BlockFetchSuppressesAThread) {
       p.counters(0).committed_total - committed_before;
   EXPECT_LT(drained, 600u);
   EXPECT_GT(p.counters(1).committed_total, 1000u);
+}
+
+TEST(Pipeline, ShorterBlockFetchKeepsTheLaterDeadline) {
+  // A policy-switch penalty (a short block) landing on a clogging
+  // thread's suspension (a long one) must not cut the suspension short.
+  Pipeline p = make({"gzip"});
+  p.run(2000);
+  const std::uint64_t start = p.now();
+  p.block_fetch(0, start + 1000);
+  p.block_fetch(0, start + 24);
+  p.run(476);
+  const auto blackout = [&p] {
+    return p.stall_breakdown(0)[obs::StallCause::kFetchBlackout];
+  };
+  const std::uint64_t before = blackout();
+  p.run(24);
+  ASSERT_EQ(p.now(), start + 500);
+  EXPECT_EQ(blackout() - before, 24u * p.config().fetch_width);
 }
 
 TEST(Pipeline, DetectorWorkConsumesOnlyIdleSlots) {
