@@ -9,27 +9,14 @@
 #include <string>
 
 #include "common/table.hpp"
+#include "core/heuristics.hpp"
 #include "sim/simulator.hpp"
 #include "workload/mix.hpp"
-
-namespace {
-
-smt::core::HeuristicType parse_heuristic(const std::string& s) {
-  using smt::core::HeuristicType;
-  if (s == "1") return HeuristicType::kType1;
-  if (s == "2") return HeuristicType::kType2;
-  if (s == "3") return HeuristicType::kType3;
-  if (s == "3p" || s == "3'") return HeuristicType::kType3Prime;
-  if (s == "4") return HeuristicType::kType4;
-  throw std::invalid_argument("heuristic must be 1|2|3|3p|4");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string mix_name = argc > 1 ? argv[1] : "int8";
   const smt::core::HeuristicType heuristic =
-      parse_heuristic(argc > 2 ? argv[2] : "3");
+      smt::core::parse_heuristic(argc > 2 ? argv[2] : "3");
   const double threshold = argc > 3 ? std::strtod(argv[3], nullptr) : 2.0;
   const int quanta = argc > 4 ? std::atoi(argv[4]) : 32;
 

@@ -11,6 +11,10 @@
 #    golden digests in test_stats_identity lock the accounting-off side).
 # 3. Tooling: `smttrace cpi` renders the per-thread stacks and reports
 #    "conservation OK"; a trace A/B self-diff reports 0 differing rows.
+#    The cpi_stack rows' rob_empty-by-cause slots are commit slots, so
+#    `smttrace summary` and `smttrace diff` must not count them as lost
+#    fetch slots: a --cpi trace summarises like the plain trace of the
+#    same run, and the two diff to 0 differing quanta.
 #
 # Usage: scripts/check_cpi.sh [smtsim-binary] [smttrace-binary]
 set -euo pipefail
@@ -94,6 +98,16 @@ grep -q "cpi rows" "$tmp/report.txt"
 # and across two runs of the same config.
 "$smttrace" cpi "$tmp/a.jsonl" "$tmp/a.jsonl" | grep -q ", 0 differing"
 "$smttrace" cpi "$tmp/a.jsonl" "$tmp/b.jsonl" | grep -q ", 0 differing"
+# cpi_stack rows add no fetch stalls to summary or diff.
+"$smtsim" --mix mem8 --adts "${common[@]}" --trace "$tmp/plain.jsonl" \
+  > /dev/null
+"$smttrace" summary "$tmp/plain.jsonl" > "$tmp/plain.summary"
+"$smttrace" summary "$tmp/a.jsonl" > "$tmp/cpi.summary"
+cmp "$tmp/plain.summary" "$tmp/cpi.summary" \
+  || { echo "check_cpi: summary of the --cpi trace differs" >&2; exit 1; }
+"$smttrace" diff "$tmp/plain.jsonl" "$tmp/a.jsonl" | tail -1 \
+  | grep -q ", 0 differing" \
+  || { echo "check_cpi: diff of plain vs --cpi trace differs" >&2; exit 1; }
 # A run without --cpi yields the pointed no-rows message, not a crash.
 "$smtsim" --mix bal1 --cycles 4096 --warmup 0 --quantum 1024 \
   --trace "$tmp/nocpi.jsonl" > /dev/null

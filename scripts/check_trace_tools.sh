@@ -93,7 +93,7 @@ test "$rc" -eq 3
 for line in '{"event":"quantum","span":-5}' '{"event":"quantum","cycle":null}' \
     '{"event":"quantum","value":1.5}' '{"event":"quantum","code":256}' \
     '{"event":"quantum","tid":2147483648}' \
-    '{"event":"prof","label":"sixteen_chars_ab"}'; do
+    '{"event":"prof","label":"fetch"}'; do
   rc=0; echo "$line" | "$smttrace" summary - >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 3 ] || { echo "check_trace_tools: $line exited $rc" >&2; exit 1; }
 done

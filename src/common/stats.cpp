@@ -1,20 +1,6 @@
 #include "common/stats.hpp"
 
-#include <cmath>
-
 namespace smt {
-
-double geomean(const std::vector<double>& xs) {
-  double log_sum = 0.0;
-  std::size_t n = 0;
-  for (double x : xs) {
-    if (x > 0.0) {
-      log_sum += std::log(x);
-      ++n;
-    }
-  }
-  return n ? std::exp(log_sum / static_cast<double>(n)) : 0.0;
-}
 
 double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;

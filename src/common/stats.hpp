@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -66,58 +65,6 @@ class RunningStat {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets. Used for occupancy / latency distributions in tests and
-/// the ablation benches.
-class Histogram {
- public:
-  Histogram() : Histogram(0.0, 1.0, 1) {}
-
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-  void add(double x) noexcept {
-    const auto b = bucket_of(x);
-    ++counts_[b];
-    ++total_;
-  }
-
-  [[nodiscard]] std::size_t buckets() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t count(std::size_t b) const noexcept {
-    return counts_[b];
-  }
-  [[nodiscard]] double fraction(std::size_t b) const noexcept {
-    return total_ ? static_cast<double>(counts_[b]) / static_cast<double>(total_)
-                  : 0.0;
-  }
-
-  /// Lower edge of bucket b.
-  [[nodiscard]] double edge(std::size_t b) const noexcept {
-    return lo_ + (hi_ - lo_) * static_cast<double>(b) /
-                     static_cast<double>(counts_.size());
-  }
-
- private:
-  [[nodiscard]] std::size_t bucket_of(double x) const noexcept {
-    if (x <= lo_) return 0;
-    if (x >= hi_) return counts_.size() - 1;
-    const double f = (x - lo_) / (hi_ - lo_);
-    auto b = static_cast<std::size_t>(f * static_cast<double>(counts_.size()));
-    return std::min(b, counts_.size() - 1);
-  }
-
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Geometric mean of a sample; the conventional aggregate for per-mix IPC
-/// ratios (speedups). Returns 0 for an empty sample, and ignores
-/// non-positive entries (which would make the log undefined).
-[[nodiscard]] double geomean(const std::vector<double>& xs);
 
 /// Arithmetic mean; 0 for an empty sample.
 [[nodiscard]] double mean(const std::vector<double>& xs);

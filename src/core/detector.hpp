@@ -42,7 +42,6 @@ struct AdtsConfig {
   double ipc_threshold = 2.0;
   HeuristicType heuristic = HeuristicType::kType3;
   ConditionThresholds conditions{};
-  policy::FetchPolicy initial_policy = policy::FetchPolicy::kIcount;
 
   /// Adaptive condition thresholds (the paper's §4.3.2 escape hatch:
   /// "there can be no single golden reference measures ... the detector

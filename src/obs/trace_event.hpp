@@ -21,10 +21,6 @@
 //                          span (retire delta), code (PipeTerminal),
 //                          mask (PipeFlag bits), stage_delta (per-stage
 //                          cycle offsets from fetch; 0 = never reached)
-//   kProf           -1     label (phase name), cycle (synthetic start ns
-//                          on the profiler's preorder timeline), span
-//                          (inclusive host-ns), value (exclusive host-ns),
-//                          quantum (call count), code (tree depth)
 //   kSwitchAudit    -1     cycle (apply cycle), span (apply − decided),
 //                          policy_before → policy_after, code (heuristic),
 //                          value (SwitchLabel), mask (AuditFlag bits),
@@ -138,18 +134,11 @@ struct TraceEvent {
   /// kPipeview only: per-stage cycle offsets from the fetch cycle,
   /// indexed by PipeStage; 0 = the stage was never reached.
   std::array<std::uint32_t, kNumPipeStages> stage_delta{};
-  /// kProf only: NUL-terminated leaf phase name ("fetch", "detector").
-  std::array<char, 16> label{};
   /// kCpiStack only: commit slots charged over the span, by CpiCause.
   std::array<std::uint64_t, kNumCpiCauses> cpi{};
   /// kCpiStack only: kFuContention slots by the co-runner that held the
   /// contended resource (index = holder tid).
   std::array<std::uint64_t, kCpiMaxThreads> contend{};
-
-  [[nodiscard]] std::string_view label_view() const noexcept {
-    return {label.data(),
-            std::char_traits<char>::length(label.data())};
-  }
 };
 
 }  // namespace smt::obs

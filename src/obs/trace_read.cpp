@@ -249,15 +249,6 @@ void read_value(TraceKey k, const Field& f, TraceEvent& e) {
     case TraceKey::kL1iMissRate: e.l1i_miss_rate = f.number<double>(); break;
     case TraceKey::kStalls: f.named(e.stalls, kStallCauseNames); break;
     case TraceKey::kStages: f.list(e.stage_delta); break;
-    case TraceKey::kLabel: {
-      const std::string& s = f.string();
-      if (s.size() >= e.label.size()) {
-        f.bad("at most " + std::to_string(e.label.size() - 1) +
-              " characters");
-      }
-      std::copy(s.begin(), s.end(), e.label.begin());
-      break;
-    }
     case TraceKey::kCpi: f.named(e.cpi, kCpiCauseNames); break;
     case TraceKey::kContend: f.list(e.contend); break;
   }

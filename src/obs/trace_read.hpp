@@ -6,11 +6,10 @@
 // t byte for byte and write_chrome() can export a read trace exactly as
 // it would the live sink. Keys and names come from obs/trace_schema.hpp.
 //
-// Input is untrusted: nesting deeper than the schema's two levels, a
-// non-integer, negative or out-of-range value in an integer field, and a
-// label longer than TraceEvent::label holds are TraceReadErrors, never a
-// crash or a silently wrapped number. Chrome exports are rejected with
-// a pointed error.
+// Input is untrusted: nesting deeper than the schema's two levels and a
+// non-integer, negative or out-of-range value in an integer field are
+// TraceReadErrors, never a crash or a silently wrapped number. Chrome
+// exports are rejected with a pointed error.
 #pragma once
 
 #include <iosfwd>

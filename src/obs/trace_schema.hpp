@@ -29,14 +29,13 @@ enum class EventKind : std::uint8_t {
   kInvariant,      ///< invariant checker detected a violation (src/check)
   kPipeview,       ///< sampled instruction's full pipeline lifecycle
   kSwitchAudit,    ///< provenance + post-hoc label for an applied switch
-  kProf,           ///< host-time phase node (src/prof PhaseProfiler)
   kCpiStack,       ///< per-thread quantum CPI stack (commit-slot account)
 };
 
 /// The "event" value of each kind, indexed by EventKind.
-inline constexpr std::array<std::string_view, 8> kEventKindNames = {
+inline constexpr std::array<std::string_view, 7> kEventKindNames = {
     "quantum",  "thread_quantum", "policy_switch", "invariant",
-    "pipeview", "switch_audit",   "prof",          "cpi_stack"};
+    "pipeview", "switch_audit",   "cpi_stack"};
 
 /// StallCause names (obs/stall.hpp), indexed by StallCause: the keys of
 /// an event line's "stalls" object and of the machine.stalls.* stats.
@@ -95,7 +94,6 @@ enum class TraceKey : std::uint8_t {
   kL1iMissRate,
   kStalls,   ///< object: StallCause name -> slots
   kStages,   ///< array: PipeStage deltas (pipeview lines)
-  kLabel,    ///< string: phase name (prof lines)
   kCpi,      ///< object: CpiCause name -> slots (cpi_stack lines)
   kContend,  ///< array: fu_contention slots by holder tid (cpi_stack)
 };
@@ -107,13 +105,12 @@ struct TraceKeySpec {
 };
 
 /// Indexed by TraceKey.
-inline constexpr std::array<TraceKeySpec, 20> kTraceKeys = {{
+inline constexpr std::array<TraceKeySpec, 19> kTraceKeys = {{
     {"event"}, {"quantum"}, {"cycle"}, {"tid"}, {"span"}, {"policy_before"},
     {"policy_after"}, {"code"}, {"mask"}, {"value"}, {"ipc"},
     {"fetch_share"}, {"mispredict_rate"}, {"l1d_miss_rate"},
     {"l1i_miss_rate"}, {"stalls"}, {"stages", EventKind::kPipeview},
-    {"label", EventKind::kProf}, {"cpi", EventKind::kCpiStack},
-    {"contend", EventKind::kCpiStack}}};
+    {"cpi", EventKind::kCpiStack}, {"contend", EventKind::kCpiStack}}};
 
 static_assert(static_cast<std::size_t>(TraceKey::kContend) + 1 ==
               kTraceKeys.size());

@@ -97,7 +97,6 @@ void put_value(std::ostream& os, TraceKey k, const TraceEvent& e) {
     case TraceKey::kL1iMissRate: put_double(os, e.l1i_miss_rate); break;
     case TraceKey::kStalls: put_named(os, e.stalls, kStallCauseNames); break;
     case TraceKey::kStages: put_list(os, e.stage_delta); break;
-    case TraceKey::kLabel: put_json_string(os, e.label_view()); break;
     case TraceKey::kCpi: put_named(os, e.cpi, kCpiCauseNames); break;
     case TraceKey::kContend: put_list(os, e.contend); break;
   }
@@ -318,21 +317,6 @@ void TraceSink::write_chrome(std::ostream& os,
         os << ",\"ipc_after\":";
         put_double(os, e.ipc);
         os << "}}";
-        break;
-      }
-      case EventKind::kProf: {
-        // Phase nodes live on their own synthetic-time process track
-        // (pid 2): ts/dur are profiler nanoseconds laid out preorder so
-        // the tree renders as a flame chart, not simulation cycles.
-        next();
-        os << "{\"name\":\"" << json_escape(e.label_view())
-           << "\",\"cat\":\"prof\",\"ph\":\"X\",\"ts\":";
-        put_double(os, static_cast<double>(e.cycle) / 1e3);
-        os << ",\"dur\":";
-        put_double(os, static_cast<double>(e.span) / 1e3);
-        os << ",\"pid\":2,\"tid\":0,\"args\":{\"count\":" << e.quantum
-           << ",\"excl_ns\":" << e.value
-           << ",\"depth\":" << static_cast<unsigned>(e.code) << "}}";
         break;
       }
       case EventKind::kCpiStack: {

@@ -285,9 +285,6 @@ class Pipeline {
   /// Pass a null profiler to detach.
   void set_profiler(prof::PhaseProfiler* p, const ProfNodes& nodes,
                     std::uint64_t stride_mask);
-  [[nodiscard]] bool profiler_active() const noexcept {
-    return prof_.prof != nullptr;
-  }
 
   // --- structural audit (src/check) --------------------------------------
   /// Result of a full structural resource audit: every occupancy counter

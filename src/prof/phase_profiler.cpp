@@ -1,12 +1,9 @@
 #include "prof/phase_profiler.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <ostream>
 
 #include "obs/metrics.hpp"
-#include "obs/trace_event.hpp"
-#include "obs/trace_schema.hpp"
 
 namespace smt::prof {
 
@@ -108,42 +105,6 @@ void PhaseProfiler::write_folded(std::ostream& os) const {
     if (d.count == 0) continue;
     os << path(n, ';') << ' ' << ticks_to_ns(exclusive_ticks(n)) << '\n';
   }
-}
-
-std::vector<obs::TraceEvent> PhaseProfiler::trace_events() const {
-  std::vector<obs::TraceEvent> out;
-  // start_ns[n] = synthetic timeline position; children are laid out
-  // back-to-back from the parent's start so spans nest.
-  std::vector<std::uint64_t> start_ns(nodes_.size(), 0);
-  std::vector<std::uint8_t> depth(nodes_.size(), 0);
-  std::vector<Node> stack{kRoot};
-  while (!stack.empty()) {
-    const Node n = stack.back();
-    stack.pop_back();
-    const NodeData& d = nodes_[n];
-    std::uint64_t cursor = start_ns[n];
-    for (const Node c : d.children) {
-      start_ns[c] = cursor;
-      depth[c] = static_cast<std::uint8_t>(depth[n] + 1);
-      cursor += ticks_to_ns(nodes_[c].incl_ticks);
-    }
-    for (auto it = d.children.rbegin(); it != d.children.rend(); ++it) {
-      stack.push_back(*it);
-    }
-    if (d.count == 0) continue;
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kProf;
-    e.cycle = start_ns[n];
-    e.span = ticks_to_ns(d.incl_ticks);
-    e.value = ticks_to_ns(exclusive_ticks(n));
-    e.quantum = d.count;
-    e.code = depth[n];
-    e.tid = -1;
-    const std::size_t len = std::min(d.name.size(), e.label.size() - 1);
-    std::memcpy(e.label.data(), d.name.data(), len);
-    out.push_back(e);
-  }
-  return out;
 }
 
 }  // namespace smt::prof

@@ -16,12 +16,10 @@
 // telescopes back to the root's inclusive time — the property
 // scripts/check_prof.sh asserts against --stats-json.
 //
-// Exports:
+// Exports (one tree, two views):
 //   * export_metrics  — prof.<path>.{count,incl_ns,excl_ns,min_ns,max_ns}
 //   * write_folded    — "run;measured;cycle;fetch 1234" folded stacks
 //                       (speedscope / FlameGraph ingest exclusive ns)
-//   * trace_events    — kProf events with synthetic preorder timestamps,
-//                       renderable by the Chrome trace backend
 //
 // Determinism: host ticks flow only into these observability outputs,
 // never into simulation state. A profiler-off run takes one predictable
@@ -36,13 +34,7 @@
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_event.hpp"
 #include "prof/host_clock.hpp"
-
-namespace smt::obs {
-class MetricsRegistry;
-struct TraceEvent;
-}  // namespace smt::obs
 
 namespace smt::prof {
 
@@ -126,13 +118,6 @@ class PhaseProfiler {
   /// Folded stacks, one visited node per line: "<path;...> <exclusive
   /// ns>\n", preorder. Loadable as-is by speedscope and flamegraph.pl.
   void write_folded(std::ostream& os) const;
-
-  /// One kProf TraceEvent per visited node, preorder, with synthetic
-  /// nesting timestamps: cycle = start ns, span = inclusive ns, value =
-  /// exclusive ns, quantum = call count, code = depth, label = phase
-  /// name. Children of a node start where the previous sibling ended, so
-  /// the Chrome backend renders a well-nested flame chart.
-  [[nodiscard]] std::vector<obs::TraceEvent> trace_events() const;
 
  private:
   struct NodeData {

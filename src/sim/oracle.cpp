@@ -30,8 +30,7 @@ std::vector<policy::FetchPolicy> type3_policies() {
 }
 
 OracleResult run_oracle(Simulator base, std::uint64_t quanta,
-                        const OracleConfig& cfg, std::size_t jobs,
-                        par::ClockFn clock, OracleTelemetry* telemetry) {
+                        const OracleConfig& cfg, std::size_t jobs) {
   if (cfg.candidates.empty()) {
     throw std::invalid_argument("OracleConfig: no candidate policies");
   }
@@ -48,7 +47,6 @@ OracleResult run_oracle(Simulator base, std::uint64_t quanta,
   // out across the pool. Selection below is a serial reduction in
   // candidate order, so the result is identical for any worker count.
   par::ThreadPool pool(std::min<std::size_t>(jobs, cfg.candidates.size()));
-  pool.set_clock(clock);
 
   for (std::uint64_t q = 0; q < quanta; ++q) {
     const std::uint64_t committed_before = base.committed();
@@ -77,10 +75,6 @@ OracleResult run_oracle(Simulator base, std::uint64_t quanta,
     result.quanta_per_policy[static_cast<std::size_t>(best_policy)] += 1;
     if (best_policy != last) ++result.switches;
     last = best_policy;
-  }
-  if (telemetry != nullptr) {
-    telemetry->workers = pool.workers();
-    telemetry->slots = pool.worker_stats();
   }
   return result;
 }

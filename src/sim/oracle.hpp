@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "par/thread_pool.hpp"
 #include "policy/fetch_policy.hpp"
 #include "sim/simulator.hpp"
 
@@ -44,15 +43,6 @@ struct OracleResult {
   }
 };
 
-/// Host-time telemetry from the oracle's candidate-trial pool, filled
-/// only when run_oracle is handed a clock and a non-null out-param.
-/// Kept outside OracleResult so the simulated result stays a pure
-/// function of the configuration (benchmarks byte-compare its fields).
-struct OracleTelemetry {
-  std::size_t workers = 0;  ///< worker threads (0 = trials ran inline)
-  std::vector<par::WorkerStats> slots;  ///< per-slot tasks / busy ticks
-};
-
 /// Run `quanta` scheduling quanta from the state of `base`, choosing the
 /// per-quantum-best candidate policy. `base` is taken by value (the run
 /// consumes a snapshot; the caller's simulator is unchanged).
@@ -60,14 +50,8 @@ struct OracleTelemetry {
 /// `jobs` fans the per-quantum candidate trials across a worker pool
 /// (src/par/). Ties break on the first candidate index, so the result is
 /// bit-identical for every jobs value; jobs <= 1 runs inline.
-///
-/// `clock` + `telemetry` (both optional) time the trial tasks with the
-/// injected host clock and report per-worker busy ticks — observation
-/// only, the OracleResult is unchanged.
 [[nodiscard]] OracleResult run_oracle(Simulator base, std::uint64_t quanta,
                                       const OracleConfig& cfg,
-                                      std::size_t jobs = 1,
-                                      par::ClockFn clock = nullptr,
-                                      OracleTelemetry* telemetry = nullptr);
+                                      std::size_t jobs = 1);
 
 }  // namespace smt::sim

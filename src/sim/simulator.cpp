@@ -126,18 +126,12 @@ std::vector<workload::ThreadProgram> build_programs(const SimConfig& cfg) {
   return programs;
 }
 
-core::AdtsConfig adts_config_of(const SimConfig& cfg) {
-  core::AdtsConfig a = cfg.adts;
-  a.initial_policy = cfg.fixed_policy;
-  return a;
-}
-
 }  // namespace
 
 Simulator::Simulator(const SimConfig& cfg)
     : cfg_(cfg),
       pipe_(cfg.machine, build_programs(cfg)),
-      detector_(adts_config_of(cfg)),
+      detector_(cfg.adts),
       use_adts_(cfg.use_adts) {
   check_.on = check::check_enabled(cfg.check);
   pipe_.set_policy(cfg.fixed_policy);

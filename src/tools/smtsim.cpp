@@ -33,7 +33,6 @@
 #include "common/table.hpp"
 #include "core/heuristics.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_event.hpp"
 #include "obs/trace_sink.hpp"
 #include "pipeline/pipeline.hpp"
 #include "prof/phase_profiler.hpp"
@@ -104,9 +103,8 @@ host profiling (host-time observability; simulated results unchanged):
                         phases (init/warmup/measured) plus stride-sampled
                         per-cycle stages (pipeline commit/complete/issue/
                         dispatch/fetch, detector, checker, trace); exported
-                        as prof.* in --stats-json and as prof events in
-                        --trace. Under --oracle, also reports the candidate-
-                        trial pool's per-worker busy time.
+                        as prof.* in --stats-json. Host time never enters
+                        the --trace file, which holds simulated time only.
   --prof-folded PATH    write folded stacks ("run;measured;cycle 1234") to
                         PATH for speedscope / flamegraph.pl (implies --prof)
   --prof-stride N       time 1 of every N cycles, power of two (default 64;
@@ -376,13 +374,10 @@ int main(int argc, char** argv) {
         const prof::PhaseProfiler::Scope s(pp, n_warm);
         base.run(job.warmup);
       }
-      sim::OracleTelemetry tel;
       sim::OracleResult r;
       {
         const prof::PhaseProfiler::Scope s(pp, n_orc);
-        r = sim::run_oracle(base, quanta, ocfg, static_cast<std::size_t>(jobs),
-                            prof_on ? &prof::host_ticks : nullptr,
-                            prof_on ? &tel : nullptr);
+        r = sim::run_oracle(base, quanta, ocfg, static_cast<std::size_t>(jobs));
       }
       if (csv) {
         std::cout << "mode,ipc,cycles,committed,switches\noracle,"
@@ -403,13 +398,7 @@ int main(int argc, char** argv) {
                     << " ms, oracle "
                     << prof::ticks_to_ns(profiler.inclusive_ticks(n_orc)) /
                            1000000
-                    << " ms across " << tel.workers << " pool workers\n";
-          for (std::size_t w = 0; w < tel.slots.size(); ++w) {
-            std::cout << "  worker " << w << ": " << tel.slots[w].tasks
-                      << " trials, "
-                      << prof::ticks_to_ns(tel.slots[w].busy_ticks) / 1000000
-                      << " ms busy\n";
-          }
+                    << " ms\n";
         }
       }
       if (prof_out.is_open()) profiler.write_folded(prof_out);
@@ -514,9 +503,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (prof_on && args.has("trace")) {
-      for (const obs::TraceEvent& e : profiler.trace_events()) sink.record(e);
-    }
     if (prof_out.is_open()) profiler.write_folded(prof_out);
 
     if (args.has("trace")) {

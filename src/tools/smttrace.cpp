@@ -125,9 +125,18 @@ void print_table(const Table& t, const Options& opt) {
   }
 }
 
+/// Lost fetch slots live on quantum and thread_quantum rows only: a
+/// cpi_stack row's `stalls` holds its rob_empty slots by fetch cause,
+/// which are commit slots, not fetch slots.
+bool carries_fetch_stalls(const TraceEvent& e) {
+  return e.kind == EventKind::kQuantum || e.kind == EventKind::kThreadQuantum;
+}
+
 std::uint64_t stall_total(const TraceEvent& e) {
   std::uint64_t t = 0;
-  for (const std::uint64_t s : e.stalls) t += s;
+  if (carries_fetch_stalls(e)) {
+    for (const std::uint64_t s : e.stalls) t += s;
+  }
   return t;
 }
 
@@ -183,7 +192,9 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
   std::size_t skipped = 0;
 
   for (const TraceEvent& e : trace.events) {
-    for (std::size_t i = 0; i < e.stalls.size(); ++i) stalls[i] += e.stalls[i];
+    if (carries_fetch_stalls(e)) {
+      for (std::size_t i = 0; i < stalls.size(); ++i) stalls[i] += e.stalls[i];
+    }
     switch (e.kind) {
       case EventKind::kQuantum:
         committed += e.value;
@@ -451,7 +462,7 @@ int cmd_hist(const ReadTrace& trace, const Options& /*opt*/) {
 struct QuantumFacts {
   double ipc = 0.0;
   std::uint64_t committed = 0;
-  std::uint64_t stalls = 0;    ///< lost slots, all causes, all rows
+  std::uint64_t stalls = 0;    ///< lost fetch slots, all causes
   std::uint64_t switches = 0;  ///< policy_switch events in the quantum
   bool present = false;        ///< saw the machine-level kQuantum row
 };

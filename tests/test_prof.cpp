@@ -12,7 +12,6 @@
 
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_event.hpp"
 #include "prof/host_clock.hpp"
 #include "prof/phase_profiler.hpp"
 #include "sim/simulator.hpp"
@@ -155,32 +154,6 @@ TEST(PhaseProfiler, ExportMetricsEmitsVisitedNodesOnly) {
   EXPECT_TRUE(reg.find("prof.run.a.max_ns").has_value());
   EXPECT_FALSE(reg.find("prof.run.unvisited.count").has_value());
   EXPECT_FALSE(reg.find("prof.run.count").has_value());  // root unvisited
-}
-
-TEST(PhaseProfiler, TraceEventsNestPreorderWithDepths) {
-  PhaseProfiler p;
-  const PhaseProfiler::Node a = p.child(PhaseProfiler::kRoot, "a");
-  const PhaseProfiler::Node b = p.child(a, "b");
-  const PhaseProfiler::Node c = p.child(a, "c");
-  p.add(a, 100);
-  p.add(b, 60);
-  p.add(c, 30);
-  const std::vector<obs::TraceEvent> evs = p.trace_events();
-  ASSERT_EQ(evs.size(), 3u);  // root has count 0 and is skipped
-  EXPECT_EQ(evs[0].label_view(), "a");
-  EXPECT_EQ(evs[1].label_view(), "b");
-  EXPECT_EQ(evs[2].label_view(), "c");
-  EXPECT_EQ(evs[0].code, 1);  // depth below the root
-  EXPECT_EQ(evs[1].code, 2);
-  for (const obs::TraceEvent& e : evs) {
-    EXPECT_EQ(e.kind, obs::EventKind::kProf);
-    EXPECT_EQ(e.tid, -1);
-  }
-  // Synthetic timeline: b starts where a starts, c follows b, and both
-  // siblings stay inside a's span.
-  EXPECT_EQ(evs[1].cycle, evs[0].cycle);
-  EXPECT_EQ(evs[2].cycle, evs[1].cycle + evs[1].span);
-  EXPECT_LE(evs[2].cycle + evs[2].span, evs[0].cycle + evs[0].span);
 }
 
 // ---------------------------------------------------------------------------

@@ -71,50 +71,6 @@ TEST(RunningStat, MergeWithEmptySides) {
   EXPECT_DOUBLE_EQ(d.mean(), 2.0);
 }
 
-TEST(Histogram, BucketsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.buckets(), 5u);
-  EXPECT_DOUBLE_EQ(h.edge(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.edge(4), 8.0);
-}
-
-TEST(Histogram, CountsSamplesInRightBuckets) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);   // bucket 0
-  h.add(3.0);   // bucket 1
-  h.add(9.9);   // bucket 4
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(42.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-}
-
-TEST(Histogram, FractionSumsToOne) {
-  Histogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(i / 100.0);
-  double sum = 0;
-  for (std::size_t b = 0; b < h.buckets(); ++b) sum += h.fraction(b);
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(Aggregates, GeomeanBasics) {
-  EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-  EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
-  EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);
-}
-
-TEST(Aggregates, GeomeanIgnoresNonPositive) {
-  EXPECT_NEAR(geomean({2.0, 8.0, 0.0, -1.0}), 4.0, 1e-12);
-}
-
 TEST(Aggregates, MeanBasics) {
   EXPECT_DOUBLE_EQ(mean({}), 0.0);
   EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
