@@ -3,11 +3,16 @@
 namespace smt::obs {
 
 CpiStack& CpiStack::operator+=(const CpiStack& o) noexcept {
-  for (std::size_t i = 0; i < kNumCpiCauses; ++i) slots[i] += o.slots[i];
-  for (std::size_t i = 0; i < kNumStallCauses; ++i) {
-    rob_empty_by[i] += o.rob_empty_by[i];
-  }
-  for (std::size_t i = 0; i < kCpiMaxThreads; ++i) contend[i] += o.contend[i];
+  SlotLedger::operator+=(o);
+  rob_empty_by += o.rob_empty_by;
+  contend += o.contend;
+  return *this;
+}
+
+CpiStack& CpiStack::operator-=(const CpiStack& o) noexcept {
+  SlotLedger::operator-=(o);
+  rob_empty_by -= o.rob_empty_by;
+  contend -= o.contend;
   return *this;
 }
 
@@ -21,13 +26,9 @@ namespace {
 
 std::uint64_t conservation_gap(const CpiStack& s, std::uint64_t commit_width,
                                std::uint64_t cycles) noexcept {
-  std::uint64_t rob_empty = 0;
-  for (const std::uint64_t n : s.rob_empty_by) rob_empty += n;
-  std::uint64_t contend = 0;
-  for (const std::uint64_t n : s.contend) contend += n;
   return absdiff(s.total(), commit_width * cycles) +
-         absdiff(rob_empty, s[CpiCause::kRobEmpty]) +
-         absdiff(contend, s[CpiCause::kFuContention]);
+         absdiff(s.rob_empty_by.total(), s[CpiCause::kRobEmpty]) +
+         absdiff(s.contend.total(), s[CpiCause::kFuContention]);
 }
 
 }  // namespace smt::obs

@@ -24,11 +24,11 @@
 //     allocators (ROADMAP items 4/5) need.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 
+#include "obs/slot_ledger.hpp"
 #include "obs/stall.hpp"
 #include "obs/trace_schema.hpp"
 
@@ -79,28 +79,22 @@ inline constexpr std::size_t kCpiMaxThreads = 8;
 /// One thread's commit-slot account: slot counters per cause, the
 /// fetch-side sub-attribution of kRobEmpty, and the per-holder
 /// contention matrix row for kFuContention.
-struct CpiStack {
-  std::array<std::uint64_t, kNumCpiCauses> slots{};
+struct CpiStack : SlotLedger<CpiCause, kNumCpiCauses> {
   /// kRobEmpty slots broken down by the fetch StallCause that starved
-  /// the window. Invariant: sum == slots[kRobEmpty].
-  std::array<std::uint64_t, kNumStallCauses> rob_empty_by{};
+  /// the window. Invariant: total() == slots[kRobEmpty].
+  StallBreakdown rob_empty_by;
   /// kFuContention slots broken down by which co-runner held the
-  /// resource. Invariant: sum == slots[kFuContention].
-  std::array<std::uint64_t, kCpiMaxThreads> contend{};
+  /// resource. Invariant: total() == slots[kFuContention].
+  SlotLedger<std::size_t, kCpiMaxThreads> contend;
 
-  void charge(CpiCause c, std::uint64_t n = 1) noexcept {
-    slots[static_cast<std::size_t>(c)] += n;
-  }
-  [[nodiscard]] std::uint64_t operator[](CpiCause c) const noexcept {
-    return slots[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    std::uint64_t t = 0;
-    for (const std::uint64_t s : slots) t += s;
-    return t;
-  }
-
+  /// The arithmetic acts on all three parts.
   CpiStack& operator+=(const CpiStack& o) noexcept;
+  CpiStack& operator-=(const CpiStack& o) noexcept;
+  [[nodiscard]] friend CpiStack operator-(CpiStack a,
+                                          const CpiStack& b) noexcept {
+    return a -= b;
+  }
+  bool operator==(const CpiStack&) const = default;
 };
 
 /// Slots the stack fails to account for against a commit_width × cycles

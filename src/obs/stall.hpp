@@ -14,11 +14,11 @@
 // cycle and over whole runs.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 
+#include "obs/slot_ledger.hpp"
 #include "obs/trace_schema.hpp"
 
 namespace smt::obs {
@@ -58,20 +58,6 @@ static_assert(static_cast<std::size_t>(StallCause::kFragmentation) + 1 ==
 }
 
 /// Lost-fetch-slot counters, one bucket per cause.
-struct StallBreakdown {
-  std::array<std::uint64_t, kNumStallCauses> slots{};
-
-  void charge(StallCause c, std::uint64_t n = 1) noexcept {
-    slots[static_cast<std::size_t>(c)] += n;
-  }
-  [[nodiscard]] std::uint64_t operator[](StallCause c) const noexcept {
-    return slots[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    std::uint64_t t = 0;
-    for (const std::uint64_t s : slots) t += s;
-    return t;
-  }
-};
+using StallBreakdown = SlotLedger<StallCause, kNumStallCauses>;
 
 }  // namespace smt::obs

@@ -8,7 +8,7 @@
 //   kind            tid    fields used
 //   --------------  -----  ------------------------------------------------
 //   kQuantum        -1     span (cycles), value (committed), ipc,
-//                          policy_after (active policy)
+//                          policy_after (active policy), stalls
 //   kThreadQuantum  >= 0   span, value (committed), ipc, fetch_share,
 //                          mispredict_rate, l1d/l1i_miss_rate, stalls
 //   kPolicySwitch   -1     policy_before → policy_after,
@@ -29,10 +29,11 @@
 //                          (decision-time machine mispredicts / L1 misses
 //                          per cycle), l1i_miss_rate (condition magnitude)
 //   kCpiStack       >= 0   span (cycles), value (commit_width), ipc,
-//                          cpi (commit slots charged per CpiCause over
-//                          the span), stalls (kRobEmpty slots by the
-//                          fetch StallCause that starved the window),
-//                          contend (kFuContention slots by holder tid)
+//                          cpi, stalls, contend
+//
+// The slot arrays (stalls, cpi, contend) carry slot ledgers, and the
+// codec at the end of this file is the one place that decides which
+// ledger each kind's arrays hold.
 //
 // Rates are per cycle over the event's span, matching the convention of
 // pipeline::QuantumRates; fetch_share is the fraction of *all* fetch
@@ -125,11 +126,10 @@ struct TraceEvent {
   double mispredict_rate = 0.0;
   double l1d_miss_rate = 0.0;
   double l1i_miss_rate = 0.0;
-  /// Lost fetch slots charged over the span, by cause (kThreadQuantum:
-  /// the thread's buckets; kQuantum: the machine fragmentation bucket in
-  /// kFragmentation plus DT-consumed slots in `value2`-less form — the
-  /// machine row carries only fragmentation, per-thread causes live on
-  /// the thread rows).
+  /// By StallCause, over the span: lost fetch slots on kQuantum (the
+  /// machine's) and kThreadQuantum (the thread's) rows, and on kCpiStack
+  /// rows the stack's rob_empty_by, which are commit slots. Read and
+  /// write it through the row codec below.
   std::array<std::uint64_t, kNumStallCauses> stalls{};
   /// kPipeview only: per-stage cycle offsets from the fetch cycle,
   /// indexed by PipeStage; 0 = the stage was never reached.
@@ -140,5 +140,42 @@ struct TraceEvent {
   /// contended resource (index = holder tid).
   std::array<std::uint64_t, kCpiMaxThreads> contend{};
 };
+
+// --- Row codec: slot ledgers in and out of trace rows -------------------
+
+/// Writes a fetch-slot ledger into a kQuantum or kThreadQuantum row.
+inline void encode_row(const StallBreakdown& s, TraceEvent& e) noexcept {
+  e.stalls = s.slots;
+}
+
+/// Writes a commit-slot stack into a kCpiStack row.
+inline void encode_row(const CpiStack& s, TraceEvent& e) noexcept {
+  e.cpi = s.slots;
+  e.stalls = s.rob_empty_by.slots;
+  e.contend = s.contend.slots;
+}
+
+/// The lost fetch slots a row carries: empty on every kind but kQuantum
+/// and kThreadQuantum (a kCpiStack row's stalls are commit slots).
+[[nodiscard]] inline StallBreakdown decode_fetch_stalls(
+    const TraceEvent& e) noexcept {
+  StallBreakdown s;
+  if (e.kind == EventKind::kQuantum || e.kind == EventKind::kThreadQuantum) {
+    s.slots = e.stalls;
+  }
+  return s;
+}
+
+/// The commit-slot stack a row carries: empty on every kind but
+/// kCpiStack. Its budget is value (commit_width) × span.
+[[nodiscard]] inline CpiStack decode_cpi_stack(const TraceEvent& e) noexcept {
+  CpiStack s;
+  if (e.kind == EventKind::kCpiStack) {
+    s.slots = e.cpi;
+    s.rob_empty_by.slots = e.stalls;
+    s.contend.slots = e.contend;
+  }
+  return s;
+}
 
 }  // namespace smt::obs

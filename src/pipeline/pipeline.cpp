@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "isa/instruction.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/cpi_stack.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slot_ledger.hpp"
 #include "obs/stall.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_schema.hpp"
@@ -1268,11 +1269,11 @@ void Pipeline::charge_cpi_contention(std::uint32_t tid, std::uint64_t lost,
   // cycle so repeated single-slot losses do not systematically blame the
   // lowest-numbered holder. Whole rounds of m slots blame every holder
   // once, which keeps a leap's width × cycles loss O(m).
-  for (std::uint32_t i = 0; i < m; ++i) st.contend[ids[i]] += lost / m;
+  for (std::uint32_t i = 0; i < m; ++i) st.contend.charge(ids[i], lost / m);
   std::uint32_t at = static_cast<std::uint32_t>(cycle_ % m);
   for (std::uint64_t k = lost % m; k > 0;
        --k, at = (at + 1 == m ? 0 : at + 1)) {
-    ++st.contend[ids[at]];
+    st.contend.charge(ids[at]);
   }
 }
 
@@ -1324,7 +1325,7 @@ void Pipeline::account_cpi(std::uint64_t cycles) {
       }
       st.charge(top, lost);
       if (sub >= 0) {
-        st.rob_empty_by[static_cast<std::size_t>(sub)] += lost;
+        st.rob_empty_by.charge(static_cast<obs::StallCause>(sub), lost);
       }
       // Remember the charge: the frontend_delay refill that follows
       // keeps this attribution until the head reaches dispatch.
@@ -1368,8 +1369,8 @@ void Pipeline::account_cpi(std::uint64_t cycles) {
               static_cast<obs::CpiCause>(cpi_.refill_cause[tid]);
           st.charge(top, lost);
           if (cpi_.refill_sub[tid] >= 0) {
-            st.rob_empty_by[static_cast<std::size_t>(
-                cpi_.refill_sub[tid])] += lost;
+            st.rob_empty_by.charge(
+                static_cast<obs::StallCause>(cpi_.refill_sub[tid]), lost);
           }
         } else {
           // Released by the front end but dispatch-blocked: IQ/LSQ/
@@ -1380,8 +1381,7 @@ void Pipeline::account_cpi(std::uint64_t cycles) {
       case InstrState::kEmpty:
         // Unreachable for a live head; keep conservation if it ever is.
         st.charge(obs::CpiCause::kRobEmpty, lost);
-        st.rob_empty_by[static_cast<std::size_t>(
-            obs::StallCause::kPolicyThrottle)] += lost;
+        st.rob_empty_by.charge(obs::StallCause::kPolicyThrottle, lost);
         break;
     }
   }
@@ -1453,6 +1453,25 @@ Pipeline::ResourceAudit Pipeline::audit_resources() const {
 // ---------------------------------------------------------------------------
 // Metrics export.
 // ---------------------------------------------------------------------------
+namespace {
+
+/// One `prefix<bucket>` key per ledger bucket, named by its cause (by
+/// its index for a ledger keyed by thread id).
+template <typename Cause, std::size_t N>
+void set_buckets(obs::MetricsRegistry& reg, const std::string& prefix,
+                 const obs::SlotLedger<Cause, N>& ledger) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if constexpr (std::is_enum_v<Cause>) {
+      reg.set(prefix + std::string(name(static_cast<Cause>(i))),
+              ledger.slots[i]);
+    } else {
+      reg.set(prefix + std::to_string(i), ledger.slots[i]);
+    }
+  }
+}
+
+}  // namespace
+
 void export_metrics(const Pipeline& pipe, obs::MetricsRegistry& reg) {
   const PipelineStats& s = pipe.stats();
   reg.set("machine.cycles", s.cycles);
@@ -1469,33 +1488,18 @@ void export_metrics(const Pipeline& pipe, obs::MetricsRegistry& reg) {
   reg.set("machine.dt_slots_used", s.dt_slots_used);
   reg.set("machine.charged_stall_slots", pipe.charged_stall_slots());
 
-  char key[96];
-  const obs::StallBreakdown& mb = pipe.machine_stall_breakdown();
-  for (std::size_t c = 0; c < obs::kNumStallCauses; ++c) {
-    std::snprintf(key, sizeof key, "machine.stalls.%s",
-                  std::string(name(static_cast<obs::StallCause>(c))).c_str());
-    reg.set(key, mb.slots[c]);
-  }
+  set_buckets(reg, "machine.stalls.", pipe.machine_stall_breakdown());
 
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
     const ThreadCounters& c = pipe.counters(tid);
-    std::snprintf(key, sizeof key, "threads.%u.committed", tid);
-    reg.set(key, c.committed_total);
-    std::snprintf(key, sizeof key, "threads.%u.cycles_seen", tid);
-    reg.set(key, c.cycles_seen);
-    std::snprintf(key, sizeof key, "threads.%u.fetched", tid);
-    reg.set(key, c.fetched_total);
-    std::snprintf(key, sizeof key, "threads.%u.ipc", tid);
-    reg.set(key, c.acc_ipc());
+    const std::string thread = "threads." + std::to_string(tid) + '.';
+    reg.set(thread + "committed", c.committed_total);
+    reg.set(thread + "cycles_seen", c.cycles_seen);
+    reg.set(thread + "fetched", c.fetched_total);
+    reg.set(thread + "ipc", c.acc_ipc());
     const obs::StallBreakdown& sb = pipe.stall_breakdown(tid);
-    std::snprintf(key, sizeof key, "threads.%u.stall_slots", tid);
-    reg.set(key, sb.total());
-    for (std::size_t cause = 0; cause < obs::kNumStallCauses; ++cause) {
-      std::snprintf(
-          key, sizeof key, "threads.%u.stalls.%s", tid,
-          std::string(name(static_cast<obs::StallCause>(cause))).c_str());
-      reg.set(key, sb.slots[cause]);
-    }
+    reg.set(thread + "stall_slots", sb.total());
+    set_buckets(reg, thread + "stalls.", sb);
   }
 
   // CPI-stack accounting appears only when enabled: an accounting-off
@@ -1509,24 +1513,11 @@ void export_metrics(const Pipeline& pipe, obs::MetricsRegistry& reg) {
   reg.set("cpi.slots_accounted", width * acct_cycles * pipe.num_threads());
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
     const obs::CpiStack& st = pipe.cpi_stack(tid);
-    std::snprintf(key, sizeof key, "threads.%u.cpi.slots", tid);
-    reg.set(key, st.total());
-    for (std::size_t c = 0; c < obs::kNumCpiCauses; ++c) {
-      std::snprintf(
-          key, sizeof key, "threads.%u.cpi.%s", tid,
-          std::string(name(static_cast<obs::CpiCause>(c))).c_str());
-      reg.set(key, st.slots[c]);
-    }
-    for (std::size_t c = 0; c < obs::kNumStallCauses; ++c) {
-      std::snprintf(
-          key, sizeof key, "threads.%u.cpi.rob_empty_by.%s", tid,
-          std::string(name(static_cast<obs::StallCause>(c))).c_str());
-      reg.set(key, st.rob_empty_by[c]);
-    }
-    for (std::size_t h = 0; h < obs::kCpiMaxThreads; ++h) {
-      std::snprintf(key, sizeof key, "threads.%u.cpi.contend.%zu", tid, h);
-      reg.set(key, st.contend[h]);
-    }
+    const std::string cpi = "threads." + std::to_string(tid) + ".cpi.";
+    reg.set(cpi + "slots", st.total());
+    set_buckets(reg, cpi, st);
+    set_buckets(reg, cpi + "rob_empty_by.", st.rob_empty_by);
+    set_buckets(reg, cpi + "contend.", st.contend);
   }
 }
 

@@ -41,6 +41,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -125,21 +126,6 @@ void print_table(const Table& t, const Options& opt) {
   }
 }
 
-/// Lost fetch slots live on quantum and thread_quantum rows only: a
-/// cpi_stack row's `stalls` holds its rob_empty slots by fetch cause,
-/// which are commit slots, not fetch slots.
-bool carries_fetch_stalls(const TraceEvent& e) {
-  return e.kind == EventKind::kQuantum || e.kind == EventKind::kThreadQuantum;
-}
-
-std::uint64_t stall_total(const TraceEvent& e) {
-  std::uint64_t t = 0;
-  if (carries_fetch_stalls(e)) {
-    for (const std::uint64_t s : e.stalls) t += s;
-  }
-  return t;
-}
-
 // ---------------------------------------------------------------------------
 // Trace loading
 
@@ -184,7 +170,7 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
   print_provenance(trace);
 
   Table quanta({"quantum", "cycles", "committed", "ipc", "policy"});
-  std::array<std::uint64_t, smt::obs::kNumStallCauses> stalls{};
+  smt::obs::StallBreakdown stalls;
   std::uint64_t committed = 0;
   std::uint64_t cycles = 0;
   std::uint64_t quantum_rows = 0;
@@ -192,9 +178,7 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
   std::size_t skipped = 0;
 
   for (const TraceEvent& e : trace.events) {
-    if (carries_fetch_stalls(e)) {
-      for (std::size_t i = 0; i < stalls.size(); ++i) stalls[i] += e.stalls[i];
-    }
+    stalls += smt::obs::decode_fetch_stalls(e);
     switch (e.kind) {
       case EventKind::kQuantum:
         committed += e.value;
@@ -217,14 +201,14 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
   if (skipped != 0) std::cout << "  ... " << skipped << " more quanta\n";
   std::cout << '\n';
 
-  std::uint64_t lost = 0;
-  for (const std::uint64_t s : stalls) lost += s;
+  const std::uint64_t lost = stalls.total();
   Table st({"stall cause", "lost slots", "share"});
-  for (std::size_t i = 0; i < stalls.size(); ++i) {
-    if (stalls[i] == 0) continue;
+  for (std::size_t i = 0; i < stalls.slots.size(); ++i) {
+    const std::uint64_t n = stalls.slots[i];
+    if (n == 0) continue;
     st.add_row({std::string(name(static_cast<smt::obs::StallCause>(i))),
-                std::to_string(stalls[i]),
-                lost != 0 ? Table::num(static_cast<double>(stalls[i]) /
+                std::to_string(n),
+                lost != 0 ? Table::num(static_cast<double>(n) /
                                        static_cast<double>(lost))
                           : "0"});
   }
@@ -471,7 +455,7 @@ std::map<std::uint64_t, QuantumFacts> collect(const ReadTrace& t) {
   std::map<std::uint64_t, QuantumFacts> m;
   for (const TraceEvent& e : t.events) {
     QuantumFacts& q = m[e.quantum];
-    q.stalls += stall_total(e);
+    q.stalls += smt::obs::decode_fetch_stalls(e).total();
     switch (e.kind) {
       case EventKind::kQuantum:
         q.present = true;
@@ -567,25 +551,13 @@ int cmd_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
 // ---------------------------------------------------------------------------
 // cpi
 
-/// One thread's accumulated CPI stack over the whole trace (or, in diff
-/// mode, one kCpiStack row keyed by quantum × tid).
-struct CpiAgg {
-  std::uint64_t span = 0;
-  std::uint64_t width = 0;  ///< commit width (kCpiStack value column)
-  std::array<std::uint64_t, smt::obs::kNumCpiCauses> cpi{};
-  std::array<std::uint64_t, smt::obs::kNumStallCauses> rob_by{};
-  std::array<std::uint64_t, smt::obs::kCpiMaxThreads> contend{};
+/// A sum of kCpiStack rows: the stack and the cycles it covers.
+using CpiSum = std::pair<smt::obs::CpiStack, std::uint64_t>;
 
-  void add(const TraceEvent& e) {
-    span += e.span;
-    width = e.value;
-    for (std::size_t i = 0; i < cpi.size(); ++i) cpi[i] += e.cpi[i];
-    for (std::size_t i = 0; i < rob_by.size(); ++i) rob_by[i] += e.stalls[i];
-    for (std::size_t i = 0; i < contend.size(); ++i) {
-      contend[i] += e.contend[i];
-    }
-  }
-};
+void add_cpi_row(CpiSum& sum, const TraceEvent& e) {
+  sum.first += smt::obs::decode_cpi_stack(e);
+  sum.second += e.span;
+}
 
 std::string share_of(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? "0"
@@ -596,11 +568,13 @@ std::string share_of(std::uint64_t part, std::uint64_t whole) {
 int cmd_cpi(const ReadTrace& trace, const Options& opt) {
   print_provenance(trace);
 
-  std::map<std::int64_t, CpiAgg> by_tid;
+  std::map<std::int64_t, CpiSum> by_tid;
+  std::uint64_t width = 0;  ///< commit width (kCpiStack value column)
   std::size_t rows = 0;
   for (const TraceEvent& e : trace.events) {
     if (e.kind != EventKind::kCpiStack) continue;
-    by_tid[e.tid].add(e);
+    add_cpi_row(by_tid[e.tid], e);
+    width = e.value;
     ++rows;
   }
   if (rows == 0) {
@@ -614,48 +588,34 @@ int cmd_cpi(const ReadTrace& trace, const Options& opt) {
   Table stacks({"thread", "cause", "slots", "share", "cpi"});
   std::uint64_t conservation_gap = 0;
   std::uint64_t slots_accounted = 0;
-  for (const auto& [tid, a] : by_tid) {
-    const std::uint64_t budget = a.width * a.span;
+  for (const auto& [tid, sum] : by_tid) {
+    const auto& [a, cycles] = sum;
+    const std::uint64_t budget = width * cycles;
     slots_accounted += budget;
-    std::uint64_t total = 0;
-    std::uint64_t rob_by_sum = 0;
-    std::uint64_t contend_sum = 0;
-    for (const std::uint64_t v : a.cpi) total += v;
-    for (const std::uint64_t v : a.rob_by) rob_by_sum += v;
-    for (const std::uint64_t v : a.contend) contend_sum += v;
-    const auto diff = [](std::uint64_t x, std::uint64_t y) {
-      return x > y ? x - y : y - x;
-    };
-    conservation_gap +=
-        diff(total, budget) +
-        diff(rob_by_sum, a.cpi[static_cast<std::size_t>(
-                             smt::obs::CpiCause::kRobEmpty)]) +
-        diff(contend_sum, a.cpi[static_cast<std::size_t>(
-                              smt::obs::CpiCause::kFuContention)]);
-    const std::uint64_t committed =
-        a.cpi[static_cast<std::size_t>(smt::obs::CpiCause::kCommitted)];
-    for (std::size_t c = 0; c < a.cpi.size(); ++c) {
-      if (a.cpi[c] == 0) continue;
+    conservation_gap += smt::obs::conservation_gap(a, width, cycles);
+    const std::uint64_t committed = a[smt::obs::CpiCause::kCommitted];
+    for (std::size_t c = 0; c < a.slots.size(); ++c) {
+      if (a.slots[c] == 0) continue;
       // "cpi" is the bucket's contribution to the thread's CPI: lost
       // slots per committed instruction (the committed row reads as the
       // base cost, 1/IPC of a perfect machine at this width).
       stacks.add_row(
           {std::to_string(tid),
            std::string(name(static_cast<smt::obs::CpiCause>(c))),
-           std::to_string(a.cpi[c]), share_of(a.cpi[c], budget),
-           committed != 0 ? Table::num(static_cast<double>(a.cpi[c]) /
+           std::to_string(a.slots[c]), share_of(a.slots[c], budget),
+           committed != 0 ? Table::num(static_cast<double>(a.slots[c]) /
                                        static_cast<double>(committed))
                           : "-"});
       if (static_cast<smt::obs::CpiCause>(c) ==
           smt::obs::CpiCause::kRobEmpty) {
-        for (std::size_t s = 0; s < a.rob_by.size(); ++s) {
-          if (a.rob_by[s] == 0) continue;
+        for (std::size_t s = 0; s < a.rob_empty_by.slots.size(); ++s) {
+          const std::uint64_t n = a.rob_empty_by.slots[s];
+          if (n == 0) continue;
           stacks.add_row(
               {std::to_string(tid),
                "  rob_empty:" +
                    std::string(name(static_cast<smt::obs::StallCause>(s))),
-               std::to_string(a.rob_by[s]), share_of(a.rob_by[s], budget),
-               ""});
+               std::to_string(n), share_of(n, budget), ""});
         }
       }
     }
@@ -665,19 +625,19 @@ int cmd_cpi(const ReadTrace& trace, const Options& opt) {
   // Co-runner contention matrix: who held the FU / memory port while each
   // thread's ready head waited — the symbiosis signal.
   bool any_contention = false;
-  for (const auto& [tid, a] : by_tid) {
-    for (const std::uint64_t v : a.contend) any_contention |= v != 0;
+  for (const auto& [tid, sum] : by_tid) {
+    any_contention |= sum.first.contend.total() != 0;
   }
   if (any_contention) {
     std::cout << '\n';
     std::vector<std::string> head{"waiter \\ holder"};
-    for (const auto& [tid, a] : by_tid) head.push_back(std::to_string(tid));
+    for (const auto& [tid, sum] : by_tid) head.push_back(std::to_string(tid));
     Table m(head);
-    for (const auto& [tid, a] : by_tid) {
+    for (const auto& [tid, sum] : by_tid) {
       std::vector<std::string> row{std::to_string(tid)};
       for (const auto& [holder, unused] : by_tid) {
         row.push_back(std::to_string(
-            a.contend[static_cast<std::size_t>(holder)]));
+            sum.first.contend[static_cast<std::size_t>(holder)]));
       }
       m.add_row(row);
     }
@@ -696,16 +656,17 @@ int cmd_cpi(const ReadTrace& trace, const Options& opt) {
       continue;
     }
     const std::uint64_t budget = e.value * e.span;
+    const smt::obs::CpiStack st = smt::obs::decode_cpi_stack(e);
     const auto committed_ix =
         static_cast<std::size_t>(smt::obs::CpiCause::kCommitted);
     std::size_t top = 0;
     std::uint64_t top_v = 0;
     std::uint64_t lost = 0;
-    for (std::size_t c = 0; c < e.cpi.size(); ++c) {
+    for (std::size_t c = 0; c < st.slots.size(); ++c) {
       if (c == committed_ix) continue;
-      lost += e.cpi[c];
-      if (e.cpi[c] > top_v) {
-        top_v = e.cpi[c];
+      lost += st.slots[c];
+      if (st.slots[c] > top_v) {
+        top_v = st.slots[c];
         top = c;
       }
     }
@@ -737,10 +698,10 @@ int cmd_cpi_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
   // kCpiStack row per key.
   using Key = std::pair<std::uint64_t, std::int64_t>;
   const auto collect_cpi = [](const ReadTrace& t) {
-    std::map<Key, CpiAgg> m;
+    std::map<Key, CpiSum> m;
     for (const TraceEvent& e : t.events) {
       if (e.kind != EventKind::kCpiStack) continue;
-      m[{e.quantum, e.tid}].add(e);
+      add_cpi_row(m[{e.quantum, e.tid}], e);
     }
     return m;
   };
@@ -752,17 +713,14 @@ int cmd_cpi_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
   }
   print_map_diff(
       collect_cpi(a), collect_cpi(b), Table(head), opt, "cpi rows",
-      [](const Key& k, const CpiAgg* pa,
-         const CpiAgg* pb) -> std::optional<Row> {
-        const CpiAgg ea = pa ? *pa : CpiAgg{};
-        const CpiAgg eb = pb ? *pb : CpiAgg{};
-        if (pa && pb && ea.span == eb.span && ea.cpi == eb.cpi &&
-            ea.rob_by == eb.rob_by && ea.contend == eb.contend) {
-          return std::nullopt;
-        }
+      [](const Key& k, const CpiSum* pa,
+         const CpiSum* pb) -> std::optional<Row> {
+        if (pa && pb && *pa == *pb) return std::nullopt;
+        const smt::obs::CpiStack ea = pa ? pa->first : smt::obs::CpiStack{};
+        const smt::obs::CpiStack eb = pb ? pb->first : smt::obs::CpiStack{};
         Row row{std::to_string(k.first), std::to_string(k.second)};
         for (std::size_t c = 0; c < smt::obs::kNumCpiCauses; ++c) {
-          row.push_back(delta(ea.cpi[c], eb.cpi[c]));
+          row.push_back(delta(ea.slots[c], eb.slots[c]));
         }
         return row;
       });
