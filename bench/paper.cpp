@@ -319,8 +319,7 @@ void oracle_headroom(Paper& p) {
         double fixed_cycles = 0;
         for (std::uint32_t i = 0; i < scale.oracle_intervals; ++i) {
           sim::SimConfig cfg = sim::make_config(mix, 8, scale.base_seed);
-          cfg.workload_seed =
-              mix64(scale.base_seed ^ (0x1417ull + i * 0x9e37ull));
+          cfg.workload_seed = sim::interval_seed(scale.base_seed, i);
           sim::Simulator s(cfg);
           s.run(scale.plan.warmup_cycles);
           const std::uint64_t c0 = s.committed();

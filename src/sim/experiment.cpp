@@ -83,8 +83,7 @@ OracleResult run_oracle_on_mix(const workload::Mix& mix, std::size_t threads,
   OracleResult agg;
   for (std::uint32_t i = 0; i < scale.oracle_intervals; ++i) {
     SimConfig cfg = make_config(mix, threads, scale.base_seed);
-    cfg.workload_seed =
-        mix64(scale.base_seed ^ (0x1417ull + i * 0x9e37ull));
+    cfg.workload_seed = interval_seed(scale.base_seed, i);
     Simulator sim(cfg);
     sim.run(scale.plan.warmup_cycles);
     const OracleResult r =

@@ -5,11 +5,15 @@
 
 namespace smt::sim {
 
+std::uint64_t interval_seed(std::uint64_t base, std::uint32_t i) noexcept {
+  return mix64(base ^ (0x1417ull + i * 0x9e37ull));
+}
+
 SampleResult run_sampled(const SimConfig& cfg, const SamplingPlan& plan) {
   SampleResult agg;
   for (std::uint32_t i = 0; i < plan.intervals; ++i) {
     SimConfig icfg = cfg;
-    icfg.workload_seed = mix64(cfg.workload_seed ^ (0x1417ull + i * 0x9e37ull));
+    icfg.workload_seed = interval_seed(cfg.workload_seed, i);
     Simulator sim(icfg);
 
     // Warm caches/predictor under the fixed policy; the detector thread

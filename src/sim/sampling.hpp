@@ -58,9 +58,15 @@ struct SampleResult {
   }
 };
 
+/// Workload seed of sampling interval `i` under base seed `base`, so the
+/// intervals sample decorrelated stretches of the workloads. Every driver
+/// that samples intervals uses it; the oracle and its fixed baseline
+/// depend on measuring the same intervals.
+[[nodiscard]] std::uint64_t interval_seed(std::uint64_t base,
+                                          std::uint32_t i) noexcept;
+
 /// Run the plan for a configuration. Interval i uses workload seed
-/// mix64(cfg.workload_seed, i) so the intervals sample decorrelated
-/// stretches of the workloads.
+/// interval_seed(cfg.workload_seed, i).
 [[nodiscard]] SampleResult run_sampled(const SimConfig& cfg,
                                        const SamplingPlan& plan);
 
