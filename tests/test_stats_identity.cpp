@@ -78,19 +78,19 @@ struct Golden {
 // quantum), 8 threads, seed 2003, 4096 warmup + 24576 measured cycles.
 constexpr Golden kGolden[] = {
     // clang-format off
-    {"ctrl8",  0xd90df0eb64643431ULL, 0x145d07b312c5c9d0ULL},
-    {"mem8",   0x64505b8c570fc6a4ULL, 0xf522abffc51d6242ULL},
-    {"ilp8",   0x27c439ebc23726dfULL, 0xcc09b902e08dcdd6ULL},
-    {"cache8", 0x922524a26cf1e4ccULL, 0xfcca9e9693669c5cULL},
-    {"bal1",   0x0c33b44d226328adULL, 0xf379e0f8aefd1bbeULL},
-    {"bal2",   0xdfcd32c2a96deb97ULL, 0xc3c64482ff0644b6ULL},
-    {"bal3",   0x3cbc7a7215b0ffecULL, 0xcf87f4f1acd70f4cULL},
-    {"bal4",   0x2790c6f23dbbffb5ULL, 0x69f64482bb12da31ULL},
-    {"int8",   0x52475abbe79124ddULL, 0x1eabe11aa8989fbbULL},
-    {"span8",  0x1fb1767d31ae0a8eULL, 0xe728fceec78480f5ULL},
-    {"fp8",    0xa9ff1624a7c76226ULL, 0x6a9bc9c1cc4aab80ULL},
-    {"var1",   0x2df6664147115e1dULL, 0x912ac36eba28d4b2ULL},
-    {"var2",   0xe21dd39e34480450ULL, 0x0fbaa12ef0f029a6ULL},
+    {"ctrl8",  0x7c530dbf87e71916ULL, 0xed2f544f1a302ed9ULL},
+    {"mem8",   0xc35c70415123e5afULL, 0x7fabb087891b6719ULL},
+    {"ilp8",   0x7b2ac426bfded691ULL, 0x1aea173811034201ULL},
+    {"cache8", 0xa79eddd615ff638bULL, 0x27b78faf1311108fULL},
+    {"bal1",   0x92a60498bf4f81f7ULL, 0xb3c691ba3adae7d9ULL},
+    {"bal2",   0x41f4125ec512ce01ULL, 0xb7cc6e63be3b6795ULL},
+    {"bal3",   0x42ed903dbcb997b8ULL, 0xd10fe605e56d5074ULL},
+    {"bal4",   0x99c7774b1efdcf86ULL, 0xef6a18f48b20c2a6ULL},
+    {"int8",   0x15cdafd932b02a4dULL, 0xfe897771874ae9b0ULL},
+    {"span8",  0x947c2f1e305eb904ULL, 0x90ad39c95e94f883ULL},
+    {"fp8",    0x2f6dd0ba36fff94aULL, 0x78bba79758ef29c8ULL},
+    {"var1",   0x3dd96d0d2580aef7ULL, 0xe1085ecf8eb37d98ULL},
+    {"var2",   0x45288b20f94581ffULL, 0x9d48fe8b472ff21cULL},
     // clang-format on
 };
 
