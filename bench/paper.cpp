@@ -315,20 +315,12 @@ void oracle_headroom(Paper& p) {
         MixRow row;
 
         // Fixed ICOUNT over exactly the oracle's cycle span and intervals.
-        double fixed_committed = 0;
-        double fixed_cycles = 0;
-        for (std::uint32_t i = 0; i < scale.oracle_intervals; ++i) {
-          sim::SimConfig cfg = sim::make_config(mix, 8, scale.base_seed);
-          cfg.workload_seed = sim::interval_seed(scale.base_seed, i);
-          sim::Simulator s(cfg);
-          s.run(scale.plan.warmup_cycles);
-          const std::uint64_t c0 = s.committed();
-          s.run(scale.oracle_quanta * o3.quantum_cycles);
-          fixed_committed += static_cast<double>(s.committed() - c0);
-          fixed_cycles +=
-              static_cast<double>(scale.oracle_quanta * o3.quantum_cycles);
-        }
-        row.fixed_ipc = fixed_committed / fixed_cycles;
+        const sim::SamplingPlan span{scale.oracle_intervals,
+                                     scale.plan.warmup_cycles,
+                                     scale.oracle_quanta * o3.quantum_cycles};
+        const sim::SimConfig icount =
+            sim::fixed_config(mix, policy::FetchPolicy::kIcount, 8, scale);
+        row.fixed_ipc = sim::run_sampled(icount, span).ipc();
         row.r3 = sim::run_oracle_on_mix(mix, 8, inner, o3);
         row.r10 = sim::run_oracle_on_mix(mix, 8, inner, o10);
         return row;

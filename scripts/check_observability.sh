@@ -8,9 +8,11 @@
 # 2. Validates the --stats-json document parses and carries the stall
 #    conservation law (per-thread causes + machine bucket + DT slots ==
 #    idle fetch slots).
-# 3. Asserts the zero-perturbation contract: the --csv result of a traced
-#    run (with --cpi commit-slot accounting on) is byte-identical to the
-#    same run untraced and unaccounted.
+# 3. Asserts the zero-perturbation contract through the CLI: the --csv
+#    result of a run with every observer flag on (--check --trace
+#    --pipeview --prof --cpi) is byte-identical to the same run with none
+#    (and exits 0, so the checker found nothing). The contract on every
+#    mix, in-process, is tests/test_observer_contract.cpp.
 #
 # Usage: scripts/check_observability.sh [smtsim-binary] [smttrace-binary]
 set -euo pipefail
@@ -27,14 +29,14 @@ trap 'rm -rf "$tmp"' EXIT
 
 run=(--mix mem8 --adts --cycles 32768 --warmup 8192 --quantum 1024 --csv)
 
-echo "== traced run (with pipeview sampling, host profiling and CPI stacks)"
-"$smtsim" "${run[@]}" --trace "$tmp/trace.jsonl" \
+echo "== traced run (checker, pipeview sampling, host profiling, CPI stacks)"
+"$smtsim" "${run[@]}" --check --trace "$tmp/trace.jsonl" \
   --pipeview 64@8192,48@16384 --prof --cpi \
   --stats-json "$tmp/stats.json" > "$tmp/traced.csv"
 echo "== untraced run"
 "$smtsim" "${run[@]}" > "$tmp/untraced.csv"
 
-echo "== traced vs untraced --csv bit-identical"
+echo "== observed vs plain --csv bit-identical"
 cmp "$tmp/traced.csv" "$tmp/untraced.csv"
 
 echo "== chrome export and schema"
@@ -120,6 +122,10 @@ cpi_total = 0
 for tid, t in threads.items():
     slots = sum(t["cpi"][c] for c in CPI_CAUSES)
     assert slots == t["cpi"]["slots"] == budget, f"cpi slots leak, tid {tid}"
+    assert sum(t["cpi"]["rob_empty_by"].values()) == t["cpi"]["rob_empty"], \
+        f"rob_empty breakdown leaks, tid {tid}"
+    assert sum(t["cpi"]["contend"].values()) == t["cpi"]["fu_contention"], \
+        f"contention breakdown leaks, tid {tid}"
     cpi_total += slots
 assert cpi_total == stats["cpi"]["slots_accounted"], "cpi machine budget"
 print("== stats.json: cpi conservation OK")

@@ -2,12 +2,12 @@
 # Host-profiling CI gate: the profiler's zero-perturbation and
 # accounting contracts, end to end.
 #
-# 1. Profiling-off byte-identity, all 13 paper mixes. For each mix the
-#    same run executes plain and with --prof/--prof-folded; the --csv
-#    result and the JSONL trace must be byte-identical (a trace holds
-#    simulated time only), and --stats-json identical once the prof.*
-#    subtree is dropped. Host timing may never leak into simulated
-#    results.
+# 1. Profiling-off byte-identity through the CLI, on mem8. The same run
+#    executes plain and with --prof/--prof-folded; the --csv result and
+#    the JSONL trace must be byte-identical (a trace holds simulated time
+#    only), and --stats-json identical once the prof.* subtree is
+#    dropped. The profiler's contract on every mix, in-process, is
+#    tests/test_observer_contract.cpp.
 # 2. Folded-stack well-formedness: every line is `path ns` with a
 #    [A-Za-z0-9_;] path. The memory-bound mem8 run must show time under
 #    run;measured;cycle;skip, the node that times leaps over quiet
@@ -39,24 +39,21 @@ trap 'rm -rf "$tmp"' EXIT
 have_py=0
 command -v python3 >/dev/null 2>&1 && have_py=1
 
-mixes="ctrl8 mem8 ilp8 cache8 bal1 bal2 bal3 bal4 int8 span8 fp8 var1 var2"
-
-echo "== profiling-off byte-identity across 13 mixes"
-for mix in $mixes; do
-  run=(--mix "$mix" --adts --cycles 32768 --warmup 8192 --quantum 1024 --csv)
-  "$smtsim" "${run[@]}" \
-    --trace "$tmp/plain.jsonl" \
-    --stats-json "$tmp/plain.json" > "$tmp/plain.csv"
-  "$smtsim" "${run[@]}" \
-    --trace "$tmp/prof.jsonl" \
-    --stats-json "$tmp/prof.json" \
-    --prof --prof-folded "$tmp/$mix.folded" > "$tmp/prof.csv"
-  cmp "$tmp/plain.csv" "$tmp/prof.csv" \
-    || { echo "check_prof: $mix --csv differs under --prof" >&2; exit 1; }
-  cmp "$tmp/plain.jsonl" "$tmp/prof.jsonl" \
-    || { echo "check_prof: $mix trace differs under --prof" >&2; exit 1; }
-  if [ "$have_py" -eq 1 ]; then
-    python3 - "$tmp/plain.json" "$tmp/prof.json" <<'EOF'
+echo "== profiling-off byte-identity (mem8)"
+run=(--mix mem8 --adts --cycles 32768 --warmup 8192 --quantum 1024 --csv)
+"$smtsim" "${run[@]}" \
+  --trace "$tmp/plain.jsonl" \
+  --stats-json "$tmp/plain.json" > "$tmp/plain.csv"
+"$smtsim" "${run[@]}" \
+  --trace "$tmp/prof.jsonl" \
+  --stats-json "$tmp/prof.json" \
+  --prof --prof-folded "$tmp/mem8.folded" > "$tmp/prof.csv"
+cmp "$tmp/plain.csv" "$tmp/prof.csv" \
+  || { echo "check_prof: --csv differs under --prof" >&2; exit 1; }
+cmp "$tmp/plain.jsonl" "$tmp/prof.jsonl" \
+  || { echo "check_prof: trace differs under --prof" >&2; exit 1; }
+if [ "$have_py" -eq 1 ]; then
+  python3 - "$tmp/plain.json" "$tmp/prof.json" <<'EOF'
 import json, sys
 plain = json.load(open(sys.argv[1]))
 prof = json.load(open(sys.argv[2]))
@@ -64,24 +61,19 @@ assert "prof" not in plain, "plain run exported prof.* metrics"
 assert prof.pop("prof", None) is not None, "profiled run missing prof.*"
 assert plain == prof, "stats differ beyond the prof.* subtree"
 EOF
-  fi
-  echo "   $mix identical"
-done
+fi
 
 echo "== folded output well-formed"
-for mix in $mixes; do
-  [ -s "$tmp/$mix.folded" ] \
-    || { echo "check_prof: $mix folded output empty" >&2; exit 1; }
-  bad="$(grep -cvE '^[A-Za-z0-9_;]+ [0-9]+$' "$tmp/$mix.folded" || true)"
-  if [ "$bad" -ne 0 ]; then
-    echo "check_prof: $mix folded output has $bad malformed lines" >&2
-    cat "$tmp/$mix.folded" >&2
-    exit 1
-  fi
-done
+[ -s "$tmp/mem8.folded" ] \
+  || { echo "check_prof: folded output empty" >&2; exit 1; }
+bad="$(grep -cvE '^[A-Za-z0-9_;]+ [0-9]+$' "$tmp/mem8.folded" || true)"
+if [ "$bad" -ne 0 ]; then
+  echo "check_prof: folded output has $bad malformed lines" >&2
+  cat "$tmp/mem8.folded" >&2
+  exit 1
+fi
 grep -qE '^run;measured;cycle;skip [0-9]+$' "$tmp/mem8.folded" \
-  || { echo "check_prof: mem8 folded output has no cycle;skip node" >&2; exit 1; }
-echo "   13 folded files OK"
+  || { echo "check_prof: folded output has no cycle;skip node" >&2; exit 1; }
 
 if [ "$have_py" -eq 1 ]; then
 echo "== telescoping coverage: sum(excl) vs prof.total_ns"

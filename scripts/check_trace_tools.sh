@@ -11,10 +11,11 @@
 #    count; `summary` and `hist` must run and mention their key sections.
 # 4. `smtsim --trace -` piped into `smttrace summary -` works (stdout
 #    streaming), and exit codes hold: 2 for usage errors (every removed
-#    flag, --trace-format included, and a stray positional argument),
-#    3 for unreadable input, a `smttrace chrome` export fed back in, and
+#    flag, --trace-format included, a stray positional argument, and
+#    two stdout documents: --trace - or --stats-json - with --csv), 3
+#    for unreadable input, a `smttrace chrome` export fed back in,
 #    hostile lines (nesting past the schema, null / negative /
-#    fractional / oversized integers).
+#    fractional / oversized integers) and `--oracle --quanta 0`.
 #
 # Usage: scripts/check_trace_tools.sh [smtsim-binary] [smttrace-binary]
 set -euo pipefail
@@ -100,6 +101,11 @@ done
 rc=0; "$smtsim" --mix mem8 --cycles 8192 --trace - --csv >/dev/null 2>&1 \
   || rc=$?
 test "$rc" -eq 2  # stdout trace refuses to interleave with other stdout users
+rc=0; "$smtsim" --mix mem8 --cycles 8192 --stats-json - --csv >/dev/null 2>&1 \
+  || rc=$?
+test "$rc" -eq 2  # a stdout stats document would drop the CSV
+rc=0; "$smtsim" --mix bal1 --oracle --quanta 0 >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 3  # an oracle over zero quanta, like --cycles 0
 # A stray positional (here a mistyped single-dash option and its value)
 # is a usage error, not a silently ignored argument.
 rc=0; "$smtsim" --mix ilp8 --warmup 0 -cycles 1000 >/dev/null 2>&1 || rc=$?

@@ -33,9 +33,9 @@
 // The checker is a pure observer: it reads the pipeline through a const
 // reference, keeps its own baselines, and never mutates simulated
 // state — a checked run is bit-identical to an unchecked one (enforced by
-// tests/test_invariants.cpp and scripts/check_invariants.sh). Violations
-// are recorded here, surfaced as kInvariant trace events by the
-// Simulator, and turned into exit code kExitCheck by smtsim.
+// tests/test_observer_contract.cpp). Violations are recorded here,
+// surfaced as kInvariant trace events by the Simulator, and turned into
+// exit code kExitCheck by smtsim.
 //
 // Adding a pass: see DESIGN.md §11.
 #pragma once

@@ -61,7 +61,7 @@ scheduling (one of):
     --instant                 zero-cost switching (ablation)
   --oracle              per-quantum oracle over {ICOUNT,BRCOUNT,L1MISSCOUNT}
     --all-policies            oracle over all ten policies
-    --quanta N                oracle quanta (default 16)
+    --quanta N                oracle quanta, > 0 (default 16)
     --jobs N                  worker threads for the oracle's candidate
                               trials and for --grid jobs (default:
                               SMT_JOBS or 1; results are bit-identical
@@ -88,7 +88,9 @@ observability (normal runs; ignored under --oracle):
                         --pipeview 64@0,64@131072. Needs --trace.
                         Analyze with smttrace pipeview.
   --stats-json PATH     write end-of-run metrics from every subsystem as
-                        nested JSON to PATH ('-' = stdout)
+                        nested JSON to PATH ('-' = stdout; stdout then
+                        carries only the document, so --csv is rejected
+                        alongside it)
   --cpi                 per-slot commit-loss accounting (CPI stacks):
                         charge every commit slot of every cycle to one
                         cause per thread — committed, ROB-empty (by fetch
@@ -365,6 +367,9 @@ int main(int argc, char** argv) {
       ocfg.quantum_cycles = job.quantum;
       if (args.has("all-policies")) ocfg.candidates = policy::all_policies();
       const std::uint64_t quanta = args.get_u64("quanta", 16);
+      if (quanta == 0) {
+        throw ConfigError("--quanta must be > 0 oracle quanta");
+      }
 
       const auto n_warm = profiler.child(prof::PhaseProfiler::kRoot, "warmup");
       const auto n_orc = profiler.child(prof::PhaseProfiler::kRoot, "oracle");
@@ -427,6 +432,11 @@ int main(int argc, char** argv) {
     // fails in milliseconds, not after the full simulation.
     const bool stats_to_stdout =
         args.has("stats-json") && args.get_or("stats-json", "-") == "-";
+    if (stats_to_stdout && csv) {
+      throw UsageError("--stats-json - claims stdout for the stats "
+                       "document; it cannot be combined with --csv (the "
+                       "CSV would be dropped)");
+    }
     std::ofstream stats_out;
     if (args.has("stats-json") && !stats_to_stdout) {
       const std::string path = args.get_or("stats-json", "-");

@@ -5,7 +5,9 @@
 // accounted cycle, for every thread, is charged to exactly one CpiCause —
 // committed work or a specific loss — never lost, never double-counted.
 // The two sub-breakdowns (ROB-empty by fetch stall cause, FU contention
-// by holder thread) must each sum to their parent bucket.
+// by holder thread) must each sum to their parent bucket. Whole-run
+// conservation on every mix, and the observer contract (accounting never
+// perturbs the run; copies drop it), are tests/test_observer_contract.cpp.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -33,21 +35,6 @@ sim::SimConfig quick_sim(const char* mix_name, bool adts = false) {
 std::uint64_t gap_of(const Pipeline& p, std::uint32_t tid) {
   return obs::conservation_gap(p.cpi_stack(tid), p.config().commit_width,
                                p.cpi_cycles_accounted());
-}
-
-TEST(CpiStack, WholeRunConservationAcrossMixes) {
-  for (const char* mix : {"bal1", "mem8", "ilp8", "ctrl8"}) {
-    for (const bool adts : {false, true}) {
-      sim::Simulator s(quick_sim(mix, adts));
-      s.run(16 * 1024);
-      ASSERT_TRUE(s.pipeline().cpi_accounting());
-      EXPECT_EQ(s.pipeline().cpi_cycles_accounted(), 16u * 1024u);
-      for (std::uint32_t tid = 0; tid < s.pipeline().num_threads(); ++tid) {
-        EXPECT_EQ(gap_of(s.pipeline(), tid), 0u)
-            << mix << (adts ? " (adts)" : " (fixed)") << " tid " << tid;
-      }
-    }
-  }
 }
 
 TEST(CpiStack, PerCycleConservation) {
@@ -152,37 +139,6 @@ TEST(CpiStack, RobEmptyBreaksDownByFetchCause) {
   }
   // Cold instruction caches starve the window early in every run.
   EXPECT_GT(icache, 0u);
-}
-
-TEST(CpiStack, AccountingIsObservationOnly) {
-  sim::SimConfig on = quick_sim("bal1", /*adts=*/true);
-  sim::SimConfig off = on;
-  off.cpi = false;
-  sim::Simulator a(on);
-  sim::Simulator b(off);
-  a.run(8 * 1024);
-  b.run(8 * 1024);
-  EXPECT_EQ(a.committed(), b.committed());
-  EXPECT_EQ(a.pipeline().stats().fetched, b.pipeline().stats().fetched);
-  EXPECT_EQ(a.pipeline().stats().mispredicts,
-            b.pipeline().stats().mispredicts);
-  EXPECT_EQ(a.pipeline().charged_stall_slots(),
-            b.pipeline().charged_stall_slots());
-  // And the off run carries no accounting state at all.
-  EXPECT_FALSE(b.pipeline().cpi_accounting());
-  EXPECT_EQ(b.pipeline().cpi_cycles_accounted(), 0u);
-}
-
-TEST(CpiStack, CopiesDropTheAccounting) {
-  // Same contract as the trace sink / checker / profiler: oracle snapshots
-  // must stay silent, so copies reset the observer state.
-  sim::Simulator s(quick_sim("bal1"));
-  s.run(1024);
-  ASSERT_TRUE(s.pipeline().cpi_accounting());
-  const sim::Simulator copy(s);
-  EXPECT_FALSE(copy.pipeline().cpi_accounting());
-  EXPECT_EQ(copy.pipeline().cpi_cycles_accounted(), 0u);
-  EXPECT_TRUE(s.pipeline().cpi_accounting());
 }
 
 TEST(CpiStack, TraceRowsSumToThePipelineStacks) {

@@ -5,9 +5,7 @@
 // and ADTS mode. This is the one-test bit-identity signal for hot-path
 // work: any change to the simulator that perturbs simulated behaviour —
 // instruction streams, pipeline scheduling, counter bookkeeping, stats
-// export — moves at least one digest and fails here immediately, without
-// waiting for the CI sweep scripts (check_invariants.sh runs the same
-// 13-mix identity but only as an end-to-end gate).
+// export — moves at least one digest and fails here immediately.
 //
 // The digest covers the full exported metrics document minus the
 // build/host provenance keys (the same volatile set run_bench_suite.sh

@@ -177,22 +177,5 @@ TEST(SwitchAuditIntegration, TraceEmitsEveryRecordAfterFlush) {
   EXPECT_EQ(neutral, log.count(obs::SwitchLabel::kNeutral));
 }
 
-TEST(SwitchAuditIntegration, AuditingDoesNotPerturbAdtsDecisions) {
-  // The audit rides on the same classification the detector already did;
-  // a run with the log consulted (metrics export, trace) must decide
-  // exactly like one where it is never read.
-  sim::Simulator a(adts_config("bal1"));
-  sim::Simulator b(adts_config("bal1"));
-  obs::TraceSink sink;
-  b.attach_trace(&sink);
-  a.run(16 * 1024);
-  b.run(16 * 1024);
-  b.flush_trace();
-  EXPECT_EQ(a.committed(), b.committed());
-  EXPECT_EQ(a.detector().stats().switches, b.detector().stats().switches);
-  EXPECT_EQ(a.detector().stats().benign_switches,
-            b.detector().stats().benign_switches);
-}
-
 }  // namespace
 }  // namespace smt

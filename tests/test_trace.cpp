@@ -1,18 +1,18 @@
 // Unit and integration tests: the observability layer (src/obs/) and its
 // simulator instrumentation — TraceSink ring semantics, backend
-// serialization, trace determinism, the zero-perturbation contract, and
-// the MetricsRegistry --stats-json round trip.
+// serialization, trace determinism and the MetricsRegistry --stats-json
+// round trip. The observer contract (attaching a sink never perturbs the
+// run; copies drop it) is tests/test_observer_contract.cpp.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "workload/mix.hpp"
 
 namespace smt::obs {
@@ -55,80 +55,7 @@ TEST(TraceSink, ClearResetsRingAndDropCounter) {
   EXPECT_EQ(sink.snapshot().at(0).cycle, 42u);
 }
 
-// ---------------------------------------------------------------------------
-// A minimal JSON reader, just rich enough to round-trip what the writers
-// emit (objects, strings, numbers, bools, null). Flattens nested objects
-// back into the dotted names the registry was populated with.
-// ---------------------------------------------------------------------------
-struct MiniJson {
-  const std::string& s;
-  std::size_t i = 0;
-
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  char peek() {
-    skip_ws();
-    EXPECT_LT(i, s.size()) << "unexpected end of JSON";
-    return s[i];
-  }
-  void expect(char c) {
-    ASSERT_EQ(peek(), c) << "at offset " << i;
-    ++i;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') ++i;
-      out += s[i++];
-    }
-    expect('"');
-    return out;
-  }
-  std::string parse_scalar() {  // number / bool / null, as raw text
-    skip_ws();
-    std::string out;
-    while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != '\n' &&
-           !std::isspace(static_cast<unsigned char>(s[i]))) {
-      out += s[i++];
-    }
-    return out;
-  }
-  void parse_object(const std::string& prefix,
-                    std::map<std::string, std::string>& out) {
-    expect('{');
-    if (peek() == '}') {
-      ++i;
-      return;
-    }
-    while (true) {
-      const std::string key = parse_string();
-      expect(':');
-      const std::string full = prefix.empty() ? key : prefix + "." + key;
-      if (peek() == '{') {
-        parse_object(full, out);
-      } else if (peek() == '"') {
-        out[full] = parse_string();
-      } else {
-        out[full] = parse_scalar();
-      }
-      if (peek() == ',') {
-        ++i;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-};
-
-std::map<std::string, std::string> flatten_json(const std::string& text) {
-  std::map<std::string, std::string> out;
-  MiniJson p{text};
-  p.parse_object("", out);
-  return out;
-}
+using test::flatten_json;
 
 TEST(MetricsRegistry, WritesNestedJsonFromDottedNames) {
   MetricsRegistry reg;
@@ -197,21 +124,6 @@ TEST(SimulatorTrace, SameSeedAndConfigGiveByteIdenticalJsonl) {
   EXPECT_EQ(ja.str(), jb.str());
 }
 
-TEST(SimulatorTrace, AttachingASinkDoesNotPerturbTheRun) {
-  const sim::SimConfig cfg = traced_config("mem8", /*adts=*/true);
-  sim::Simulator traced(cfg);
-  sim::Simulator silent(cfg);
-  TraceSink sink;
-  traced.attach_trace(&sink);
-  traced.run(8 * 1024);
-  silent.run(8 * 1024);
-  EXPECT_EQ(traced.committed(), silent.committed());
-  EXPECT_EQ(traced.pipeline().stats().fetched, silent.pipeline().stats().fetched);
-  EXPECT_EQ(traced.pipeline().stats().squashed, silent.pipeline().stats().squashed);
-  EXPECT_EQ(traced.detector().stats().switches, silent.detector().stats().switches);
-  EXPECT_GT(sink.size(), 0u);
-}
-
 TEST(SimulatorTrace, QuantumSnapshotsCoverMachineAndEveryThread) {
   const sim::SimConfig cfg = traced_config("ilp8", /*adts=*/false);
   sim::Simulator s(cfg);
@@ -233,24 +145,6 @@ TEST(SimulatorTrace, QuantumSnapshotsCoverMachineAndEveryThread) {
   }
   EXPECT_EQ(machine_rows, 4u);
   EXPECT_EQ(thread_rows, 4u * 8u);
-}
-
-TEST(SimulatorTrace, CopiedSimulatorDropsTheSink) {
-  const sim::SimConfig cfg = traced_config("bal1", /*adts=*/true);
-  sim::Simulator original(cfg);
-  TraceSink sink;
-  original.attach_trace(&sink);
-  original.run(2 * 1024);
-  const std::size_t recorded = sink.size();
-  ASSERT_GT(recorded, 0u);
-
-  // The oracle copies simulators and re-runs quanta; a copy sharing the
-  // sink would double-record them.
-  sim::Simulator copy(original);
-  EXPECT_EQ(copy.trace_sink(), nullptr);
-  copy.run(2 * 1024);
-  EXPECT_EQ(sink.size(), recorded);
-  EXPECT_NE(original.trace_sink(), nullptr);
 }
 
 TEST(SimulatorTrace, ChromeBackendEmitsAWellFormedDocument) {
