@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     const auto& c = sim.pipeline().counters(t);
     per_thread.add_row({std::to_string(t),
                         sim.pipeline().program(t).app().name,
-                        std::to_string(c.committed_total),
-                        smt::Table::num(c.acc_ipc()),
+                        std::to_string(c.since_load().committed),
+                        smt::Table::num(c.acc_ipc(sim.now())),
                         std::to_string(c.l1d_outstanding),
                         std::to_string(c.icount)});
   }

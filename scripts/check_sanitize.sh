@@ -23,6 +23,9 @@ if [ ${#sanitizers[@]} -eq 0 ]; then
   sanitizers=(address undefined)
 fi
 
+# The TSan suites, as ctest names them ("Suite.Case").
+tsan_suites="ThreadPool|ParallelOracle|ParallelSim|ParallelSweep|MixSweep|StreamChain|BatchSpec|JobDigest|GridRunner"
+
 for san in "${sanitizers[@]}"; do
   filter=""
   case "$san" in
@@ -30,7 +33,7 @@ for san in "${sanitizers[@]}"; do
     undefined)         dir="$repo/build-ubsan" ;;
     address,undefined|undefined,address) dir="$repo/build-asan-ubsan" ;;
     thread)            dir="$repo/build-tsan"
-                       filter="^(ThreadPool|ParallelOracle|ParallelSim|ParallelSweep|MixSweep|StreamChain|BatchSpec|JobDigest|GridRunner)\." ;;
+                       filter="^($tsan_suites)\." ;;
     *) echo "unknown sanitizer: $san (use address | undefined |" \
             "address,undefined | thread)" >&2; exit 2 ;;
   esac
@@ -39,6 +42,18 @@ for san in "${sanitizers[@]}"; do
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   echo "== $san: building"
   cmake --build "$dir" -j "$(nproc)"
+  if [ -n "$filter" ]; then
+    # Every suite must still name a test: a renamed one would otherwise
+    # drop out of TSan coverage without failing anything.
+    IFS='|' read -ra suites <<< "$tsan_suites"
+    for suite in "${suites[@]}"; do
+      n="$(cd "$dir" && ctest -N -R "^$suite\." | sed -n 's/^Total Tests: //p')"
+      if [ "${n:-0}" -eq 0 ]; then
+        echo "check_sanitize: TSan suite '$suite' matches no test" >&2
+        exit 1
+      fi
+    done
+  fi
   echo "== $san: running ctest"
   if [ -n "$filter" ]; then
     (cd "$dir" && ctest --output-on-failure -j "$(nproc)" -R "$filter")

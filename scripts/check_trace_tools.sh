@@ -106,6 +106,19 @@ rc=0; "$smtsim" --mix mem8 --cycles 8192 --stats-json - --csv >/dev/null 2>&1 \
 test "$rc" -eq 2  # a stdout stats document would drop the CSV
 rc=0; "$smtsim" --mix bal1 --oracle --quanta 0 >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 3  # an oracle over zero quanta, like --cycles 0
+# The oracle's trials run on copies that drop every observer, so an
+# observability output under --oracle is refused, not silently unwritten.
+for flag in "--trace $tmp/oracle.jsonl" "--stats-json $tmp/oracle.json" \
+    --cpi "--pipeview 8@0"; do
+  rc=0
+  # shellcheck disable=SC2086  # split "--flag value" into two arguments
+  "$smtsim" --mix bal1 --oracle --quanta 1 $flag >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ] || [ -e "$tmp/oracle.jsonl" ] || [ -e "$tmp/oracle.json" ]; then
+    echo "check_trace_tools: smtsim --oracle $flag exited $rc, want 2" \
+      "and no output file" >&2
+    exit 1
+  fi
+done
 # A stray positional (here a mistyped single-dash option and its value)
 # is a usage error, not a silently ignored argument.
 rc=0; "$smtsim" --mix ilp8 --warmup 0 -cycles 1000 >/dev/null 2>&1 || rc=$?

@@ -27,7 +27,7 @@ std::string_view name(InvariantClass c) noexcept {
     case InvariantClass::kResourceConservation: return "resource_conservation";
     case InvariantClass::kSlotConservation: return "slot_conservation";
     case InvariantClass::kCommitOrder: return "commit_order";
-    case InvariantClass::kCounterEpoch: return "counter_epoch";
+    case InvariantClass::kCounterMonotone: return "counter_monotone";
     case InvariantClass::kPolicySwitch: return "policy_switch";
   }
   return "unknown";
@@ -55,16 +55,7 @@ void InvariantChecker::arm(const pipeline::Pipeline& pipe) {
   prev_policy_ = pipe.policy();
   threads_.assign(pipe.num_threads(), ThreadBase{});
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
-    ThreadBase& b = threads_[tid];
-    b.committed_total = pipe.counters(tid).committed_total;
-    b.head_seq = pipe.head_seq(tid);
-    b.committed_quantum = pipe.counters(tid).committed_quantum;
-    b.quantum_epoch = pipe.quantum_epoch(tid);
-    b.life_epoch = pipe.life_epoch(tid);
-    // Cycle 0 is a safe (over-permissive) restart baseline: the
-    // plausibility ceilings are hard maxima, so overestimating the span
-    // an accumulator covers can only make them looser.
-    b.epoch_base_cycle = 0;
+    threads_[tid] = {pipe.counters(tid).total, pipe.head_seq(tid)};
   }
 }
 
@@ -114,67 +105,49 @@ std::size_t InvariantChecker::on_cycle(const pipeline::Pipeline& pipe,
   const std::uint32_t n = pipe.num_threads();
   for (std::uint32_t tid = 0; tid < n; ++tid) {
     ThreadBase& b = threads_[tid];
-    const pipeline::ThreadCounters& c = pipe.counters(tid);
-    const std::uint64_t life = pipe.life_epoch(tid);
-    const std::uint64_t qep = pipe.quantum_epoch(tid);
+    const pipeline::EventCounts& e = pipe.counters(tid).total;
     const std::int32_t stid = static_cast<std::int32_t>(tid);
 
-    // Counter epochs: monotone generations.
-    if (life < b.life_epoch) {
-      report(InvariantClass::kCounterEpoch, now, stid, life,
-             "life epoch went backwards");
-    }
-    if (qep < b.quantum_epoch) {
-      report(InvariantClass::kCounterEpoch, now, stid, qep,
-             "quantum epoch went backwards");
-    }
-    const bool life_reset = life != b.life_epoch;
-    const bool quantum_reset = qep != b.quantum_epoch;
-    if (quantum_reset) {
-      // The reset happened somewhere in [prev_cycle_, now] (at
-      // prev_cycle_ itself when a swap or re-arm came between two run()
-      // calls); baselining at prev_cycle_ keeps the span an upper bound
-      // also when one call covers a multi-cycle leap.
-      b.epoch_base_cycle = prev_cycle_;
-    } else if (c.committed_quantum < b.committed_quantum) {
-      report(InvariantClass::kCounterEpoch, now, stid, c.committed_quantum,
-             "quantum accumulator shrank without an epoch bump");
-    }
-
-    // Physical ceilings over the span the accumulators cover.
-    const std::uint64_t elapsed = now - b.epoch_base_cycle;
-    if (elapsed > 0 &&
-        !pipeline::counters_plausible(c, elapsed, mc.commit_width,
-                                      mc.rob_per_thread)) {
-      report(InvariantClass::kCounterEpoch, now, stid, c.committed_quantum,
-             "counter sample violates a hard physical ceiling");
-    }
+    // Free-running event totals: monotone, and each grows by at most its
+    // hard per-cycle ceiling over the cycles since the last call. Branch
+    // resolutions and D-cache lookups happen once per issued instruction
+    // (every branch of one issue cycle completes in one later cycle);
+    // I-cache misses, LSQ-full events and stalls at most once a cycle.
+    const auto bounded = [&](std::uint64_t cur, std::uint64_t prev,
+                             std::uint64_t per_cycle) {
+      if (cur < prev) {
+        report(InvariantClass::kCounterMonotone, now, stid, cur,
+               "event total went backwards");
+      } else if (cur - prev > per_cycle * dc) {
+        report(InvariantClass::kCounterMonotone, now, stid, cur - prev,
+               "event total grew past its per-cycle ceiling");
+      }
+    };
+    bounded(e.committed, b.events.committed, mc.commit_width);
+    bounded(e.fetched, b.events.fetched, mc.fetch_width);
+    bounded(e.cond_branches, b.events.cond_branches, mc.issue_width);
+    bounded(e.mispredicts, b.events.mispredicts, mc.issue_width);
+    bounded(e.l1d_misses, b.events.l1d_misses, mc.issue_width);
+    bounded(e.l1i_misses, b.events.l1i_misses, 1);
+    bounded(e.lsq_full_events, b.events.lsq_full_events, 1);
+    bounded(e.stalls, b.events.stalls, 1);
 
     // In-order commit: the window head advances by exactly the thread's
-    // retirement delta. A context switch (life reset) restarts the
-    // committed counter, so that span is unattributable — skip once.
-    if (life_reset) {
-      sum_valid = false;
-    } else if (c.committed_total < b.committed_total) {
-      report(InvariantClass::kCommitOrder, now, stid, c.committed_total,
-             "thread retirement counter went backwards");
+    // retirement delta. Both run on across a context switch, so the law
+    // holds over every span.
+    const std::uint64_t head = pipe.head_seq(tid);
+    if (e.committed < b.events.committed) {
       sum_valid = false;
     } else {
-      const std::uint64_t td = c.committed_total - b.committed_total;
+      const std::uint64_t td = e.committed - b.events.committed;
       thread_commit_sum += td;
-      const std::uint64_t head = pipe.head_seq(tid);
       if (head - b.head_seq != td) {
         report(InvariantClass::kCommitOrder, now, stid, head,
                "window head seq did not advance with retirement");
         sum_valid = false;
       }
     }
-
-    b.committed_total = c.committed_total;
-    b.head_seq = pipe.head_seq(tid);
-    b.committed_quantum = c.committed_quantum;
-    b.quantum_epoch = qep;
-    b.life_epoch = life;
+    b = {e, head};
   }
   if (sum_valid && thread_commit_sum != commit_d) {
     report(InvariantClass::kCommitOrder, now, -1, thread_commit_sum,

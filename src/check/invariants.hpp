@@ -23,9 +23,10 @@
 //     global retirement counter equals the sum of per-thread retirements,
 //     and each thread's window-head seq advances by exactly its committed
 //     delta (in-order commit: a thread cannot retire around its head).
-//   * counter epochs — quantum/life epochs never go backwards, quantum
-//     accumulators never shrink within an epoch, and every sample passes
-//     the hard physical ceilings of pipeline::counters_plausible.
+//   * counter monotonicity — every free-running event total of every
+//     thread (pipeline::EventCounts) never shrinks, and grows by at most
+//     its hard per-cycle ceiling (commit, fetch or issue width, or one
+//     event per cycle) times the cycles since the previous call.
 //   * policy switches — the fetch policy never changes while ADTS cannot
 //     act (disabled or suspended); with ADTS on, switches may land on any
 //     cycle because Policy_Switch applies when the DT's work drains.
@@ -46,6 +47,7 @@
 #include <string_view>
 #include <vector>
 
+#include "pipeline/counters.hpp"
 #include "pipeline/pipeline.hpp"
 #include "policy/fetch_policy.hpp"
 
@@ -64,7 +66,7 @@ enum class InvariantClass : std::uint8_t {
   kResourceConservation,
   kSlotConservation,
   kCommitOrder,
-  kCounterEpoch,
+  kCounterMonotone,
   kPolicySwitch,
 };
 inline constexpr std::size_t kNumInvariantClasses = 5;
@@ -120,13 +122,8 @@ class InvariantChecker {
 
   /// Per-thread delta baselines from the previous on_cycle.
   struct ThreadBase {
-    std::uint64_t committed_total = 0;
+    pipeline::EventCounts events;
     std::uint64_t head_seq = 0;
-    std::uint64_t committed_quantum = 0;
-    std::uint64_t quantum_epoch = 0;
-    std::uint64_t life_epoch = 0;
-    /// Cycle the quantum accumulators last restarted (bounds them).
-    std::uint64_t epoch_base_cycle = 0;
   };
 
   bool armed_ = false;

@@ -65,7 +65,7 @@ std::uint64_t DetectorThread::next_event(
     const std::uint64_t work = pipe.dt_work_remaining();
     const std::uint64_t width = pipe.config().fetch_width;
     if (work == 0) return now + 1;
-    if (width > 0) at = std::min(at, now + (work + width - 1) / width);
+    at = std::min(at, now + (work + width - 1) / width);
   }
   return at;
 }
@@ -113,8 +113,9 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
   // Monitoring cost: the per-quantum counter scan.
   if (!cfg_.instant_switch) pipe.add_dt_work(cfg_.dt_check_instrs);
 
-  // Machine-wide condition rates, pooled across threads. The
-  // accumulators cover the `elapsed` cycles since the DT last reset them.
+  // Machine-wide condition rates, pooled across threads. Each thread's
+  // quantum window covers the `elapsed` cycles since the DT last marked
+  // it (or since its program was swapped in, if that came later).
   pipeline::QuantumRates machine{};
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
     const pipeline::QuantumRates r =
@@ -210,7 +211,7 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
     }
   }
 
-  pipe.reset_quantum_counters();
+  pipe.mark_quantum();
 }
 
 void DetectorThread::identify_clogging_threads(pipeline::Pipeline& pipe) {

@@ -7,39 +7,14 @@ QuantumRates rates_for_quantum(const ThreadCounters& c,
   QuantumRates r;
   if (quantum_cycles == 0) return r;
   const auto q = static_cast<double>(quantum_cycles);
-  r.ipc = static_cast<double>(c.committed_quantum) / q;
-  r.cond_branches_per_cycle =
-      static_cast<double>(c.cond_branches_quantum) / q;
-  r.mispredicts_per_cycle = static_cast<double>(c.mispredicts_quantum) / q;
+  const EventCounts e = c.since_quantum();
+  r.ipc = static_cast<double>(e.committed) / q;
+  r.cond_branches_per_cycle = static_cast<double>(e.cond_branches) / q;
+  r.mispredicts_per_cycle = static_cast<double>(e.mispredicts) / q;
   r.l1_misses_per_cycle =
-      static_cast<double>(c.l1d_misses_quantum + c.l1i_misses_quantum) / q;
-  r.lsq_full_per_cycle = static_cast<double>(c.lsq_full_events_quantum) / q;
+      static_cast<double>(e.l1d_misses + e.l1i_misses) / q;
+  r.lsq_full_per_cycle = static_cast<double>(e.lsq_full_events) / q;
   return r;
-}
-
-bool counters_plausible(const ThreadCounters& c, std::uint64_t quantum_cycles,
-                        std::uint32_t commit_width,
-                        std::uint32_t rob_per_thread) noexcept {
-  const auto rob = static_cast<std::int32_t>(rob_per_thread);
-  if (c.icount < 0 || c.icount > rob) return false;
-  if (c.brcount < 0 || c.brcount > rob) return false;
-  if (c.ldcount < 0 || c.ldcount > rob) return false;
-  if (c.memcount < 0 || c.memcount > rob) return false;
-  if (c.l1d_outstanding < 0 || c.l1d_outstanding > rob) return false;
-  if (c.l1i_outstanding < 0 || c.l1i_outstanding > rob) return false;
-  // Commit bandwidth bounds what one thread can retire in a quantum, and
-  // every per-quantum event count is at most one per cycle per in-flight
-  // instruction — a quantum × ROB ceiling is generous but unbreakable.
-  if (c.committed_quantum > quantum_cycles * commit_width) return false;
-  const std::uint64_t event_ceiling =
-      quantum_cycles * static_cast<std::uint64_t>(commit_width);
-  if (c.cond_branches_quantum > event_ceiling) return false;
-  if (c.mispredicts_quantum > event_ceiling) return false;
-  if (c.l1d_misses_quantum > event_ceiling) return false;
-  if (c.l1i_misses_quantum > event_ceiling) return false;
-  if (c.lsq_full_events_quantum > event_ceiling) return false;
-  if (c.stalls_quantum > quantum_cycles) return false;
-  return true;
 }
 
 }  // namespace smt::pipeline

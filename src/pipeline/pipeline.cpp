@@ -73,6 +73,13 @@ Pipeline::Pipeline(const PipelineConfig& cfg,
   if (cfg.memory.mem_latency + cfg.lat_int_div + 2 >= kCompletionRing) {
     throw std::invalid_argument("Pipeline: latency exceeds completion ring");
   }
+  if (cfg.int_alus == 0 || cfg.mem_ports == 0 || cfg.fp_units == 0 ||
+      cfg.fetch_width == 0 || cfg.fetch_threads == 0 ||
+      cfg.dispatch_width == 0 || cfg.issue_width == 0 ||
+      cfg.commit_width == 0) {
+    // Some instruction could never issue, or the machine never moves.
+    throw std::invalid_argument("Pipeline: a unit count or width is 0");
+  }
   if (cfg.int_iq_size > 64 || cfg.fp_iq_size > 64) {
     // Per-cycle ready/mem/issued sets are single 64-bit masks.
     throw std::invalid_argument("Pipeline: IQ size exceeds 64");
@@ -110,7 +117,7 @@ Pipeline::Pipeline(const PipelineConfig& cfg,
   squash_replay_.reserve(cfg.rob_per_thread);
   squash_backlog_.reserve(cfg.rob_per_thread + cfg.fetch_width);
   squash_keep_.reserve(dispatch_fifo_.capacity());
-  completion_lane_ = std::max<std::uint32_t>(cfg.issue_width, 1);
+  completion_lane_ = cfg.issue_width;
   completion_.resize(std::size_t{kCompletionRing} * completion_lane_);
   completion_n_.assign(kCompletionRing, 0);
 }
@@ -140,7 +147,6 @@ void Pipeline::step() {
 
   if (cpi_.enabled) account_cpi(1);
 
-  for (Thread& t : threads_) ++t.counters.cycles_seen;
   ++stats_.cycles;
   ++cycle_;
 }
@@ -224,8 +230,7 @@ void Pipeline::do_commit() {
       const bool is_syscall = t.si[slot].cls == isa::InstrClass::kSyscall;
       if (t.pview[slot] >= 0) pview_close(t, slot, obs::PipeTerminal::kCommit);
       release_instr_resources(tid, slot, /*completed_ok=*/true);
-      ++t.counters.committed_total;
-      ++t.counters.committed_quantum;
+      ++t.counters.total.committed;
       ++stats_.committed;
       --budget;
       t.state[slot] = static_cast<std::uint8_t>(InstrState::kEmpty);
@@ -289,12 +294,12 @@ void Pipeline::do_complete() {
       if (!(t.flags[slot] & kFlagWrongPath)) {
         const bool mispredicted = (t.flags[slot] & kFlagMispredicted) != 0;
         ++stats_.branches_resolved;
-        ++c.cond_branches_quantum;
+        ++c.total.cond_branches;
         bp_.update(ref.tid, t.si[slot].pc, t.si[slot].taken,
                    t.si[slot].branch_target, mispredicted);
         if (mispredicted) {
           ++stats_.mispredicts;
-          ++c.mispredicts_quantum;
+          ++c.total.mispredicts;
           squash_from(ref.tid, t.seq[slot] + 1, /*replay_correct_path=*/false,
                       obs::PipeTerminal::kSquashMispredict);
           t.wrong_path_mode = false;
@@ -325,9 +330,7 @@ std::uint32_t Pipeline::load_latency(std::uint32_t tid, Thread& t,
     }
   }
   const mem::AccessResult r = mem_.lookup_data(tid, addr, /*write=*/false);
-  if (r.l1_miss) {
-    ++t.counters.l1d_misses_quantum;
-  }
+  if (r.l1_miss) ++t.counters.total.l1d_misses;
   return r.latency;
 }
 
@@ -396,7 +399,7 @@ void Pipeline::do_issue() {
       // for state/statistics, but the latency is off the critical path.
       const mem::AccessResult res =
           mem_.lookup_data(r.tid, t.si[slot].mem_addr, /*write=*/true);
-      if (res.l1_miss) ++t.counters.l1d_misses_quantum;
+      if (res.l1_miss) ++t.counters.total.l1d_misses;
       latency = cfg_.lat_int_alu;
     }
 
@@ -485,7 +488,7 @@ void Pipeline::do_dispatch() {
     const DispatchHazard hazard = dispatch_hazard(cls);
     if (hazard != DispatchHazard::kNone) {
       if (hazard == DispatchHazard::kLsqFull) {
-        ++t.counters.lsq_full_events_quantum;
+        ++t.counters.total.lsq_full_events;
       }
       break;
     }
@@ -622,7 +625,7 @@ void Pipeline::do_fetch() {
     } else {
       const mem::AccessResult ir = mem_.lookup_instr(cand.tid, pc);
       if (ir.l1_miss) {
-        ++c.l1i_misses_quantum;
+        ++c.total.l1i_misses;
         t.fetch_stall_until = cycle_ + ir.latency;
         t.icache_stalled = true;
         t.delivered_block = block;
@@ -676,11 +679,8 @@ void Pipeline::do_fetch() {
         ++c.memcount;
       }
       ++stats_.fetched;
-      ++c.fetched_total;
-      if (wrong) {
-        ++stats_.fetched_wrong_path;
-        ++c.wrong_path_fetched_quantum;
-      }
+      ++c.total.fetched;
+      if (wrong) ++stats_.fetched_wrong_path;
       ++got;
       --slots;
 
@@ -722,7 +722,7 @@ void Pipeline::do_fetch() {
   // machine this cycle incurs a fetch stall (whatever the reason).
   for (std::uint32_t tid = 0; tid < n; ++tid) {
     if (fetched_per_thread[tid] == 0) {
-      ++threads_[tid].counters.stalls_quantum;
+      ++threads_[tid].counters.total.stalls;
     }
   }
 
@@ -794,19 +794,14 @@ std::uint64_t Pipeline::quiet_span(std::uint64_t limit) const {
   // Complete: even a stale entry empties its lane, so any entry is live.
   if (limit == 0 || completion_n_[cycle_ & kLaneMask] != 0) return 0;
   // Issue: do_issue's first pick, with every budget still full.
-  if (cfg_.issue_width > 0) {
-    std::uint64_t int_cand = cfg_.int_alus > 0 ? int_iq_.ready : 0;
-    if (cfg_.mem_ports == 0) int_cand &= ~int_iq_.mem;
-    const std::uint64_t fp_cand = cfg_.fp_units > 0 ? fp_iq_.ready : 0;
-    if ((int_cand | fp_cand) != 0) return 0;
-  }
+  if ((int_iq_.ready | fp_iq_.ready) != 0) return 0;
 
   std::uint64_t end = cycle_ + limit;  // first cycle not in the span
   const auto until = [this, &end](std::uint64_t event) {
     if (event > cycle_ && event < end) end = event;
   };
   // Dispatch: the FIFO head waits out the front end, or a hazard holds it.
-  if (cfg_.dispatch_width > 0 && !dispatch_fifo_.empty()) {
+  if (!dispatch_fifo_.empty()) {
     const FifoRef& head = dispatch_fifo_.front();
     const Thread& t = threads_[head.tid];
     if (t.dispatch_ready[head.slot] > cycle_) {
@@ -822,7 +817,7 @@ std::uint64_t Pipeline::quiet_span(std::uint64_t limit) const {
     if (fetch_block_cause(t) == 0) return 0;
     if (t.icache_stalled && t.fetch_stall_until <= cycle_) return 0;
     // Commit: no completed window head.
-    if (cfg_.commit_width > 0 && !win_empty(t) &&
+    if (!win_empty(t) &&
         t.state[slot_of(t.head_seq)] ==
             static_cast<std::uint8_t>(InstrState::kDone)) {
       return 0;
@@ -852,12 +847,12 @@ void Pipeline::leap(std::uint64_t k) {
   const std::uint64_t width = cfg_.fetch_width;
 
   // Dispatch: a head held by the full LSQ counts the event every cycle.
-  if (cfg_.dispatch_width > 0 && !dispatch_fifo_.empty()) {
+  if (!dispatch_fifo_.empty()) {
     const FifoRef& head = dispatch_fifo_.front();
     Thread& t = threads_[head.tid];
     if (t.dispatch_ready[head.slot] <= cycle_ &&
         dispatch_hazard(t.si[head.slot].cls) == DispatchHazard::kLsqFull) {
-      t.counters.lsq_full_events_quantum += k;
+      t.counters.total.lsq_full_events += k;
     }
   }
 
@@ -879,7 +874,7 @@ void Pipeline::leap(std::uint64_t k) {
   };
   const std::uint64_t end = cycle_ + k;
   std::uint64_t c = cycle_;
-  for (; c < end && dt_work_ > 0 && width > 0; ++c) {
+  for (; c < end && dt_work_ > 0; ++c) {
     const std::uint64_t used = std::min(width, dt_work_);
     dt_work_ -= used;
     stats_.dt_slots_used += used;
@@ -894,8 +889,7 @@ void Pipeline::leap(std::uint64_t k) {
     const std::uint8_t cause = fetch_block_cause(t);
     t.stalls.charge(static_cast<obs::StallCause>(cause - 1),
                     each + slots[tid]);
-    t.counters.stalls_quantum += k;
-    t.counters.cycles_seen += k;
+    t.counters.total.stalls += k;
     if (cpi_.enabled) cpi_.fetch_cause[tid] = cause;
   }
   if (cpi_.enabled) account_cpi(k);
@@ -1069,9 +1063,11 @@ workload::ThreadProgram Pipeline::swap_program(std::uint32_t tid,
   t.wrong_path_mode = false;
   t.icache_stalled = false;
   t.delivered_block = ~std::uint64_t{0};
-  t.counters = ThreadCounters{};
-  ++t.life_epoch;     // lifetime accumulators restarted
-  ++t.quantum_epoch;  // quantum accumulators restarted too
+  // The squash emptied the window, so every occupancy counter but the
+  // I-miss flag is already 0. The event totals run on; the incoming
+  // program's windows start at the load mark.
+  t.counters.l1i_outstanding = 0;
+  t.counters.mark_load(cycle_);
   t.fetch_stall_until =
       std::max<std::uint64_t>(t.fetch_stall_until, cycle_ + penalty_cycles);
   if (cpi_.enabled) {
@@ -1205,11 +1201,8 @@ void Pipeline::pview_close(Thread& t, std::uint32_t slot,
   t.pview[slot] = -1;
 }
 
-void Pipeline::reset_quantum_counters() {
-  for (Thread& t : threads_) {
-    t.counters.reset_quantum();
-    ++t.quantum_epoch;
-  }
+void Pipeline::mark_quantum() {
+  for (Thread& t : threads_) t.counters.mark_quantum(cycle_);
 }
 
 std::uint64_t Pipeline::charged_stall_slots() const noexcept {
@@ -1491,12 +1484,14 @@ void export_metrics(const Pipeline& pipe, obs::MetricsRegistry& reg) {
   set_buckets(reg, "machine.stalls.", pipe.machine_stall_breakdown());
 
   for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
+    // Per-job figures: since the current program was loaded.
     const ThreadCounters& c = pipe.counters(tid);
+    const EventCounts e = c.since_load();
     const std::string thread = "threads." + std::to_string(tid) + '.';
-    reg.set(thread + "committed", c.committed_total);
-    reg.set(thread + "cycles_seen", c.cycles_seen);
-    reg.set(thread + "fetched", c.fetched_total);
-    reg.set(thread + "ipc", c.acc_ipc());
+    reg.set(thread + "committed", e.committed);
+    reg.set(thread + "cycles_seen", c.cycles_since_load(pipe.now()));
+    reg.set(thread + "fetched", e.fetched);
+    reg.set(thread + "ipc", c.acc_ipc(pipe.now()));
     const obs::StallBreakdown& sb = pipe.stall_breakdown(tid);
     reg.set(thread + "stall_slots", sb.total());
     set_buckets(reg, thread + "stalls.", sb);

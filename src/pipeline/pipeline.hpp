@@ -145,8 +145,8 @@ class Pipeline {
   /// preserved, so the job scheduler can resume it later). In-flight
   /// instructions of the thread are squashed (discarded, not replayed —
   /// they belong to the outgoing job and will be refetched when it next
-  /// runs), the thread's counters reset, and fetch stalls for
-  /// `penalty_cycles` to model the OS switch cost.
+  /// runs), the thread's load mark is set (its event totals run on), and
+  /// fetch stalls for `penalty_cycles` to model the OS switch cost.
   [[nodiscard]] workload::ThreadProgram swap_program(
       std::uint32_t tid, workload::ThreadProgram incoming,
       std::uint64_t penalty_cycles);
@@ -224,22 +224,9 @@ class Pipeline {
     return cpi_.cycles_accounted;
   }
 
-  // --- counter epochs (observability) ------------------------------------
-  /// Bumped whenever `tid`'s quantum accumulators are reset (quantum
-  /// boundary or context switch). Lets an external observer detect that
-  /// its delta baseline is stale without perturbing the counters itself.
-  [[nodiscard]] std::uint64_t quantum_epoch(std::uint32_t tid) const {
-    return threads_[tid].quantum_epoch;
-  }
-  /// Bumped whenever `tid`'s lifetime accumulators are reset (context
-  /// switch via swap_program).
-  [[nodiscard]] std::uint64_t life_epoch(std::uint32_t tid) const {
-    return threads_[tid].life_epoch;
-  }
-
-  /// Reset every thread's quantum accumulators (detector thread does this
-  /// at each quantum boundary).
-  void reset_quantum_counters();
+  /// Set every thread's quantum mark at now() (the detector thread does
+  /// this at each quantum boundary). The event totals are untouched.
+  void mark_quantum();
 
   // --- pipeview lifecycle sampling (observability) ------------------------
   /// Attach per-instruction lifecycle sampling: inside each window,
@@ -318,8 +305,8 @@ class Pipeline {
 
   /// Seq of the next instruction to commit on `tid` (its window head).
   /// Advances by exactly one per retired instruction and is preserved
-  /// across squashes and context switches, so Δhead_seq == Δcommitted
-  /// between any two cycles with the same life_epoch.
+  /// across squashes and context switches, so Δhead_seq equals the
+  /// thread's Δtotal.committed between any two cycles.
   [[nodiscard]] std::uint64_t head_seq(std::uint32_t tid) const {
     return threads_[tid].head_seq;
   }
@@ -337,11 +324,10 @@ class Pipeline {
   void testing_corrupt_committed(std::uint64_t delta) {
     stats_.committed += delta;
   }
-  void testing_corrupt_quantum_counter(std::uint32_t tid, std::uint64_t v) {
-    threads_[tid].counters.committed_quantum = v;
-  }
-  void testing_rewind_quantum_epoch(std::uint32_t tid) {
-    --threads_[tid].quantum_epoch;
+  void testing_corrupt_thread_committed(std::uint32_t tid,
+                                        std::int64_t delta) {
+    threads_[tid].counters.total.committed +=
+        static_cast<std::uint64_t>(delta);
   }
   void testing_corrupt_head_seq(std::uint32_t tid, std::uint64_t delta) {
     threads_[tid].head_seq += delta;
@@ -423,8 +409,6 @@ class Pipeline {
     /// Lost-fetch-slot attribution (pipeline lifetime; survives context
     /// switches so slot conservation holds over the whole run).
     obs::StallBreakdown stalls;
-    std::uint64_t quantum_epoch = 0;  ///< quantum-counter reset generation
-    std::uint64_t life_epoch = 0;     ///< lifetime-counter reset generation
     /// Per-window-slot waiter chains: head of the list of IQ entry ids
     /// (int queue 0–63, fp queue 64–127, kNoWaiter = none) blocked on
     /// this slot's instruction. do_complete pops the chain when the

@@ -60,9 +60,9 @@ double priority_key(FetchPolicy p, const pipeline::ThreadCounters& c,
       return c.l1d_outstanding;
     case FetchPolicy::kAccIpc:
       // Higher accumulated IPC drains the pipeline faster → fetch first.
-      return -c.acc_ipc();
+      return -c.acc_ipc(cycle);
     case FetchPolicy::kStallCount:
-      return static_cast<double>(c.stalls_quantum);
+      return static_cast<double>(c.since_quantum().stalls);
     case FetchPolicy::kRoundRobin: {
       if (num_threads == 0) return 0.0;
       // Rotating offset: the thread whose turn it is gets key 0.

@@ -27,7 +27,9 @@ enum class FetchPolicy : std::uint8_t {
   kL1IMissCount,  ///< fewest outstanding L1 I-cache misses
   kL1DMissCount,  ///< fewest outstanding L1 D-cache misses
   kAccIpc,        ///< highest accumulated IPC first
-  kStallCount,    ///< fewest stalls incurred (this quantum)
+  kStallCount,    ///< fewest fetch stalls since the later of the quantum
+                  ///< and load marks; with no detector to set quantum
+                  ///< marks (a fixed policy), that is since load
   kRoundRobin,    ///< rotate priority each cycle
 };
 
@@ -42,8 +44,8 @@ inline constexpr int kNumFetchPolicies = 10;
 [[nodiscard]] const std::vector<FetchPolicy>& all_policies();
 
 /// Priority key of thread `tid` under `p`; lower = fetch first.
-/// `cycle` feeds the round-robin rotation. Keys are comparable only
-/// within one cycle and one policy.
+/// `cycle` feeds the round-robin rotation and ACCIPC's cycles since
+/// load. Keys are comparable only within one cycle and one policy.
 [[nodiscard]] double priority_key(FetchPolicy p,
                                   const pipeline::ThreadCounters& c,
                                   std::uint32_t tid, std::uint32_t num_threads,

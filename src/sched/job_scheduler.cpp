@@ -23,9 +23,7 @@ JobScheduler::JobScheduler(const JobSchedConfig& cfg, std::vector<Job> resident,
                            std::vector<Job> waiting)
     : cfg_(cfg),
       resident_(std::move(resident)),
-      waiting_(waiting.begin(), waiting.end()),
-      resident_since_(resident_.size(), 0),
-      committed_at_load_(resident_.size(), 0) {
+      waiting_(waiting.begin(), waiting.end()) {
   if (cfg.job_quantum_cycles == 0) {
     throw std::invalid_argument("JobSchedConfig: job_quantum_cycles == 0");
   }
@@ -58,12 +56,14 @@ std::vector<std::uint32_t> JobScheduler::pick_victims(
     dt->clear_clog_marks();
   }
 
-  // Fill the remainder by residency age (round-robin over contexts).
+  // Fill the remainder by residency age (round-robin over contexts): the
+  // context whose program was loaded first goes first.
   std::vector<std::uint32_t> by_age(resident_.size());
   for (std::uint32_t i = 0; i < by_age.size(); ++i) by_age[i] = i;
   std::stable_sort(by_age.begin(), by_age.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return resident_since_[a] < resident_since_[b];
+                   [&pipe](std::uint32_t a, std::uint32_t b) {
+                     return pipe.counters(a).load_mark.cycle <
+                            pipe.counters(b).load_mark.cycle;
                    });
   for (std::uint32_t tid : by_age) {
     if (victims.size() >= want) break;
@@ -71,7 +71,6 @@ std::vector<std::uint32_t> JobScheduler::pick_victims(
       victims.push_back(tid);
     }
   }
-  (void)pipe;
   return victims;
 }
 
@@ -82,8 +81,7 @@ void JobScheduler::tick(pipeline::Pipeline& pipe, core::DetectorThread* dt) {
   for (std::uint32_t tid : pick_victims(pipe, dt)) {
     // Account the outgoing job's progress over this stint.
     Job& out_job = resident_[tid];
-    out_job.committed +=
-        pipe.counters(tid).committed_total - committed_at_load_[tid];
+    out_job.committed += pipe.counters(tid).since_load().committed;
 
     Job incoming = std::move(waiting_.front());
     waiting_.pop_front();
@@ -95,8 +93,6 @@ void JobScheduler::tick(pipeline::Pipeline& pipe, core::DetectorThread* dt) {
 
     waiting_.push_back(std::move(out_job));
     resident_[tid] = std::move(incoming);
-    resident_since_[tid] = pipe.now();
-    committed_at_load_[tid] = pipe.counters(tid).committed_total;  // == 0
     ++stats_.swaps;
   }
 }

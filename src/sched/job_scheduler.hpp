@@ -94,8 +94,6 @@ class JobScheduler {
   JobSchedConfig cfg_;
   std::vector<Job> resident_;       ///< index = hardware context
   std::deque<Job> waiting_;         ///< FIFO of swapped-out jobs
-  std::vector<std::uint64_t> resident_since_;  ///< cycle each context loaded
-  std::vector<std::uint64_t> committed_at_load_;
   JobSchedStats stats_;
 };
 

@@ -207,14 +207,7 @@ void Simulator::attach_trace(obs::TraceSink* sink) {
   trace_.baselines.assign(pipe_.num_threads(), ThreadBaseline{});
   for (std::uint32_t tid = 0; tid < pipe_.num_threads(); ++tid) {
     ThreadBaseline& b = trace_.baselines[tid];
-    const pipeline::ThreadCounters& c = pipe_.counters(tid);
-    b.quantum_epoch = pipe_.quantum_epoch(tid);
-    b.life_epoch = pipe_.life_epoch(tid);
-    b.committed_quantum = c.committed_quantum;
-    b.mispredicts_quantum = c.mispredicts_quantum;
-    b.l1d_misses_quantum = c.l1d_misses_quantum;
-    b.l1i_misses_quantum = c.l1i_misses_quantum;
-    b.fetched_total = c.fetched_total;
+    b.events = pipe_.counters(tid).total;
     b.stalls = pipe_.stall_breakdown(tid);
     if (pipe_.cpi_accounting()) {
       b.cpi = pipe_.cpi_stack(tid);
@@ -226,7 +219,7 @@ void Simulator::attach_trace(obs::TraceSink* sink) {
 void Simulator::set_adts_active(bool active) {
   if (active && !use_adts_) {
     detector_.arm(pipe_);
-    pipe_.reset_quantum_counters();
+    pipe_.mark_quantum();
   }
   use_adts_ = active;
 }
@@ -279,12 +272,9 @@ void Simulator::leap(std::uint64_t k) {
 
 void Simulator::after_cycles(prof::PhaseProfiler* pp) {
   using Scope = prof::PhaseProfiler::Scope;
-  // Snapshot the quantum that just ended *before* the detector tick: the
-  // detector resets the quantum accumulators at the boundary. Reading
-  // first keeps the snapshot about the finished quantum.
-  const bool boundary =
-      trace_.sink != nullptr && pipe_.now() % cfg_.adts.quantum_cycles == 0;
-  if (boundary) {
+  // The quantum row goes out before the detector tick, so the policy it
+  // records is the one the quantum ran under.
+  if (trace_.sink != nullptr && pipe_.now() % cfg_.adts.quantum_cycles == 0) {
     const Scope s(pp, prof_.nodes.trace);
     record_quantum_snapshot();
   }
@@ -391,16 +381,8 @@ void Simulator::record_quantum_snapshot() {
       dspan * static_cast<double>(pipe_.config().fetch_width);
   for (std::uint32_t tid = 0; tid < n; ++tid) {
     ThreadBaseline& b = trace_.baselines[tid];
-    const pipeline::ThreadCounters& c = pipe_.counters(tid);
-    // A bumped epoch means the accumulator restarted from zero since the
-    // last snapshot; the stale baseline would underflow the delta.
-    if (pipe_.quantum_epoch(tid) != b.quantum_epoch) {
-      b.committed_quantum = 0;
-      b.mispredicts_quantum = 0;
-      b.l1d_misses_quantum = 0;
-      b.l1i_misses_quantum = 0;
-    }
-    if (pipe_.life_epoch(tid) != b.life_epoch) b.fetched_total = 0;
+    const pipeline::EventCounts& total = pipe_.counters(tid).total;
+    const pipeline::EventCounts d = total - b.events;
 
     obs::TraceEvent t;
     t.kind = obs::EventKind::kThreadQuantum;
@@ -408,27 +390,18 @@ void Simulator::record_quantum_snapshot() {
     t.quantum = quantum;
     t.tid = static_cast<std::int32_t>(tid);
     t.span = span;
-    t.value = c.committed_quantum - b.committed_quantum;
+    t.value = d.committed;
     t.ipc = static_cast<double>(t.value) / dspan;
-    t.fetch_share =
-        static_cast<double>(c.fetched_total - b.fetched_total) / slot_budget;
-    t.mispredict_rate =
-        static_cast<double>(c.mispredicts_quantum - b.mispredicts_quantum) /
-        dspan;
-    t.l1d_miss_rate =
-        static_cast<double>(c.l1d_misses_quantum - b.l1d_misses_quantum) /
-        dspan;
-    t.l1i_miss_rate =
-        static_cast<double>(c.l1i_misses_quantum - b.l1i_misses_quantum) /
-        dspan;
+    t.fetch_share = static_cast<double>(d.fetched) / slot_budget;
+    t.mispredict_rate = static_cast<double>(d.mispredicts) / dspan;
+    t.l1d_miss_rate = static_cast<double>(d.l1d_misses) / dspan;
+    t.l1i_miss_rate = static_cast<double>(d.l1i_misses) / dspan;
     const obs::StallBreakdown& cur = pipe_.stall_breakdown(tid);
     obs::encode_row(cur - b.stalls, t);
     trace_.sink->record(t);
 
     if (pipe_.cpi_accounting()) {
-      // One CPI-stack row per thread per quantum. The pipeline's stacks
-      // and cycles_accounted are monotone (never reset by boundaries or
-      // swaps), so the delta needs no epoch check; the row's span is the
+      // One CPI-stack row per thread per quantum. The row's span is the
       // accounted-cycle delta so per-row conservation
       // (Σcpi == commit_width × span) holds even if accounting was
       // enabled mid-quantum.
@@ -451,13 +424,7 @@ void Simulator::record_quantum_snapshot() {
       b.cpi_cycles = pipe_.cpi_cycles_accounted();
     }
 
-    b.quantum_epoch = pipe_.quantum_epoch(tid);
-    b.life_epoch = pipe_.life_epoch(tid);
-    b.committed_quantum = c.committed_quantum;
-    b.mispredicts_quantum = c.mispredicts_quantum;
-    b.l1d_misses_quantum = c.l1d_misses_quantum;
-    b.l1i_misses_quantum = c.l1i_misses_quantum;
-    b.fetched_total = c.fetched_total;
+    b.events = total;
     b.stalls = cur;
   }
 }

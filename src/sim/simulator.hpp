@@ -20,6 +20,7 @@
 #include "obs/stall.hpp"
 #include "obs/trace_sink.hpp"
 #include "pipeline/config.hpp"
+#include "pipeline/counters.hpp"
 #include "pipeline/pipeline.hpp"
 #include "policy/fetch_policy.hpp"
 #include "prof/phase_profiler.hpp"
@@ -149,7 +150,7 @@ class Simulator {
                        prof::PhaseProfiler::Node parent, std::uint64_t stride);
 
   /// Suspend / resume the detector thread. Resuming re-baselines the
-  /// detector (DetectorThread::arm) and resets quantum counters so the
+  /// detector (DetectorThread::arm) and sets the quantum marks so the
   /// first observed quantum is clean. The sampling driver uses this to
   /// keep warm-up transients (cold caches ⇒ artificially low IPC ⇒
   /// spurious cold-start policy switches) out of ADTS's view.
@@ -163,24 +164,13 @@ class Simulator {
   [[nodiscard]] double ipc() const noexcept { return pipe_.stats().ipc(); }
 
  private:
-  /// Delta baseline for one thread's per-quantum trace snapshot. The
-  /// pipeline's accumulators are never touched for tracing (resetting
-  /// them would change STALLCOUNT / ACCIPC policy decisions); instead the
-  /// simulator differences against the previous snapshot, using the
-  /// pipeline's counter epochs to detect that an accumulator was reset
-  /// (quantum boundary, context switch) in between.
+  /// Delta baseline for one thread's per-quantum trace snapshot: the
+  /// thread's free-running totals at the previous snapshot. Event totals,
+  /// stall ledgers and CPI stacks are all monotone (never reset by
+  /// quantum boundaries or swaps), so each row is a plain difference.
   struct ThreadBaseline {
-    std::uint64_t quantum_epoch = 0;
-    std::uint64_t life_epoch = 0;
-    std::uint64_t committed_quantum = 0;
-    std::uint64_t mispredicts_quantum = 0;
-    std::uint64_t l1d_misses_quantum = 0;
-    std::uint64_t l1i_misses_quantum = 0;
-    std::uint64_t fetched_total = 0;
+    pipeline::EventCounts events;
     obs::StallBreakdown stalls;
-    /// CPI-stack snapshot at the previous quantum boundary. The pipeline's
-    /// stacks are monotone accumulators (never reset by quantum boundaries
-    /// or swaps), so plain differencing needs no epoch handling.
     obs::CpiStack cpi;
     std::uint64_t cpi_cycles = 0;  ///< cycles_accounted at the snapshot
   };

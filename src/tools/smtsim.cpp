@@ -75,7 +75,7 @@ grids (instead of a single run; only --jobs may accompany them):
                         to its direct --stats-json run; jobs already in
                         DIR are skipped, so a killed grid resumes
 
-observability (normal runs; ignored under --oracle):
+observability (normal runs; a usage error under --oracle):
   --trace PATH          write the JSONL event trace to PATH after the run
                         ('-' = stdout; stdout then carries only the trace,
                         so --stats-json - and --csv are rejected alongside
@@ -326,6 +326,16 @@ int main(int argc, char** argv) {
       }
     }
     const bool csv = args.has("csv");
+    if (args.has("oracle")) {
+      // The oracle's trials run on copies, which drop every observer, so
+      // none of these outputs could be written.
+      for (const char* flag : {"trace", "stats-json", "cpi", "pipeview"}) {
+        if (args.has(flag)) {
+          throw UsageError(std::string("--") + flag +
+                           " cannot be combined with --oracle");
+        }
+      }
+    }
 
     // Invariant checking: explicit --check forces it on; otherwise the
     // SMT_CHECK environment variable decides (CheckMode::kAuto).

@@ -177,14 +177,15 @@ TEST(CpiStack, TraceRowsSumToThePipelineStacks) {
 }
 
 TEST(CpiStack, StacksSurviveQuantumCounterResets) {
-  // Like the stall breakdown, the stacks are pipeline-lifetime monotone:
-  // the detector's boundary resets must not clear them, or per-quantum
-  // trace deltas (plain differencing, no epochs) would break.
+  // Like the stall breakdown and the event totals, the stacks are
+  // pipeline-lifetime monotone: the detector's boundary marks must not
+  // clear them, or per-quantum trace deltas (plain differencing) would
+  // break.
   sim::Simulator s(quick_sim("bal1"));
   s.run(2048);
   const std::uint64_t before = s.pipeline().cpi_stack(0).total();
   ASSERT_GT(before, 0u);
-  s.pipeline().reset_quantum_counters();
+  s.pipeline().mark_quantum();
   EXPECT_EQ(s.pipeline().cpi_stack(0).total(), before);
   EXPECT_EQ(gap_of(s.pipeline(), 0), 0u);
 }

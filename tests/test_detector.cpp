@@ -196,9 +196,12 @@ TEST(Detector, ResetsQuantumCountersEachBoundary) {
   AdtsConfig cfg = quick_cfg();
   DetectorThread dt(cfg);
   run_with_detector(pipe, dt, 1024);  // exactly one boundary
-  // Counters were reset at the boundary; within the next few cycles the
-  // quantum accumulators restart from near zero.
-  EXPECT_LT(pipe.counters(0).committed_quantum, 200u);
+  // The boundary set the quantum mark, so the quantum window restarts
+  // from zero while the totals run on.
+  const pipeline::ThreadCounters& c = pipe.counters(0);
+  EXPECT_EQ(c.quantum_mark.cycle, 1024u);
+  EXPECT_EQ(c.since_quantum().committed, 0u);
+  EXPECT_GT(c.total.committed, 0u);
 }
 
 TEST(Detector, Type4RecordsHistory) {

@@ -62,21 +62,25 @@ TEST(FetchPolicy, MissCountVariantsReadDifferentCounters) {
 }
 
 TEST(FetchPolicy, AccIpcPrefersFasterThread) {
+  // Both loaded at cycle 100; at cycle 600 each has been resident 500.
   ThreadCounters fast;
-  fast.committed_total = 1000;
-  fast.cycles_seen = 500;  // ACCIPC 2.0
+  fast.mark_load(100);
+  fast.total.committed = 1000;  // ACCIPC 2.0
   ThreadCounters slow;
-  slow.committed_total = 100;
-  slow.cycles_seen = 500;  // ACCIPC 0.2
-  EXPECT_LT(priority_key(FetchPolicy::kAccIpc, fast, 0, 8, 0),
-            priority_key(FetchPolicy::kAccIpc, slow, 1, 8, 0));
+  slow.total.committed = 40;
+  slow.mark_load(100);
+  slow.total.committed += 100;  // ACCIPC 0.2: commits before load don't count
+  EXPECT_DOUBLE_EQ(fast.acc_ipc(600), 2.0);
+  EXPECT_DOUBLE_EQ(slow.acc_ipc(600), 0.2);
+  EXPECT_LT(priority_key(FetchPolicy::kAccIpc, fast, 0, 8, 600),
+            priority_key(FetchPolicy::kAccIpc, slow, 1, 8, 600));
 }
 
 TEST(FetchPolicy, StallCountPrefersFewerStalls) {
   ThreadCounters smooth;
-  smooth.stalls_quantum = 3;
+  smooth.total.stalls = 3;
   ThreadCounters choppy;
-  choppy.stalls_quantum = 300;
+  choppy.total.stalls = 300;
   EXPECT_LT(priority_key(FetchPolicy::kStallCount, smooth, 0, 8, 0),
             priority_key(FetchPolicy::kStallCount, choppy, 1, 8, 0));
 }
@@ -102,9 +106,9 @@ TEST(FetchPolicy, QuantumResetDoesNotAffectOccupancyKeys) {
   ThreadCounters c;
   c.icount = 7;
   c.brcount = 2;
-  c.stalls_quantum = 55;
+  c.total.stalls = 55;
   const double icount_before = priority_key(FetchPolicy::kIcount, c, 0, 8, 0);
-  c.reset_quantum();
+  c.mark_quantum(10);
   EXPECT_DOUBLE_EQ(priority_key(FetchPolicy::kIcount, c, 0, 8, 0),
                    icount_before);
   EXPECT_DOUBLE_EQ(priority_key(FetchPolicy::kStallCount, c, 0, 8, 0), 0.0);
@@ -112,12 +116,14 @@ TEST(FetchPolicy, QuantumResetDoesNotAffectOccupancyKeys) {
 
 TEST(FetchPolicy, RatesForQuantumNormalisesPerCycle) {
   ThreadCounters c;
-  c.committed_quantum = 8192;
-  c.cond_branches_quantum = 1024;
-  c.mispredicts_quantum = 82;
-  c.l1d_misses_quantum = 100;
-  c.l1i_misses_quantum = 28;
-  c.lsq_full_events_quantum = 4096;
+  c.total = {.committed = 100, .mispredicts = 7, .stalls = 9};
+  c.mark_quantum(1000);  // the window opens here
+  c.total.committed += 8192;
+  c.total.cond_branches += 1024;
+  c.total.mispredicts += 82;
+  c.total.l1d_misses += 100;
+  c.total.l1i_misses += 28;
+  c.total.lsq_full_events += 4096;
   const pipeline::QuantumRates r = pipeline::rates_for_quantum(c, 8192);
   EXPECT_DOUBLE_EQ(r.ipc, 1.0);
   EXPECT_DOUBLE_EQ(r.cond_branches_per_cycle, 0.125);
@@ -128,7 +134,7 @@ TEST(FetchPolicy, RatesForQuantumNormalisesPerCycle) {
 
 TEST(FetchPolicy, RatesForZeroQuantumAreZero) {
   ThreadCounters c;
-  c.committed_quantum = 100;
+  c.total.committed = 100;
   const pipeline::QuantumRates r = pipeline::rates_for_quantum(c, 0);
   EXPECT_EQ(r.ipc, 0.0);
 }

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "check/invariants.hpp"
 #include "obs/trace_sink.hpp"
@@ -31,6 +32,15 @@ sim::SimConfig checked_config(const char* mix = "bal1", std::size_t threads = 4,
   sim::SimConfig cfg = sim::make_config(workload::mix(mix), threads, 1);
   cfg.check = mode;
   return cfg;
+}
+
+/// Did `checker` record a violation of class `cls` with message `detail`?
+bool fired(const check::InvariantChecker& checker, InvariantClass cls,
+           std::string_view detail) {
+  for (const check::Violation& v : checker.violations()) {
+    if (v.cls == cls && v.detail == detail) return true;
+  }
+  return false;
 }
 
 // --- pure predicates -------------------------------------------------------
@@ -81,7 +91,8 @@ TEST(InvariantChecker, CleanFixedPolicyRunHasNoViolations) {
 
 TEST(InvariantChecker, CleanSwitchingAdtsRunHasNoViolations) {
   // A short quantum on a memory-bound mix makes ADTS switch often, so
-  // the policy-switch and counter-epoch passes see many live switches.
+  // the policy-switch and counter passes see many live switches and
+  // quantum marks.
   sim::SimConfig cfg = checked_config("mem8", 8);
   cfg.use_adts = true;
   cfg.adts.quantum_cycles = 1024;
@@ -93,8 +104,9 @@ TEST(InvariantChecker, CleanSwitchingAdtsRunHasNoViolations) {
 }
 
 TEST(InvariantChecker, ContextSwitchOnLiveSimulatorIsNotFlagged) {
-  // The job scheduler swaps programs on a live pipeline between steps;
-  // the life-epoch skip must keep that from reading as corruption.
+  // The job scheduler swaps programs on a live pipeline between steps.
+  // The event totals run on across the swap, so every counter and
+  // commit law holds over that span too.
   sim::Simulator s(checked_config());
   s.run(3000);
   workload::ThreadProgram incoming(workload::profile("mcf"), 1, 99);
@@ -170,25 +182,37 @@ TEST(InvariantNegative, CommitOrderFiresOnWindowSeqGap) {
   EXPECT_GE(s.checker().count(InvariantClass::kCommitOrder), 1u);
 }
 
-TEST(InvariantNegative, CounterEpochFiresOnImplausibleSample) {
+TEST(InvariantNegative, CounterMonotoneFiresOnDecrementedTotal) {
   sim::Simulator s(checked_config());
-  s.run(100);
-  s.pipeline().testing_corrupt_quantum_counter(0, std::uint64_t{1} << 40);
+  s.run(2000);
+  ASSERT_GT(s.pipeline().counters(0).total.committed, 0u);
+  s.pipeline().testing_corrupt_thread_committed(0, -1);
   s.step();
-  EXPECT_FALSE(s.checker().ok());
-  EXPECT_GE(s.checker().count(InvariantClass::kCounterEpoch), 1u);
+  EXPECT_TRUE(fired(s.checker(), InvariantClass::kCounterMonotone,
+                    "event total went backwards"));
 }
 
-TEST(InvariantNegative, CounterEpochFiresOnRewoundEpoch) {
-  sim::SimConfig cfg = checked_config();
-  cfg.use_adts = true;
-  cfg.adts.quantum_cycles = 1024;
-  sim::Simulator s(cfg);
-  s.run(2 * 1024 + 10);  // past two boundaries: epochs are > 0 and settled
-  s.pipeline().testing_rewind_quantum_epoch(0);
+TEST(InvariantNegative, CounterMonotoneFiresOnBumpedTotal) {
+  sim::Simulator s(checked_config());
+  s.run(100);
+  s.pipeline().testing_corrupt_thread_committed(0, std::int64_t{1} << 40);
   s.step();
-  EXPECT_FALSE(s.checker().ok());
-  EXPECT_GE(s.checker().count(InvariantClass::kCounterEpoch), 1u);
+  EXPECT_TRUE(fired(s.checker(), InvariantClass::kCounterMonotone,
+                    "event total grew past its per-cycle ceiling"));
+}
+
+TEST(InvariantNegative, CommitOrderFiresOnThreadCommitsAcrossASwap) {
+  // One commit too many on the swapped-in thread, within every ceiling:
+  // only the commit laws can see it, and they hold across the swap.
+  sim::Simulator s(checked_config());
+  s.run(3000);
+  workload::ThreadProgram incoming(workload::profile("mcf"), 1, 99);
+  (void)s.pipeline().swap_program(1, std::move(incoming), 200);
+  s.pipeline().testing_corrupt_thread_committed(1, 1);
+  s.step();
+  EXPECT_EQ(s.checker().count(InvariantClass::kCounterMonotone), 0u);
+  EXPECT_TRUE(fired(s.checker(), InvariantClass::kCommitOrder,
+                    "window head seq did not advance with retirement"));
 }
 
 TEST(InvariantNegative, PolicySwitchFires) {

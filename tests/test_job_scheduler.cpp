@@ -28,7 +28,7 @@ TEST(SwapProgram, ReplacesWorkloadAndResetsCounters) {
   ps.emplace_back(workload::profile("gzip"), 0, 1);
   pipeline::Pipeline pipe(pipeline::PipelineConfig{}, std::move(ps));
   pipe.run(5000);
-  ASSERT_GT(pipe.counters(0).committed_total, 0u);
+  ASSERT_GT(pipe.counters(0).total.committed, 0u);
 
   workload::ThreadProgram incoming(workload::profile("mcf"), 9, 1);
   const workload::ThreadProgram outgoing =
@@ -36,7 +36,11 @@ TEST(SwapProgram, ReplacesWorkloadAndResetsCounters) {
   EXPECT_EQ(outgoing.app().name, "gzip");
   EXPECT_GT(outgoing.generated(), 0u) << "outgoing keeps its position";
   EXPECT_EQ(pipe.program(0).app().name, "mcf");
-  EXPECT_EQ(pipe.counters(0).committed_total, 0u);
+  // The load mark restarts the per-job window; the context's event
+  // totals run on.
+  EXPECT_EQ(pipe.counters(0).since_load().committed, 0u);
+  EXPECT_EQ(pipe.counters(0).load_mark.cycle, pipe.now());
+  EXPECT_GT(pipe.counters(0).total.committed, 0u);
   EXPECT_TRUE(pipe.check_counter_invariants());
 }
 
@@ -48,10 +52,10 @@ TEST(SwapProgram, PenaltyStallsFetch) {
   (void)pipe.swap_program(
       0, workload::ThreadProgram(workload::profile("eon"), 9, 1), 500);
   pipe.run(400);
-  EXPECT_EQ(pipe.counters(0).committed_total, 0u)
+  EXPECT_EQ(pipe.counters(0).since_load().committed, 0u)
       << "nothing can commit during the switch penalty";
   pipe.run(5000);
-  EXPECT_GT(pipe.counters(0).committed_total, 100u);
+  EXPECT_GT(pipe.counters(0).since_load().committed, 100u);
 }
 
 TEST(SwapProgram, MachineKeepsRunningForOtherThreads) {
@@ -60,11 +64,11 @@ TEST(SwapProgram, MachineKeepsRunningForOtherThreads) {
   ps.emplace_back(workload::profile("crafty"), 1, 1);
   pipeline::Pipeline pipe(pipeline::PipelineConfig{}, std::move(ps));
   pipe.run(2000);
-  const std::uint64_t other_before = pipe.counters(1).committed_total;
+  const std::uint64_t other_before = pipe.counters(1).total.committed;
   (void)pipe.swap_program(
       0, workload::ThreadProgram(workload::profile("art"), 9, 1), 1000);
   pipe.run(2000);
-  EXPECT_GT(pipe.counters(1).committed_total, other_before);
+  EXPECT_GT(pipe.counters(1).total.committed, other_before);
 }
 
 TEST(JobScheduler, RejectsBadSetups) {

@@ -93,14 +93,14 @@ TEST(Pipeline, PolicyCanBeChangedMidRun) {
 TEST(Pipeline, BlockFetchSuppressesAThread) {
   Pipeline p = make({"gzip", "gzip"}, 3);
   p.run(2000);
-  const std::uint64_t committed_before = p.counters(0).committed_total;
+  const std::uint64_t committed_before = p.counters(0).total.committed;
   p.block_fetch(0, p.now() + 100000);
   p.run(20000);
   // Thread 0 may drain in-flight work but then commits nothing further.
   const std::uint64_t drained =
-      p.counters(0).committed_total - committed_before;
+      p.counters(0).total.committed - committed_before;
   EXPECT_LT(drained, 600u);
-  EXPECT_GT(p.counters(1).committed_total, 1000u);
+  EXPECT_GT(p.counters(1).total.committed, 1000u);
 }
 
 TEST(Pipeline, ShorterBlockFetchKeepsTheLaterDeadline) {
@@ -148,11 +148,11 @@ TEST(Pipeline, DtWorkRemainingDecreasesMonotonically) {
 TEST(Pipeline, QuantumCountersResetButLifetimeSurvives) {
   Pipeline p = make({"gcc", "mcf"});
   p.run(9000);
-  const std::uint64_t lifetime = p.counters(0).committed_total;
-  EXPECT_GT(p.counters(0).committed_quantum, 0u);
-  p.reset_quantum_counters();
-  EXPECT_EQ(p.counters(0).committed_quantum, 0u);
-  EXPECT_EQ(p.counters(0).committed_total, lifetime);
+  const std::uint64_t lifetime = p.counters(0).total.committed;
+  EXPECT_GT(p.counters(0).since_quantum().committed, 0u);
+  p.mark_quantum();
+  EXPECT_EQ(p.counters(0).since_quantum().committed, 0u);
+  EXPECT_EQ(p.counters(0).total.committed, lifetime);
 }
 
 TEST(Pipeline, PerThreadCommitsSumToTotal) {
@@ -160,7 +160,7 @@ TEST(Pipeline, PerThreadCommitsSumToTotal) {
   p.run(25000);
   std::uint64_t sum = 0;
   for (std::uint32_t t = 0; t < p.num_threads(); ++t) {
-    sum += p.counters(t).committed_total;
+    sum += p.counters(t).total.committed;
   }
   EXPECT_EQ(sum, p.committed_total());
 }
@@ -194,6 +194,22 @@ TEST(Pipeline, RejectsLatencyBeyondCompletionRing) {
   PipelineConfig cfg;
   cfg.memory.mem_latency = 100000;
   EXPECT_THROW(Pipeline(cfg, programs({"gzip"})), std::invalid_argument);
+}
+
+TEST(Pipeline, RejectsAMachineThatCannotIssueOrMove) {
+  // With no unit of some class an instruction of that class could never
+  // issue; with a zero width the machine never moves.
+  for (std::uint32_t PipelineConfig::*field :
+       {&PipelineConfig::int_alus, &PipelineConfig::mem_ports,
+        &PipelineConfig::fp_units, &PipelineConfig::fetch_width,
+        &PipelineConfig::fetch_threads, &PipelineConfig::dispatch_width,
+        &PipelineConfig::issue_width, &PipelineConfig::commit_width}) {
+    PipelineConfig cfg;
+    cfg.*field = 0;
+    EXPECT_THROW(Pipeline(cfg, programs({"gzip"})), std::invalid_argument);
+    cfg.*field = 1;
+    EXPECT_NO_THROW(Pipeline(cfg, programs({"gzip"})));
+  }
 }
 
 TEST(Pipeline, IdleSlotsAccountedWhenUnderloaded) {

@@ -57,8 +57,8 @@ TEST(PipelineSquash, ProgressContinuesAfterManyFlushes) {
   p.run(60000);
   EXPECT_GT(p.stats().syscall_flushes, 3u);
   // Both threads keep committing despite repeated whole-machine drains.
-  EXPECT_GT(p.counters(0).committed_total, 500u);
-  EXPECT_GT(p.counters(1).committed_total, 500u);
+  EXPECT_GT(p.counters(0).total.committed, 500u);
+  EXPECT_GT(p.counters(1).total.committed, 500u);
 }
 
 TEST(PipelineSquash, ReplayPreservesCommittedStreamExactly) {

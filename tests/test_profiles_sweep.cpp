@@ -67,7 +67,7 @@ TEST_P(ProfileSweep, RunsCleanlyThroughThePipeline) {
   pipeline::Pipeline pipe(pipeline::PipelineConfig{}, std::move(ps));
   pipe.run(12000);
   EXPECT_TRUE(pipe.check_counter_invariants()) << GetParam();
-  EXPECT_GT(pipe.counters(0).committed_total, 100u) << GetParam();
+  EXPECT_GT(pipe.counters(0).total.committed, 100u) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProfiles, ProfileSweep,

@@ -39,12 +39,17 @@ std::string state_doc(const Simulator& sim) {
     const pipeline::ThreadCounters& c = p.counters(tid);
     os << tid << ": " << c.icount << ' ' << c.brcount << ' ' << c.ldcount
        << ' ' << c.memcount << ' ' << c.l1d_outstanding << ' '
-       << c.l1i_outstanding << ' ' << c.committed_quantum << ' '
-       << c.cond_branches_quantum << ' ' << c.mispredicts_quantum << ' '
-       << c.l1d_misses_quantum << ' ' << c.l1i_misses_quantum << ' '
-       << c.lsq_full_events_quantum << ' ' << c.stalls_quantum << ' '
-       << c.wrong_path_fetched_quantum << ' ' << p.head_seq(tid) << ' '
-       << p.quantum_epoch(tid) << ' ' << p.life_epoch(tid) << '\n';
+       << c.l1i_outstanding << ' ' << p.head_seq(tid);
+    for (const pipeline::CounterMark& m :
+         {pipeline::CounterMark{p.now(), c.total}, c.quantum_mark,
+          c.load_mark}) {
+      const pipeline::EventCounts& e = m.at;
+      os << " | " << m.cycle << ' ' << e.committed << ' ' << e.fetched
+         << ' ' << e.cond_branches << ' ' << e.mispredicts << ' '
+         << e.l1d_misses << ' ' << e.l1i_misses << ' ' << e.lsq_full_events
+         << ' ' << e.stalls;
+    }
+    os << '\n';
   }
   return os.str();
 }

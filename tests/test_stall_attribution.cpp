@@ -95,37 +95,44 @@ TEST(StallAttribution, IcacheMissesAreChargedToTheStalledThread) {
 }
 
 TEST(StallAttribution, BreakdownSurvivesQuantumCounterResets) {
-  // The breakdown is pipeline-lifetime: resetting the quantum counters
-  // (what the detector does each boundary) must not clear it, or the
-  // whole-run conservation law would break.
+  // The breakdown is pipeline-lifetime: setting the quantum marks (what
+  // the detector does each boundary) must not clear it, or the whole-run
+  // conservation law would break.
   sim::Simulator s(quick_sim("bal1"));
   s.run(2048);
   const std::uint64_t before = total_charged(s.pipeline());
   ASSERT_GT(before, 0u);
-  s.pipeline().reset_quantum_counters();
+  s.pipeline().mark_quantum();
   EXPECT_EQ(total_charged(s.pipeline()), before);
 }
 
-TEST(CounterEpochs, QuantumResetBumpsOnlyTheQuantumEpoch) {
+TEST(CounterMarks, QuantumMarkLeavesTotalsAndTheLoadMark) {
   sim::Simulator s(quick_sim("bal1"));
   s.run(128);
-  const std::uint64_t q0 = s.pipeline().quantum_epoch(2);
-  const std::uint64_t l0 = s.pipeline().life_epoch(2);
-  s.pipeline().reset_quantum_counters();
-  EXPECT_EQ(s.pipeline().quantum_epoch(2), q0 + 1);
-  EXPECT_EQ(s.pipeline().life_epoch(2), l0);
+  const pipeline::ThreadCounters before = s.pipeline().counters(2);
+  ASSERT_GT(before.since_quantum().fetched, 0u);
+  s.pipeline().mark_quantum();
+  const pipeline::ThreadCounters& c = s.pipeline().counters(2);
+  EXPECT_EQ(c.quantum_mark.cycle, s.now());
+  EXPECT_EQ(c.since_quantum().fetched, 0u);
+  EXPECT_EQ(c.total.fetched, before.total.fetched);
+  EXPECT_EQ(c.since_load().fetched, before.since_load().fetched);
 }
 
-TEST(CounterEpochs, SwapProgramBumpsBothEpochs) {
+TEST(CounterMarks, SwapProgramSetsTheLoadMarkAndKeepsTotals) {
   sim::Simulator s(quick_sim("bal1"));
   s.run(128);
-  const std::uint64_t q0 = s.pipeline().quantum_epoch(5);
-  const std::uint64_t l0 = s.pipeline().life_epoch(5);
+  const pipeline::EventCounts before = s.pipeline().counters(5).total;
+  ASSERT_GT(before.fetched, 0u);
   workload::ThreadProgram incoming(workload::profile("gzip"), 5, 77);
   auto outgoing = s.pipeline().swap_program(5, std::move(incoming), 64);
-  EXPECT_EQ(s.pipeline().quantum_epoch(5), q0 + 1);
-  EXPECT_EQ(s.pipeline().life_epoch(5), l0 + 1);
-  EXPECT_EQ(s.pipeline().counters(5).fetched_total, 0u);
+  const pipeline::ThreadCounters& c = s.pipeline().counters(5);
+  EXPECT_EQ(c.load_mark.cycle, s.now());
+  EXPECT_EQ(c.total.fetched, before.fetched);
+  EXPECT_EQ(c.since_load().fetched, 0u);
+  // The load mark is the later one, so the quantum window restarts too.
+  EXPECT_EQ(c.since_quantum().fetched, 0u);
+  EXPECT_EQ(c.cycles_since_load(s.now() + 10), 10u);
   (void)outgoing;
 }
 
@@ -134,7 +141,7 @@ TEST(StallAttribution, FetchedTotalMatchesMachineFetched) {
   s.run(4096);
   std::uint64_t per_thread = 0;
   for (std::uint32_t tid = 0; tid < 8; ++tid) {
-    per_thread += s.pipeline().counters(tid).fetched_total;
+    per_thread += s.pipeline().counters(tid).total.fetched;
   }
   EXPECT_EQ(per_thread, s.pipeline().stats().fetched);
 }

@@ -52,8 +52,8 @@ inline sim::SimConfig random_config(Rng& rng) {
   m.int_rename_regs = pick(4, 128);
   m.fp_rename_regs = pick(4, 128);
   m.int_alus = pick(1, 8);
-  m.mem_ports = pick(0, 4);
-  m.fp_units = pick(0, 4);
+  m.mem_ports = pick(1, 4);
+  m.fp_units = pick(1, 4);
   m.mispredict_penalty = pick(0, 20);
   m.btb_miss_penalty = pick(0, 8);
   m.syscall_flush_penalty = pick(0, 200);

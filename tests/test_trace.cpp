@@ -9,11 +9,14 @@
 #include <sstream>
 #include <string>
 
+#include "check/invariants.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/simulator.hpp"
 #include "test_support.hpp"
+#include "workload/app_profile.hpp"
 #include "workload/mix.hpp"
+#include "workload/thread_program.hpp"
 
 namespace smt::obs {
 namespace {
@@ -147,6 +150,35 @@ TEST(SimulatorTrace, QuantumSnapshotsCoverMachineAndEveryThread) {
   EXPECT_EQ(thread_rows, 4u * 8u);
 }
 
+TEST(SimulatorTrace, ThreadRowsConserveCommitsAcrossASwap) {
+  // A program swapped in mid-quantum: the context's row for that quantum
+  // still counts the outgoing job's commits before the swap, so the
+  // thread rows sum to what the machine committed while traced.
+  sim::SimConfig cfg = traced_config("bal1", /*adts=*/true);
+  cfg.check = check::CheckMode::kOn;
+  sim::Simulator s(cfg);
+  s.run(2 * 1024);  // untraced
+  TraceSink sink;
+  s.attach_trace(&sink);
+  const std::uint64_t committed0 = s.committed();
+  s.run(1024);
+  const std::uint64_t at_boundary = s.pipeline().counters(3).total.committed;
+  s.run(300);
+  ASSERT_GT(s.pipeline().counters(3).total.committed, at_boundary)
+      << "the outgoing job must commit in the quantum it is swapped out of";
+  workload::ThreadProgram incoming(workload::profile("mcf"), 9, 99);
+  (void)s.pipeline().swap_program(3, std::move(incoming), 64);
+  s.run(1024 - 300 + 1024);  // ends on a quantum boundary
+  std::uint64_t rows = 0;
+  for (const TraceEvent& e : sink.snapshot()) {
+    if (e.kind == EventKind::kThreadQuantum) {
+      rows += static_cast<std::uint64_t>(e.value);
+    }
+  }
+  EXPECT_EQ(rows, s.committed() - committed0);
+  EXPECT_TRUE(s.checker().ok());
+}
+
 TEST(SimulatorTrace, ChromeBackendEmitsAWellFormedDocument) {
   const sim::SimConfig cfg = traced_config("mem8", /*adts=*/true);
   sim::Simulator s(cfg);
@@ -195,7 +227,7 @@ TEST(SimulatorTrace, ExportMetricsRoundTripsThroughJson) {
   EXPECT_EQ(flat.at("adts.switches"),
             std::to_string(s.detector().stats().switches));
   EXPECT_EQ(flat.at("threads.0.committed"),
-            std::to_string(s.pipeline().counters(0).committed_total));
+            std::to_string(s.pipeline().counters(0).since_load().committed));
   EXPECT_EQ(flat.at("threads.7.stalls.icache_miss"),
             std::to_string(s.pipeline().stall_breakdown(7)[
                 StallCause::kIcacheMiss]));
