@@ -8,11 +8,13 @@
 #    summary line ("N switches (B benign / M malignant ...)") — both sides
 #    route through the shared classifier in src/obs/switch_audit.hpp.
 # 3. `smttrace pipeview` must render exactly the sampled instruction
-#    count; `summary` and `hist` must run and mention their key sections.
+#    count; `summary` must count smtsim's switches; `summary` and `hist`
+#    must run and mention their key sections.
 # 4. `smtsim --trace -` piped into `smttrace summary -` works (stdout
 #    streaming), and exit codes hold: 2 for usage errors (every removed
-#    flag, --trace-format included, a stray positional argument, and
-#    two stdout documents: --trace - or --stats-json - with --csv), 3
+#    flag, --trace-format included, a stray positional argument, an
+#    option its mode ignores, and two stdout documents: --trace - or
+#    --stats-json - with --csv), 3
 #    for unreadable input, a `smttrace chrome` export fed back in,
 #    hostile lines (nesting past the schema, null / negative /
 #    fractional / oversized integers) and `--oracle --quanta 0`.
@@ -68,7 +70,14 @@ grep -q "^48 sampled instructions:" "$tmp/pipeview.txt"
 echo "== summary + hist run and carry their key sections"
 "$smttrace" summary "$tmp/t.jsonl" --limit 8 > "$tmp/summary.txt"
 grep -q "stall cause" "$tmp/summary.txt"
-grep -q "policy switches" "$tmp/summary.txt"
+# The summary counts the trace's switch_audit rows: one per switch the
+# detector applied, so the count must be smtsim's own.
+sim_switches="${sim_line%% switches*}"
+test "$sim_switches" -gt 0
+grep -q ", $sim_switches policy switches\$" "$tmp/summary.txt" || {
+  echo "check_trace_tools: summary does not count $sim_switches switches" >&2
+  exit 1
+}
 "$smttrace" summary "$tmp/t.jsonl" --csv | grep -q "^quantum,cycles,"
 "$smttrace" hist "$tmp/t.jsonl" > "$tmp/hist.txt"
 grep -q "lifetime, fetch->retire" "$tmp/hist.txt"
@@ -116,6 +125,20 @@ for flag in "--trace $tmp/oracle.jsonl" "--stats-json $tmp/oracle.json" \
   if [ "$rc" -ne 2 ] || [ -e "$tmp/oracle.jsonl" ] || [ -e "$tmp/oracle.json" ]; then
     echo "check_trace_tools: smtsim --oracle $flag exited $rc, want 2" \
       "and no output file" >&2
+    exit 1
+  fi
+done
+# An option its mode would ignore is a usage error: the ADTS options
+# without --adts, --adts under the oracle, the oracle's without --oracle.
+for flags in "--heuristic 9" "--threshold 2" --instant "--quanta 4" \
+    --all-policies "--oracle --quanta 1 --adts" \
+    "--oracle --quanta 1 --heuristic 4" "--oracle --quanta 1 --instant"; do
+  rc=0
+  # shellcheck disable=SC2086  # split "--flag value" into two arguments
+  "$smtsim" --mix bal1 --cycles 1024 --warmup 0 $flags >/dev/null 2>&1 \
+    || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "check_trace_tools: smtsim $flags exited $rc, want 2" >&2
     exit 1
   fi
 done

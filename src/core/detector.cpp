@@ -21,35 +21,35 @@ void DetectorThread::arm(const pipeline::Pipeline& pipe) {
   last_boundary_cycle_ = pipe.now();
   ipc_last_ = 0.0;
   ipc_prev_ = 0.0;
-  decision_pending_ = false;
-  switch_unscored_ = false;
-  unscored_audit_ = obs::SwitchAuditLog::npos;
+  pending_audit_.reset();
+  unscored_audit_.reset();
+  unscored_index_ = obs::SwitchAuditLog::npos;
 }
 
-void DetectorThread::apply_policy(pipeline::Pipeline& pipe,
-                                  policy::FetchPolicy next) {
-  pipe.set_policy(next);
+void DetectorThread::apply_switch(pipeline::Pipeline& pipe,
+                                  obs::SwitchAudit a) {
+  a.policy_before = static_cast<std::uint8_t>(pipe.policy());
+  a.applied_cycle = pipe.now();
+  pipe.set_policy(static_cast<policy::FetchPolicy>(a.policy_after));
   if (cfg_.switch_penalty_cycles > 0) {
     for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
       pipe.block_fetch(tid, pipe.now() + cfg_.switch_penalty_cycles);
     }
   }
+  ++stats_.switches;
+  unscored_index_ = audit_log_.push(a);
+  unscored_audit_ = a;
 }
 
 void DetectorThread::tick(pipeline::Pipeline& pipe) {
   // Apply a pending switch as soon as the DT's decision routine has
   // drained through idle fetch slots.
-  if (decision_pending_ && pipe.dt_work_remaining() == 0) {
-    decision_pending_ = false;
-    if (pending_policy_ != pipe.policy()) {
-      pending_audit_.policy_before = static_cast<std::uint8_t>(pipe.policy());
-      pending_audit_.policy_after = static_cast<std::uint8_t>(pending_policy_);
-      pending_audit_.applied_cycle = pipe.now();
-      apply_policy(pipe, pending_policy_);
-      ++stats_.switches;
-      switch_unscored_ = true;
-      unscored_audit_ = audit_log_.push(pending_audit_);
+  if (pending_audit_ && pipe.dt_work_remaining() == 0) {
+    if (pending_audit_->policy_after !=
+        static_cast<std::uint8_t>(pipe.policy())) {
+      apply_switch(pipe, *pending_audit_);
     }
+    pending_audit_.reset();
   }
 
   if (pipe.now() > 0 && pipe.now() % cfg_.quantum_cycles == 0) {
@@ -61,7 +61,7 @@ std::uint64_t DetectorThread::next_event(
     const pipeline::Pipeline& pipe) const noexcept {
   const std::uint64_t now = pipe.now();
   std::uint64_t at = (now / cfg_.quantum_cycles + 1) * cfg_.quantum_cycles;
-  if (decision_pending_) {
+  if (pending_audit_) {
     const std::uint64_t work = pipe.dt_work_remaining();
     const std::uint64_t width = pipe.config().fetch_width;
     if (work == 0) return now + 1;
@@ -87,26 +87,27 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
 
   // Score the switch applied during the previous quantum: benign iff the
   // quantum that just ended out-performed the one that triggered it.
-  if (switch_unscored_) {
-    const bool benign =
-        obs::classify_switch(ipc_before_switch_, ipc_last_) ==
-        obs::SwitchLabel::kBenign;
-    audit_log_.score(unscored_audit_, ipc_last_, pipe.now());
-    unscored_audit_ = obs::SwitchAuditLog::npos;
+  if (unscored_audit_) {
+    const obs::SwitchAudit& a = *unscored_audit_;
+    const bool benign = obs::classify_switch(a.ipc_before, ipc_last_) ==
+                        obs::SwitchLabel::kBenign;
+    audit_log_.score(unscored_index_, ipc_last_, pipe.now());
     if (benign) {
       ++stats_.benign_switches;
     } else {
       ++stats_.malignant_switches;
     }
-    history_.record(switch_incumbent_, switch_cond_value_, benign);
-    switch_unscored_ = false;
+    history_.record(static_cast<policy::FetchPolicy>(a.policy_before),
+                    a.cond_value != 0.0, benign);
+    unscored_audit_.reset();
+    unscored_index_ = obs::SwitchAuditLog::npos;
   }
 
   // A decision still pending from the previous quantum means the DT never
   // found enough idle slots to finish Determine_NewPolicy: the pipeline
   // was saturated, drop the stale decision (paper §3).
-  if (decision_pending_) {
-    decision_pending_ = false;
+  if (pending_audit_) {
+    pending_audit_.reset();
     ++stats_.switches_skipped_dt_busy;
   }
 
@@ -169,16 +170,10 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
         &history_);
     if (d.has_value() && d->next != pipe.policy()) {
       if (d->reversed) ++stats_.switches_reversed;
-      // Remember the context for outcome scoring / history recording.
-      ipc_before_switch_ = ipc_last_;
-      switch_incumbent_ = pipe.policy();
-      switch_cond_value_ = d->cond_value;
-
-      // Provenance: the full decision context, captured now; the
-      // policies and applied cycle are filled at apply time.
+      // The switch's one record: the full decision context, captured
+      // now; apply_switch stamps the policy it replaces and the cycle.
       obs::SwitchAudit audit;
       audit.heuristic = static_cast<std::uint8_t>(cfg_.heuristic);
-      audit.policy_before = static_cast<std::uint8_t>(pipe.policy());
       audit.policy_after = static_cast<std::uint8_t>(d->next);
       if (d->reversed) audit.flags |= obs::kAuditReversed;
       if (conds.cond_mem) audit.flags |= obs::kAuditCondMem;
@@ -195,16 +190,10 @@ void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
 
       if (cfg_.instant_switch) {
         audit.flags |= obs::kAuditInstant;
-        audit.applied_cycle = pipe.now();
-        apply_policy(pipe, d->next);
-        ++stats_.switches;
-        switch_unscored_ = true;
-        unscored_audit_ = audit_log_.push(audit);
+        apply_switch(pipe, audit);
       } else {
         // Any earlier decision was dropped above, so this one starts a
         // fresh Policy_Switch.
-        pending_policy_ = d->next;
-        decision_pending_ = true;
         pending_audit_ = audit;
         pipe.add_dt_work(cfg_.dt_decide_instrs);
       }

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/heuristics.hpp"
@@ -133,7 +134,6 @@ class DetectorThread {
   [[nodiscard]] const obs::SwitchAuditLog& audit_log() const noexcept {
     return audit_log_;
   }
-  [[nodiscard]] double last_quantum_ipc() const noexcept { return ipc_last_; }
   /// Threads flagged as clogging in the most recent low-throughput quantum.
   [[nodiscard]] const std::vector<std::uint32_t>& clogging_threads() const noexcept {
     return clogging_;
@@ -154,8 +154,10 @@ class DetectorThread {
 
  private:
   void on_quantum_boundary(pipeline::Pipeline& pipe);
-  /// Write Policy_Switch and charge the architectural switch penalty.
-  void apply_policy(pipeline::Pipeline& pipe, policy::FetchPolicy next);
+  /// Policy_Switch: move the pipeline to `a.policy_after`, charge the
+  /// architectural switch penalty, and log `a` (stamped with the policy
+  /// it replaces and the apply cycle) as the switch awaiting its score.
+  void apply_switch(pipeline::Pipeline& pipe, obs::SwitchAudit a);
   void identify_clogging_threads(pipeline::Pipeline& pipe);
 
   AdtsConfig cfg_{};
@@ -166,26 +168,21 @@ class DetectorThread {
   double ipc_last_ = 0.0;
   double ipc_prev_ = 0.0;
 
-  // Pending decision: chosen at a boundary, applied when DT work drains.
-  bool decision_pending_ = false;
-  policy::FetchPolicy pending_policy_ = policy::FetchPolicy::kIcount;
   /// Cycle of the last boundary the DT processed (or of arm()); IPC_last
   /// and the condition rates are normalised over the span since then, so
   /// a quantum cut short by arm() still yields correct rates.
   std::uint64_t last_boundary_cycle_ = 0;
 
-  // Switch-audit provenance (obs/switch_audit.hpp). pending_audit_ is
-  // filled at decision time and pushed into the log at apply time;
-  // unscored_audit_ indexes the entry awaiting its scoring boundary.
+  // Switch records (obs/switch_audit.hpp), one per switch from decision
+  // to score. pending_audit_ is a decision chosen at a boundary, applied
+  // when the DT's work drains; its policy_after is the policy to write.
+  // unscored_audit_ is the applied switch awaiting its scoring boundary,
+  // held by value so it is still scored (stats, history) once the log is
+  // full; unscored_index_ is its log entry (npos when the log was full).
   obs::SwitchAuditLog audit_log_{};
-  obs::SwitchAudit pending_audit_{};
-  std::size_t unscored_audit_ = obs::SwitchAuditLog::npos;
-
-  // Outcome tracking for the most recent applied switch.
-  bool switch_unscored_ = false;
-  double ipc_before_switch_ = 0.0;
-  policy::FetchPolicy switch_incumbent_ = policy::FetchPolicy::kIcount;
-  bool switch_cond_value_ = false;
+  std::optional<obs::SwitchAudit> pending_audit_{};
+  std::optional<obs::SwitchAudit> unscored_audit_{};
+  std::size_t unscored_index_ = obs::SwitchAuditLog::npos;
 
   std::vector<std::uint32_t> clogging_{};
   std::vector<std::uint32_t> clog_marks_{};

@@ -11,18 +11,15 @@
 //                          policy_after (active policy), stalls
 //   kThreadQuantum  >= 0   span, value (committed), ipc, fetch_share,
 //                          mispredict_rate, l1d/l1i_miss_rate, stalls
-//   kPolicySwitch   -1     policy_before → policy_after,
-//                          code (HeuristicType that decided), ipc (IPC_last),
-//                          value (1-based audit index), span (decided →
-//                          applied wait), mask (AuditFlag bits)
 //   kInvariant      any    code (check::InvariantClass), value (offending
 //                          quantity: mismatch mask, excess delta, ...)
 //   kPipeview       >= 0   cycle (fetch cycle), value (instruction seq),
 //                          span (retire delta), code (PipeTerminal),
 //                          mask (PipeFlag bits), stage_delta (per-stage
 //                          cycle offsets from fetch; 0 = never reached)
-//   kSwitchAudit    -1     cycle (apply cycle), span (apply − decided),
-//                          policy_before → policy_after, code (heuristic),
+//   kSwitchAudit    -1     quantum (the decision's), cycle (apply cycle),
+//                          span (apply − decided), policy_before →
+//                          policy_after, code (heuristic),
 //                          value (SwitchLabel), mask (AuditFlag bits),
 //                          fetch_share (IPC before), ipc (IPC after; null
 //                          while unscored), mispredict_rate / l1d_miss_rate

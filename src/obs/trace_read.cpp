@@ -304,6 +304,7 @@ ReadTrace read_trace(std::istream& is) {
       out.build = parse_build_info(obj, line_no);
       continue;
     }
+    if (kind_name == kRetiredPolicySwitchEvent) continue;
     const auto kind = std::find(kEventKindNames.begin(),
                                 kEventKindNames.end(), kind_name);
     if (kind == kEventKindNames.end()) {

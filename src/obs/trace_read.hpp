@@ -5,6 +5,8 @@
 // from, numeric codes and all, so write_jsonl(read_trace(t)) reproduces
 // t byte for byte and write_chrome() can export a read trace exactly as
 // it would the live sink. Keys and names come from obs/trace_schema.hpp.
+// Rows of the retired policy_switch kind, which older traces carry, are
+// skipped.
 //
 // Input is untrusted: nesting deeper than the schema's two levels and a
 // non-integer, negative or out-of-range value in an integer field are

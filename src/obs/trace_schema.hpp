@@ -25,7 +25,6 @@ namespace smt::obs {
 enum class EventKind : std::uint8_t {
   kQuantum,        ///< machine-level quantum summary row
   kThreadQuantum,  ///< per-thread quantum snapshot
-  kPolicySwitch,   ///< fetch policy changed (ADTS decision landed)
   kInvariant,      ///< invariant checker detected a violation (src/check)
   kPipeview,       ///< sampled instruction's full pipeline lifecycle
   kSwitchAudit,    ///< provenance + post-hoc label for an applied switch
@@ -33,9 +32,14 @@ enum class EventKind : std::uint8_t {
 };
 
 /// The "event" value of each kind, indexed by EventKind.
-inline constexpr std::array<std::string_view, 7> kEventKindNames = {
-    "quantum",  "thread_quantum", "policy_switch", "invariant",
+inline constexpr std::array<std::string_view, 6> kEventKindNames = {
+    "quantum",  "thread_quantum", "invariant",
     "pipeview", "switch_audit",   "cpi_stack"};
+
+/// The "event" value of a retired kind that older traces still carry: a
+/// second row per switch beside its switch_audit row. read_trace skips
+/// it, so a trace written before its removal still reads and diffs.
+inline constexpr std::string_view kRetiredPolicySwitchEvent = "policy_switch";
 
 /// StallCause names (obs/stall.hpp), indexed by StallCause: the keys of
 /// an event line's "stalls" object and of the machine.stalls.* stats.

@@ -263,20 +263,6 @@ void TraceSink::write_chrome(std::ostream& os,
         os << '}';
         break;
       }
-      case EventKind::kPolicySwitch: {
-        next();
-        os << "{\"name\":\"switch ";
-        put_code(os, dec.policy, e.policy_before);
-        os << " -> ";
-        put_code(os, dec.policy, e.policy_after);
-        os << "\",\"cat\":\"adts\",\"ph\":\"i\",\"ts\":" << e.cycle
-           << ",\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{\"heuristic\":\"";
-        put_code(os, dec.heuristic, e.code);
-        os << "\",\"ipc_last\":";
-        put_double(os, e.ipc);
-        os << "}}";
-        break;
-      }
       case EventKind::kInvariant: {
         next();
         os << "{\"name\":\"invariant ";

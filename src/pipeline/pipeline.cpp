@@ -135,53 +135,44 @@ void Pipeline::run(std::uint64_t n) {
 }
 
 void Pipeline::step() {
-  if (prof_.prof != nullptr && prof::sampled_cycle(cycle_, prof_.mask)) {
-    step_stages_profiled();
-  } else {
+  do_commit();
+  do_complete();
+  do_issue();
+  do_dispatch();
+  do_fetch();
+  finish_step();
+}
+
+void Pipeline::step(prof::PhaseProfiler& p, const ProfNodes& nodes) {
+  using Scope = prof::PhaseProfiler::Scope;
+  {
+    const Scope s(&p, nodes.commit);
     do_commit();
+  }
+  {
+    const Scope s(&p, nodes.complete);
     do_complete();
+  }
+  {
+    const Scope s(&p, nodes.issue);
     do_issue();
+  }
+  {
+    const Scope s(&p, nodes.dispatch);
     do_dispatch();
+  }
+  {
+    const Scope s(&p, nodes.fetch);
     do_fetch();
   }
+  finish_step();
+}
 
+void Pipeline::finish_step() {
   if (cpi_.enabled) account_cpi(1);
 
   ++stats_.cycles;
   ++cycle_;
-}
-
-void Pipeline::step_stages_profiled() {
-  using Scope = prof::PhaseProfiler::Scope;
-  {
-    const Scope s(prof_.prof, prof_.nodes.commit);
-    do_commit();
-  }
-  {
-    const Scope s(prof_.prof, prof_.nodes.complete);
-    do_complete();
-  }
-  {
-    const Scope s(prof_.prof, prof_.nodes.issue);
-    do_issue();
-  }
-  {
-    const Scope s(prof_.prof, prof_.nodes.dispatch);
-    do_dispatch();
-  }
-  {
-    const Scope s(prof_.prof, prof_.nodes.fetch);
-    do_fetch();
-  }
-}
-
-void Pipeline::set_profiler(prof::PhaseProfiler* p, const ProfNodes& nodes,
-                            std::uint64_t stride_mask) {
-  prof_ = {};
-  if (p == nullptr) return;
-  prof_.prof = p;
-  prof_.mask = stride_mask;
-  prof_.nodes = nodes;
 }
 
 // ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ class Pipeline {
   /// never feeds back, so an accounted run's simulated results are
   /// bit-identical to an unaccounted one (the golden stats digests lock
   /// this). Copying a pipeline drops the accounting state, the same
-  /// observer contract as pipeview/profiler. Pass false to detach.
+  /// observer contract as pipeview. Pass false to detach.
   void set_cpi_accounting(bool on);
   [[nodiscard]] bool cpi_accounting() const noexcept { return cpi_.enabled; }
   /// Per-thread commit-slot stack accumulated since accounting was
@@ -254,7 +254,7 @@ class Pipeline {
 
   // --- host-phase profiling (src/prof) ------------------------------------
   /// Per-stage node handles a profiling caller resolves once (children of
-  /// its "cycle" phase) and hands to set_profiler.
+  /// its "cycle" phase) and hands to the timed step().
   struct ProfNodes {
     prof::PhaseProfiler::Node commit = 0;
     prof::PhaseProfiler::Node complete = 0;
@@ -263,15 +263,12 @@ class Pipeline {
     prof::PhaseProfiler::Node fetch = 0;
   };
 
-  /// Attach per-stage host timers: on cycles where
-  /// `prof::sampled_cycle(now(), stride_mask)` each of the five stage
-  /// calls in step() runs under an RAII phase scope. Copying a pipeline
-  /// drops the profiler (oracle snapshots must not time themselves), and
-  /// host ticks never feed back into simulated state, so a profiled run
-  /// stays bit-identical to an unprofiled one — same contract as pipeview.
-  /// Pass a null profiler to detach.
-  void set_profiler(prof::PhaseProfiler* p, const ProfNodes& nodes,
-                    std::uint64_t stride_mask);
+  /// step() with each of the five stage calls under an RAII phase scope
+  /// of `p`. The caller decides which cycles are timed (Simulator::step's
+  /// stride test); the pipeline keeps no profiler of its own, so a copy
+  /// never times itself. Host ticks never feed back into simulated state:
+  /// a timed step is bit-identical to a bare one.
+  void step(prof::PhaseProfiler& p, const ProfNodes& nodes);
 
   // --- structural audit (src/check) --------------------------------------
   /// Result of a full structural resource audit: every occupancy counter
@@ -617,14 +614,6 @@ class Pipeline {
   };
   DropOnCopy<PipeviewState> pview_;
 
-  /// All profiler attach state, dropped on copy like PipeviewState.
-  struct ProfState {
-    prof::PhaseProfiler* prof = nullptr;
-    std::uint64_t mask = 0;  ///< stride - 1 (stride is a power of two)
-    ProfNodes nodes;
-  };
-  DropOnCopy<ProfState> prof_;
-
   /// All CPI-stack accounting state, dropped on copy like PipeviewState
   /// (observer contract: an oracle snapshot must not account).
   /// The per-cycle scratch (fetch_cause, issued_tids) is written by the
@@ -665,10 +654,9 @@ class Pipeline {
   void charge_cpi_contention(std::uint32_t tid, std::uint64_t lost,
                              std::uint64_t holders);
 
-  /// step() body with each stage under a phase scope; split out so the
-  /// common unprofiled path stays branch-free beyond one predictable
-  /// test per cycle.
-  void step_stages_profiled();
+  /// The end of every step() after its five stages: CPI accounting and
+  /// the cycle count.
+  void finish_step();
 
   /// Open a lifecycle record for the instruction in `slot` if the active
   /// window wants one (called at fetch; cheap `sink != nullptr` guard at

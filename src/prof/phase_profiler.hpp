@@ -38,9 +38,10 @@
 
 namespace smt::prof {
 
-/// The stride-sampling rule of every per-cycle call site
-/// (Simulator::step and Pipeline::step, both on the pre-step cycle):
-/// true on exactly one cycle of each aligned block of `mask + 1` cycles
+/// The stride-sampling rule, evaluated once per cycle by Simulator::step
+/// on the pre-step cycle (the pipeline's stages are timed only on the
+/// cycles it picks, through the timed Pipeline::step): true on exactly
+/// one cycle of each aligned block of `mask + 1` cycles
 /// (a power of two; mask 0 samples every cycle), at a position hashed
 /// from the block. A fixed position would alias with periodic work: at
 /// `cycle & mask == 0` the detector's quantum-boundary cycle, which is

@@ -165,12 +165,9 @@ Simulator::Simulator(const SimConfig& cfg)
 void Simulator::attach_profiler(prof::PhaseProfiler* p,
                                 prof::PhaseProfiler::Node parent,
                                 std::uint64_t stride) {
+  prof_ = {};
+  if (p == nullptr) return;
   prof_.prof = p;
-  if (p == nullptr) {
-    prof_.mask = 0;
-    pipe_.set_profiler(nullptr, {}, 0);
-    return;
-  }
   prof_.mask = stride == 0 ? 0 : stride - 1;
   prof_.nodes.cycle = p->child(parent, "cycle");
   prof_.nodes.pipeline = p->child(prof_.nodes.cycle, "pipeline");
@@ -178,13 +175,12 @@ void Simulator::attach_profiler(prof::PhaseProfiler* p,
   prof_.nodes.detector = p->child(prof_.nodes.cycle, "detector");
   prof_.nodes.checker = p->child(prof_.nodes.cycle, "checker");
   prof_.nodes.trace = p->child(prof_.nodes.cycle, "trace");
-  pipeline::Pipeline::ProfNodes stages;
+  pipeline::Pipeline::ProfNodes& stages = prof_.nodes.stages;
   stages.commit = p->child(prof_.nodes.pipeline, "commit");
   stages.complete = p->child(prof_.nodes.pipeline, "complete");
   stages.issue = p->child(prof_.nodes.pipeline, "issue");
   stages.dispatch = p->child(prof_.nodes.pipeline, "dispatch");
   stages.fetch = p->child(prof_.nodes.pipeline, "fetch");
-  pipe_.set_profiler(p, stages, prof_.mask);
 }
 
 void Simulator::attach_trace(obs::TraceSink* sink) {
@@ -225,9 +221,9 @@ void Simulator::set_adts_active(bool active) {
 }
 
 void Simulator::step() {
-  // The stride test reads pipe_.now() *before* the pipeline increments
-  // it, matching the pipeline's own entry test, so both layers sample
-  // the same cycles.
+  // The one stride test of a profiled run, on the pre-step cycle: a
+  // sampled cycle times its segments and hands the stage nodes to the
+  // pipeline, which never samples on its own.
   if (prof_.prof != nullptr && prof::sampled_cycle(pipe_.now(), prof_.mask)) {
     const prof::PhaseProfiler::Scope s(prof_.prof, prof_.nodes.cycle);
     step_impl(true);
@@ -243,7 +239,11 @@ void Simulator::step_impl(bool profiled) {
   prof::PhaseProfiler* pp = profiled ? prof_.prof : nullptr;
   {
     const Scope s(pp, prof_.nodes.pipeline);
-    pipe_.step();
+    if (pp != nullptr) {
+      pipe_.step(*pp, prof_.nodes.stages);
+    } else {
+      pipe_.step();
+    }
   }
   after_cycles(pp);
 }
@@ -278,9 +278,6 @@ void Simulator::after_cycles(prof::PhaseProfiler* pp) {
     const Scope s(pp, prof_.nodes.trace);
     record_quantum_snapshot();
   }
-  const policy::FetchPolicy policy_before = pipe_.policy();
-  const std::size_t audits_before = detector_.audit_log().size();
-
   {
     const Scope s(pp, prof_.nodes.detector);
     if (use_adts_) detector_.tick(pipe_);
@@ -300,36 +297,11 @@ void Simulator::after_cycles(prof::PhaseProfiler* pp) {
   // times the boundary snapshot above, so its count tallies timed
   // segments, not cycles).
   const Scope trace_scope(pp, prof_.nodes.trace);
-  const std::uint64_t cycle = pipe_.now();
-  const std::uint64_t quantum = cycle / cfg_.adts.quantum_cycles;
-
-  // Policy switches can land on any cycle (they apply when the DT's work
-  // drains), so compare every step, not just at boundaries.
+  // Emit finalized audit records, the trace's only switch rows. An entry
+  // is finalized once scored, or once a later entry exists (the detector
+  // scores at most one pending switch, in order — a passed-over entry
+  // stays neutral forever).
   const obs::SwitchAuditLog& audit_log = detector_.audit_log();
-  if (pipe_.policy() != policy_before) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kPolicySwitch;
-    e.cycle = cycle;
-    e.quantum = quantum;
-    e.policy_before = static_cast<std::uint8_t>(policy_before);
-    e.policy_after = static_cast<std::uint8_t>(pipe_.policy());
-    e.code = static_cast<std::uint8_t>(cfg_.adts.heuristic);
-    e.ipc = detector_.last_quantum_ipc();
-    if (audit_log.size() > audits_before) {
-      // This switch was audited: cross-link its provenance. value =
-      // 1-based audit index, span = decided→applied wait, mask = the
-      // audit flags.
-      const obs::SwitchAudit& a = audit_log[audit_log.size() - 1];
-      e.value = audit_log.size();
-      e.span = a.applied_cycle - a.decided_cycle;
-      e.mask = a.flags;
-    }
-    trace_.sink->record(e);
-  }
-
-  // Emit finalized audit records. An entry is finalized once scored, or
-  // once a later entry exists (the detector scores at most one pending
-  // switch, in order — a passed-over entry stays neutral forever).
   while (trace_.audits_emitted < audit_log.size() &&
          (audit_log[trace_.audits_emitted].scored ||
           trace_.audits_emitted + 1 < audit_log.size())) {

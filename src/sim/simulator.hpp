@@ -117,8 +117,8 @@ class Simulator {
     return check_.checker;
   }
   /// Attach (or detach, with nullptr) a trace sink. The simulator records
-  /// per-quantum machine + thread snapshots, policy-switch, switch-audit
-  /// and invariant events into it. Observation-only: the simulated
+  /// per-quantum machine + thread snapshots, switch-audit and invariant
+  /// events into it. Observation-only: the simulated
   /// machine is bit-identical with or without a sink attached. The sink
   /// must outlive the simulator (or be detached first); it is NOT owned.
   void attach_trace(obs::TraceSink* sink);
@@ -210,6 +210,7 @@ class Simulator {
     prof::PhaseProfiler::Node detector = 0;  ///< detector tick
     prof::PhaseProfiler::Node checker = 0;   ///< invariant-checker pass
     prof::PhaseProfiler::Node trace = 0;     ///< snapshot + event emission
+    pipeline::Pipeline::ProfNodes stages;    ///< pipeline's five stages
   };
   struct ProfState {
     prof::PhaseProfiler* prof = nullptr;  ///< not owned

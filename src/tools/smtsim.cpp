@@ -52,12 +52,14 @@ workload (one of):
   --threads N           contexts to use from the mix, 1..8 (default 8)
   --seed N              workload seed (default 2003)
 
-scheduling (one of):
+scheduling (one of; --heuristic, --threshold and --instant without
+--adts, or --quanta and --all-policies without --oracle, exit 2):
   --policy NAME         fixed fetch policy (default ICOUNT)
   --adts                adaptive scheduling (detector thread)
     --heuristic 1|2|3|3p|4    (default 3)
     --threshold M             IPC threshold, > 0 (default 2)
-    --quantum CYCLES          scheduling quantum, > 0 (default 8192)
+    --quantum CYCLES          scheduling quantum, > 0 (default 8192);
+                              also the oracle's quantum
     --instant                 zero-cost switching (ablation)
   --oracle              per-quantum oracle over {ICOUNT,BRCOUNT,L1MISSCOUNT}
     --all-policies            oracle over all ten policies
@@ -269,6 +271,33 @@ int main(int argc, char** argv) {
       return run_grid_file(args, keys, static_cast<std::size_t>(jobs));
     }
 
+    // Each mode's own options: one the chosen mode would ignore is a
+    // usage error, not a silently dropped flag.
+    if (args.has("adts") && args.has("oracle")) {
+      throw UsageError("--adts cannot be combined with --oracle (the "
+                       "oracle picks every quantum's policy itself)");
+    }
+    for (const char* flag : {"heuristic", "threshold", "instant"}) {
+      if (args.has(flag) && !args.has("adts")) {
+        throw UsageError(std::string("--") + flag + " needs --adts");
+      }
+    }
+    for (const char* flag : {"quanta", "all-policies"}) {
+      if (args.has(flag) && !args.has("oracle")) {
+        throw UsageError(std::string("--") + flag + " needs --oracle");
+      }
+    }
+    if (args.has("oracle")) {
+      // The oracle's trials run on copies, which drop every observer, so
+      // none of these outputs could be written.
+      for (const char* flag : {"trace", "stats-json", "cpi", "pipeview"}) {
+        if (args.has(flag)) {
+          throw UsageError(std::string("--") + flag +
+                           " cannot be combined with --oracle");
+        }
+      }
+    }
+
     // The run's options as a grid job: sim_config_for is the one
     // option → SimConfig mapping, shared with every --grid job.
     sim::GridJob job;
@@ -301,11 +330,8 @@ int main(int argc, char** argv) {
     if (job.cycles == 0) {
       throw ConfigError("--cycles must be > 0");
     }
-    // The oracle picks every quantum's policy itself; --adts is ignored.
-    job.adts = args.has("adts") && !args.has("oracle");
-    if (job.adts) {
-      job.heuristic = core::parse_heuristic(args.get_or("heuristic", "3"));
-    }
+    job.adts = args.has("adts");
+    job.heuristic = core::parse_heuristic(args.get_or("heuristic", "3"));
 
     sim::SimConfig cfg;
     try {
@@ -326,16 +352,6 @@ int main(int argc, char** argv) {
       }
     }
     const bool csv = args.has("csv");
-    if (args.has("oracle")) {
-      // The oracle's trials run on copies, which drop every observer, so
-      // none of these outputs could be written.
-      for (const char* flag : {"trace", "stats-json", "cpi", "pipeview"}) {
-        if (args.has(flag)) {
-          throw UsageError(std::string("--") + flag +
-                           " cannot be combined with --oracle");
-        }
-      }
-    }
 
     // Invariant checking: explicit --check forces it on; otherwise the
     // SMT_CHECK environment variable decides (CheckMode::kAuto).
@@ -422,7 +438,7 @@ int main(int argc, char** argv) {
       return check_exit(base);
     }
 
-    if (job.adts) cfg.adts.instant_switch = args.has("instant");
+    cfg.adts.instant_switch = args.has("instant");
     cfg.cpi = args.has("cpi");
 
     if (args.has("pipeview")) {

@@ -192,7 +192,7 @@ int cmd_summary(const ReadTrace& trace, const Options& opt) {
                         std::to_string(e.value), Table::num(e.ipc),
                         policy_name(e.policy_after)});
         break;
-      case EventKind::kPolicySwitch: ++switches; break;
+      case EventKind::kSwitchAudit: ++switches; break;
       default: break;
     }
   }
@@ -447,7 +447,7 @@ struct QuantumFacts {
   double ipc = 0.0;
   std::uint64_t committed = 0;
   std::uint64_t stalls = 0;    ///< lost fetch slots, all causes
-  std::uint64_t switches = 0;  ///< policy_switch events in the quantum
+  std::uint64_t switches = 0;  ///< switch_audit rows decided at its end
   bool present = false;        ///< saw the machine-level kQuantum row
 };
 
@@ -462,7 +462,7 @@ std::map<std::uint64_t, QuantumFacts> collect(const ReadTrace& t) {
         q.ipc = e.ipc;
         q.committed = e.value;
         break;
-      case EventKind::kPolicySwitch:
+      case EventKind::kSwitchAudit:
         ++q.switches;
         break;
       default:

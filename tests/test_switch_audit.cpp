@@ -1,18 +1,26 @@
 // Tests: switch-audit provenance — the shared benign/malignant classifier
 // (obs/switch_audit.hpp), the audit log container, and the detector
 // integration: every applied ADTS switch gets one audit record whose
-// label agrees with the AdtsStats counters, the audit.* metrics, and the
-// kSwitchAudit trace events.
+// label agrees with the AdtsStats counters, the audit.* metrics, the
+// Type 4 switch history and the kSwitchAudit trace events, the trace's
+// only switch rows.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <variant>
 
+#include "check/invariants.hpp"
 #include "core/detector.hpp"
+#include "core/heuristics.hpp"
+#include "core/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/switch_audit.hpp"
 #include "obs/trace_sink.hpp"
+#include "policy/fetch_policy.hpp"
 #include "sim/simulator.hpp"
 #include "workload/mix.hpp"
 
@@ -175,6 +183,77 @@ TEST(SwitchAuditIntegration, TraceEmitsEveryRecordAfterFlush) {
   EXPECT_EQ(malignant, log.count(obs::SwitchLabel::kMalignant));
   // An unscored trailing switch is emitted by the flush as neutral.
   EXPECT_EQ(neutral, log.count(obs::SwitchLabel::kNeutral));
+}
+
+/// A checked Type 4 run: the heuristic that reads the switch history
+/// the detector writes when it scores a switch.
+sim::SimConfig type4_config() {
+  sim::SimConfig cfg = adts_config("ctrl8");
+  cfg.adts.heuristic = core::HeuristicType::kType4;
+  cfg.check = check::CheckMode::kOn;
+  return cfg;
+}
+
+std::size_t occurrences(const std::string& text, std::string_view needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SwitchAuditIntegration, HistoryCountsEqualTheScoredAudits) {
+  sim::Simulator s(type4_config());
+  s.run(64 * 1024);
+  ASSERT_TRUE(s.checker().ok());
+  const core::DetectorThread& dt = s.detector();
+  ASSERT_EQ(dt.audit_log().dropped(), 0u);
+  // Every (incumbent, condition) bucket holds exactly the scored audit
+  // entries that left that policy under that condition value.
+  std::uint64_t scored = 0;
+  std::size_t buckets = 0;
+  for (const policy::FetchPolicy p : policy::all_policies()) {
+    for (const bool cond : {false, true}) {
+      core::SwitchOutcomeCounts want;
+      for (const obs::SwitchAudit& a : dt.audit_log().entries()) {
+        if (!a.scored || a.policy_before != static_cast<std::uint8_t>(p) ||
+            (a.cond_value != 0.0) != cond) {
+          continue;
+        }
+        ++(a.label == obs::SwitchLabel::kBenign ? want.poscnt : want.negcnt);
+      }
+      const core::SwitchOutcomeCounts& got = dt.history().counts(p, cond);
+      EXPECT_EQ(got.poscnt, want.poscnt) << policy::name(p) << " cond "
+                                         << cond;
+      EXPECT_EQ(got.negcnt, want.negcnt) << policy::name(p) << " cond "
+                                         << cond;
+      scored += want.poscnt + want.negcnt;
+      buckets += (want.poscnt + want.negcnt) != 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(buckets, 1u) << "the run must exercise several buckets";
+  EXPECT_EQ(scored,
+            dt.stats().benign_switches + dt.stats().malignant_switches);
+}
+
+TEST(SwitchAuditIntegration, SwitchAuditRowsAreTheTracesOnlySwitchRows) {
+  sim::Simulator s(type4_config());
+  obs::TraceSink sink;
+  s.attach_trace(&sink);
+  s.run(64 * 1024);
+  s.flush_trace();
+  ASSERT_TRUE(s.checker().ok());
+  obs::MetricsRegistry reg;
+  s.export_metrics(reg);
+  std::ostringstream os;
+  sink.write(os);
+  const std::string jsonl = os.str();
+  const std::uint64_t switches = metric_u64(reg, "adts.switches");
+  ASSERT_GT(switches, 0u);
+  EXPECT_EQ(occurrences(jsonl, "\"event\":\"policy_switch\""), 0u);
+  EXPECT_EQ(occurrences(jsonl, "\"event\":\"switch_audit\""), switches);
+  EXPECT_EQ(metric_u64(reg, "audit.records"), switches);
 }
 
 }  // namespace

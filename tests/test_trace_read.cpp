@@ -69,8 +69,7 @@ TEST(TraceRead, JsonlRoundTripIsByteIdentical) {
   std::vector<bool> seen(kEventKindNames.size(), false);
   for (const TraceEvent& e : evs) seen[static_cast<std::size_t>(e.kind)] = true;
   for (const EventKind k :
-       {EventKind::kQuantum, EventKind::kThreadQuantum,
-        EventKind::kPolicySwitch, EventKind::kPipeview,
+       {EventKind::kQuantum, EventKind::kThreadQuantum, EventKind::kPipeview,
         EventKind::kSwitchAudit, EventKind::kCpiStack}) {
     EXPECT_TRUE(seen[static_cast<std::size_t>(k)]) << name(k);
   }
@@ -106,6 +105,16 @@ TEST(TraceRead, NoHeaderMeansNoBuildInfo) {
   EXPECT_EQ(t.events[0].tid, -1);
 }
 
+TEST(TraceRead, SkipsTheRetiredPolicySwitchRows) {
+  // Older traces carry a policy_switch row beside each switch_audit row.
+  const ReadTrace t = read_text(
+      "{\"event\":\"policy_switch\",\"quantum\":3,\"value\":1}\n"
+      "{\"event\":\"switch_audit\",\"quantum\":3,\"value\":1}\n");
+  ASSERT_EQ(t.events.size(), 1u);
+  EXPECT_EQ(t.events[0].kind, EventKind::kSwitchAudit);
+  EXPECT_EQ(t.events[0].quantum, 3u);
+}
+
 TEST(TraceSchema, DigestIsPinned) {
   // Tripwire: renaming a kind, cause, event key or build_info key changes
   // this digest. scripts/check_observability.sh reads the same document
@@ -116,7 +125,7 @@ TEST(TraceSchema, DigestIsPinned) {
   const std::string doc = os.str();
   Fnv1a h;
   h.mix_bytes(doc.data(), doc.size());
-  const std::uint64_t golden = 0x46a9fb6805f87e8cull;
+  const std::uint64_t golden = 0xd73796f9ecaa9635ull;
   EXPECT_EQ(h.digest(), golden) << "actual: 0x" << std::hex << h.digest()
                                 << "\n" << doc;
 }
