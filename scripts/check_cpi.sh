@@ -54,8 +54,8 @@ cmp "$tmp/plain.summary" "$tmp/cpi.summary" \
   | grep -q ", 0 differing" \
   || { echo "check_cpi: diff of plain vs --cpi trace differs" >&2; exit 1; }
 # A run without --cpi yields the pointed no-rows message, not a crash.
-"$smtsim" --mix bal1 --cycles 4096 --warmup 0 --quantum 1024 \
-  --trace "$tmp/nocpi.jsonl" > /dev/null
+"$smtsim" --mix bal1 --cycles 4096 --warmup 0 --trace "$tmp/nocpi.jsonl" \
+  > /dev/null
 "$smttrace" cpi "$tmp/nocpi.jsonl" | grep -q "no cpi_stack events"
 
 echo "check_cpi: OK"

@@ -13,8 +13,9 @@
 # 4. `smtsim --trace -` piped into `smttrace summary -` works (stdout
 #    streaming), and exit codes hold: 2 for usage errors (every removed
 #    flag, --trace-format included, a stray positional argument, an
-#    option its mode ignores, and two stdout documents: --trace - or
-#    --stats-json - with --csv), 3
+#    smttrace option its command ignores, and two stdout documents:
+#    --trace - or --stats-json - with --csv; smtsim's options outside
+#    their modes are tests/test_grid.cpp's OptionTable walk), 3
 #    for unreadable input, a `smttrace chrome` export fed back in,
 #    hostile lines (nesting past the schema, null / negative /
 #    fractional / oversized integers) and `--oracle --quanta 0`.
@@ -90,6 +91,20 @@ echo "== stdout streaming: smtsim --trace - | smttrace summary -"
 echo "== exit codes: 2 usage, 3 bad input / chrome / hostile lines"
 rc=0; "$smttrace" bogus "$tmp/t.jsonl" >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
+# The commands are smttrace's modes: --limit and --csv exit 2 where the
+# command has no table to cap or reformat, and so does a repeated option.
+for args in "hist --limit 3" "hist --csv" "chrome --limit 3" "chrome --csv" \
+    "pipeview --csv" "summary --limit 3 --limit 4"; do
+  rc=0
+  # shellcheck disable=SC2086  # split the command and its options
+  "$smttrace" $args "$tmp/t.jsonl" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "check_trace_tools: smttrace $args exited $rc," \
+                          "want 2" >&2; exit 1; }
+done
+for opt in --limit=3 --csv; do
+  rc=0; "$smttrace" schema "$opt" >/dev/null 2>&1 || rc=$?
+  test "$rc" -eq 2
+done
 rc=0; "$smttrace" summary "$tmp/does-not-exist" >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 3
 "$smttrace" chrome "$tmp/t.jsonl" > "$tmp/t.chrome"
@@ -115,33 +130,6 @@ rc=0; "$smtsim" --mix mem8 --cycles 8192 --stats-json - --csv >/dev/null 2>&1 \
 test "$rc" -eq 2  # a stdout stats document would drop the CSV
 rc=0; "$smtsim" --mix bal1 --oracle --quanta 0 >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 3  # an oracle over zero quanta, like --cycles 0
-# The oracle's trials run on copies that drop every observer, so an
-# observability output under --oracle is refused, not silently unwritten.
-for flag in "--trace $tmp/oracle.jsonl" "--stats-json $tmp/oracle.json" \
-    --cpi "--pipeview 8@0"; do
-  rc=0
-  # shellcheck disable=SC2086  # split "--flag value" into two arguments
-  "$smtsim" --mix bal1 --oracle --quanta 1 $flag >/dev/null 2>&1 || rc=$?
-  if [ "$rc" -ne 2 ] || [ -e "$tmp/oracle.jsonl" ] || [ -e "$tmp/oracle.json" ]; then
-    echo "check_trace_tools: smtsim --oracle $flag exited $rc, want 2" \
-      "and no output file" >&2
-    exit 1
-  fi
-done
-# An option its mode would ignore is a usage error: the ADTS options
-# without --adts, --adts under the oracle, the oracle's without --oracle.
-for flags in "--heuristic 9" "--threshold 2" --instant "--quanta 4" \
-    --all-policies "--oracle --quanta 1 --adts" \
-    "--oracle --quanta 1 --heuristic 4" "--oracle --quanta 1 --instant"; do
-  rc=0
-  # shellcheck disable=SC2086  # split "--flag value" into two arguments
-  "$smtsim" --mix bal1 --cycles 1024 --warmup 0 $flags >/dev/null 2>&1 \
-    || rc=$?
-  if [ "$rc" -ne 2 ]; then
-    echo "check_trace_tools: smtsim $flags exited $rc, want 2" >&2
-    exit 1
-  fi
-done
 # A stray positional (here a mistyped single-dash option and its value)
 # is a usage error, not a silently ignored argument.
 rc=0; "$smtsim" --mix ilp8 --warmup 0 -cycles 1000 >/dev/null 2>&1 || rc=$?

@@ -20,46 +20,152 @@
 
 namespace smt::sim {
 
+void set_job_field(GridJob& job, const std::string& field,
+                   const std::string& text) {
+  const auto u64 = [&] {
+    const std::optional<std::uint64_t> v = parse_u64(text);
+    if (!v.has_value()) {
+      throw UsageError(field + " expects an unsigned integer, got '" + text +
+                       "'");
+    }
+    return *v;
+  };
+  try {
+    if (field == "cycles" || field == "quantum") {
+      const std::uint64_t n = u64();
+      if (n == 0) throw ConfigError(field + " must be > 0 cycles");
+      (field == "cycles" ? job.cycles : job.quantum) = n;
+    } else if (field == "warmup" || field == "seed") {
+      (field == "warmup" ? job.warmup : job.seed) = u64();
+    } else if (field == "threads") {
+      const std::uint64_t n = u64();
+      if (n < 1 || n > 8) {
+        throw ConfigError("threads must be between 1 and 8 (the machine has "
+                          "8 hardware contexts), got " + text);
+      }
+      job.threads = static_cast<std::size_t>(n);
+    } else if (field == "mix") {
+      (void)workload::mix(text);  // std::out_of_range when unknown
+      job.mix = text;
+    } else if (field == "policy") {
+      job.policy = policy::parse_policy(text);  // std::out_of_range likewise
+    } else if (field == "heuristic") {
+      job.heuristic = core::parse_heuristic(text);
+    } else if (field == "threshold") {
+      const std::optional<double> v = parse_double(text);
+      if (!v.has_value()) {
+        throw UsageError("threshold expects a finite number, got '" + text +
+                         "'");
+      }
+      if (*v <= 0.0) {
+        throw ConfigError("threshold must be > 0 (IPC units), got " + text);
+      }
+      job.threshold = *v;
+    }
+  } catch (const std::out_of_range& e) {
+    throw ConfigError(std::string(e.what()) + " (see smtsim --list)");
+  }
+}
+
 namespace {
 
-std::uint64_t batch_u64(const std::string& directive, const std::string& tok) {
-  const std::optional<std::uint64_t> v = parse_u64(tok);
-  if (!v.has_value()) {
-    throw ConfigError("batch: '" + directive + "' needs an unsigned integer, "
-                      "got '" + tok + "'");
-  }
-  return *v;
-}
+constexpr unsigned kRuns = kFixedRun | kAdtsRun | kOracleRun;
+constexpr unsigned kSimRuns = kFixedRun | kAdtsRun;  // no oracle copies
 
-double batch_double(const std::string& directive, const std::string& tok) {
-  const std::optional<double> v = parse_double(tok);
-  if (!v.has_value()) {
-    throw ConfigError("batch: '" + directive + "' needs a finite number, "
-                      "got '" + tok + "'");
-  }
-  return *v;
-}
+const CliTable kSmtsimCli = {
+    R"(usage: smtsim [options]
+
+A run is fixed-policy unless --adts, --oracle or --grid picks its mode. An
+option outside the modes its heading names is a usage error (exit 2).
+
+)",
+    {"fixed-policy runs", "--adts runs", "--oracle runs", "--grid"},
+    {
+        {"mix", "NAME", kRuns, "one of the 13 mixes (--list; default bal1)"},
+        {"apps", "a,b,...", kRuns, "explicit application list (max 8)", {},
+         {"mix", "threads"}},
+        {"threads", "N", kRuns, "contexts of the mix to use, 1..8 (default 8)"},
+        {"seed", "N", kRuns, "workload seed (default 2003)"},
+        {"policy", "NAME", kRuns,
+         "fixed fetch policy; under --adts the starting one, under --oracle "
+         "the warm-up's (default ICOUNT)"},
+        {"warmup", "N", kRuns, "warm-up cycles, not measured (default 32768)"},
+        {"csv", "", kRuns, "machine-readable output"},
+        {"check", "", kRuns,
+         "validate microarchitectural invariants every cycle (also "
+         "SMT_CHECK=1); violations report on stderr and the run exits 4",
+         {}, {}, true},
+        {"prof", "", kRuns,
+         "time host phases and stride-sampled per-cycle stages, exported as "
+         "prof.* in --stats-json; simulated results are unchanged"},
+        {"prof-folded", "PATH", kRuns,
+         "write folded stacks (\"run;measured;cycle 1234\") to PATH for "
+         "speedscope / flamegraph.pl (implies --prof)"},
+        {"quantum", "CYCLES", kAdtsRun | kOracleRun,
+         "scheduling quantum, > 0 (default 8192)"},
+        {"cycles", "N", kSimRuns, "cycles to simulate (default 262144)"},
+        {"trace", "PATH", kSimRuns,
+         "write the JSONL event trace to PATH ('-' = stdout, which it then "
+         "holds alone: not with --csv or --stats-json -); see smttrace"},
+        {"pipeview", "N@CYCLE", kSimRuns,
+         "trace the per-stage lifecycle of the N instructions fetched from "
+         "CYCLE on; comma-separable (64@0,64@131072)",
+         {"trace"}},
+        {"stats-json", "PATH", kSimRuns,
+         "write every subsystem's end-of-run metrics as JSON to PATH ('-' = "
+         "stdout, which it then holds alone: not with --csv)"},
+        {"cpi", "", kSimRuns,
+         "CPI stacks: charge every commit slot to one cause per thread; "
+         "cpi.* keys in --stats-json, cpi_stack rows in the trace"},
+        {"prof-stride", "N", kSimRuns,
+         "time 1 of every N cycles, a power of two (default 64)",
+         {"prof", "prof-folded"}},
+        {"adts", "", kAdtsRun, "adaptive scheduling (detector thread)"},
+        {"heuristic", "H", kAdtsRun, "heuristic, 1|2|3|3p|4 (default 3)"},
+        {"threshold", "M", kAdtsRun, "IPC threshold, > 0 (default 2)"},
+        {"instant", "", kAdtsRun, "zero-cost switching (ablation)"},
+        {"oracle", "", kOracleRun,
+         "per-quantum oracle over ICOUNT, BRCOUNT and L1MISSCOUNT; its "
+         "trials run on copies, which drop every observer"},
+        {"all-policies", "", kOracleRun, "oracle over all ten policies"},
+        {"quanta", "N", kOracleRun, "oracle quanta, > 0 (default 16)"},
+        {"grid", "FILE", kGridRun,
+         "run every job of FILE (grammar in src/sim/grid.hpp), which sets "
+         "every run option; one \"ran\" or \"cached\" line per job",
+         {"out"}},
+        {"out", "DIR", kGridRun,
+         "publish each job as DIR/<job digest>.json, equal to its direct "
+         "--stats-json run; jobs already in DIR are skipped, so a killed grid "
+         "resumes",
+         {"grid"}},
+        {"jobs", "N", kAllModes,
+         "worker threads for oracle trials and grid jobs (default: SMT_JOBS "
+         "or 1); results do not depend on it",
+         {}, {}, true},
+        {"list", "", kAllModes, "list mixes, applications and policies"},
+        {"version", "", kAllModes, "version, commit, compiler and build flags"},
+        {"help", "", kAllModes, "this text"},
+    },
+    R"(
+exit codes:
+  0  success
+  2  usage error (unknown, repeated, malformed or out-of-mode option, stray
+     argument)
+  3  configuration error (valid syntax, invalid value)
+  4  invariant violations detected (--check / SMT_CHECK=1); under
+     --grid, a job with violations is reported and not published
+)"};
 
 }  // namespace
 
-BatchSpec parse_batch(std::istream& in) {
-  std::vector<std::string> mixes;
-  std::vector<std::uint64_t> seeds;
-  // Scheduling variants as job templates; per (mix, seed) the grid runs
-  // the fixed-policy ones first, then the ADTS ones.
-  std::vector<GridJob> fixed, adaptive;
-  std::uint64_t cycles = 262144, warmup = 32768, quantum = 8192;
-  std::uint64_t threads = 8;
-  bool saw_cycles = false, saw_warmup = false, saw_threads = false,
-       saw_quantum = false;
+const CliTable& smtsim_cli() { return kSmtsimCli; }
 
-  const auto scalar_once = [](bool& seen, const std::string& directive) {
-    if (seen) {
-      throw ConfigError("batch: duplicate '" + directive +
-                        "' directive (scalars may appear once)");
-    }
-    seen = true;
-  };
+BatchSpec parse_batch(std::istream& in) {
+  GridJob scalars;  // cycles, warmup, threads and quantum of every job
+  std::set<std::string> scalars_seen;
+  // The axes as one job per value; per (mix, seed) the grid runs the
+  // fixed-policy variants first, then the ADTS ones.
+  std::vector<GridJob> mixes, seeds, fixed, adaptive;
 
   std::string line;
   std::size_t lineno = 0;
@@ -73,67 +179,45 @@ BatchSpec parse_batch(std::istream& in) {
 
     std::vector<std::string> args;
     for (std::string tok; tokens >> tok;) args.push_back(tok);
-    if (args.empty()) {
-      throw ConfigError("batch line " + std::to_string(lineno) + ": '" +
-                        directive + "' needs at least one value");
-    }
-
-    if (directive == "cycles") {
-      scalar_once(saw_cycles, directive);
-      cycles = batch_u64(directive, args[0]);
-      if (cycles == 0) throw ConfigError("batch: cycles must be > 0");
-    } else if (directive == "warmup") {
-      scalar_once(saw_warmup, directive);
-      warmup = batch_u64(directive, args[0]);
-    } else if (directive == "threads") {
-      scalar_once(saw_threads, directive);
-      threads = batch_u64(directive, args[0]);
-      if (threads < 1 || threads > 8) {
-        throw ConfigError("batch: threads must be 1..8, got " + args[0]);
+    // Every error of a line is a configuration error (exit 3), a
+    // malformed number included: the file, not the command line, is bad.
+    try {
+      if (args.empty()) {
+        throw ConfigError("'" + directive + "' needs at least one value");
       }
-    } else if (directive == "quantum") {
-      scalar_once(saw_quantum, directive);
-      quantum = batch_u64(directive, args[0]);
-      if (quantum == 0) throw ConfigError("batch: quantum must be > 0");
-    } else if (directive == "mix") {
-      for (const std::string& m : args) {
-        try {
-          (void)workload::mix(m);
-        } catch (const std::exception&) {
-          throw ConfigError("batch: unknown mix '" + m + "'");
+      if (directive == "cycles" || directive == "warmup" ||
+          directive == "threads" || directive == "quantum") {
+        if (!scalars_seen.insert(directive).second || args.size() != 1) {
+          throw ConfigError("'" + directive + "' is a scalar: one value, "
+                            "on one line");
         }
-        mixes.push_back(m);
+        set_job_field(scalars, directive, args[0]);
+      } else if (directive == "mix" || directive == "seed" ||
+                 directive == "policy") {
+        std::vector<GridJob>& axis = directive == "mix"    ? mixes
+                                     : directive == "seed" ? seeds
+                                                           : fixed;
+        for (const std::string& v : args) {
+          set_job_field(axis.emplace_back(), directive, v);
+        }
+      } else if (directive == "adts") {
+        for (const std::string& v : args) {
+          const std::size_t at = v.find('@');
+          if (at == std::string::npos || at == 0 || at + 1 >= v.size()) {
+            throw ConfigError("adts variants are heuristic@threshold "
+                              "(e.g. 3@2), got '" + v + "'");
+          }
+          GridJob& j = adaptive.emplace_back();
+          j.adts = true;
+          set_job_field(j, "heuristic", v.substr(0, at));
+          set_job_field(j, "threshold", v.substr(at + 1));
+        }
+      } else {
+        throw ConfigError("unknown directive '" + directive + "'");
       }
-    } else if (directive == "seed") {
-      for (const std::string& s : args) seeds.push_back(batch_u64(directive, s));
-    } else if (directive == "policy") {
-      for (const std::string& p : args) {
-        GridJob& j = fixed.emplace_back();
-        try {
-          j.policy = policy::parse_policy(p);
-        } catch (const std::exception&) {
-          throw ConfigError("batch: unknown fetch policy '" + p + "'");
-        }
-      }
-    } else if (directive == "adts") {
-      for (const std::string& v : args) {
-        const std::size_t at = v.find('@');
-        if (at == std::string::npos || at == 0 || at + 1 >= v.size()) {
-          throw ConfigError("batch: adts variants are heuristic@threshold "
-                            "(e.g. 3@2), got '" + v + "'");
-        }
-        GridJob& j = adaptive.emplace_back();
-        j.adts = true;
-        j.heuristic = core::parse_heuristic(v.substr(0, at));
-        j.threshold = batch_double(directive, v.substr(at + 1));
-        if (j.threshold <= 0.0) {
-          throw ConfigError("batch: adts threshold must be > 0, got '" + v +
-                            "'");
-        }
-      }
-    } else {
-      throw ConfigError("batch line " + std::to_string(lineno) +
-                        ": unknown directive '" + directive + "'");
+    } catch (const std::invalid_argument& e) {
+      throw ConfigError("batch line " + std::to_string(lineno) + ": " +
+                        e.what());
     }
   }
 
@@ -144,19 +228,19 @@ BatchSpec parse_batch(std::istream& in) {
     throw ConfigError("batch: needs at least one scheduling variant "
                       "('policy' or 'adts')");
   }
-  if (seeds.empty()) seeds.push_back(2003);
+  if (seeds.empty()) seeds.emplace_back();  // GridJob's default seed
 
   BatchSpec batch;
-  for (const std::string& m : mixes) {
-    for (const std::uint64_t s : seeds) {
+  for (const GridJob& m : mixes) {
+    for (const GridJob& s : seeds) {
       for (const std::vector<GridJob>* variants : {&fixed, &adaptive}) {
         for (GridJob j : *variants) {
-          j.mix = m;
-          j.seed = s;
-          j.threads = static_cast<std::size_t>(threads);
-          j.cycles = cycles;
-          j.warmup = warmup;
-          j.quantum = quantum;
+          j.mix = m.mix;
+          j.seed = s.seed;
+          j.threads = scalars.threads;
+          j.cycles = scalars.cycles;
+          j.warmup = scalars.warmup;
+          j.quantum = scalars.quantum;
           batch.jobs.push_back(j);
         }
       }

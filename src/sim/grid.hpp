@@ -1,6 +1,6 @@
 // Experiment grids: the batch grammar, the content address of a job, the
-// measured run every job shares with `smtsim`, and the in-process runner
-// behind `smtsim --grid FILE --out DIR`.
+// measured run every job shares with `smtsim`, the in-process runner
+// behind `smtsim --grid FILE --out DIR`, and smtsim's option table.
 //
 // A grid file is a small line-based document naming the grid axes
 // (mixes × seeds × scheduling variants) plus scalar run-control knobs.
@@ -15,14 +15,16 @@
 //   cycles N          measured cycles per job        (scalar, default 262144)
 //   warmup N          warm-up cycles per job         (scalar, default 32768)
 //   threads N         contexts per job, 1..8         (scalar, default 8)
-//   quantum N         ADTS quantum in cycles         (scalar, default 8192)
+//   quantum N         ADTS quantum in cycles         (scalar, default 8192;
+//                     applies only to the adts variants)
 //   mix A B ...       mix axis (accumulates; ≥ 1 required)
 //   seed N M ...      workload-seed axis             (default: 2003)
 //   policy P Q ...    fixed-policy variants (accumulates)
 //   adts H@M ...      ADTS variants, heuristic@threshold (accumulates)
 //
 // Jobs = mix × seed × (policy variants ∪ adts variants). At least one
-// scheduling variant is required. Errors throw smt::ConfigError.
+// scheduling variant is required. A scalar takes one value. Errors throw
+// smt::ConfigError.
 //
 // A rerun skips every job whose document DIR/<digest>.json exists, and
 // documents are published by rename, so a killed grid resumes without a
@@ -35,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/heuristics.hpp"
 #include "obs/metrics.hpp"
 #include "par/thread_pool.hpp"
@@ -46,7 +49,7 @@ namespace smt::sim {
 
 /// One fully resolved experiment: a grid job, or smtsim's own options.
 struct GridJob {
-  std::string mix;
+  std::string mix = "bal1";
   std::uint64_t seed = 2003;
   std::size_t threads = 8;
   std::uint64_t cycles = 262144;
@@ -58,6 +61,27 @@ struct GridJob {
   double threshold = 2.0;
   std::uint64_t quantum = 8192;
 };
+
+/// Parse `text` into the GridJob field `field` (cycles, warmup, threads,
+/// quantum, mix, seed, policy, heuristic or threshold): the one check
+/// behind both smtsim's flags and the grid grammar. Throws UsageError for
+/// a malformed number, ConfigError for an out-of-range or unknown value;
+/// changes nothing when `field` names no such field.
+void set_job_field(GridJob& job, const std::string& field,
+                   const std::string& text);
+
+/// smtsim's modes: the bits of its option table's masks.
+enum SmtsimMode : unsigned {
+  kFixedRun = 1U,
+  kAdtsRun = 2U,
+  kOracleRun = 4U,
+  kGridRun = 8U,
+};
+
+/// smtsim's option table: each flag once, with the modes it applies to.
+/// The run options that name a GridJob field are set through
+/// set_job_field.
+[[nodiscard]] const CliTable& smtsim_cli();
 
 struct BatchSpec {
   std::vector<GridJob> jobs;

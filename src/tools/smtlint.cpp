@@ -30,32 +30,32 @@
 
 namespace {
 
-constexpr const char* kUsage =
-    R"(usage: smtlint [options]
-
-options:
-  --root DIR       repo root to analyze (default "."; must contain src/)
-  --list-rules     print the rule catalog (id + description) and exit
-  --help           this text
-
+const smt::CliTable kCli = {
+    "usage: smtlint [options]\n\n",
+    {},
+    {{"root", "DIR", smt::kAllModes,
+      "repo root to analyze (default \".\"; must contain src/)"},
+     {"list-rules", "", smt::kAllModes,
+      "print the rule catalog (id + description) and exit"},
+     {"help", "", smt::kAllModes, "this text"}},
+    R"(
 Scope: src/** and bench/** C++ sources. Every finding fails the run;
 fix it, there is no suppression. Output is byte-deterministic.
 
 exit codes: 0 clean, 4 findings, 2 usage error, 3 config error.
-)";
+)"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace smt;
   try {
-    const CliArgs args(argc, argv, {"root", "list-rules", "help"},
-                       /*flag_keys=*/{"list-rules", "help"});
+    const CliArgs args(argc, argv, kCli);
     if (!args.positional().empty()) {
       throw UsageError("unexpected argument: " + args.positional().front());
     }
     if (args.has("help")) {
-      std::cout << kUsage;
+      write_help(std::cout, kCli);
       return kExitOk;
     }
 
@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
     lint::write_text(std::cout, result);
     return result.findings.empty() ? kExitOk : kExitCheck;
   } catch (const smt::UsageError& e) {
-    std::cerr << "smtlint: " << e.what() << "\n" << kUsage;
+    std::cerr << "smtlint: " << e.what() << "\n";
+    write_help(std::cerr, kCli);
     return smt::kExitUsage;
   } catch (const smt::ConfigError& e) {
     std::cerr << "smtlint: " << e.what() << "\n";

@@ -44,96 +44,6 @@
 
 namespace {
 
-constexpr const char* kUsage = R"(usage: smtsim [options]
-
-workload (one of):
-  --mix NAME            one of the 13 built-in mixes (see --list)
-  --apps a,b,c,...      explicit application list (max 8)
-  --threads N           contexts to use from the mix, 1..8 (default 8)
-  --seed N              workload seed (default 2003)
-
-scheduling (one of; --heuristic, --threshold and --instant without
---adts, or --quanta and --all-policies without --oracle, exit 2):
-  --policy NAME         fixed fetch policy (default ICOUNT)
-  --adts                adaptive scheduling (detector thread)
-    --heuristic 1|2|3|3p|4    (default 3)
-    --threshold M             IPC threshold, > 0 (default 2)
-    --quantum CYCLES          scheduling quantum, > 0 (default 8192);
-                              also the oracle's quantum
-    --instant                 zero-cost switching (ablation)
-  --oracle              per-quantum oracle over {ICOUNT,BRCOUNT,L1MISSCOUNT}
-    --all-policies            oracle over all ten policies
-    --quanta N                oracle quanta, > 0 (default 16)
-    --jobs N                  worker threads for the oracle's candidate
-                              trials and for --grid jobs (default:
-                              SMT_JOBS or 1; results are bit-identical
-                              for every value)
-
-grids (instead of a single run; only --jobs may accompany them):
-  --grid FILE           run every job of the grid file FILE (grammar in
-                        src/sim/grid.hpp), printing one "ran" or "cached"
-                        line per job
-  --out DIR             publish each job as DIR/<job digest>.json, equal
-                        to its direct --stats-json run; jobs already in
-                        DIR are skipped, so a killed grid resumes
-
-observability (normal runs; a usage error under --oracle):
-  --trace PATH          write the JSONL event trace to PATH after the run
-                        ('-' = stdout; stdout then carries only the trace,
-                        so --stats-json - and --csv are rejected alongside
-                        it). Analyze with smttrace; `smttrace chrome`
-                        exports it for Perfetto / chrome://tracing
-  --pipeview N@CYCLE    sample the full pipeline lifecycle (fetch through
-                        commit/squash, cycle-stamped per stage) of the N
-                        instructions fetched from CYCLE onward, as
-                        pipeview events in the trace. Comma-separable:
-                        --pipeview 64@0,64@131072. Needs --trace.
-                        Analyze with smttrace pipeview.
-  --stats-json PATH     write end-of-run metrics from every subsystem as
-                        nested JSON to PATH ('-' = stdout; stdout then
-                        carries only the document, so --csv is rejected
-                        alongside it)
-  --cpi                 per-slot commit-loss accounting (CPI stacks):
-                        charge every commit slot of every cycle to one
-                        cause per thread — committed, ROB-empty (by fetch
-                        stall cause), dependency wait, memory latency,
-                        FU/port contention (by co-runner), structural
-                        full, squash recovery, switch overhead. Exports
-                        cpi.* keys in --stats-json and per-quantum
-                        cpi_stack trace rows. Analyze with smttrace cpi.
-
-host profiling (host-time observability; simulated results unchanged):
-  --prof                collect hierarchical host-phase timings — run
-                        phases (init/warmup/measured) plus stride-sampled
-                        per-cycle stages (pipeline commit/complete/issue/
-                        dispatch/fetch, detector, checker, trace); exported
-                        as prof.* in --stats-json. Host time never enters
-                        the --trace file, which holds simulated time only.
-  --prof-folded PATH    write folded stacks ("run;measured;cycle 1234") to
-                        PATH for speedscope / flamegraph.pl (implies --prof)
-  --prof-stride N       time 1 of every N cycles, power of two (default 64;
-                        1 = every cycle)
-
-run control:
-  --cycles N            cycles to simulate (default 262144)
-  --warmup N            warm-up cycles excluded from stats (default 32768)
-  --check               validate microarchitectural invariants every cycle
-                        (src/check/; also enabled by SMT_CHECK=1 in the
-                        environment); violations report on stderr and the
-                        run exits 4
-  --csv                 machine-readable output
-  --list                list mixes, applications and policies, then exit
-  --version             build provenance (version, commit, compiler, flags)
-  --help                this text
-
-exit codes:
-  0  success
-  2  usage error (unknown or malformed option, stray argument)
-  3  configuration error (valid syntax, invalid value)
-  4  invariant violations detected (--check / SMT_CHECK=1); under
-     --grid, a job with violations is reported and not published
-)";
-
 void list_everything() {
   std::cout << "mixes:\n";
   for (const auto& m : smt::workload::all_mixes()) {
@@ -153,26 +63,33 @@ void list_everything() {
 /// Parse one --pipeview window spec "N@CYCLE".
 smt::pipeline::PipeviewWindow parse_pipeview_window(const std::string& spec) {
   const std::size_t at = spec.find('@');
-  if (at == std::string::npos || at == 0 || at + 1 >= spec.size()) {
-    throw smt::ConfigError("--pipeview windows are N@CYCLE (e.g. 64@8192), "
-                           "got '" + spec + "'");
-  }
   const std::optional<std::uint64_t> count =
       smt::parse_u64(std::string_view(spec).substr(0, at));
   const std::optional<std::uint64_t> start =
-      smt::parse_u64(std::string_view(spec).substr(at + 1));
+      at == std::string::npos
+          ? std::nullopt
+          : smt::parse_u64(std::string_view(spec).substr(at + 1));
   if (!count.has_value() || !start.has_value()) {
     throw smt::ConfigError("--pipeview windows are N@CYCLE (e.g. 64@8192), "
                            "got '" + spec + "'");
   }
-  smt::pipeline::PipeviewWindow w;
-  w.count = *count;
-  w.start_cycle = *start;
-  if (w.count == 0) {
+  if (*count == 0) {
     throw smt::ConfigError("--pipeview window '" + spec +
                            "' samples zero instructions");
   }
-  return w;
+  return {.start_cycle = *start, .count = *count};
+}
+
+/// The file --`key` names, opened for writing: a bad path fails before
+/// the (potentially long) run, not after it.
+std::ofstream open_output(const smt::CliArgs& args, const std::string& key) {
+  const std::string path = args.get_or(key, "");
+  std::ofstream out(path);
+  if (!out) {
+    throw smt::ConfigError("--" + key + ": cannot open '" + path +
+                           "' for writing");
+  }
+  return out;
 }
 
 /// One progress line per settled grid job: status, digest, job.
@@ -196,18 +113,8 @@ std::string settle_line(const smt::sim::GridCell& cell) {
 
 /// --grid FILE --out DIR: run every job of FILE whose document DIR does
 /// not hold yet.
-int run_grid_file(const smt::CliArgs& args,
-                  const std::vector<std::string>& keys, std::size_t jobs) {
+int run_grid_file(const smt::CliArgs& args, std::size_t jobs) {
   using namespace smt;
-  if (!args.has("grid") || !args.has("out")) {
-    throw UsageError("--grid FILE and --out DIR go together");
-  }
-  for (const std::string& key : keys) {
-    if (key != "grid" && key != "out" && key != "jobs" && args.has(key)) {
-      throw UsageError("--" + key + " does not apply to --grid: the grid "
-                       "file sets every run option");
-    }
-  }
   const std::string path = args.get_or("grid", "");
   std::ifstream in(path);
   if (!in) throw ConfigError("--grid: cannot read '" + path + "'");
@@ -230,22 +137,13 @@ int run_grid_file(const smt::CliArgs& args,
 int main(int argc, char** argv) {
   using namespace smt;
   try {
-    const std::vector<std::string> keys = {
-        "mix", "apps", "threads", "seed", "policy", "adts", "heuristic",
-        "threshold", "quantum", "instant", "oracle", "all-policies",
-        "quanta", "jobs", "cycles", "warmup", "csv", "list", "help",
-        "trace", "pipeview", "stats-json",
-        "cpi", "prof", "prof-folded", "prof-stride", "check", "version",
-        "grid", "out"};
-    const CliArgs args(argc, argv, keys,
-                       /*flag_keys=*/{"adts", "instant", "oracle",
-                                      "all-policies", "csv", "list", "help",
-                                      "check", "cpi", "prof", "version"});
+    const CliTable& cli = sim::smtsim_cli();
+    const CliArgs args(argc, argv, cli);
     if (!args.positional().empty()) {
       throw UsageError("unexpected argument: " + args.positional().front());
     }
     if (args.has("help")) {
-      std::cout << kUsage;
+      write_help(std::cout, cli);
       return kExitOk;
     }
     if (args.has("version")) {
@@ -258,88 +156,28 @@ int main(int argc, char** argv) {
       list_everything();
       return kExitOk;
     }
+    args.check_mode(args.has("grid") || args.has("out") ? sim::kGridRun
+                    : args.has("oracle")                ? sim::kOracleRun
+                    : args.has("adts")                  ? sim::kAdtsRun
+                                                        : sim::kFixedRun);
 
-    // Worker threads for the oracle's candidate trials and for grid
-    // jobs. The flag is harmless elsewhere (single runs have nothing to
-    // fan out).
     const std::uint64_t jobs =
         args.get_u64("jobs", static_cast<std::uint64_t>(smt_jobs_from_env()));
     if (jobs == 0) {
       throw ConfigError("--jobs must be >= 1 worker threads");
     }
-    if (args.has("grid") || args.has("out")) {
-      return run_grid_file(args, keys, static_cast<std::size_t>(jobs));
-    }
-
-    // Each mode's own options: one the chosen mode would ignore is a
-    // usage error, not a silently dropped flag.
-    if (args.has("adts") && args.has("oracle")) {
-      throw UsageError("--adts cannot be combined with --oracle (the "
-                       "oracle picks every quantum's policy itself)");
-    }
-    for (const char* flag : {"heuristic", "threshold", "instant"}) {
-      if (args.has(flag) && !args.has("adts")) {
-        throw UsageError(std::string("--") + flag + " needs --adts");
-      }
-    }
-    for (const char* flag : {"quanta", "all-policies"}) {
-      if (args.has(flag) && !args.has("oracle")) {
-        throw UsageError(std::string("--") + flag + " needs --oracle");
-      }
-    }
-    if (args.has("oracle")) {
-      // The oracle's trials run on copies, which drop every observer, so
-      // none of these outputs could be written.
-      for (const char* flag : {"trace", "stats-json", "cpi", "pipeview"}) {
-        if (args.has(flag)) {
-          throw UsageError(std::string("--") + flag +
-                           " cannot be combined with --oracle");
-        }
-      }
+    if (args.has("grid")) {
+      return run_grid_file(args, static_cast<std::size_t>(jobs));
     }
 
     // The run's options as a grid job: sim_config_for is the one
     // option → SimConfig mapping, shared with every --grid job.
     sim::GridJob job;
-    job.mix = args.get_or("mix", "bal1");
-    job.seed = args.get_u64("seed", 2003);
-    job.threads = static_cast<std::size_t>(args.get_u64("threads", 8));
-    if (job.threads < 1 || job.threads > 8) {
-      throw ConfigError("--threads must be between 1 and 8 (the machine has "
-                        "8 hardware contexts), got " +
-                        std::to_string(job.threads));
-    }
-    try {
-      job.policy = policy::parse_policy(args.get_or("policy", "ICOUNT"));
-    } catch (const std::exception&) {
-      throw ConfigError("unknown fetch policy '" +
-                        args.get_or("policy", "ICOUNT") +
-                        "' (see --list for the ten policies)");
-    }
-    job.threshold = args.get_double("threshold", 2.0);
-    if (job.threshold <= 0.0) {
-      throw ConfigError("--threshold must be > 0 (IPC units), got " +
-                        std::to_string(job.threshold));
-    }
-    job.quantum = args.get_u64("quantum", 8192);
-    if (job.quantum == 0) {
-      throw ConfigError("--quantum must be > 0 cycles");
-    }
-    job.warmup = args.get_u64("warmup", 32768);
-    job.cycles = args.get_u64("cycles", 262144);
-    if (job.cycles == 0) {
-      throw ConfigError("--cycles must be > 0");
-    }
     job.adts = args.has("adts");
-    job.heuristic = core::parse_heuristic(args.get_or("heuristic", "3"));
-
-    sim::SimConfig cfg;
-    try {
-      cfg = sim::sim_config_for(job);
-    } catch (const std::exception&) {
-      throw ConfigError("unknown mix '" + job.mix +
-                        "' (see --list for the 13 built-in mixes)");
+    for (const CliOption& o : cli.options) {
+      if (const auto v = args.get(o.name)) sim::set_job_field(job, o.name, *v);
     }
+    sim::SimConfig cfg = sim::sim_config_for(job);
     if (args.has("apps")) {
       cfg.apps = split_list(args.get_or("apps", ""));
       if (cfg.apps.empty()) {
@@ -376,16 +214,12 @@ int main(int argc, char** argv) {
                         std::to_string(prof_stride));
     }
     std::ofstream prof_out;
-    if (args.has("prof-folded")) {
-      const std::string path = args.get_or("prof-folded", "");
-      prof_out.open(path);
-      if (!prof_out) {
-        throw ConfigError("--prof-folded: cannot open '" + path +
-                          "' for writing");
-      }
-    }
+    if (args.has("prof-folded")) prof_out = open_output(args, "prof-folded");
     prof::PhaseProfiler profiler;
     prof::PhaseProfiler* pp = prof_on ? &profiler : nullptr;
+    const auto ms = [&profiler](prof::PhaseProfiler::Node n) {
+      return prof::ticks_to_ns(profiler.inclusive_ticks(n)) / 1000000;
+    };
     const std::uint64_t prof_t0 = prof_on ? prof::host_ticks() : 0;
 
     if (args.has("oracle")) {
@@ -423,13 +257,8 @@ int main(int argc, char** argv) {
                     << " quanta\n";
         }
         if (prof_on) {
-          std::cout << "host profile: warmup "
-                    << prof::ticks_to_ns(profiler.inclusive_ticks(n_warm)) /
-                           1000000
-                    << " ms, oracle "
-                    << prof::ticks_to_ns(profiler.inclusive_ticks(n_orc)) /
-                           1000000
-                    << " ms\n";
+          std::cout << "host profile: warmup " << ms(n_warm) << " ms, oracle "
+                    << ms(n_orc) << " ms\n";
         }
       }
       if (prof_out.is_open()) profiler.write_folded(prof_out);
@@ -442,10 +271,6 @@ int main(int argc, char** argv) {
     cfg.cpi = args.has("cpi");
 
     if (args.has("pipeview")) {
-      if (!args.has("trace")) {
-        throw ConfigError("--pipeview samples into the event trace and "
-                          "needs --trace");
-      }
       for (const std::string& spec : split_list(args.get_or("pipeview", ""))) {
         cfg.pipeview.push_back(parse_pipeview_window(spec));
       }
@@ -465,12 +290,7 @@ int main(int argc, char** argv) {
     }
     std::ofstream stats_out;
     if (args.has("stats-json") && !stats_to_stdout) {
-      const std::string path = args.get_or("stats-json", "-");
-      stats_out.open(path);
-      if (!stats_out) {
-        throw ConfigError("--stats-json: cannot open '" + path +
-                          "' for writing");
-      }
+      stats_out = open_output(args, "stats-json");
     }
     const bool trace_to_stdout =
         args.has("trace") && args.get_or("trace", "-") == "-";
@@ -481,11 +301,7 @@ int main(int argc, char** argv) {
     }
     std::ofstream trace_out;
     if (args.has("trace") && !trace_to_stdout) {
-      const std::string path = args.get_or("trace", "");
-      trace_out.open(path);
-      if (!trace_out) {
-        throw ConfigError("--trace: cannot open '" + path + "' for writing");
-      }
+      trace_out = open_output(args, "trace");
     }
 
     const auto n_init = profiler.child(prof::PhaseProfiler::kRoot, "init");
@@ -579,18 +395,15 @@ int main(int argc, char** argv) {
                 << " skipped)\n";
     }
     if (prof_on) {
-      const auto ms = [](std::uint64_t ticks) {
-        return prof::ticks_to_ns(ticks) / 1000000;
-      };
-      std::cout << "host profile: init " << ms(profiler.inclusive_ticks(n_init))
-                << " ms, warmup " << ms(profiler.inclusive_ticks(n_warm))
-                << " ms, measured " << ms(profiler.inclusive_ticks(n_meas))
+      std::cout << "host profile: init " << ms(n_init) << " ms, warmup "
+                << ms(n_warm) << " ms, measured " << ms(n_meas)
                 << " ms (cycle stages sampled 1/" << prof_stride
                 << "; full tree via --stats-json / --prof-folded)\n";
     }
     return check_exit(sim);
   } catch (const UsageError& e) {
-    std::cerr << "smtsim: " << e.what() << "\n\n" << kUsage;
+    std::cerr << "smtsim: " << e.what() << "\n\n";
+    write_help(std::cerr, sim::smtsim_cli());
     return kExitUsage;
   } catch (const ConfigError& e) {
     std::cerr << "smtsim: " << e.what() << '\n';

@@ -1,34 +1,9 @@
 // smttrace: offline analysis of smtsim's JSONL trace files.
 //
-// Subcommands:
-//   summary  <trace>           per-quantum machine table + stall breakdown
-//   switches <trace>           switch-audit table + textual Fig. 7 rates
-//   pipeview <trace>           ASCII waterfall of sampled instruction
-//                              lifecycles (--pipeview samples)
-//   hist     <trace>           stage-latency and quantum-IPC histograms
-//   diff     <trace> <trace2>  per-quantum IPC / stall / switch deltas;
-//                              ends with a greppable
-//                              "N quanta compared, M differing" line
-//   cpi      <trace> [<trace2>]  per-thread CPI stacks from --cpi runs:
-//                              commit-slot shares by cause, the ROB-empty
-//                              fetch-cause breakdown, the co-runner
-//                              contention matrix and a per-quantum
-//                              time-series; with a second trace, an A/B
-//                              per-quantum-per-thread stack diff ending
-//                              with a greppable "compared/differing" line
-//   chrome   <trace>           the trace as Chrome trace-event JSON on
-//                              stdout, for Perfetto / chrome://tracing
-//   schema                     the trace schema (obs/trace_schema.hpp) as
-//                              JSON on stdout
-//
-// A trace path of "-" reads stdin, pairing with `smtsim --trace -`.
-// Every subcommand decodes through obs::read_trace, which returns the
-// numeric codes the trace holds; names come from the policy, heuristic
-// and obs name functions.
-//
-// Exit codes (common/exit_codes.hpp): 0 ok, 2 usage error, 3 unreadable
-// or malformed trace. `diff` exits 0 even when the traces differ — the
-// verdict is the final summary line, not the exit code.
+// Its commands, their options and its exit codes are documented once, in
+// kCli below (`smttrace --help`). Every command decodes through
+// obs::read_trace, which returns the numeric codes the trace holds;
+// names come from the policy, heuristic and obs name functions.
 
 #include <algorithm>
 #include <array>
@@ -66,7 +41,11 @@ using smt::obs::EventKind;
 using smt::obs::ReadTrace;
 using smt::obs::TraceEvent;
 
-constexpr const char* kUsage =
+// The commands are smttrace's modes: bit i is command kCli.modes[i].
+constexpr unsigned kSummary = 1U, kSwitches = 2U, kPipeview = 4U, kDiff = 16U,
+                   kCpi = 32U;
+
+const smt::CliTable kCli = {
     R"(usage: smttrace <command> [<trace> [<trace2>]] [options]
 
 commands:
@@ -83,18 +62,22 @@ commands:
                               Perfetto / chrome://tracing)
   schema                      the trace schema as JSON on stdout
 
-options:
-  --limit N    cap table / waterfall rows printed (0 = no cap, default)
-  --csv        emit tables as CSV instead of aligned text
-  --help       this text
-
+)",
+    {"summary", "switches", "pipeview", "hist", "diff", "cpi", "chrome",
+     "schema"},
+    {{"limit", "N", kSummary | kSwitches | kPipeview | kDiff | kCpi,
+      "cap table / waterfall rows printed (0 = no cap, default)"},
+     {"csv", "", kSummary | kSwitches | kDiff | kCpi,
+      "emit tables as CSV instead of aligned text"},
+     {"help", "", smt::kAllModes, "this text"}},
+    R"(
 <trace> is the JSONL file written by `smtsim --trace`; "-" reads stdin.
 Chrome exports are output only and are rejected as input.
 
 exit codes: 0 ok, 2 usage error, 3 unreadable or malformed trace.
 `diff` always exits 0 when both traces parse; the verdict is the final
 "N quanta compared, M differing" line.
-)";
+)"};
 
 struct Options {
   std::size_t limit = 0;  ///< 0 = unlimited
@@ -731,15 +714,19 @@ int cmd_cpi_diff(const ReadTrace& a, const ReadTrace& b, const Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    const smt::CliArgs args(argc, argv, {"limit", "csv", "help"},
-                            {"csv", "help"});
+    const smt::CliArgs args(argc, argv, kCli);
     if (args.has("help")) {
-      std::cout << kUsage;
+      smt::write_help(std::cout, kCli);
       return smt::kExitOk;
     }
     const std::vector<std::string>& pos = args.positional();
     if (pos.empty()) throw smt::UsageError("missing command");
     const std::string& cmd = pos[0];
+    const auto mode = std::find(kCli.modes.begin(), kCli.modes.end(), cmd);
+    if (mode == kCli.modes.end()) {
+      throw smt::UsageError("unknown command: " + cmd);
+    }
+    args.check_mode(1U << (mode - kCli.modes.begin()));
     if (cmd == "schema") {
       if (pos.size() != 1) throw smt::UsageError("schema takes no arguments");
       smt::obs::write_schema(std::cout);
@@ -747,10 +734,6 @@ int main(int argc, char** argv) {
     }
     const bool is_diff = cmd == "diff";
     const bool is_cpi = cmd == "cpi";
-    if (cmd != "summary" && cmd != "switches" && cmd != "pipeview" &&
-        cmd != "hist" && cmd != "chrome" && !is_diff && !is_cpi) {
-      throw smt::UsageError("unknown command: " + cmd);
-    }
     if (is_cpi) {
       if (pos.size() != 2 && pos.size() != 3) {
         throw smt::UsageError("cpi takes 1 or 2 trace arguments");
@@ -766,7 +749,7 @@ int main(int argc, char** argv) {
 
     Options opt;
     opt.limit = static_cast<std::size_t>(args.get_u64("limit", 0));
-    opt.csv = args.get_bool("csv", false);
+    opt.csv = args.has("csv");
 
     const ReadTrace trace = load(pos[1]);
     if (cmd == "summary") return cmd_summary(trace, opt);
@@ -785,7 +768,8 @@ int main(int argc, char** argv) {
     }
     return cmd_diff(trace, load(pos[2]), opt);
   } catch (const smt::UsageError& e) {
-    std::cerr << "smttrace: " << e.what() << "\n\n" << kUsage;
+    std::cerr << "smttrace: " << e.what() << "\n\n";
+    smt::write_help(std::cerr, kCli);
     return smt::kExitUsage;
   } catch (const smt::obs::TraceReadError& e) {
     std::cerr << "smttrace: " << e.what() << '\n';

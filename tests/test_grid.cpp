@@ -3,11 +3,14 @@
 // The grammar and the job content address are pure functions, tested on
 // literal grid text. The runner tests publish real documents into
 // temporary directories and compare them byte for byte; GridCli spawns the
-// built smtsim to pin the exit-code contract of malformed grid files.
+// built smtsim to pin the exit-code contract of malformed grid files, and
+// OptionTable walks smtsim's option table (smtsim_cli) against it.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -15,6 +18,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -140,14 +144,22 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// Every file of `dir` by name, with its bytes.
+/// The bytes of the file at `path`.
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Every file under `dir` by relative path, with its bytes.
 std::map<std::string, std::string> read_dir(const std::string& dir) {
   std::map<std::string, std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    files[entry.path().filename().string()] = bytes.str();
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    files[std::filesystem::relative(entry.path(), dir).string()] =
+        slurp(entry.path());
   }
   return files;
 }
@@ -244,6 +256,184 @@ TEST(GridCli, MalformedGridLinesAreConfigErrors) {
   // The same numbers as flags are usage errors, rejected before any run.
   EXPECT_EQ(smtsim_exit("--mix ilp8 --cycles -1"), kExitUsage);
   EXPECT_EQ(smtsim_exit("--adts --threshold nan"), kExitUsage);
+}
+
+// ---------------------------------------------------------------------------
+// smtsim's option table, walked row by row against the built smtsim.
+
+/// An smtsim command line as (option, value) pairs; a flag's value is "".
+using Args = std::vector<std::pair<std::string, std::string>>;
+
+/// What one smtsim run left behind: exit code, stdout, and every file it
+/// wrote into its (fresh, initially empty) working directory.
+struct Outcome {
+  int exit = -1;
+  std::string out;
+  std::map<std::string, std::string> files;
+  bool operator==(const Outcome&) const = default;
+};
+
+std::string spell(const Args& args) {
+  std::string s;
+  for (const auto& [key, value] : args) {
+    s += " --" + key + (value.empty() ? "" : " " + value);
+  }
+  return s;
+}
+
+/// Run smtsim with `args` in the fresh directory `name`.
+Outcome run_smtsim(const std::string& name, const Args& args) {
+  const std::string dir = fresh_dir(name);
+  std::filesystem::create_directories(dir);
+  std::string cmd = "cd '" + dir + "' && " + SMTSIM_BIN;
+  for (const auto& [key, value] : args) {
+    cmd += " '--" + key + "'" + (value.empty() ? "" : " '" + value + "'");
+  }
+  cmd += " > ../" + name + ".stdout 2>/dev/null";
+  const int status = std::system(cmd.c_str());
+  Outcome o;
+  o.exit = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  o.out = slurp(dir + "/../" + name + ".stdout");
+  o.files = read_dir(dir);
+  return o;
+}
+
+bool has(const Args& args, const std::string& key) {
+  return std::any_of(args.begin(), args.end(),
+                     [&key](const auto& kv) { return kv.first == key; });
+}
+
+Args without(Args args, const std::vector<std::string>& keys) {
+  std::erase_if(args, [&keys](const auto& kv) {
+    return std::find(keys.begin(), keys.end(), kv.first) != keys.end();
+  });
+  return args;
+}
+
+struct ModeBase {
+  unsigned mode;
+  std::string name;
+  Args args;
+};
+
+// Per-process names: ctest runs the two walks side by side.
+const std::string kGridFile =
+    testing::TempDir() + "option_table." + std::to_string(getpid()) + ".grid";
+const std::string kGridFile2 =
+    testing::TempDir() + "option_table2." + std::to_string(getpid()) + ".grid";
+
+/// Each mode's short base run, on configs where every knob shows: mem8
+/// with a 1024-cycle quantum switches policies, and the fixed and ADTS
+/// runs write a stats document for --cpi and --prof to change.
+std::vector<ModeBase> mode_bases() {
+  { std::ofstream(kGridFile) << "cycles 4096\nwarmup 1024\nmix mem8\n"
+                                "policy ICOUNT\n"; }
+  { std::ofstream(kGridFile2) << "cycles 4096\nwarmup 1024\nmix ctrl8\n"
+                                 "adts 4@1\n"; }
+  return {
+      {kFixedRun, "fixed",
+       {{"mix", "mem8"}, {"cycles", "4096"}, {"warmup", "1024"},
+        {"stats-json", "s.json"}}},
+      {kAdtsRun, "adts",
+       {{"adts", ""}, {"mix", "mem8"}, {"quantum", "1024"}, {"cycles", "8192"},
+        {"warmup", "1024"}, {"stats-json", "s.json"}}},
+      {kOracleRun, "oracle",
+       {{"oracle", ""}, {"mix", "bal1"}, {"quanta", "2"}, {"quantum", "1024"},
+        {"warmup", "1024"}}},
+      {kGridRun, "grid", {{"grid", kGridFile}, {"out", "out"}}},
+  };
+}
+
+/// A non-default value for every row of the table (a flag's is "").
+std::string sample_value(const std::string& option) {
+  const std::map<std::string, std::string> values = {
+      {"mix", "ctrl8"},          {"apps", "gzip,mcf,swim"},
+      {"threads", "4"},          {"seed", "7"},
+      {"policy", "BRCOUNT"},     {"warmup", "512"},
+      {"quantum", "2048"},       {"cycles", "2048"},
+      {"trace", "t.jsonl"},      {"pipeview", "8@1024"},
+      {"stats-json", "x.json"},  {"prof-stride", "1"},
+      {"prof-folded", "p.folded"}, {"heuristic", "4"},
+      {"threshold", "0.5"},      {"quanta", "3"},
+      {"grid", kGridFile2},      {"out", "out2"},
+      {"jobs", "2"},
+  };
+  const auto it = values.find(option);
+  return it == values.end() ? "" : it->second;
+}
+
+/// smtsim picks its mode from these: added to a fixed run, each names
+/// its own mode's run rather than a fixed run with an extra option.
+bool picks_mode(const std::string& option) {
+  return option == "adts" || option == "oracle" || option == "grid" ||
+         option == "out";
+}
+
+TEST(OptionTable, ApplicableOptionsChangeTheOutput) {
+  for (const ModeBase& base : mode_bases()) {
+    for (const CliOption& o : smtsim_cli().options) {
+      if ((o.modes & base.mode) == 0) continue;
+      const std::string value = sample_value(o.name);
+      ASSERT_TRUE(o.value.empty() || !value.empty())
+          << "--" << o.name << " needs a sample value in this test";
+      // A valued option of the base run changes value; any other option
+      // is compared with its absence, its exclusions dropped and one of
+      // its needs supplied.
+      Args control = base.args;
+      Args variant;
+      if (has(base.args, o.name) && !o.value.empty()) {
+        variant = without(base.args, {o.name});
+      } else {
+        control = without(base.args, o.excludes);
+        control = without(control, {o.name});
+        if (!o.needs.empty() && !has(control, o.needs.front())) {
+          control.emplace_back(o.needs.front(), sample_value(o.needs.front()));
+        }
+        variant = control;
+      }
+      variant.emplace_back(o.name, value);
+      const Outcome a = run_smtsim("option_applies", control);
+      const Outcome b = run_smtsim("option_applies", variant);
+      EXPECT_EQ(b.exit, kExitOk) << base.name << ":" << spell(variant);
+      if (o.output_neutral) {
+        EXPECT_EQ(a, b) << base.name << ": --" << o.name << " is marked "
+                        << "output-neutral:" << spell(variant);
+      } else {
+        EXPECT_NE(a, b) << base.name << ": --" << o.name << " changed "
+                        << "nothing:" << spell(variant);
+      }
+    }
+  }
+}
+
+TEST(OptionTable, DependenciesAndRepeatsAreUsageErrors) {
+  // Each of these once ran while ignoring one of its options (or, for
+  // --pipeview without --trace, exited 3).
+  for (const char* args :
+       {"--prof-stride 1", "--apps gzip,mcf --mix mem8",
+        "--apps gzip,mcf --threads 2", "--mix bal1 --mix mem8",
+        "--pipeview 8@0", "--adts=false"}) {
+    EXPECT_EQ(smtsim_exit(std::string("--cycles 1024 --warmup 0 ") + args),
+              kExitUsage)
+        << args;
+  }
+}
+
+TEST(OptionTable, OtherModesExitTwoAndWriteNothing) {
+  for (const ModeBase& base : mode_bases()) {
+    for (const CliOption& o : smtsim_cli().options) {
+      if ((o.modes & base.mode) != 0) continue;
+      if (base.mode == kFixedRun && picks_mode(o.name)) continue;
+      Args args = base.args;
+      if (!o.needs.empty() && !has(args, o.needs.front())) {
+        args.emplace_back(o.needs.front(), sample_value(o.needs.front()));
+      }
+      args.emplace_back(o.name, sample_value(o.name));
+      const Outcome r = run_smtsim("option_misplaced", args);
+      EXPECT_EQ(r.exit, kExitUsage) << base.name << ":" << spell(args);
+      EXPECT_TRUE(r.files.empty()) << base.name << ":" << spell(args);
+    }
+  }
 }
 
 }  // namespace
