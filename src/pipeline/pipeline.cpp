@@ -104,7 +104,6 @@ Pipeline::Pipeline(const PipelineConfig& cfg,
     t.pview.resize(window_cap_, -1);
     t.done_bits.resize((window_cap_ + 63) / 64, 0);
     t.waiter_head.assign(window_cap_, kNoWaiter);
-    t.replay = FixedQueue<isa::Instruction>(cfg.rob_per_thread + cfg.fetch_width);
     threads_.push_back(std::move(t));
   }
   waiter_next_.fill(kNoWaiter);
@@ -114,8 +113,6 @@ Pipeline::Pipeline(const PipelineConfig& cfg,
   // Pre-size the per-cycle scratch and the completion ring so the
   // steady-state loop never heap-allocates.
   fetch_cands_.reserve(threads_.size());
-  squash_replay_.reserve(cfg.rob_per_thread);
-  squash_backlog_.reserve(cfg.rob_per_thread + cfg.fetch_width);
   squash_keep_.reserve(dispatch_fifo_.capacity());
   completion_lane_ = cfg.issue_width;
   completion_.resize(std::size_t{kCompletionRing} * completion_lane_);
@@ -605,7 +602,7 @@ void Pipeline::do_fetch() {
 
     const std::uint64_t pc = t.wrong_path_mode
                                  ? t.wrong_pc
-                                 : (!t.replay.empty() ? t.replay.front().pc
+                                 : (!t.replay.empty() ? t.replay.back().pc
                                                       : t.program.pc());
 
     // I-cache access for the fetch block — skipped when this exact block
@@ -643,7 +640,8 @@ void Pipeline::do_fetch() {
       if (wrong) {
         si = t.program.next_wrong(t.wrong_pc);
       } else if (!t.replay.empty()) {
-        si = t.replay.pop_front();
+        si = t.replay.back();
+        t.replay.pop_back();
       } else {
         si = t.program.next();
       }
@@ -938,38 +936,22 @@ void Pipeline::squash_from(std::uint32_t tid, std::uint64_t first_seq,
                            obs::PipeTerminal cause) {
   Thread& t = threads_[tid];
 
-  // Collect replayable correct-path instructions (popped youngest-first,
-  // reversed into program order below). Reused scratch: squashes are off
-  // the per-cycle fast path but frequent enough (every mispredict) that
-  // allocating here shows up in profiles.
-  std::vector<isa::Instruction>& to_replay = squash_replay_;
-  to_replay.clear();
+  // Squashed correct-path instructions are *older* in program order than
+  // anything already waiting for replay (queued by an earlier flush and
+  // not yet refetched). Popped youngest-first onto the replay stack, the
+  // oldest ends on top, ahead of that backlog.
   while (!win_empty(t) && t.seq[slot_of(t.next_seq - 1)] >= first_seq) {
     const std::uint32_t slot = slot_of(t.next_seq - 1);
     if (t.pview[slot] >= 0) pview_close(t, slot, cause);
     release_instr_resources(tid, slot, /*completed_ok=*/false);
     if (replay_correct_path && !(t.flags[slot] & kFlagWrongPath)) {
-      to_replay.push_back(t.si[slot]);
+      t.replay.push_back(t.si[slot]);
     }
     ++stats_.squashed;
     t.state[slot] = static_cast<std::uint8_t>(InstrState::kEmpty);
     --t.next_seq;
   }
   t.next_seq = first_seq;
-
-  if (!to_replay.empty()) {
-    // Squashed instructions are *older* in program order than anything
-    // already waiting in the replay queue (which was queued by an earlier
-    // flush and not yet refetched), so rebuild: squashed first, then the
-    // existing backlog.
-    std::vector<isa::Instruction>& backlog = squash_backlog_;
-    backlog.clear();
-    while (!t.replay.empty()) backlog.push_back(t.replay.pop_front());
-    for (auto it = to_replay.rbegin(); it != to_replay.rend(); ++it) {
-      t.replay.push_back(*it);
-    }
-    for (const auto& si : backlog) t.replay.push_back(si);
-  }
 
   // Drop queue references to squashed instructions. A squashed slot's seq
   // entry still holds the squashed instruction's seq (slots are vacated,

@@ -391,7 +391,10 @@ class Pipeline {
 
     std::uint64_t head_seq = 0;  ///< seq of the oldest in-flight instruction
     std::uint64_t next_seq = 0;  ///< seq of the next fetched instruction
-    FixedQueue<isa::Instruction> replay;  ///< squashed correct-path instrs
+    /// Squashed correct-path instructions awaiting refetch, as a stack:
+    /// back() is the oldest, fetched next. Empty except after a syscall
+    /// flush, so a snapshot copies nothing here.
+    std::vector<isa::Instruction> replay;
     bool wrong_path_mode = false;
     std::uint64_t wrong_pc = 0;
     std::int32_t frontend_count = 0;  ///< instrs in state kFrontEnd
@@ -678,10 +681,8 @@ class Pipeline {
     double key;
     std::uint32_t tie;
   };
-  std::vector<FetchCand> fetch_cands_;        ///< do_fetch candidate list
-  std::vector<isa::Instruction> squash_replay_;   ///< squash_from collect
-  std::vector<isa::Instruction> squash_backlog_;  ///< replay-queue rebuild
-  std::vector<FifoRef> squash_keep_;          ///< dispatch-FIFO rebuild
+  std::vector<FetchCand> fetch_cands_;  ///< do_fetch candidate list
+  std::vector<FifoRef> squash_keep_;    ///< dispatch-FIFO rebuild
 };
 
 /// Export the pipeline's whole-run statistics and per-thread stall

@@ -116,7 +116,8 @@ option outside the modes its heading names is a usage error (exit 2).
          "stdout, which it then holds alone: not with --csv)"},
         {"cpi", "", kSimRuns,
          "CPI stacks: charge every commit slot to one cause per thread; "
-         "cpi.* keys in --stats-json, cpi_stack rows in the trace"},
+         "cpi.* keys in --stats-json, cpi_stack rows in the trace",
+         {"trace", "stats-json"}},
         {"prof-stride", "N", kSimRuns,
          "time 1 of every N cycles, a power of two (default 64)",
          {"prof", "prof-folded"}},
@@ -227,6 +228,12 @@ BatchSpec parse_batch(std::istream& in) {
   if (fixed.empty() && adaptive.empty()) {
     throw ConfigError("batch: needs at least one scheduling variant "
                       "('policy' or 'adts')");
+  }
+  if (adaptive.empty() && scalars_seen.count("quantum") != 0) {
+    // Only the detector has quanta; a fixed job's digest and document
+    // would be the same without the directive.
+    throw ConfigError("batch: 'quantum' applies only to 'adts' variants, "
+                      "and the grid has none");
   }
   if (seeds.empty()) seeds.emplace_back();  // GridJob's default seed
 

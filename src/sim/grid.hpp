@@ -16,7 +16,8 @@
 //   warmup N          warm-up cycles per job         (scalar, default 32768)
 //   threads N         contexts per job, 1..8         (scalar, default 8)
 //   quantum N         ADTS quantum in cycles         (scalar, default 8192;
-//                     applies only to the adts variants)
+//                     applies only to the adts variants, so a grid
+//                     without one rejects it)
 //   mix A B ...       mix axis (accumulates; ≥ 1 required)
 //   seed N M ...      workload-seed axis             (default: 2003)
 //   policy P Q ...    fixed-policy variants (accumulates)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,13 +14,41 @@ namespace smt::sim {
 
 namespace {
 
-/// Outcome of one candidate-policy trial: the instructions it committed
-/// over the quantum and the machine state it ended in (moved into `base`
-/// if this candidate wins, so no state is ever re-simulated or cloned
-/// speculatively).
-struct Trial {
-  std::uint64_t committed = 0;
-  Simulator sim;
+/// One worker's share of a quantum's trials: candidates lane, lane +
+/// lanes, ... A lane holds at most two simulators, the trial being run
+/// and its best so far (which a better trial swaps out), and only one if
+/// it has a single candidate. They stay allocated across quanta, so
+/// later trials copy into buffers that are already there.
+struct Lane {
+  std::optional<Simulator> running;
+  std::optional<Simulator> best;
+  std::size_t best_index = 0;
+  std::uint64_t best_committed = 0;
+
+  void run(const Simulator& base, const OracleConfig& cfg, std::size_t first,
+           std::size_t stride) {
+    // The last quantum's best (a finished trial, or the old base if it
+    // won) is a spare now; a lane of one candidate keeps only that one.
+    if (!running) std::swap(running, best);
+    const std::uint64_t committed_before = base.committed();
+    for (std::size_t i = first; i < cfg.candidates.size(); i += stride) {
+      if (running) {
+        *running = base;  // reuses the buffers of an earlier trial
+      } else {
+        running.emplace(base);
+      }
+      running->pipeline().set_policy(cfg.candidates[i]);
+      running->run(cfg.quantum_cycles);
+      const std::uint64_t committed = running->committed() - committed_before;
+      // Strictly better only: within a lane indices rise, so the earliest
+      // candidate keeps a tie.
+      if (i == first || committed > best_committed) {
+        std::swap(running, best);
+        best_index = i;
+        best_committed = committed;
+      }
+    }
+  }
 };
 
 }  // namespace
@@ -43,35 +72,34 @@ OracleResult run_oracle(Simulator base, std::uint64_t quanta,
   OracleResult result;
   policy::FetchPolicy last = base.pipeline().policy();
 
-  // Candidate trials are independent (each clones `base`), so they fan
-  // out across the pool. Selection below is a serial reduction in
-  // candidate order, so the result is identical for any worker count.
+  // Candidate trials are independent (each copies `base`), so each
+  // worker runs a strided share of them. The winner is then reduced
+  // over the lanes by committed count and, on a tie, the lower candidate
+  // index: the first-index tie-break of a serial loop over all
+  // candidates, so the result is identical for any worker count.
+  // Every lane has at least one candidate: workers <= candidates.
   par::ThreadPool pool(std::min<std::size_t>(jobs, cfg.candidates.size()));
+  std::vector<Lane> lanes(std::max<std::size_t>(pool.workers(), 1));
 
   for (std::uint64_t q = 0; q < quanta; ++q) {
-    const std::uint64_t committed_before = base.committed();
+    par::parallel_for(pool, lanes.size(), [&](std::size_t l) {
+      lanes[l].run(base, cfg, l, lanes.size());
+    });
 
-    std::vector<Trial> trials = par::parallel_map(
-        pool, cfg.candidates.size(), [&base, &cfg, committed_before](
-                                         std::size_t i) {
-          Simulator trial = base;
-          trial.pipeline().set_policy(cfg.candidates[i]);
-          trial.run(cfg.quantum_cycles);
-          return Trial{trial.committed() - committed_before,
-                       std::move(trial)};
-        });
-
-    // First-index tie-break: the earliest candidate with the strictly
-    // best committed count wins, exactly as the serial loop decided.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < trials.size(); ++i) {
-      if (trials[i].committed > trials[best].committed) best = i;
+    Lane* win = &lanes.front();
+    for (Lane& lane : lanes) {
+      if (lane.best_committed > win->best_committed ||
+          (lane.best_committed == win->best_committed &&
+           lane.best_index < win->best_index)) {
+        win = &lane;
+      }
     }
-    const policy::FetchPolicy best_policy = cfg.candidates[best];
+    const policy::FetchPolicy best_policy = cfg.candidates[win->best_index];
 
-    base = std::move(trials[best].sim);
+    // The old base becomes the winning lane's spare buffer.
+    std::swap(base, *win->best);
     result.cycles += cfg.quantum_cycles;
-    result.committed += trials[best].committed;
+    result.committed += win->best_committed;
     result.quanta_per_policy[static_cast<std::size_t>(best_policy)] += 1;
     if (best_policy != last) ++result.switches;
     last = best_policy;

@@ -48,8 +48,9 @@ struct OracleResult {
 /// consumes a snapshot; the caller's simulator is unchanged).
 ///
 /// `jobs` fans the per-quantum candidate trials across a worker pool
-/// (src/par/). Ties break on the first candidate index, so the result is
-/// bit-identical for every jobs value; jobs <= 1 runs inline.
+/// (src/par/); each worker keeps at most two trials alive, the running
+/// one and its best. Ties break on the first candidate index, so the
+/// result is bit-identical for every jobs value; jobs <= 1 runs inline.
 [[nodiscard]] OracleResult run_oracle(Simulator base, std::uint64_t quanta,
                                       const OracleConfig& cfg,
                                       std::size_t jobs = 1);

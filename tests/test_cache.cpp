@@ -1,10 +1,85 @@
 // Unit tests: set-associative cache (mem/cache.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "mem/cache.hpp"
 
 namespace smt::mem {
 namespace {
+
+/// The counter-LRU model the rank layout replaced, kept as the reference:
+/// 16-byte lines, each with a per-set recency counter that an access sets
+/// above every other; the victim is the first invalid way, else the
+/// lowest counter.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : cfg_(cfg), sets_(cfg.num_sets()), lines_(sets_ * cfg.ways) {}
+
+  bool access(std::uint64_t addr, bool write) {
+    Line* const base = &lines_[(addr / cfg_.line_bytes) % sets_ * cfg_.ways];
+    const std::uint64_t tag = addr / cfg_.line_bytes / sets_;
+    std::uint32_t max_lru = 0;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      max_lru = std::max(max_lru, base[w].lru);
+    }
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Line& line = base[w];
+      if (line.valid && line.tag == tag) {
+        line.lru = max_lru + 1;
+        line.dirty = line.dirty || write;
+        ++hits;
+        return true;
+      }
+    }
+    ++misses;
+    Line* victim = nullptr;
+    for (std::uint32_t w = 0; w < cfg_.ways && victim == nullptr; ++w) {
+      if (!base[w].valid) victim = &base[w];
+    }
+    if (victim == nullptr) {
+      victim = base;
+      for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
+        if (base[w].lru < victim->lru) victim = &base[w];
+      }
+      ++evictions;
+      if (victim->dirty) ++dirty_evictions;
+    }
+    *victim = Line{tag, max_lru + 1, true, write};
+    return false;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t addr) const {
+    const Line* const base =
+        &lines_[(addr / cfg_.line_bytes) % sets_ * cfg_.ways];
+    const std::uint64_t tag = addr / cfg_.line_bytes / sets_;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) return true;
+    }
+    return false;
+  }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t dirty_evictions = 0;
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    std::uint32_t lru = 0;  ///< higher = more recently used
+    bool valid = false;
+    bool dirty = false;
+  };
+  CacheConfig cfg_;
+  std::uint64_t sets_;
+  std::vector<Line> lines_;
+};
 
 CacheConfig small_cfg() {
   // 4 sets x 2 ways x 64 B lines = 512 B.
@@ -93,6 +168,12 @@ TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(Cache(CacheConfig{"bad", 512, 63, 2}), std::invalid_argument);
   EXPECT_THROW(Cache(CacheConfig{"bad", 512, 64, 0}), std::invalid_argument);
   EXPECT_THROW(Cache(CacheConfig{"bad", 768, 64, 2}), std::invalid_argument);
+  // The recency rank has room for kMaxWays ways, no more.
+  EXPECT_NO_THROW(Cache(CacheConfig{"max", 64 * Cache::kMaxWays, 64,
+                                    Cache::kMaxWays}));
+  EXPECT_THROW(Cache(CacheConfig{"wide", 128 * Cache::kMaxWays, 64,
+                                 2 * Cache::kMaxWays}),
+               std::invalid_argument);
 }
 
 TEST(Cache, FullAssociativityWorks) {
@@ -140,6 +221,59 @@ TEST_P(CacheSweepTest, WorkingSetWithinCacheEventuallyAllHits) {
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheSweepTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+/// Drive `c` and `ref` with the same `n` accesses from `rng` and require
+/// the same outcome for each; lines are drawn from a pool of `lines`
+/// (some hot, so there are hits as well as evictions), a third written.
+void run_in_step(Cache& c, ReferenceCache& ref, Rng& rng, std::uint64_t lines,
+                 int n) {
+  constexpr std::uint64_t kLine = 64;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t line =
+        rng.chance(0.5) ? rng.below(lines / 8 + 1) : rng.below(lines);
+    const std::uint64_t addr = line * kLine + rng.below(kLine);
+    const bool write = rng.below(3) == 0;
+    ASSERT_EQ(c.access(addr, write), ref.access(addr, write))
+        << "access " << i << " to line " << line;
+  }
+  EXPECT_EQ(c.hits(), ref.hits);
+  EXPECT_EQ(c.misses(), ref.misses);
+  EXPECT_EQ(c.evictions(), ref.evictions);
+  EXPECT_EQ(c.dirty_evictions(), ref.dirty_evictions);
+  for (std::uint64_t line = 0; line < lines; ++line) {
+    ASSERT_EQ(c.contains(line * kLine), ref.contains(line * kLine)) << line;
+  }
+}
+
+TEST(CacheProperty, RankLayoutMatchesCounterLru) {
+  for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u, Cache::kMaxWays}) {
+    for (const std::uint64_t sets : {1u, 4u, 64u}) {
+      SCOPED_TRACE(testing::Message() << ways << " ways x " << sets << " sets");
+      const CacheConfig cfg{"prop", sets * ways * 64, 64, ways};
+      // Three times the capacity: every set fills and keeps evicting.
+      const std::uint64_t lines = 3 * sets * ways;
+      Rng rng(ways * 1000 + sets);
+      Cache c(cfg);
+      ReferenceCache ref(cfg);
+      run_in_step(c, ref, rng, lines, 2000);
+
+      // Copies taken mid-stream, by construction and by assignment over
+      // a cache with other contents, continue exactly as the reference
+      // copy does, and the originals are unaffected by them.
+      Cache copy = c;
+      Cache assigned(cfg);
+      assigned.access(1 << 20, true);
+      assigned = c;
+      ReferenceCache ref_copy = ref;
+      ReferenceCache ref_assigned = ref;
+      Rng rng_copy = rng;
+      Rng rng_assigned(rng.next());
+      run_in_step(copy, ref_copy, rng_copy, lines, 2000);
+      run_in_step(assigned, ref_assigned, rng_assigned, lines, 2000);
+      run_in_step(c, ref, rng, lines, 2000);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace smt::mem

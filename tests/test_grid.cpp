@@ -95,6 +95,21 @@ TEST(BatchSpec, MalformedInputThrowsConfigError) {
   EXPECT_THROW(parse("mix bal1\nguard on\nadts 3@2\n"), ConfigError);
 }
 
+TEST(BatchSpec, QuantumNeedsAnAdtsVariant) {
+  // Only ADTS jobs have quanta: in a grid of fixed policies the directive
+  // would change no job's digest or document, so it is rejected once the
+  // whole file has been read, wherever the variants appear.
+  EXPECT_THROW(parse("quantum 1024\nmix bal1\npolicy ICOUNT RR\n"),
+               ConfigError);
+  EXPECT_THROW(parse("mix bal1\npolicy ICOUNT\nquantum 1024\n"), ConfigError);
+  for (const char* text : {"quantum 1024\nmix bal1\npolicy ICOUNT\nadts 3@2\n",
+                           "mix bal1\nadts 3@2\nquantum 1024\n"}) {
+    const BatchSpec b = parse(text);
+    ASSERT_FALSE(b.jobs.empty()) << text;
+    for (const GridJob& j : b.jobs) EXPECT_EQ(j.quantum, 1024u) << text;
+  }
+}
+
 TEST(JobDigest, RunControlFieldsExtendTheConfigDigest) {
   const BatchSpec b = parse("mix bal1\npolicy ICOUNT\n");
   GridJob job = b.jobs[0];
@@ -236,6 +251,7 @@ TEST(GridCli, MalformedGridLinesAreConfigErrors) {
       "mix bal1\nadts 3-2\n",                // variant without '@'
       "cycles -1\nmix bal1\npolicy ICOUNT\n",  // would wrap to 2^64-1
       "mix bal1\nadts 3@nan\n",              // non-finite threshold
+      "quantum 1024\nmix bal1\npolicy ICOUNT\n",  // no job has quanta
   };
   for (std::size_t i = 0; i < malformed.size(); ++i) {
     const std::string grid = dir + "/bad" + std::to_string(i) + ".grid";
@@ -412,7 +428,7 @@ TEST(OptionTable, DependenciesAndRepeatsAreUsageErrors) {
   for (const char* args :
        {"--prof-stride 1", "--apps gzip,mcf --mix mem8",
         "--apps gzip,mcf --threads 2", "--mix bal1 --mix mem8",
-        "--pipeview 8@0", "--adts=false"}) {
+        "--pipeview 8@0", "--adts=false", "--cpi", "--cpi --csv"}) {
     EXPECT_EQ(smtsim_exit(std::string("--cycles 1024 --warmup 0 ") + args),
               kExitUsage)
         << args;

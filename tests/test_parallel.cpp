@@ -2,6 +2,7 @@
 // parallel-equals-serial contract of the code built on it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "obs/metrics.hpp"
 #include "par/thread_pool.hpp"
+#include "policy/fetch_policy.hpp"
 #include "sim/experiment.hpp"
 #include "sim/oracle.hpp"
 #include "workload/mix.hpp"
@@ -107,6 +109,35 @@ TEST(ParallelOracle, TrialsCrossingChunkBoundariesMatchSerial) {
   EXPECT_EQ(serial.committed, parallel.committed);
   EXPECT_EQ(serial.switches, parallel.switches);
   EXPECT_EQ(serial.quanta_per_policy, parallel.quanta_per_policy);
+}
+
+TEST(OracleTieBreak, TiedCandidatesCreditTheFirstListed) {
+  // L1MISSCOUNT and L1DMISSCOUNT run identically (a thread with an
+  // outstanding I-miss is never a fetch candidate), so every quantum is a
+  // tie between them, and the candidate listed first must win it for
+  // every worker count: across lanes and, in the three-candidate lists
+  // at jobs 2, within one.
+  using policy::FetchPolicy;
+  constexpr FetchPolicy kD = FetchPolicy::kL1DMissCount;
+  constexpr FetchPolicy kL1 = FetchPolicy::kL1MissCount;
+  constexpr std::uint64_t kQuanta = 3;
+  sim::Simulator base(sim::make_config(workload::mix("mem8"), 8, 11));
+  base.run(4096);
+  for (const std::vector<FetchPolicy>& list :
+       std::vector<std::vector<FetchPolicy>>{
+           {kD, kL1}, {kL1, kD}, {kD, kL1, kL1}, {kL1, kD, kD}}) {
+    sim::OracleConfig cfg;
+    cfg.quantum_cycles = 1024;
+    cfg.candidates = list;
+    for (const std::size_t jobs : {1u, 2u, 8u}) {
+      const sim::OracleResult r = sim::run_oracle(base, kQuanta, cfg, jobs);
+      std::array<std::uint64_t, policy::kNumFetchPolicies> expected{};
+      expected[static_cast<std::size_t>(list.front())] = kQuanta;
+      EXPECT_EQ(r.quanta_per_policy, expected)
+          << policy::name(list.front()) << " first of " << list.size()
+          << ", jobs " << jobs;
+    }
+  }
 }
 
 TEST(ParallelSweep, Fig78GridIsIdenticalForEveryJobsValue) {

@@ -4,8 +4,13 @@
 // stable, not flaky statistics.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "common/rng.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "workload/mix.hpp"
 
 namespace smt::policy {
@@ -68,6 +73,45 @@ TEST(PolicyBehavior, PolicyChoiceChangesExecution) {
   b.run(40000);
   EXPECT_NE(a.committed(), b.committed());
   EXPECT_NE(a.pipeline().stats().fetched, b.pipeline().stats().fetched);
+}
+
+/// The stats document of `cycles` cycles of `cfg` under `p`, without the
+/// two keys that name the policy (the config digest hashes it).
+std::map<std::string, std::string> run_under(sim::SimConfig cfg, FetchPolicy p,
+                                             std::uint64_t cycles) {
+  cfg.fixed_policy = p;
+  sim::Simulator s(cfg);
+  s.run(cycles);
+  std::map<std::string, std::string> doc = test::flatten_json(test::stats_doc(s));
+  EXPECT_EQ(doc.erase("config.policy"), 1u);
+  EXPECT_EQ(doc.erase("run.config_digest"), 1u);
+  return doc;
+}
+
+TEST(PolicyBehavior, L1MissCountRunsExactlyAsL1DMissCount) {
+  // A thread with an outstanding I-miss is fetch-stalled until the miss
+  // returns, and the stall's end clears the count before threads are
+  // ranked, so every ranked thread has l1i_outstanding == 0: L1MISSCOUNT
+  // (I + D) ranks as L1DMISSCOUNT does, and L1IMISSCOUNT ranks by the
+  // rotating tie-break alone. The two documents are equal, not close.
+  for (const char* mix : {"mem8", "bal1", "cache8", "ctrl8", "int8"}) {
+    const sim::SimConfig cfg = sim::make_config(workload::mix(mix), 8, 42);
+    EXPECT_EQ(run_under(cfg, FetchPolicy::kL1MissCount, 32768),
+              run_under(cfg, FetchPolicy::kL1DMissCount, 32768))
+        << mix;
+  }
+  // Beyond the default machine: random geometries and thread counts. A
+  // fixed policy only: the detector's FSMs treat the two as different
+  // states.
+  Rng rng(0x11d15ull);
+  for (int draw = 0; draw < 8; ++draw) {
+    sim::SimConfig cfg = test::random_config(rng);
+    cfg.use_adts = false;
+    const std::uint64_t cycles = 2 * cfg.adts.quantum_cycles;
+    EXPECT_EQ(run_under(cfg, FetchPolicy::kL1MissCount, cycles),
+              run_under(cfg, FetchPolicy::kL1DMissCount, cycles))
+        << "draw " << draw;
+  }
 }
 
 TEST(PolicyBehavior, OracleHeadroomExistsOnFavourableMix) {
