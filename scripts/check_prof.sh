@@ -16,10 +16,13 @@
 # 3. Telescoping coverage: the sum of exclusive ns over the phase tree
 #    must account for >= 90% of prof.total_ns (wall time from profiler
 #    start to stats export) and never exceed it by more than rounding.
-# 4. CLI contract: --prof-stride rejects non-powers-of-two with exit 3.
-# 5. Overhead: a profiled run may not be more than 25% slower than a
-#    plain run (generous bound so loaded CI hosts don't flake; the
-#    design budget is <5%, see DESIGN.md §15).
+# 4. CLI contract: --prof-stride rejects non-powers-of-two with exit 3,
+#    and --prof under --csv with neither --stats-json nor --prof-folded
+#    (no sink for the profile) exits 2.
+# 5. Overhead: a profiled run, writing its profile with --prof-folded,
+#    may not be more than 25% slower than a plain run (generous bound so
+#    loaded CI hosts don't flake; the design budget is <5%, see
+#    DESIGN.md §15).
 #
 # Usage: scripts/check_prof.sh [smtsim]
 set -euo pipefail
@@ -106,11 +109,15 @@ else
   echo "== python3 unavailable: JSON-level assertions skipped"
 fi
 
-echo "== CLI contract: stride validation"
-rc=0; "$smtsim" --mix bal1 --cycles 1024 --prof --prof-stride 3 --csv \
-  > /dev/null 2>&1 || rc=$?
+echo "== CLI contract: stride validation, a profile needs a sink"
+rc=0; "$smtsim" --mix bal1 --cycles 1024 --prof-folded "$tmp/stride.folded" \
+  --prof-stride 3 --csv > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 3 ] \
   || { echo "check_prof: --prof-stride 3 exited $rc, want 3" >&2; exit 1; }
+rc=0; "$smtsim" --mix bal1 --cycles 1024 --prof --csv > /dev/null 2>&1 \
+  || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "check_prof: --prof --csv exited $rc, want 2" >&2; exit 1; }
 
 echo "== overhead: profiled run vs plain run (generous 25% bound)"
 overhead=(--mix ilp8 --cycles 1048576 --warmup 32768 --csv)
@@ -121,7 +128,8 @@ for _ in 1 2 3; do
   if [ "$best_plain" -eq 0 ] || [ "$d" -lt "$best_plain" ]; then
     best_plain=$d
   fi
-  t0=$(date +%s%N); "$smtsim" "${overhead[@]}" --prof > /dev/null
+  t0=$(date +%s%N)
+  "$smtsim" "${overhead[@]}" --prof-folded "$tmp/overhead.folded" > /dev/null
   t1=$(date +%s%N)
   d=$((t1 - t0))
   if [ "$best_prof" -eq 0 ] || [ "$d" -lt "$best_prof" ]; then

@@ -13,11 +13,12 @@ namespace smt {
 
 namespace {
 
-/// "--a", "--a or --b", ...
+/// "--a", "--a or --b", ... ("!c" reads "no --c").
 std::string spell(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& n : names) {
-    out += (out.empty() ? "--" : " or --") + n;
+    if (!out.empty()) out += " or ";
+    out += n.starts_with('!') ? "no --" + n.substr(1) : "--" + n;
   }
   return out;
 }
@@ -70,7 +71,9 @@ void CliArgs::check_mode(unsigned mode) const {
     }
     if (!o.needs.empty() &&
         std::none_of(o.needs.begin(), o.needs.end(),
-                     [this](const std::string& k) { return has(k); })) {
+                     [this](const std::string& k) {
+                       return k.starts_with('!') ? !has(k.substr(1)) : has(k);
+                     })) {
       throw UsageError("--" + key + " needs " + spell(o.needs));
     }
     for (const std::string& k : o.excludes) {

@@ -45,7 +45,9 @@ struct CliOption {
   std::string value;  ///< value placeholder in --help; empty for a bare flag
   unsigned modes = kAllModes;  ///< bitmask of the modes it applies to
   std::string help;            ///< --help text, word-wrapped when printed
-  std::vector<std::string> needs = {};     ///< one of these must come too
+  /// One of these must come too; a "!x" entry is met by --x's absence
+  /// (--prof needs a sink: --stats-json, --prof-folded or no --csv).
+  std::vector<std::string> needs = {};
   std::vector<std::string> excludes = {};  ///< none of these may come too
   bool output_neutral = false;  ///< by design changes no output (--jobs)
 };

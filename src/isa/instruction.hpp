@@ -60,17 +60,24 @@ inline constexpr int kNumInstrClasses = 10;
 /// immediately preceding instruction). Distance 0 means "no dependency /
 /// value already architected". Register reuse distances are what bound a
 /// thread's ILP, and encoding them directly lets the generator dial ILP
-/// per application profile without a full register allocator.
+/// per application profile without a full register allocator. The
+/// generator caps a distance at 48, so a byte holds it.
+///
+/// 24 bytes: a load or store has a data address and a branch a taken
+/// target, never both, so the two share one word. Read only the member
+/// the class makes active; for every other class the word is 0.
 struct Instruction {
   InstrClass cls = InstrClass::kIntAlu;
-  std::uint16_t dep1 = 0;       ///< distance to first producer (0 = none)
-  std::uint16_t dep2 = 0;       ///< distance to second producer (0 = none)
-  std::uint64_t pc = 0;         ///< synthetic PC (bytes; instructions are 4 B)
-  std::uint64_t mem_addr = 0;   ///< effective address for load/store
-  // Branch fields (valid when cls == kBranch):
-  std::uint64_t branch_target = 0;  ///< taken-path target PC
-  bool taken = false;               ///< actual outcome
+  std::uint8_t dep1 = 0;  ///< distance to first producer (0 = none)
+  std::uint8_t dep2 = 0;  ///< distance to second producer (0 = none)
+  bool taken = false;     ///< actual outcome (valid when cls == kBranch)
+  std::uint64_t pc = 0;   ///< synthetic PC (bytes; instructions are 4 B)
+  union {
+    std::uint64_t mem_addr = 0;  ///< effective address (load/store)
+    std::uint64_t branch_target;  ///< taken-path target PC (branch)
+  };
 };
+static_assert(sizeof(Instruction) == 24);
 
 /// Architectural constants shared by the generator and the pipeline.
 inline constexpr std::uint64_t kInstrBytes = 4;

@@ -69,7 +69,8 @@ struct ExperimentScale {
                                     const ExperimentScale& scale,
                                     const core::AdtsConfig* overrides = nullptr);
 
-/// Oracle upper bound on a mix (averaged over scale.oracle_intervals).
+/// The greedy per-quantum oracle on a mix (averaged over
+/// scale.oracle_intervals); a reference, not an upper bound.
 [[nodiscard]] OracleResult run_oracle_on_mix(const workload::Mix& mix,
                                              std::size_t threads,
                                              const ExperimentScale& scale,

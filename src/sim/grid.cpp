@@ -97,7 +97,9 @@ option outside the modes its heading names is a usage error (exit 2).
          {}, {}, true},
         {"prof", "", kRuns,
          "time host phases and stride-sampled per-cycle stages, exported as "
-         "prof.* in --stats-json; simulated results are unchanged"},
+         "prof.* in --stats-json and summed up in the report; simulated "
+         "results are unchanged",
+         {"stats-json", "prof-folded", "!csv"}},
         {"prof-folded", "PATH", kRuns,
          "write folded stacks (\"run;measured;cycle 1234\") to PATH for "
          "speedscope / flamegraph.pl (implies --prof)"},

@@ -1,4 +1,7 @@
-// Oracle-scheduled execution: the upper bound ADTS chases.
+// Oracle-scheduled execution: the greedy per-quantum reference ADTS is
+// compared with. It is not an upper bound: picking each quantum's best
+// policy can leave the machine worse placed for the next quantum, and on
+// some mixes the whole run commits less than fixed ICOUNT.
 //
 // The paper motivates ADTS by showing "a single fixed thread scheduling
 // policy presents much room (some 30%) for improvement compared to an

@@ -1,5 +1,7 @@
 #include "workload/stream_cache.hpp"
 
+#include <stdexcept>
+
 #include "isa/instruction.hpp"
 #include "par/once_slot.hpp"
 
@@ -73,7 +75,18 @@ StreamGen::StreamGen(std::shared_ptr<const AppProfile> profile,
                                      ? PhaseKind::kBase
                                      : profile_->phases[0])),
       phase_rotate_at_(profile_->phase_len_instrs),
-      branch_pc_salt_(branch_pc_salt(seed, thread_id)) {}
+      branch_pc_salt_(branch_pc_salt(seed, thread_id)) {
+  // Data addresses lie below the working set (AddressGen) and taken
+  // targets below the code footprint (BranchSiteModel), each from its
+  // segment base, so both fit a row's 32-bit offset below 2^32 bytes.
+  constexpr std::uint64_t kOffsetLimit = 1ULL << 32;
+  if (profile_->working_set_bytes >= kOffsetLimit ||
+      profile_->code_bytes >= kOffsetLimit) {
+    throw std::invalid_argument(
+        "profile '" + profile_->name +
+        "': working_set_bytes and code_bytes must be below 2^32");
+  }
+}
 
 isa::Instruction StreamGen::next() {
   // Phase rotation on correct-path instruction count. count_ advances by
@@ -128,7 +141,7 @@ par::Gauge& live_chunk_bytes() {
 }  // namespace
 
 StreamChunk::StreamChunk(StreamGen gen) : end_(std::move(gen)) {
-  for (auto& in : instrs) in = end_.next();
+  for (StreamRow& row : rows) row = end_.next_row();
   live_chunk_bytes().add(sizeof(StreamChunk));
   ++StreamCache::local().generated_;
 }

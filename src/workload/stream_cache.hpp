@@ -8,10 +8,11 @@
 // it reads the same arrays.
 //
 // The chunks form a chain. Each StreamChunk holds kStreamChunkInstrs
-// decoded instructions, the StreamGen state at its end and a fill-once
-// link to the next chunk (par::OnceSlot). A ThreadProgram is a cursor
-// that holds only the chunk it is in; the first reader to reach the end
-// of a chunk builds the next one, and later readers follow the link.
+// decoded instructions (8-byte StreamRows), the StreamGen state at its
+// end and a fill-once link to the next chunk (par::OnceSlot). A
+// ThreadProgram is a cursor that holds only the chunk it is in; the
+// first reader to reach the end of a chunk builds the next one, and
+// later readers follow the link.
 //
 // Who shares: a Simulator copy shares its chunk pointers with the
 // original, so the oracle's candidate trials and every snapshot replay
@@ -102,20 +103,66 @@ struct StreamPhase {
 inline void fill_deps(isa::Instruction& in, Rng& dep_rng,
                       const AppProfile& profile) {
   if (dep_rng.chance(0.85)) {
-    in.dep1 = static_cast<std::uint16_t>(std::min<std::uint64_t>(
+    in.dep1 = static_cast<std::uint8_t>(std::min<std::uint64_t>(
         dep_rng.geometric(profile.mean_dep_distance), 48));
   }
   if (dep_rng.chance(profile.dep2_prob)) {
-    in.dep2 = static_cast<std::uint16_t>(std::min<std::uint64_t>(
+    in.dep2 = static_cast<std::uint8_t>(std::min<std::uint64_t>(
         dep_rng.geometric(profile.mean_dep_distance), 48));
   }
 }
 
 // --- correct-path generator -------------------------------------------------
 
+/// One decoded correct-path instruction as a chunk stores it: 8 bytes
+/// where an isa::Instruction takes 24. The PC is not stored, because the
+/// reader already tracks it (ThreadProgram::next advances it exactly as
+/// the generator did), and of the two addresses a class may carry only
+/// the one it uses is kept, as a 32-bit offset: a load's or store's data
+/// address from the thread's data base, a branch's taken target from its
+/// code base. StreamGen rejects a profile whose offsets could pass 2^32.
+struct StreamRow {
+  isa::InstrClass cls = isa::InstrClass::kIntAlu;
+  std::uint8_t dep1 = 0;
+  std::uint8_t dep2 = 0;
+  bool taken = false;
+  std::uint32_t offset = 0;  ///< data or taken-target address - its base
+
+  [[nodiscard]] static StreamRow pack(const isa::Instruction& in,
+                                      std::uint64_t code_base,
+                                      std::uint64_t data_base) noexcept {
+    StreamRow row{in.cls, in.dep1, in.dep2, in.taken, 0};
+    if (isa::is_mem(in.cls)) {
+      row.offset = static_cast<std::uint32_t>(in.mem_addr - data_base);
+    } else if (in.cls == isa::InstrClass::kBranch) {
+      row.offset = static_cast<std::uint32_t>(in.branch_target - code_base);
+    }
+    return row;
+  }
+
+  /// The instruction this row was packed from, recorded at `pc`.
+  [[nodiscard]] isa::Instruction expand(
+      std::uint64_t pc, std::uint64_t code_base,
+      std::uint64_t data_base) const noexcept {
+    isa::Instruction in;
+    in.cls = cls;
+    in.dep1 = dep1;
+    in.dep2 = dep2;
+    in.taken = taken;
+    in.pc = pc;
+    if (isa::is_mem(cls)) {
+      in.mem_addr = data_base + offset;
+    } else if (cls == isa::InstrClass::kBranch) {
+      in.branch_target = code_base + offset;
+    }
+    return in;
+  }
+};
+static_assert(sizeof(StreamRow) == 8);
+
 /// The complete correct-path generator state: what ThreadProgram used to
 /// advance inline, extracted so it can run ahead in bulk and be stored at
-/// the end of each chunk (copies are ~300 B: RNGs, cursors and shared
+/// the end of each chunk (copies are ~390 B: RNGs, cursors and shared
 /// pointers to the profile and branch sites). Draw order per RNG stream
 /// is the determinism contract — it must match the historical
 /// ThreadProgram exactly, which the golden stats digests
@@ -123,11 +170,19 @@ inline void fill_deps(isa::Instruction& in, Rng& dep_rng,
 class StreamGen {
  public:
   StreamGen() = default;
+  /// Throws std::invalid_argument when the profile's working set or code
+  /// footprint is 2^32 bytes or more (a StreamRow offset could not hold
+  /// its addresses).
   StreamGen(std::shared_ptr<const AppProfile> profile, std::uint32_t thread_id,
             std::uint64_t seed,
             std::shared_ptr<const BranchSiteModel> branches);
 
   [[nodiscard]] isa::Instruction next();
+
+  /// next(), packed against this thread's code and data bases.
+  [[nodiscard]] StreamRow next_row() {
+    return StreamRow::pack(next(), code_base_, addr_gen_.base());
+  }
 
  private:
   std::shared_ptr<const AppProfile> profile_{};
@@ -153,10 +208,10 @@ class StreamGen {
 
 // --- chunk chain ------------------------------------------------------------
 
-/// Instructions per chunk (power of two). 1024 × sizeof(Instruction)
-/// = 40 KiB: big enough to amortise bulk-generation overhead, small
-/// enough that a short run (an oracle trial, a sweep unit of a few
-/// thousand instructions per thread) builds little past what it reads.
+/// Instructions per chunk (power of two). 1024 rows of 8 bytes = 8 KiB:
+/// big enough to amortise bulk-generation overhead, small enough that a
+/// short run (an oracle trial, a sweep unit of a few thousand
+/// instructions per thread) builds little past what it reads.
 inline constexpr std::uint64_t kStreamChunkInstrs = 1024;
 
 /// One immutable link of a decoded stream. Built from the generator
@@ -172,10 +227,10 @@ class StreamChunk {
   /// The following chunk; the first caller builds it, the rest share it.
   [[nodiscard]] std::shared_ptr<const StreamChunk> next() const;
 
-  std::array<isa::Instruction, kStreamChunkInstrs> instrs;
+  std::array<StreamRow, kStreamChunkInstrs> rows;
 
  private:
-  StreamGen end_;  ///< generator state after instrs.back()
+  StreamGen end_;  ///< generator state after rows.back()
   /// mutable: readers hold const chunks and fill the link once, and
   /// teardown empties it.
   mutable par::OnceSlot<StreamChunk> next_;

@@ -40,12 +40,14 @@ isa::Instruction ThreadProgram::next() {
     chunk_ = chunk_->next();
     chunk_base_ = count_;
   }
-  const isa::Instruction in = chunk_->instrs[count_ - chunk_base_];
+  // The generator recorded this row at pc_ (rows store no PC).
+  const isa::Instruction in = chunk_->rows[count_ - chunk_base_].expand(
+      pc_, code_base_, wrong_addr_.base());
 
   // Advance the PC cursor exactly as the generator did when it recorded
   // this instruction: sequential with code-segment wrap, overridden by a
   // taken branch's target.
-  std::uint64_t next_pc = in.pc + isa::kInstrBytes;
+  std::uint64_t next_pc = pc_ + isa::kInstrBytes;
   if (next_pc >= code_base_ + profile.code_bytes) next_pc = code_base_;
   if (in.cls == isa::InstrClass::kBranch && in.taken) {
     next_pc = in.branch_target;

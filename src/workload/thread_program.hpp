@@ -17,9 +17,10 @@
 // The correct-path stream itself is decoded ahead: because it is a pure
 // function of (profile, thread id, seed), this class is a cursor over a
 // chain of decoded chunks (workload/stream_cache.hpp) rather than a live
-// generator — next() is an array read plus a PC update. A copy of a
-// ThreadProgram (a Simulator snapshot, an oracle trial) shares the chain
-// with the original, so replays from a snapshot skip synthesis, and a
+// generator — next() is an array read, the row's expansion back into an
+// isa::Instruction and a PC update. A copy of a ThreadProgram (a
+// Simulator snapshot, an oracle trial) shares the chain with the
+// original, so replays from a snapshot skip synthesis, and a
 // chunk is freed once no cursor is at or behind it. Wrong-path
 // synthesis stays live here: which PCs are fetched down the wrong path
 // depends on simulator timing, so it is not decoded ahead — but it only
@@ -43,7 +44,8 @@ class ThreadProgram {
   ThreadProgram() = default;
 
   /// `thread_id` selects disjoint code/data segments and decorrelated RNG
-  /// streams; `seed` is the run's master workload seed.
+  /// streams; `seed` is the run's master workload seed. Throws
+  /// std::invalid_argument for a profile StreamGen rejects.
   ThreadProgram(const AppProfile& profile, std::uint32_t thread_id,
                 std::uint64_t seed);
 
@@ -79,13 +81,15 @@ class ThreadProgram {
 
   std::shared_ptr<const BranchSiteModel> branches_{};
   std::shared_ptr<const StreamChunk> chunk_{};  ///< chunk holding `count_`
-  std::uint64_t chunk_base_ = 0;  ///< stream index of chunk_->instrs[0]
+  std::uint64_t chunk_base_ = 0;  ///< stream index of chunk_->rows[0]
 
   // Wrong-path synthesis state (live; timing-dependent). The phase mirror
   // tracks the phase of the last consumed correct-path instruction so
   // wrong-path class draws see the same distribution the old inline
   // generator used.
-  AddressGen wrong_addr_{};  ///< wrong_path() only (construction constants)
+  /// wrong_path(), and base(): the data base that rows are offsets from
+  /// (construction constants only).
+  AddressGen wrong_addr_{};
   Rng wrong_rng_{};
   std::size_t phase_idx_ = 0;
   StreamPhase ph_{};

@@ -147,6 +147,28 @@ TEST(Cli, NeedsAndExcludesAreChecked) {
                UsageError);
 }
 
+TEST(Cli, ANegatedNeedIsMetByTheOptionsAbsence) {
+  CliTable table = kTable;
+  table.options.push_back(
+      {"prof", "", kAllModes, "profile", {"trace", "!csv"}});
+  const auto check = [&table](std::vector<const char*> argv) {
+    CliArgs(static_cast<int>(argv.size()), argv.data(), table)
+        .check_mode(kPlain);
+  };
+  EXPECT_NO_THROW(check({"prog", "--prof"}));
+  EXPECT_NO_THROW(check({"prog", "--prof", "--trace", "t"}));
+  try {
+    check({"prog", "--prof", "--csv"});
+    FAIL() << "--prof --csv has neither need";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "--prof needs --trace or no --csv");
+  }
+  std::ostringstream out;
+  write_help(out, table);
+  EXPECT_NE(out.str().find("(needs --trace or no --csv)"), std::string::npos)
+      << out.str();
+}
+
 TEST(Cli, HelpGroupsRowsByModes) {
   std::ostringstream out;
   write_help(out, kTable);

@@ -18,7 +18,10 @@
 #include "policy/fetch_policy.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
+#include "workload/app_profile.hpp"
 #include "workload/mix.hpp"
+#include "workload/stream_cache.hpp"
+#include "workload/thread_program.hpp"
 
 namespace {
 bool g_counting = false;
@@ -57,18 +60,34 @@ Simulator warmed_bal1() {
   return sim;
 }
 
-TEST(SimulatorFootprint, WarmedBal1CopyAllocatesAtMost720KB) {
+TEST(SimulatorFootprint, WarmedBal1CopyAllocatesAtMost570KB) {
   // The default machine's caches hold 34816 lines (L1I and L1D 1024
   // each, L2 32768); at 16 bytes a line a copy allocated about 921 KB.
+  // Nine-byte lines and 24-byte instructions in the windows bring it to
+  // about 560 KB.
   Simulator sim = warmed_bal1();
   for (int quantum = 0; quantum < 4; ++quantum) {
     g_bytes = 0;
     g_counting = true;
     const Simulator copy = sim;
     g_counting = false;
-    EXPECT_LE(g_bytes, 720u * 1000u) << "copy at cycle " << copy.now();
+    EXPECT_LE(g_bytes, 570u * 1000u) << "copy at cycle " << copy.now();
     sim.run(8192);
   }
+}
+
+TEST(StreamChunkFootprint, OneChunkIsEightBytesAnInstructionPlusItsGenerator) {
+  // A chunk stores 8-byte rows, not 24-byte instructions, next to the
+  // generator state it resumes from and the link to its successor.
+  using workload::StreamCache;
+  const std::uint64_t before = StreamCache::local().stats().resident_bytes;
+  const workload::ThreadProgram prog(workload::profile("mcf"), 0, 2003);
+  const std::uint64_t chunk =
+      StreamCache::local().stats().resident_bytes - before;
+  EXPECT_EQ(chunk, sizeof(workload::StreamChunk));
+  EXPECT_LE(chunk, workload::kStreamChunkInstrs * 8 +
+                       sizeof(workload::StreamGen) +
+                       sizeof(par::OnceSlot<workload::StreamChunk>));
 }
 
 TEST(SimulatorFootprint, OracleHoldsTwoTrialsPerWorker) {

@@ -326,6 +326,14 @@ Args without(Args args, const std::vector<std::string>& keys) {
   return args;
 }
 
+/// Whether `args` meet one of `needs` (a "!x" need by lacking --x).
+bool needs_met(const Args& args, const std::vector<std::string>& needs) {
+  return needs.empty() ||
+         std::any_of(needs.begin(), needs.end(), [&args](const auto& k) {
+           return k.starts_with('!') ? !has(args, k.substr(1)) : has(args, k);
+         });
+}
+
 struct ModeBase {
   unsigned mode;
   std::string name;
@@ -402,7 +410,7 @@ TEST(OptionTable, ApplicableOptionsChangeTheOutput) {
       } else {
         control = without(base.args, o.excludes);
         control = without(control, {o.name});
-        if (!o.needs.empty() && !has(control, o.needs.front())) {
+        if (!needs_met(control, o.needs)) {
           control.emplace_back(o.needs.front(), sample_value(o.needs.front()));
         }
         variant = control;
@@ -428,10 +436,28 @@ TEST(OptionTable, DependenciesAndRepeatsAreUsageErrors) {
   for (const char* args :
        {"--prof-stride 1", "--apps gzip,mcf --mix mem8",
         "--apps gzip,mcf --threads 2", "--mix bal1 --mix mem8",
-        "--pipeview 8@0", "--adts=false", "--cpi", "--cpi --csv"}) {
+        "--pipeview 8@0", "--adts=false", "--cpi", "--cpi --csv",
+        "--prof --csv", "--adts --prof --csv"}) {
     EXPECT_EQ(smtsim_exit(std::string("--cycles 1024 --warmup 0 ") + args),
               kExitUsage)
         << args;
+  }
+}
+
+TEST(OptionTable, ProfUnderCsvNeedsAProfileSink) {
+  // --csv replaces the report and its profile line, so a --prof run
+  // under --csv must write --stats-json or --prof-folded.
+  for (const ModeBase& base : mode_bases()) {
+    if (base.mode == kGridRun) continue;
+    Args args = without(base.args, {"stats-json"});
+    args.emplace_back("csv", "");
+    args.emplace_back("prof", "");
+    const Outcome r = run_smtsim("prof_csv", args);
+    EXPECT_EQ(r.exit, kExitUsage) << base.name << ":" << spell(args);
+    EXPECT_TRUE(r.files.empty()) << base.name << ":" << spell(args);
+    args.emplace_back("prof-folded", "p.folded");
+    EXPECT_EQ(run_smtsim("prof_csv", args).exit, kExitOk)
+        << base.name << ":" << spell(args);
   }
 }
 
@@ -441,7 +467,7 @@ TEST(OptionTable, OtherModesExitTwoAndWriteNothing) {
       if ((o.modes & base.mode) != 0) continue;
       if (base.mode == kFixedRun && picks_mode(o.name)) continue;
       Args args = base.args;
-      if (!o.needs.empty() && !has(args, o.needs.front())) {
+      if (!needs_met(args, o.needs)) {
         args.emplace_back(o.needs.front(), sample_value(o.needs.front()));
       }
       args.emplace_back(o.name, sample_value(o.name));

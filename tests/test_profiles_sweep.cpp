@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "pipeline/pipeline.hpp"
+#include "test_support.hpp"
 #include "workload/app_profile.hpp"
 #include "workload/thread_program.hpp"
 
@@ -33,11 +34,7 @@ TEST_P(ProfileSweep, StreamIsDeterministic) {
   ThreadProgram a(profile(GetParam()), 0, 5);
   ThreadProgram b(profile(GetParam()), 0, 5);
   for (int i = 0; i < 5000; ++i) {
-    const isa::Instruction x = a.next();
-    const isa::Instruction y = b.next();
-    ASSERT_EQ(x.pc, y.pc);
-    ASSERT_EQ(static_cast<int>(x.cls), static_cast<int>(y.cls));
-    ASSERT_EQ(x.mem_addr, y.mem_addr);
+    ASSERT_TRUE(test::same_instruction(a.next(), b.next())) << "at " << i;
   }
 }
 

@@ -1,7 +1,8 @@
-// Chunk-chain tests: copies of a ThreadProgram share one decoded chain,
-// the first reader past a chunk's end builds the next chunk exactly once
-// (also when copies race on pool workers), chunks are freed behind their
-// last reader, and a long run's peak RSS stays flat.
+// Chunk-chain tests: a chunk's 8-byte rows expand back into exactly the
+// instructions the generator produced, copies of a ThreadProgram share
+// one decoded chain, the first reader past a chunk's end builds the next
+// chunk exactly once (also when copies race on pool workers), chunks are
+// freed behind their last reader, and a long run's peak RSS stays flat.
 //
 // StreamCache::local() counts per thread, so each test reads deltas of
 // the counters of the thread that did the work.
@@ -11,10 +12,14 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "par/thread_pool.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "workload/app_profile.hpp"
 #include "workload/mix.hpp"
 #include "workload/stream_cache.hpp"
@@ -22,12 +27,6 @@
 
 namespace smt::workload {
 namespace {
-
-bool same_instruction(const isa::Instruction& a, const isa::Instruction& b) {
-  return a.cls == b.cls && a.dep1 == b.dep1 && a.dep2 == b.dep2 &&
-         a.pc == b.pc && a.mem_addr == b.mem_addr &&
-         a.branch_target == b.branch_target && a.taken == b.taken;
-}
 
 std::vector<isa::Instruction> take(ThreadProgram& p, std::uint64_t n) {
   std::vector<isa::Instruction> out;
@@ -40,9 +39,23 @@ void expect_same_stream(const std::vector<isa::Instruction>& want,
                         const std::vector<isa::Instruction>& got) {
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_TRUE(same_instruction(want[i], got[i]))
+    ASSERT_TRUE(test::same_instruction(want[i], got[i]))
         << "instruction " << i << " diverged";
   }
+}
+
+/// The first `n` instructions of thread `tid`'s stream straight from the
+/// generator, built as ThreadProgram builds its own.
+std::vector<isa::Instruction> generate(const AppProfile& p, std::uint32_t tid,
+                                       std::uint64_t seed, std::uint64_t n) {
+  const std::uint64_t code_base = kCodeRegionBase + tid * kCodeSegmentStride;
+  StreamGen gen(std::make_shared<const AppProfile>(p), tid, seed,
+                std::make_shared<const BranchSiteModel>(
+                    p, code_base, make_stream(seed, {kTagSites, tid})));
+  std::vector<isa::Instruction> out;
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(gen.next());
+  return out;
 }
 
 std::int64_t live_bytes() {
@@ -54,18 +67,70 @@ std::int64_t live_bytes() {
 constexpr std::uint64_t kPastThreeChunks = 3 * kStreamChunkInstrs + 1;
 
 TEST(StreamChain, TenCopiesBuildEachChunkOnceAndMatchALoneProgram) {
-  ThreadProgram lone(profile("mcf"), 0, 2003);
-  const std::vector<isa::Instruction> want = take(lone, kPastThreeChunks);
+  // On every profile, a lone program's rows expand to exactly what the
+  // generator produced, PC included, and ten copies read the same.
+  for (const std::string& name : all_profile_names()) {
+    SCOPED_TRACE(name);
+    const std::vector<isa::Instruction> want =
+        generate(profile(name), 0, 2003, kPastThreeChunks);
+    ThreadProgram lone(profile(name), 0, 2003);
+    expect_same_stream(want, take(lone, kPastThreeChunks));
 
-  const ThreadProgram base(profile("mcf"), 0, 2003);
-  std::vector<ThreadProgram> copies(10, base);
-  const StreamCache::Stats before = StreamCache::local().stats();
-  for (ThreadProgram& c : copies) {
-    expect_same_stream(want, take(c, kPastThreeChunks));
+    const ThreadProgram base(profile(name), 0, 2003);
+    std::vector<ThreadProgram> copies(10, base);
+    const StreamCache::Stats before = StreamCache::local().stats();
+    for (ThreadProgram& c : copies) {
+      expect_same_stream(want, take(c, kPastThreeChunks));
+    }
+    const StreamCache::Stats after = StreamCache::local().stats();
+    EXPECT_EQ(after.chunks_generated - before.chunks_generated, 3u);
+    EXPECT_EQ(after.chunk_hits - before.chunk_hits, 27u);
   }
-  const StreamCache::Stats after = StreamCache::local().stats();
-  EXPECT_EQ(after.chunks_generated - before.chunks_generated, 3u);
-  EXPECT_EQ(after.chunk_hits - before.chunk_hits, 27u);
+}
+
+TEST(StreamRow, OffsetsJustBelowTwoToTheThirtyTwoExpandExactly) {
+  // The largest segments a row's 32-bit offset holds, on a thread whose
+  // bases are far from zero: cold data accesses and long jumps land in
+  // the offsets' top half, and still expand to the generator's values.
+  AppProfile p = profile("mcf");
+  p.working_set_bytes = (1ULL << 32) - 8;
+  p.code_bytes = (1ULL << 32) - isa::kInstrBytes;
+  const std::vector<isa::Instruction> want =
+      generate(p, 7, 11, kPastThreeChunks);
+  ThreadProgram prog(p, 7, 11);
+  expect_same_stream(want, take(prog, kPastThreeChunks));
+
+  const std::uint64_t data_base = 8 * kDataSegmentStride;  // thread 7's
+  bool high_addr = false;
+  bool high_target = false;
+  for (const isa::Instruction& in : want) {
+    if (isa::is_mem(in.cls)) {
+      high_addr |= in.mem_addr - data_base >= (1ULL << 31);
+    } else if (in.cls == isa::InstrClass::kBranch) {
+      high_target |= in.branch_target - prog.code_base() >= (1ULL << 31);
+    }
+  }
+  EXPECT_TRUE(high_addr);
+  EXPECT_TRUE(high_target);
+}
+
+TEST(StreamRow, ProfilesARowCannotHoldAreRejected) {
+  // AddressGen allocates nothing for its working set, so these profiles
+  // cost nothing to build; only the offset bound stops them.
+  const auto rejected = [](AppProfile p) {
+    const auto branches = std::make_shared<const BranchSiteModel>(
+        p, kCodeRegionBase, make_stream(1, {kTagSites, 0}));
+    EXPECT_THROW(StreamGen(std::make_shared<const AppProfile>(p), 0, 1,
+                           branches),
+                 std::invalid_argument);
+    EXPECT_THROW(ThreadProgram(p, 0, 1), std::invalid_argument);
+  };
+  AppProfile data = profile("art");
+  data.working_set_bytes = 1ULL << 32;
+  rejected(data);
+  AppProfile code = profile("gcc");
+  code.code_bytes = 1ULL << 32;
+  rejected(code);
 }
 
 TEST(StreamChain, ConcurrentCopiesBuildEachChunkOnce) {

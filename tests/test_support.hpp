@@ -1,7 +1,7 @@
 // Shared test support: a random-configuration generator for tests that
-// must hold beyond the golden configs, a simulator's stats document, and
-// a reader that flattens such documents back into their dotted metric
-// names.
+// must hold beyond the golden configs, a simulator's stats document, a
+// reader that flattens such documents back into their dotted metric
+// names, and an instruction comparison.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "check/invariants.hpp"
 #include "common/rng.hpp"
 #include "core/heuristics.hpp"
+#include "isa/instruction.hpp"
 #include "obs/metrics.hpp"
 #include "policy/fetch_policy.hpp"
 #include "sim/simulator.hpp"
@@ -168,6 +169,26 @@ inline std::map<std::string, std::string> flatten_json(
   MiniJson p{text};
   p.parse_object("", out);
   return out;
+}
+
+/// Whether two instructions are the same, reading of the address word
+/// only the member each class makes active (a load's or store's
+/// mem_addr, a branch's branch_target).
+inline ::testing::AssertionResult same_instruction(const isa::Instruction& a,
+                                                   const isa::Instruction& b) {
+  const auto differ = [&](const char* field) {
+    return ::testing::AssertionFailure()
+           << field << " differs (pc " << a.pc << " vs " << b.pc << ")";
+  };
+  if (a.cls != b.cls) return differ("cls");
+  if (a.pc != b.pc) return differ("pc");
+  if (a.dep1 != b.dep1 || a.dep2 != b.dep2) return differ("dep");
+  if (a.taken != b.taken) return differ("taken");
+  if (isa::is_mem(a.cls) && a.mem_addr != b.mem_addr) return differ("mem_addr");
+  if (a.cls == isa::InstrClass::kBranch && a.branch_target != b.branch_target) {
+    return differ("branch_target");
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace smt::test

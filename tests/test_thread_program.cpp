@@ -5,6 +5,7 @@
 #include <array>
 #include <map>
 
+#include "test_support.hpp"
 #include "workload/app_profile.hpp"
 #include "workload/thread_program.hpp"
 
@@ -20,12 +21,7 @@ TEST(ThreadProgram, DeterministicStream) {
   ThreadProgram a = make("gcc");
   ThreadProgram b = make("gcc");
   for (int i = 0; i < 5000; ++i) {
-    const isa::Instruction x = a.next();
-    const isa::Instruction y = b.next();
-    ASSERT_EQ(x.pc, y.pc);
-    ASSERT_EQ(static_cast<int>(x.cls), static_cast<int>(y.cls));
-    ASSERT_EQ(x.mem_addr, y.mem_addr);
-    ASSERT_EQ(x.taken, y.taken);
+    ASSERT_TRUE(test::same_instruction(a.next(), b.next())) << "at " << i;
   }
 }
 
@@ -129,11 +125,7 @@ TEST(ThreadProgram, WrongPathDoesNotPerturbMainStream) {
     (void)a.next_wrong(wrong_pc);
   }
   for (int i = 0; i < 5000; ++i) {
-    const isa::Instruction x = a.next();
-    const isa::Instruction y = b.next();
-    ASSERT_EQ(x.pc, y.pc);
-    ASSERT_EQ(x.mem_addr, y.mem_addr);
-    ASSERT_EQ(x.taken, y.taken);
+    ASSERT_TRUE(test::same_instruction(a.next(), b.next())) << "at " << i;
   }
 }
 
@@ -202,10 +194,7 @@ TEST(ThreadProgram, CopyResumesIdentically) {
   for (int i = 0; i < 500; ++i) (void)a.next();
   ThreadProgram b = a;
   for (int i = 0; i < 2000; ++i) {
-    const isa::Instruction x = a.next();
-    const isa::Instruction y = b.next();
-    ASSERT_EQ(x.pc, y.pc);
-    ASSERT_EQ(x.mem_addr, y.mem_addr);
+    ASSERT_TRUE(test::same_instruction(a.next(), b.next())) << "at " << i;
   }
 }
 
