@@ -25,73 +25,50 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
                                 ": size/(line*ways) must be a power of 2");
   }
   line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_bytes));
-  set_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
+  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(sets_));
   tags_.resize(sets_ * cfg.ways);
   ways_.resize(sets_ * cfg.ways);
   clear();
 }
 
-std::uint64_t Cache::set_index(std::uint64_t addr) const noexcept {
-  return (addr >> line_shift_) & (sets_ - 1);
-}
-
-std::uint64_t Cache::tag_of(std::uint64_t addr) const noexcept {
-  return addr >> line_shift_ >> set_shift_;
-}
-
-void Cache::touch(std::uint8_t* ways, std::uint32_t way) const noexcept {
-  const std::uint8_t rank = ways[way] & ~kState;
-  if (rank == 0) return;  // already the most recent: nothing ages
-  // The state bits sit below the rank, so comparing whole bytes against
-  // the touched way's rank finds exactly the ways ranked more recent.
-  // Branch-free, since which ways age follows the access pattern; `n` is
-  // a local because the byte stores may alias cfg_.
-  const std::uint32_t n = cfg_.ways;
-  for (std::uint32_t w = 0; w < n; ++w) {
-    ways[w] = static_cast<std::uint8_t>(ways[w] + (ways[w] < rank) * kRankOne);
+void Cache::adopt_high(std::uint64_t region) {
+  if (high_ != 0) {
+    throw std::invalid_argument(
+        cfg_.name + ": a tag outside the cache's two regions would alias");
   }
-  ways[way] &= kState;
+  high_ = region;
 }
 
-bool Cache::access(std::uint64_t addr, bool write) {
-  const std::uint64_t first = set_index(addr) * cfg_.ways;
-  const std::uint64_t tag = tag_of(addr);
-  const std::uint64_t* const tags = &tags_[first];
+void Cache::fill(std::uint64_t first, std::uint32_t tag, bool write) {
+  // The victim is the way ranked last. Invalid ways are never touched, so
+  // they stay ranked below every valid way: while the set has one, the
+  // way ranked last is invalid; once it is full, that way is the LRU.
   std::uint8_t* const ways = &ways_[first];
   const std::uint32_t n = cfg_.ways;
-
-  for (std::uint32_t w = 0; w < n; ++w) {
-    if (tags[w] == tag && (ways[w] & kValid)) {
-      touch(ways, w);
-      if (write) ways[w] |= kDirty;
-      ++hits_;
-      return true;
-    }
-  }
-
-  // Miss: fill into the first invalid way, else evict the LRU way (the
-  // one ranked last).
-  ++misses_;
+  const auto last = static_cast<std::uint8_t>((n - 1) << kRankShift);
   std::uint32_t victim = 0;
-  while (victim < n && (ways[victim] & kValid)) ++victim;
-  if (victim == n) {
-    const auto lru = static_cast<std::uint8_t>((n - 1) << kRankShift);
-    for (std::uint32_t w = 0; w < n; ++w) {
-      if ((ways[w] & ~kState) == lru) victim = w;
-    }
+  for (std::uint32_t w = 0; w < n; ++w) {
+    if ((ways[w] & ~kState) == last) victim = w;
+  }
+  ++misses_;
+  if (ways[victim] & kValid) {
     ++evictions_;
     if (ways[victim] & kDirty) ++dirty_evictions_;
   }
   tags_[first + victim] = tag;
-  ways[victim] = static_cast<std::uint8_t>((ways[victim] & ~kState) | kValid |
-                                          (write ? kDirty : 0));
-  touch(ways, victim);
-  return false;
+  // Every other way was more recent than the victim, so every way ages.
+  for (std::uint32_t w = 0; w < n; ++w) {
+    ways[w] = static_cast<std::uint8_t>(ways[w] + kRankOne);
+  }
+  ways[victim] = static_cast<std::uint8_t>(kValid | (write ? kDirty : 0));
 }
 
 bool Cache::contains(std::uint64_t addr) const {
+  const std::uint64_t full = addr >> tag_shift_;
+  const std::uint64_t region = full >> 31;
+  if (region != 0 && region != high_) return false;  // never stored
   const std::uint64_t first = set_index(addr) * cfg_.ways;
-  const std::uint64_t tag = tag_of(addr);
+  const std::uint32_t tag = pack(full);
   for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
     if (tags_[first + w] == tag && (ways_[first + w] & kValid)) return true;
   }
@@ -105,6 +82,7 @@ void Cache::clear() {
     tags_[i] = 0;
     ways_[i] = static_cast<std::uint8_t>((i % cfg_.ways) << kRankShift);
   }
+  high_ = 0;  // every way is invalid, so no stored tag names a region
   hits_ = misses_ = evictions_ = dirty_evictions_ = 0;
 }
 

@@ -1,5 +1,8 @@
 #include "mem/hierarchy.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace smt::mem {
 
 Hierarchy::Hierarchy(const HierarchyConfig& cfg)
@@ -8,7 +11,15 @@ Hierarchy::Hierarchy(const HierarchyConfig& cfg)
       l1d_(cfg.l1d),
       l2_(cfg.l2),
       istats_(cfg.max_threads),
-      dstats_(cfg.max_threads) {}
+      dstats_(cfg.max_threads) {
+  for (const CacheConfig* c : {&cfg.l1i, &cfg.l1d, &cfg.l2}) {
+    if (c->line_bytes * c->num_sets() < kMinSetSpanBytes) {
+      throw std::invalid_argument(c->name +
+                                  ": line x sets span must be at least " +
+                                  std::to_string(kMinSetSpanBytes) + " bytes");
+    }
+  }
+}
 
 AccessResult Hierarchy::lookup_instr(std::uint32_t tid, std::uint64_t pc) {
   AccessResult r;

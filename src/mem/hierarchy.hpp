@@ -44,7 +44,15 @@ struct AccessResult {
 
 class Hierarchy {
  public:
+  /// Smallest line × sets span a level may have. The model's data
+  /// addresses lie below 2^36, so at this span or more their tags stay
+  /// below 2^31, the low region of a packed cache tag (mem/cache.hpp);
+  /// the code segments above kCodeRegionBase are each cache's high one.
+  static constexpr std::uint64_t kMinSetSpanBytes = 32;
+
   Hierarchy() : Hierarchy(HierarchyConfig{}) {}
+  /// Throws std::invalid_argument for a level whose span is under
+  /// kMinSetSpanBytes (and, through Cache, for a malformed geometry).
   explicit Hierarchy(const HierarchyConfig& cfg);
 
   /// Instruction fetch of the block containing `pc`.

@@ -88,6 +88,11 @@ Pipeline::Pipeline(const PipelineConfig& cfg,
   window_cap_ = 1;
   while (window_cap_ < cfg.rob_per_thread) window_cap_ <<= 1;
   slot_mask_ = window_cap_ - 1;
+  if (window_cap_ > 0x10000 || programs.size() > 0x10000) {
+    // A completion-ring entry names its thread and slot in 16 bits each.
+    throw std::invalid_argument(
+        "Pipeline: rob_per_thread or thread count exceeds 65536");
+  }
 
   threads_.reserve(programs.size());
   for (auto& prog : programs) {
@@ -96,12 +101,10 @@ Pipeline::Pipeline(const PipelineConfig& cfg,
     t.si.resize(window_cap_);
     t.seq.resize(window_cap_, 0);
     t.uid.resize(window_cap_, 0);
-    t.age.resize(window_cap_, 0);
     t.dispatch_ready.resize(window_cap_, 0);
     t.state.resize(window_cap_,
                    static_cast<std::uint8_t>(InstrState::kEmpty));
     t.flags.resize(window_cap_, 0);
-    t.pview.resize(window_cap_, -1);
     t.done_bits.resize((window_cap_ + 63) / 64, 0);
     t.waiter_head.assign(window_cap_, kNoWaiter);
     threads_.push_back(std::move(t));
@@ -216,7 +219,9 @@ void Pipeline::do_commit() {
              "wrong-path instruction reached commit");
 
       const bool is_syscall = t.si[slot].cls == isa::InstrClass::kSyscall;
-      if (t.pview[slot] >= 0) pview_close(t, slot, obs::PipeTerminal::kCommit);
+      if (pview_.sink != nullptr) {
+        pview_close(tid, slot, obs::PipeTerminal::kCommit);
+      }
       release_instr_resources(tid, slot, /*completed_ok=*/true);
       ++t.counters.total.committed;
       ++stats_.committed;
@@ -243,9 +248,10 @@ void Pipeline::do_complete() {
     const DoneRef ref =
         completion_[std::size_t{lane} * completion_lane_ + k];
     Thread& t = threads_[ref.tid];
-    // Stale-reference check: uids are never reused, so a match means this
-    // is the same instruction and it is still in flight; requiring
-    // kIssued rejects squashed slots (kEmpty) and reclaimed ones.
+    // Stale-reference check: no other issue in the entry's lifetime took
+    // its tag (DoneRef), so a match means this is the same instruction
+    // and it is still in flight; requiring kIssued rejects squashed slots
+    // (kEmpty) and reclaimed ones not issued again.
     if (t.uid[ref.slot] != ref.uid ||
         t.state[ref.slot] != static_cast<std::uint8_t>(InstrState::kIssued)) {
       continue;
@@ -263,7 +269,9 @@ void Pipeline::do_complete() {
       place_entry(w, w < 64 ? int_iq_.slots[w] : fp_iq_.slots[w - 64]);
       w = nxt;
     }
-    if (t.pview[slot] >= 0) pview_stamp(t, slot, obs::PipeStage::kWriteback);
+    if (pview_.sink != nullptr) {
+      pview_stamp(ref.tid, slot, obs::PipeStage::kWriteback);
+    }
     ThreadCounters& c = t.counters;
     const isa::InstrClass cls = t.si[slot].cls;
     if (cls == isa::InstrClass::kLoad) {
@@ -393,12 +401,15 @@ void Pipeline::do_issue() {
 
     t.state[slot] = static_cast<std::uint8_t>(InstrState::kIssued);
     if (cpi_.enabled) cpi_.issued_tids |= 1ull << r.tid;
-    if (t.pview[slot] >= 0) {
-      pview_stamp(t, slot, obs::PipeStage::kIssue);
-      pview_stamp(t, slot, obs::PipeStage::kExecute);
+    if (pview_.sink != nullptr) {
+      pview_stamp(r.tid, slot, obs::PipeStage::kIssue);
+      pview_stamp(r.tid, slot, obs::PipeStage::kExecute);
     }
     if (!r.is_mem) --t.counters.icount;  // mem ops stay in the LQ/SQ
-    completion_push(cycle_ + latency, DoneRef{t.uid[slot], r.tid, slot});
+    t.uid[slot] = next_uid_++;
+    completion_push(cycle_ + latency,
+                    DoneRef{t.uid[slot], static_cast<std::uint16_t>(r.tid),
+                            static_cast<std::uint16_t>(slot)});
 
     --total;
     if (take_int) {
@@ -491,8 +502,9 @@ void Pipeline::do_dispatch() {
       t.flags[slot] |= kFlagLsqEntry;
     }
     t.state[slot] = static_cast<std::uint8_t>(InstrState::kQueued);
-    t.age[slot] = next_age_++;
-    if (t.pview[slot] >= 0) pview_stamp(t, slot, obs::PipeStage::kDispatch);
+    if (pview_.sink != nullptr) {
+      pview_stamp(ref.tid, slot, obs::PipeStage::kDispatch);
+    }
     // Resolve dep distances to producer seqs once, here: dep 0 (none) and
     // deps predating the stream can never block, so they collapse to the
     // -1 sentinel and the wakeup machinery never looks at them again.
@@ -507,7 +519,7 @@ void Pipeline::do_dispatch() {
     const std::uint64_t jbit = 1ull << j;
     q.occ |= jbit;
     if (!fp && is_mem) q.mem |= jbit;
-    q.slots[j] = IqRef{t.age[slot], producer(si.dep1), producer(si.dep2),
+    q.slots[j] = IqRef{next_age_++, producer(si.dep1), producer(si.dep2),
                        ref.tid, slot, is_mem};
     place_entry(fp ? 64 + j : j, q.slots[j]);
     --t.frontend_count;
@@ -650,11 +662,9 @@ void Pipeline::do_fetch() {
       const std::uint32_t slot = slot_of(seq);
       t.si[slot] = si;
       t.seq[slot] = seq;
-      t.uid[slot] = next_uid_++;
       t.dispatch_ready[slot] = cycle_ + cfg_.frontend_delay;
       t.state[slot] = static_cast<std::uint8_t>(InstrState::kFrontEnd);
       t.flags[slot] = wrong ? kFlagWrongPath : 0;
-      t.pview[slot] = -1;
       clear_done_bit(t, slot);
       if (pview_.sink != nullptr) pview_open(cand.tid, slot);
 
@@ -942,7 +952,7 @@ void Pipeline::squash_from(std::uint32_t tid, std::uint64_t first_seq,
   // oldest ends on top, ahead of that backlog.
   while (!win_empty(t) && t.seq[slot_of(t.next_seq - 1)] >= first_seq) {
     const std::uint32_t slot = slot_of(t.next_seq - 1);
-    if (t.pview[slot] >= 0) pview_close(t, slot, cause);
+    if (pview_.sink != nullptr) pview_close(tid, slot, cause);
     release_instr_resources(tid, slot, /*completed_ok=*/false);
     if (replay_correct_path && !(t.flags[slot] & kFlagWrongPath)) {
       t.replay.push_back(t.si[slot]);
@@ -1070,13 +1080,6 @@ void Pipeline::set_pipeview(obs::TraceSink* sink,
                             std::vector<PipeviewWindow> windows,
                             std::uint64_t quantum_cycles) {
   pview_ = {};
-  // Any in-flight pview indices refer to the previous state's records (or
-  // to a copied-from pipeline's); scrub them so stale slots can never
-  // alias new ones. Vacated slots' indices are dead anyway, so scrubbing
-  // the whole array is harmless and simplest.
-  for (Thread& t : threads_) {
-    std::fill(t.pview.begin(), t.pview.end(), -1);
-  }
   if (sink == nullptr || windows.empty()) return;
   std::sort(windows.begin(), windows.end(),
             [](const PipeviewWindow& a, const PipeviewWindow& b) {
@@ -1085,6 +1088,7 @@ void Pipeline::set_pipeview(obs::TraceSink* sink,
   pview_.sink = sink;
   pview_.windows = std::move(windows);
   pview_.quantum_cycles = quantum_cycles;
+  pview_.rec_of.assign(threads_.size() * std::size_t{window_cap_}, -1);
 }
 
 void Pipeline::pview_open(std::uint32_t tid, std::uint32_t slot) {
@@ -1102,15 +1106,13 @@ void Pipeline::pview_open(std::uint32_t tid, std::uint32_t slot) {
   if (!pview_.free_slots.empty()) {
     rec = pview_.free_slots.back();
     pview_.free_slots.pop_back();
-    pview_.records[static_cast<std::size_t>(rec)] = PipeviewRecord{};
+    pview_.records[static_cast<std::size_t>(rec)] = obs::TraceEvent{};
   } else {
     rec = static_cast<std::int32_t>(pview_.records.size());
     pview_.records.emplace_back();
   }
   Thread& t = threads_[tid];
-  PipeviewRecord& r = pview_.records[static_cast<std::size_t>(rec)];
-  r.open = true;
-  obs::TraceEvent& e = r.ev;
+  obs::TraceEvent& e = pview_.records[static_cast<std::size_t>(rec)];
   e.kind = obs::EventKind::kPipeview;
   e.cycle = cycle_;
   e.quantum =
@@ -1127,35 +1129,23 @@ void Pipeline::pview_open(std::uint32_t tid, std::uint32_t slot) {
       static_cast<std::uint32_t>(cfg_.frontend_delay);
   ++pview_.opened;
   ++pview_.live;
-  t.pview[slot] = rec;
+  pview_rec(tid, slot) = rec;
 }
 
-void Pipeline::pview_stamp(Thread& t, std::uint32_t slot,
+void Pipeline::pview_stamp(std::uint32_t tid, std::uint32_t slot,
                            obs::PipeStage stage) {
-  // Stale-index guard: a copied pipeline inherits per-slot pview values
-  // but drops the pipeview state (copies drop observers), so indices may
-  // point at nothing. Reset and bail rather than stamping a ghost.
-  const auto idx = static_cast<std::size_t>(t.pview[slot]);
-  if (pview_.sink == nullptr || idx >= pview_.records.size() ||
-      !pview_.records[idx].open) {
-    t.pview[slot] = -1;
-    return;
-  }
-  obs::TraceEvent& e = pview_.records[idx].ev;
+  const std::int32_t rec = pview_rec(tid, slot);
+  if (rec < 0) return;
+  obs::TraceEvent& e = pview_.records[static_cast<std::size_t>(rec)];
   e.stage_delta[static_cast<std::size_t>(stage)] =
       static_cast<std::uint32_t>(cycle_ - e.cycle);
 }
 
-void Pipeline::pview_close(Thread& t, std::uint32_t slot,
+void Pipeline::pview_close(std::uint32_t tid, std::uint32_t slot,
                            obs::PipeTerminal term) {
-  const auto idx = static_cast<std::size_t>(t.pview[slot]);
-  if (pview_.sink == nullptr || idx >= pview_.records.size() ||
-      !pview_.records[idx].open) {
-    t.pview[slot] = -1;
-    return;
-  }
-  PipeviewRecord& r = pview_.records[idx];
-  obs::TraceEvent& e = r.ev;
+  std::int32_t& slot_rec = pview_rec(tid, slot);
+  if (slot_rec < 0) return;
+  obs::TraceEvent& e = pview_.records[static_cast<std::size_t>(slot_rec)];
   const auto delta = static_cast<std::uint32_t>(cycle_ - e.cycle);
   // The decode/rename stamps were prefilled optimistically at open; an
   // early squash can retire the instruction before it reached them. A
@@ -1166,12 +1156,13 @@ void Pipeline::pview_close(Thread& t, std::uint32_t slot,
   e.stage_delta[static_cast<std::size_t>(obs::PipeStage::kRetire)] = delta;
   e.span = delta;
   e.code = static_cast<std::uint8_t>(term);
-  if (t.flags[slot] & kFlagMispredicted) e.mask |= obs::kPipeMispredicted;
+  if (threads_[tid].flags[slot] & kFlagMispredicted) {
+    e.mask |= obs::kPipeMispredicted;
+  }
   pview_.sink->record(e);
-  r.open = false;
   --pview_.live;
-  pview_.free_slots.push_back(static_cast<std::int32_t>(idx));
-  t.pview[slot] = -1;
+  pview_.free_slots.push_back(slot_rec);
+  slot_rec = -1;
 }
 
 void Pipeline::mark_quantum() {

@@ -374,15 +374,12 @@ class Pipeline {
 
     std::vector<isa::Instruction> si;  ///< decoded instruction per slot
     std::vector<std::uint64_t> seq;
-    std::vector<std::uint64_t> uid;  ///< globally unique (stale-ref detection)
-    std::vector<std::uint64_t> age;  ///< global dispatch order
+    /// Issue tag: Pipeline::next_uid_ when the slot's instruction issued,
+    /// matched against the completion-ring entry it pushed (DoneRef).
+    std::vector<std::uint32_t> uid;
     std::vector<std::uint64_t> dispatch_ready;  ///< front-end release cycle
     std::vector<std::uint8_t> state;            ///< InstrState
     std::vector<std::uint8_t> flags;            ///< kFlag* bits
-    /// Pipeview record slot, -1 = untracked. May go stale on a copied
-    /// pipeline (the copy's sampler is empty); the stamp helpers detect
-    /// that and reset it, and set_pipeview scrubs all windows.
-    std::vector<std::int32_t> pview;
     /// Bit (seq & slot_mask_) set => that slot's instruction is kDone.
     /// Dependency wakeup is a test against this mask: dep distances name
     /// the producer slot directly, no object chasing. Bits are reset when
@@ -466,14 +463,18 @@ class Pipeline {
     std::uint32_t slot = 0;
   };
 
-  /// Completion-ring entry. uid (never reused) plus the kIssued state
+  /// Completion-ring entry. The issue tag plus the kIssued state
   /// requirement make stale entries — squashed instructions whose slot
-  /// was vacated or reclaimed — inert.
+  /// was vacated or reclaimed — inert. Tags are 32 bits and wrap, but an
+  /// entry lives under kCompletionRing cycles and at most 128 (both IQs)
+  /// instructions issue a cycle, so a slot reissued in its lifetime
+  /// carries a tag 1 to 2^15 past the entry's: never equal (DESIGN.md §17).
   struct DoneRef {
-    std::uint64_t uid = 0;
-    std::uint32_t tid = 0;
-    std::uint32_t slot = 0;
+    std::uint32_t uid = 0;
+    std::uint16_t tid = 0;
+    std::uint16_t slot = 0;
   };
+  static_assert(sizeof(DoneRef) == 8);
 
   [[nodiscard]] std::uint32_t slot_of(std::uint64_t seq) const noexcept {
     return static_cast<std::uint32_t>(seq) & slot_mask_;
@@ -586,8 +587,8 @@ class Pipeline {
   std::uint32_t completion_lane_ = 0;
 
   std::uint64_t cycle_ = 0;
-  std::uint64_t next_uid_ = 1;
-  std::uint64_t next_age_ = 1;
+  std::uint32_t next_uid_ = 1;  ///< next issue tag (wraps; see DoneRef)
+  std::uint64_t next_age_ = 1;  ///< next IqRef::age (dispatch order)
   std::uint64_t dt_work_ = 0;
   std::uint64_t cycles_leapt_ = 0;
 
@@ -595,13 +596,6 @@ class Pipeline {
   obs::StallBreakdown machine_stalls_;  ///< lost slots with no thread to blame
 
   // --- pipeview sampler ---------------------------------------------------
-  /// One tracked instruction's prefilled kPipeview event; slots are
-  /// recycled through a free list, so memory is bounded by the maximum
-  /// number of simultaneously in-flight tracked instructions.
-  struct PipeviewRecord {
-    obs::TraceEvent ev;
-    bool open = false;
-  };
   /// All sampler state, in one DropOnCopy so a copied Pipeline starts
   /// without it while the pipeline keeps defaulted copy operations.
   struct PipeviewState {
@@ -612,8 +606,14 @@ class Pipeline {
     std::uint64_t quantum_cycles = 0;
     std::uint64_t opened = 0;  ///< lifetime records opened
     std::uint64_t live = 0;    ///< records currently in flight
-    std::vector<PipeviewRecord> records;
+    /// Each tracked instruction's prefilled kPipeview event; records are
+    /// recycled through `free_slots`, so memory is bounded by the most
+    /// tracked instructions ever in flight at once.
+    std::vector<obs::TraceEvent> records;
     std::vector<std::int32_t> free_slots;
+    /// Record of each window slot, tid * window_cap_ + slot; -1 =
+    /// untracked. Sized when a sink attaches, so a copy carries none.
+    std::vector<std::int32_t> rec_of;
   };
   DropOnCopy<PipeviewState> pview_;
 
@@ -661,15 +661,24 @@ class Pipeline {
   /// the cycle count.
   void finish_step();
 
+  // The helpers below run only with a sink attached: each call
+  // site guards them with a cheap `pview_.sink != nullptr` test.
+  /// The record index of `tid`'s window slot `slot` (-1 = untracked).
+  [[nodiscard]] std::int32_t& pview_rec(std::uint32_t tid,
+                                        std::uint32_t slot) {
+    return pview_.rec_of[tid * std::size_t{window_cap_} + slot];
+  }
   /// Open a lifecycle record for the instruction in `slot` if the active
-  /// window wants one (called at fetch; cheap `sink != nullptr` guard at
-  /// the call site).
+  /// window wants one (called at fetch).
   void pview_open(std::uint32_t tid, std::uint32_t slot);
-  /// Stamp the record at `stage` with the current cycle; recovers
-  /// (resets the slot's pview index) when it is stale from a copy.
-  void pview_stamp(Thread& t, std::uint32_t slot, obs::PipeStage stage);
-  /// Finish the record with terminal `term` and emit the kPipeview event.
-  void pview_close(Thread& t, std::uint32_t slot, obs::PipeTerminal term);
+  /// Stamp the slot's record, if it has one, at `stage` with the current
+  /// cycle.
+  void pview_stamp(std::uint32_t tid, std::uint32_t slot,
+                   obs::PipeStage stage);
+  /// Finish the slot's record, if it has one, with terminal `term` and
+  /// emit the kPipeview event.
+  void pview_close(std::uint32_t tid, std::uint32_t slot,
+                   obs::PipeTerminal term);
 
   // --- reused scratch buffers (hot-path allocation avoidance) -----------
   // These hold no state between cycles — each user clears its buffer

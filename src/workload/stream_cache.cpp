@@ -1,6 +1,7 @@
 #include "workload/stream_cache.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "isa/instruction.hpp"
 #include "par/once_slot.hpp"
@@ -78,13 +79,17 @@ StreamGen::StreamGen(std::shared_ptr<const AppProfile> profile,
       branch_pc_salt_(branch_pc_salt(seed, thread_id)) {
   // Data addresses lie below the working set (AddressGen) and taken
   // targets below the code footprint (BranchSiteModel), each from its
-  // segment base, so both fit a row's 32-bit offset below 2^32 bytes.
-  constexpr std::uint64_t kOffsetLimit = 1ULL << 32;
-  if (profile_->working_set_bytes >= kOffsetLimit ||
-      profile_->code_bytes >= kOffsetLimit) {
+  // segment base. A working set below 2^32 bytes fits a row's 32-bit
+  // offset and its data stride; a code footprint of at most the code
+  // stride fits both too, and keeps neighbouring threads' code apart.
+  if (profile_->working_set_bytes >= (1ULL << 32)) {
+    throw std::invalid_argument("profile '" + profile_->name +
+                                "': working_set_bytes must be below 2^32");
+  }
+  if (profile_->code_bytes > kCodeSegmentStride) {
     throw std::invalid_argument(
-        "profile '" + profile_->name +
-        "': working_set_bytes and code_bytes must be below 2^32");
+        "profile '" + profile_->name + "': code_bytes must be at most " +
+        std::to_string(kCodeSegmentStride) + " (the code segment stride)");
   }
 }
 

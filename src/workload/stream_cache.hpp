@@ -44,8 +44,9 @@ namespace smt::workload {
 // generator (StreamGen) and the live wrong-path synthesiser kept in
 // ThreadProgram, so the two paths cannot drift apart.
 
-/// Per-thread segment spacing: large enough that no profile's working set
-/// or code footprint overlaps a neighbour's. The strides carry a salt
+/// Per-thread segment spacing: no working set below 2^32 bytes and no
+/// code footprint of at most kCodeSegmentStride (the bounds StreamGen
+/// enforces) overlaps a neighbour's. The strides carry a salt
 /// that is NOT a multiple of any cache's set span (L1: 8 KiB, L2:
 /// 128 KiB), so different threads' segments land in different sets — as
 /// the OS page allocator ensures for real processes. Power-of-two-aligned
@@ -55,6 +56,9 @@ inline constexpr std::uint64_t kDataSegmentStride =
     (1ULL << 32) + 101 * 1024 + 256;
 inline constexpr std::uint64_t kCodeSegmentStride =
     (1ULL << 28) + 37 * 1024 + 96;
+/// Code segments start here and data segments end below 2^36, so each
+/// cache holds data tags in its low region and code tags in its one high
+/// region (mem/cache.hpp).
 inline constexpr std::uint64_t kCodeRegionBase = 1ULL << 60;
 
 // Stream-path tags for make_stream(); never reorder (determinism contract).
@@ -120,7 +124,8 @@ inline void fill_deps(isa::Instruction& in, Rng& dep_rng,
 /// the generator did), and of the two addresses a class may carry only
 /// the one it uses is kept, as a 32-bit offset: a load's or store's data
 /// address from the thread's data base, a branch's taken target from its
-/// code base. StreamGen rejects a profile whose offsets could pass 2^32.
+/// code base. StreamGen rejects a profile whose offsets could pass 2^32
+/// (or whose code would overlap the next thread's segment).
 struct StreamRow {
   isa::InstrClass cls = isa::InstrClass::kIntAlu;
   std::uint8_t dep1 = 0;
@@ -170,9 +175,10 @@ static_assert(sizeof(StreamRow) == 8);
 class StreamGen {
  public:
   StreamGen() = default;
-  /// Throws std::invalid_argument when the profile's working set or code
-  /// footprint is 2^32 bytes or more (a StreamRow offset could not hold
-  /// its addresses).
+  /// Throws std::invalid_argument when the profile's working set is 2^32
+  /// bytes or more (a StreamRow offset could not hold its addresses) or
+  /// its code footprint exceeds kCodeSegmentStride (the thread's code
+  /// would run into the next thread's segment).
   StreamGen(std::shared_ptr<const AppProfile> profile, std::uint32_t thread_id,
             std::uint64_t seed,
             std::shared_ptr<const BranchSiteModel> branches);

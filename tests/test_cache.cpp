@@ -4,10 +4,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "mem/cache.hpp"
+#include "workload/stream_cache.hpp"
 
 namespace smt::mem {
 namespace {
@@ -273,6 +276,106 @@ TEST(CacheProperty, RankLayoutMatchesCounterLru) {
       run_in_step(c, ref, rng, lines, 2000);
     }
   }
+}
+
+/// Line addresses in the model's real regions: in each of threads 0–7's
+/// data segments (up to 2^32 bytes from (tid + 1) × kDataSegmentStride)
+/// and code segments (up to kCodeSegmentStride from kCodeRegionBase +
+/// tid × kCodeSegmentStride), `per_segment` lines each, half of them
+/// within 64 KiB of the base and half anywhere, the last byte included.
+std::vector<std::uint64_t> region_addresses(Rng& rng, int per_segment) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t tid = 0; tid < 8; ++tid) {
+    const std::uint64_t data = (tid + 1) * workload::kDataSegmentStride;
+    const std::uint64_t code =
+        workload::kCodeRegionBase + tid * workload::kCodeSegmentStride;
+    for (const auto& [base, size] :
+         {std::pair{data, std::uint64_t{1} << 32},
+          std::pair{code, workload::kCodeSegmentStride}}) {
+      out.push_back(base + size - 1);
+      for (int i = 1; i < per_segment; ++i) {
+        const std::uint64_t span = i % 2 == 0 ? std::uint64_t{1} << 16 : size;
+        out.push_back(base + rng.below(span));
+      }
+    }
+  }
+  return out;
+}
+
+/// Drive `c` and `ref` with `n` accesses to `addrs` (a quarter of them
+/// hot, so sets both hit and evict) and require the same outcome each
+/// time, then the same counters and contents.
+void run_over(Cache& c, ReferenceCache& ref, Rng& rng,
+              const std::vector<std::uint64_t>& addrs, int n) {
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t addr =
+        addrs[rng.chance(0.5) ? rng.below(addrs.size() / 4 + 1)
+                              : rng.below(addrs.size())];
+    const bool write = rng.below(3) == 0;
+    ASSERT_EQ(c.access(addr, write), ref.access(addr, write))
+        << "access " << i << " to " << addr;
+  }
+  EXPECT_EQ(c.hits(), ref.hits);
+  EXPECT_EQ(c.misses(), ref.misses);
+  EXPECT_EQ(c.evictions(), ref.evictions);
+  EXPECT_EQ(c.dirty_evictions(), ref.dirty_evictions);
+  for (const std::uint64_t addr : addrs) {
+    ASSERT_EQ(c.contains(addr), ref.contains(addr)) << addr;
+  }
+}
+
+TEST(CacheProperty, PackedTagsMatchFullTagsOverTheModelsRegions) {
+  // Spans from the 32-byte minimum (where data tags reach 2^31 - 1) to
+  // the default L2's 256 KiB.
+  const std::vector<CacheConfig> geometries = {
+      {"span32", 32 * 4, 32, 4},     {"line8", 8 * 4 * 2, 8, 2},
+      {"l1", 32 * 1024, 32, 4},      {"direct", 4096, 64, 1},
+      {"l2", 2 * 1024 * 1024, 64, 8}, {"wide", 128 * 64 * 16, 128, 16}};
+  for (const CacheConfig& cfg : geometries) {
+    SCOPED_TRACE(cfg.name);
+    Rng rng(cfg.size_bytes + cfg.ways);
+    const std::vector<std::uint64_t> addrs = region_addresses(rng, 24);
+    Cache c(cfg);
+    ReferenceCache ref(cfg);
+    run_over(c, ref, rng, addrs, 4000);
+
+    // Copies taken mid-stream continue exactly as the reference does.
+    Cache copy = c;
+    Cache assigned(cfg);
+    assigned.access(workload::kCodeRegionBase, true);
+    assigned = c;
+    ReferenceCache ref_copy = ref;
+    ReferenceCache ref_assigned = ref;
+    Rng rng_copy = rng;
+    Rng rng_assigned(rng.next());
+    run_over(copy, ref_copy, rng_copy, addrs, 4000);
+    run_over(assigned, ref_assigned, rng_assigned, addrs, 4000);
+    run_over(c, ref, rng, addrs, 4000);
+  }
+}
+
+TEST(Cache, ThirdTagRegionThrowsAndIsNeverContained) {
+  Cache c(small_cfg());
+  const std::uint64_t code = workload::kCodeRegionBase;
+  const std::uint64_t third = 1ULL << 62;
+  EXPECT_FALSE(c.contains(code)) << "no high region recorded yet";
+  c.access(0x100, false);
+  c.access(code, true);
+  const std::uint64_t misses = c.misses();
+  EXPECT_THROW(c.access(third, false), std::invalid_argument);
+  EXPECT_EQ(c.misses(), misses) << "a rejected access changes nothing";
+  EXPECT_TRUE(c.contains(0x100));
+  EXPECT_TRUE(c.contains(code));
+  // The code line's twins in the low and the third region: same set,
+  // same low 31 tag bits.
+  EXPECT_FALSE(c.contains(code - workload::kCodeRegionBase));
+  EXPECT_FALSE(c.contains(third));
+
+  // clear() forgets the high region along with the lines.
+  c.clear();
+  EXPECT_NO_THROW(c.access(third, false));
+  EXPECT_TRUE(c.contains(third));
+  EXPECT_THROW(c.access(code, false), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests: two-level hierarchy (mem/hierarchy.hpp).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mem/hierarchy.hpp"
 
 namespace smt::mem {
@@ -104,6 +106,18 @@ TEST(Hierarchy, DefaultConfigMatchesDesignDoc) {
   EXPECT_EQ(cfg.l2.size_bytes, 2u * 1024 * 1024);
   EXPECT_EQ(cfg.l1_latency, 1u);
   EXPECT_GE(cfg.mem_latency, cfg.l2_latency);
+}
+
+TEST(Hierarchy, RejectsASetSpanUnderThirtyTwoBytes) {
+  // Under a 32-byte line × sets span a data tag could reach 2^31, the
+  // packed tags' high region.
+  HierarchyConfig cfg = tiny();
+  cfg.l1d = CacheConfig{"L1D", 16 * 4, 16, 4};  // one set of 16-byte lines
+  EXPECT_THROW(Hierarchy{cfg}, std::invalid_argument);
+  cfg.l1d = CacheConfig{"L1D", 16 * 2 * 4, 16, 4};  // two sets: 32 bytes
+  EXPECT_NO_THROW(Hierarchy{cfg});
+  cfg.l2 = CacheConfig{"L2", 8 * 2 * 2, 8, 2};  // 16 bytes
+  EXPECT_THROW(Hierarchy{cfg}, std::invalid_argument);
 }
 
 }  // namespace

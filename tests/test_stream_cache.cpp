@@ -89,12 +89,13 @@ TEST(StreamChain, TenCopiesBuildEachChunkOnceAndMatchALoneProgram) {
 }
 
 TEST(StreamRow, OffsetsJustBelowTwoToTheThirtyTwoExpandExactly) {
-  // The largest segments a row's 32-bit offset holds, on a thread whose
-  // bases are far from zero: cold data accesses and long jumps land in
-  // the offsets' top half, and still expand to the generator's values.
+  // The largest segments a profile may have, on a thread whose bases are
+  // far from zero: cold data accesses land in the offsets' top half and
+  // long jumps in the top half of the code segment, and still expand to
+  // the generator's values.
   AppProfile p = profile("mcf");
   p.working_set_bytes = (1ULL << 32) - 8;
-  p.code_bytes = (1ULL << 32) - isa::kInstrBytes;
+  p.code_bytes = kCodeSegmentStride;
   const std::vector<isa::Instruction> want =
       generate(p, 7, 11, kPastThreeChunks);
   ThreadProgram prog(p, 7, 11);
@@ -107,7 +108,8 @@ TEST(StreamRow, OffsetsJustBelowTwoToTheThirtyTwoExpandExactly) {
     if (isa::is_mem(in.cls)) {
       high_addr |= in.mem_addr - data_base >= (1ULL << 31);
     } else if (in.cls == isa::InstrClass::kBranch) {
-      high_target |= in.branch_target - prog.code_base() >= (1ULL << 31);
+      high_target |=
+          in.branch_target - prog.code_base() >= kCodeSegmentStride / 2;
     }
   }
   EXPECT_TRUE(high_addr);
@@ -131,6 +133,23 @@ TEST(StreamRow, ProfilesARowCannotHoldAreRejected) {
   AppProfile code = profile("gcc");
   code.code_bytes = 1ULL << 32;
   rejected(code);
+}
+
+TEST(StreamRow, CodeFootprintIsBoundedByTheSegmentStride) {
+  // A footprint of one stride fills the thread's code segment up to the
+  // next thread's base; one instruction more would run into it.
+  AppProfile p = profile("gcc");
+  p.code_bytes = kCodeSegmentStride;
+  EXPECT_NO_THROW(ThreadProgram(p, 0, 1));
+  EXPECT_NO_THROW(ThreadProgram(p, 7, 1));
+
+  p.code_bytes = kCodeSegmentStride + isa::kInstrBytes;
+  const auto branches = std::make_shared<const BranchSiteModel>(
+      p, kCodeRegionBase, make_stream(1, {kTagSites, 0}));
+  EXPECT_THROW(StreamGen(std::make_shared<const AppProfile>(p), 0, 1,
+                         branches),
+               std::invalid_argument);
+  EXPECT_THROW(ThreadProgram(p, 0, 1), std::invalid_argument);
 }
 
 TEST(StreamChain, ConcurrentCopiesBuildEachChunkOnce) {

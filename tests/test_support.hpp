@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "core/heuristics.hpp"
 #include "isa/instruction.hpp"
+#include "mem/cache.hpp"
 #include "obs/metrics.hpp"
 #include "policy/fetch_policy.hpp"
 #include "sim/simulator.hpp"
@@ -24,8 +25,9 @@
 
 namespace smt::test {
 
-/// A random machine geometry, thread count, policy and detector set-up,
-/// with the invariant checker on and CPI accounting on half the draws.
+/// A random machine geometry (widths, queues, latencies and the three
+/// caches), thread count, policy and detector set-up, with the invariant
+/// checker on and CPI accounting on half the draws.
 inline sim::SimConfig random_config(Rng& rng) {
   const auto pick = [&rng](std::uint32_t lo, std::uint32_t hi) {
     return static_cast<std::uint32_t>(lo + rng.below(hi - lo + 1));
@@ -85,6 +87,23 @@ inline sim::SimConfig random_config(Rng& rng) {
     a.clog_icount_share = 0.2 + 0.1 * rng.below(6);
     a.clog_block_cycles = pick(1, 600);
   }
+
+  // Cache geometries, drawn last so the draws above keep their values:
+  // a power-of-two line of 8 to 128 bytes, 1 to 16 ways and a
+  // power-of-two set count, with a line × sets span of at least the
+  // 32 bytes the hierarchy requires.
+  const auto geometry = [&pick](mem::CacheConfig& c,
+                                std::uint32_t max_sets_log2) {
+    const std::uint32_t line_log2 = pick(3, 7);
+    c.line_bytes = 1u << line_log2;
+    c.ways = pick(1, 16);
+    const std::uint32_t sets_log2 =
+        pick(line_log2 >= 5 ? 0 : 5 - line_log2, max_sets_log2);
+    c.size_bytes = std::uint64_t{c.line_bytes} * c.ways << sets_log2;
+  };
+  geometry(m.memory.l1i, 9);
+  geometry(m.memory.l1d, 9);
+  geometry(m.memory.l2, 12);
   return cfg;
 }
 
