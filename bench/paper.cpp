@@ -5,8 +5,8 @@
 // prints the named tables in the fixed order of kTables below, or all of
 // them when none is named; an unknown name exits 2 and lists the valid
 // ones. SMT_BENCH_SCALE (quick | default | full) trades runtime for
-// statistical quality and SMT_JOBS sets the worker count; the output is
-// byte-identical for every SMT_JOBS value.
+// statistical quality (any other value exits 3) and SMT_JOBS sets the
+// worker count; the output is byte-identical for every SMT_JOBS value.
 //
 // Tables that print views of the same runs share them: Figures 7 and 8
 // are two views of one sweep, and adts_vs_fixed and mix_similarity read
@@ -20,6 +20,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -41,7 +42,7 @@ using namespace smt;
 
 /// The scale every table runs at, and the run sets two tables share.
 struct Paper {
-  sim::ExperimentScale scale = sim::ExperimentScale::from_env();
+  sim::ExperimentScale scale;  ///< from the environment, set by main
   std::optional<sim::SweepGrid> fig78;
   /// Per mix, 8 threads: fixed ICOUNT, Type 3 m=2 with static calibrated
   /// conditions, and Type 3 m=2 with adaptive (EWMA-profiled) conditions.
@@ -748,6 +749,12 @@ int main(int argc, char** argv) {
     wanted[it - std::begin(kTables)] = true;
   }
   Paper p;
+  try {
+    p.scale = sim::ExperimentScale::from_env();
+  } catch (const ConfigError& e) {
+    std::cerr << "paper: " << e.what() << '\n';
+    return smt::kExitConfig;
+  }
   for (std::size_t i = 0; i < std::size(kTables); ++i) {
     if (argc == 1 || wanted[i]) kTables[i].print(p);
   }

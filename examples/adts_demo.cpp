@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   const auto& st = sim.detector().stats();
-  std::cout << "\nsummary: " << st.quanta << " quanta, "
+  std::cout << "\nsummary: " << st.quanta() << " quanta, "
             << st.low_throughput_quanta << " low-throughput, " << st.switches
             << " switches (" << st.benign_switches << " benign, "
             << st.malignant_switches << " malignant, "

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   sim.run(cycles);
 
   // 4. Inspect.
-  const auto& stats = sim.pipeline().stats();
+  const auto stats = sim.pipeline().stats();
   std::cout << "cycles:            " << stats.cycles << '\n'
             << "committed:         " << stats.committed << '\n'
             << "aggregate IPC:     " << smt::Table::num(stats.ipc()) << '\n'

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Paper-tables gate: every table of `paper` at SMT_BENCH_SCALE=quick must
-# print the same bytes with SMT_JOBS=1 and SMT_JOBS=4, and an unknown
-# table name must exit 2, print nothing on stdout and list the tables.
+# print the same bytes with SMT_JOBS=1 and SMT_JOBS=4, an unknown table
+# name must exit 2, print nothing on stdout and list the tables, and an
+# unknown SMT_BENCH_SCALE must exit 3, print nothing on stdout and name
+# the three scales.
 #
 # Usage: scripts/check_paper.sh [paper-binary]
 set -euo pipefail
@@ -23,6 +25,14 @@ rc=0
 if [ "$rc" -ne 2 ] || [ -s "$tmp/bad.txt" ] ||
    ! grep -q 'table1_policies' "$tmp/bad.err"; then
   echo "check_paper: unknown table exited $rc, want 2 and the table list" >&2
+  exit 1
+fi
+rc=0
+SMT_BENCH_SCALE=fulll "$paper" fig8_ipc > "$tmp/scale.txt" 2> "$tmp/scale.err" ||
+  rc=$?
+if [ "$rc" -ne 3 ] || [ -s "$tmp/scale.txt" ] ||
+   ! grep -q 'quick, default or full' "$tmp/scale.err"; then
+  echo "check_paper: SMT_BENCH_SCALE=fulll exited $rc, want 3 and the scales" >&2
   exit 1
 fi
 echo "check_paper: OK ($(grep -c '^== ' "$tmp/serial.txt") banners," \

@@ -4,18 +4,30 @@
 
 namespace smt::branch {
 
-Predictor::Predictor(const PredictorConfig& cfg)
-    : cfg_(cfg),
-      pht_(std::size_t{1} << cfg.pht_bits, 1),  // weakly not-taken
-      history_(cfg.max_threads, 0),
-      btb_(cfg.btb_entries) {
+namespace {
+
+/// `cfg`, once every field the tables are sized or indexed by is in range.
+const PredictorConfig& validated(const PredictorConfig& cfg) {
   if (cfg.pht_bits == 0 || cfg.pht_bits > 24) {
     throw std::invalid_argument("pht_bits out of range");
+  }
+  if (cfg.history_bits > 63) {
+    // pht_index shifts a 64-bit one by history_bits.
+    throw std::invalid_argument("history_bits out of range");
   }
   if (cfg.btb_entries == 0) {
     throw std::invalid_argument("btb_entries must be >= 1");
   }
+  return cfg;
 }
+
+}  // namespace
+
+Predictor::Predictor(const PredictorConfig& cfg)
+    : cfg_(validated(cfg)),
+      pht_(std::size_t{1} << cfg_.pht_bits, 1),  // weakly not-taken
+      history_(cfg_.max_threads, 0),
+      btb_(cfg_.btb_entries) {}
 
 std::uint32_t Predictor::pht_index(std::uint32_t tid,
                                    std::uint64_t pc) const noexcept {

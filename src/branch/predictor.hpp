@@ -24,16 +24,15 @@ struct PredictorConfig {
   /// its history-hashed indexing only smears per-site bias across the
   /// PHT. gshare remains available for sensitivity studies.
   PredictorKind kind = PredictorKind::kBimodal;
-  std::uint32_t history_bits = 12;  ///< gshare global history length
-  std::uint32_t pht_bits = 14;      ///< log2(# of 2-bit counters)
-  std::uint32_t btb_entries = 1024; ///< direct-mapped BTB
+  std::uint32_t history_bits = 12;  ///< gshare global history length, 0–63
+  std::uint32_t pht_bits = 14;      ///< log2(# of 2-bit counters), 1–24
+  std::uint32_t btb_entries = 1024; ///< direct-mapped BTB, >= 1
   std::uint32_t max_threads = 9;
 };
 
 struct PredictorStats {
   std::uint64_t lookups = 0;
   std::uint64_t mispredicts = 0;
-  std::uint64_t btb_misses = 0;  ///< predicted/actually taken but target unknown
 
   [[nodiscard]] double mispredict_rate() const noexcept {
     return lookups ? static_cast<double>(mispredicts) /
@@ -45,6 +44,8 @@ struct PredictorStats {
 class Predictor {
  public:
   Predictor() : Predictor(PredictorConfig{}) {}
+  /// Throws std::invalid_argument for a field outside its range, before
+  /// any table is allocated.
   explicit Predictor(const PredictorConfig& cfg);
 
   /// Direction prediction for the branch at `pc` in thread `tid`.

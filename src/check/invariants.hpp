@@ -16,13 +16,15 @@
 //     LSQ, both rename files and both IQ capacities recomputed from the
 //     windows and compared with the incrementally maintained values
 //     (Pipeline::audit_resources).
-//   * slot conservation — the fetch-slot ledger balances absolutely:
-//     fetched + fetch_slots_idle == cycles × fetch_width, and
-//     charged_stall_slots + dt_slots_used == fetch_slots_idle.
-//   * commit order — the machine retires ≤ commit_width per cycle, the
-//     global retirement counter equals the sum of per-thread retirements,
-//     and each thread's window-head seq advances by exactly its committed
-//     delta (in-order commit: a thread cannot retire around its head).
+//   * slot conservation — the stall ledger balances absolutely:
+//     charged_stall_slots + dt_slots_used == fetch_slots_idle, where the
+//     idle slots are cycles × fetch_width − fetched (PipelineStats derives
+//     the machine totals from the clock and the per-thread totals, so no
+//     law compares a stored total with its own sum).
+//   * commit order — the machine retires ≤ commit_width per cycle, each
+//     thread's window-head seq advances by exactly its committed delta
+//     (in-order commit: a thread cannot retire around its head), and the
+//     window seqs run contiguously from the head.
 //   * counter monotonicity — every free-running event total of every
 //     thread (pipeline::EventCounts) never shrinks, and grows by at most
 //     its hard per-cycle ceiling (commit, fetch or issue width, or one

@@ -16,9 +16,8 @@ DetectorThread::DetectorThread(const AdtsConfig& cfg) : cfg_(cfg) {
   }
 }
 
-void DetectorThread::arm(const pipeline::Pipeline& pipe) {
-  committed_at_quantum_start_ = pipe.committed_total();
-  last_boundary_cycle_ = pipe.now();
+void DetectorThread::arm(pipeline::Pipeline& pipe) {
+  pipe.mark_quantum();
   ipc_last_ = 0.0;
   ipc_prev_ = 0.0;
   pending_audit_.reset();
@@ -71,17 +70,19 @@ std::uint64_t DetectorThread::next_event(
 }
 
 void DetectorThread::on_quantum_boundary(pipeline::Pipeline& pipe) {
-  ++stats_.quanta;
   stats_.quanta_per_policy[static_cast<std::size_t>(pipe.policy())] += 1;
 
-  // Cycles since the DT last ran: one quantum, or less for the first
-  // boundary after an arm() that landed mid-quantum.
-  const std::uint64_t elapsed = pipe.now() - last_boundary_cycle_;
-  last_boundary_cycle_ = pipe.now();
-
-  const std::uint64_t committed =
-      pipe.committed_total() - committed_at_quantum_start_;
-  committed_at_quantum_start_ = pipe.committed_total();
+  // The quantum opened at the pipeline's quantum marks, which the DT set
+  // at its last boundary or at arm(): one quantum ago, or less for the
+  // first boundary after an arm() that landed mid-quantum. Its IPC counts
+  // every commit since the mark, a program swapped in since included.
+  const std::uint64_t elapsed =
+      pipe.now() - pipe.counters(0).quantum_mark.cycle;
+  std::uint64_t committed = 0;
+  for (std::uint32_t tid = 0; tid < pipe.num_threads(); ++tid) {
+    const pipeline::ThreadCounters& c = pipe.counters(tid);
+    committed += c.since(c.quantum_mark).committed;
+  }
   ipc_prev_ = ipc_last_;
   ipc_last_ = static_cast<double>(committed) / static_cast<double>(elapsed);
 
@@ -229,7 +230,7 @@ void DetectorThread::identify_clogging_threads(pipeline::Pipeline& pipe) {
 }
 
 void DetectorThread::export_metrics(obs::MetricsRegistry& reg) const {
-  reg.set("adts.quanta", stats_.quanta);
+  reg.set("adts.quanta", stats_.quanta());
   reg.set("adts.low_throughput_quanta", stats_.low_throughput_quanta);
   reg.set("adts.switches", stats_.switches);
   reg.set("adts.benign_switches", stats_.benign_switches);

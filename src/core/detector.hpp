@@ -81,7 +81,6 @@ struct AdtsConfig {
 };
 
 struct AdtsStats {
-  std::uint64_t quanta = 0;
   std::uint64_t low_throughput_quanta = 0;
   std::uint64_t switches = 0;          ///< switches actually applied
   std::uint64_t benign_switches = 0;   ///< next-quantum IPC rose
@@ -92,6 +91,12 @@ struct AdtsStats {
   /// Quanta spent under each fetch policy.
   std::array<std::uint64_t, policy::kNumFetchPolicies> quanta_per_policy{};
 
+  /// Quantum boundaries processed.
+  [[nodiscard]] std::uint64_t quanta() const noexcept {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t q : quanta_per_policy) sum += q;
+    return sum;
+  }
   [[nodiscard]] double benign_fraction() const noexcept {
     return obs::benign_probability(benign_switches, malignant_switches);
   }
@@ -115,12 +120,12 @@ class DetectorThread {
   [[nodiscard]] std::uint64_t next_event(
       const pipeline::Pipeline& pipe) const noexcept;
 
-  /// Re-baseline the DT's committed-instruction bookkeeping to the
-  /// pipeline's current state. Call when the detector starts ticking on a
-  /// pipeline that has already been running (e.g. after a measurement
-  /// warm-up), so the first quantum's IPC is not polluted by pre-arm
-  /// history.
-  void arm(const pipeline::Pipeline& pipe);
+  /// Start a quantum at the pipeline's current cycle (its quantum marks)
+  /// and forget the IPC history and any pending or unscored switch. Call
+  /// when the detector starts ticking on a pipeline that has already been
+  /// running (e.g. after a measurement warm-up), so the first quantum's
+  /// IPC is not polluted by pre-arm history.
+  void arm(pipeline::Pipeline& pipe);
 
   [[nodiscard]] const AdtsConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const AdtsStats& stats() const noexcept { return stats_; }
@@ -164,14 +169,8 @@ class DetectorThread {
   SwitchHistory history_{};
   AdtsStats stats_{};
 
-  std::uint64_t committed_at_quantum_start_ = 0;
   double ipc_last_ = 0.0;
   double ipc_prev_ = 0.0;
-
-  /// Cycle of the last boundary the DT processed (or of arm()); IPC_last
-  /// and the condition rates are normalised over the span since then, so
-  /// a quantum cut short by arm() still yields correct rates.
-  std::uint64_t last_boundary_cycle_ = 0;
 
   // Switch records (obs/switch_audit.hpp), one per switch from decision
   // to score. pending_audit_ is a decision chosen at a boundary, applied

@@ -134,46 +134,47 @@ void Pipeline::run(std::uint64_t n) {
   }
 }
 
-void Pipeline::step() {
-  do_commit();
-  do_complete();
-  do_issue();
-  do_dispatch();
-  do_fetch();
-  finish_step();
-}
-
-void Pipeline::step(prof::PhaseProfiler& p, const ProfNodes& nodes) {
+void Pipeline::step(prof::PhaseProfiler* p, const ProfNodes& nodes) {
+  // Scopes built with a null profiler are inert.
   using Scope = prof::PhaseProfiler::Scope;
   {
-    const Scope s(&p, nodes.commit);
+    const Scope s(p, nodes.commit);
     do_commit();
   }
   {
-    const Scope s(&p, nodes.complete);
+    const Scope s(p, nodes.complete);
     do_complete();
   }
   {
-    const Scope s(&p, nodes.issue);
+    const Scope s(p, nodes.issue);
     do_issue();
   }
   {
-    const Scope s(&p, nodes.dispatch);
+    const Scope s(p, nodes.dispatch);
     do_dispatch();
   }
   {
-    const Scope s(&p, nodes.fetch);
+    const Scope s(p, nodes.fetch);
     do_fetch();
   }
-  finish_step();
-}
-
-void Pipeline::finish_step() {
   if (cpi_.enabled) account_cpi(1);
-
-  ++stats_.cycles;
   ++cycle_;
 }
+
+PipelineStats Pipeline::stats() const noexcept {
+  PipelineStats s{events_};
+  s.cycles = cycle_;
+  for (const Thread& t : threads_) {
+    const EventCounts& e = t.counters.total;
+    s.committed += e.committed;
+    s.fetched += e.fetched;
+    s.branches_resolved += e.cond_branches;
+    s.mispredicts += e.mispredicts;
+  }
+  s.fetch_slots_idle = s.cycles * cfg_.fetch_width - s.fetched;
+  return s;
+}
+
 
 // ---------------------------------------------------------------------------
 // Completion ring.
@@ -224,7 +225,6 @@ void Pipeline::do_commit() {
       }
       release_instr_resources(tid, slot, /*completed_ok=*/true);
       ++t.counters.total.committed;
-      ++stats_.committed;
       --budget;
       t.state[slot] = static_cast<std::uint8_t>(InstrState::kEmpty);
       ++t.head_seq;
@@ -289,12 +289,10 @@ void Pipeline::do_complete() {
       --c.brcount;
       if (!(t.flags[slot] & kFlagWrongPath)) {
         const bool mispredicted = (t.flags[slot] & kFlagMispredicted) != 0;
-        ++stats_.branches_resolved;
         ++c.total.cond_branches;
         bp_.update(ref.tid, t.si[slot].pc, t.si[slot].taken,
                    t.si[slot].branch_target, mispredicted);
         if (mispredicted) {
-          ++stats_.mispredicts;
           ++c.total.mispredicts;
           squash_from(ref.tid, t.seq[slot] + 1, /*replay_correct_path=*/false,
                       obs::PipeTerminal::kSquashMispredict);
@@ -537,8 +535,9 @@ std::uint8_t Pipeline::fetch_block_cause(const Thread& t) const noexcept {
     return static_cast<std::uint8_t>(static_cast<std::uint8_t>(c) + 1);
   };
   if (t.fetch_stall_until > cycle_) {
-    return code(t.icache_stalled ? obs::StallCause::kIcacheMiss
-                                 : obs::StallCause::kSquashRecovery);
+    return code(t.counters.l1i_outstanding != 0
+                    ? obs::StallCause::kIcacheMiss
+                    : obs::StallCause::kSquashRecovery);
   }
   if (t.fetch_block_until > cycle_) {
     return code(obs::StallCause::kFetchBlackout);
@@ -559,10 +558,7 @@ void Pipeline::do_fetch() {
 
   // Clear expired I-cache stalls.
   for (Thread& t : threads_) {
-    if (t.icache_stalled && t.fetch_stall_until <= cycle_) {
-      t.icache_stalled = false;
-      t.counters.l1i_outstanding = 0;
-    }
+    if (t.fetch_stall_until <= cycle_) t.counters.l1i_outstanding = 0;
   }
 
   // Candidate threads, sorted by the active policy's priority key with a
@@ -627,7 +623,6 @@ void Pipeline::do_fetch() {
       if (ir.l1_miss) {
         ++c.total.l1i_misses;
         t.fetch_stall_until = cycle_ + ir.latency;
-        t.icache_stalled = true;
         t.delivered_block = block;
         c.l1i_outstanding = 1;
         blocked_by(cand.tid, obs::StallCause::kIcacheMiss);
@@ -677,9 +672,8 @@ void Pipeline::do_fetch() {
       } else if (si.cls == isa::InstrClass::kStore) {
         ++c.memcount;
       }
-      ++stats_.fetched;
       ++c.total.fetched;
-      if (wrong) ++stats_.fetched_wrong_path;
+      if (wrong) ++events_.fetched_wrong_path;
       ++got;
       --slots;
 
@@ -699,7 +693,7 @@ void Pipeline::do_fetch() {
             // Predicted taken: redirect ends this thread's fetch group;
             // without a BTB target there is an extra bubble.
             if (!bp_.btb_hit(si.pc)) {
-              ++stats_.btb_misses;
+              ++events_.btb_misses;
               t.fetch_stall_until = cycle_ + cfg_.btb_miss_penalty;
             }
             stop_thread = true;
@@ -726,12 +720,11 @@ void Pipeline::do_fetch() {
   }
 
   // Leftover slots: idle, unless the detector thread has queued work.
-  stats_.fetch_slots_idle += slots;
   std::uint64_t lost = slots;
   if (dt_work_ > 0 && slots > 0) {
     const std::uint64_t used = std::min<std::uint64_t>(slots, dt_work_);
     dt_work_ -= used;
-    stats_.dt_slots_used += used;
+    events_.dt_slots_used += used;
     lost -= used;
   }
 
@@ -814,7 +807,9 @@ std::uint64_t Pipeline::quiet_span(std::uint64_t limit) const {
     const Thread& t = threads_[tid];
     // Fetch: no candidate, and no expired I-cache stall left to clear.
     if (fetch_block_cause(t) == 0) return 0;
-    if (t.icache_stalled && t.fetch_stall_until <= cycle_) return 0;
+    if (t.counters.l1i_outstanding != 0 && t.fetch_stall_until <= cycle_) {
+      return 0;
+    }
     // Commit: no completed window head.
     if (!win_empty(t) &&
         t.state[slot_of(t.head_seq)] ==
@@ -859,7 +854,6 @@ void Pipeline::leap(std::uint64_t k) {
   // cycle's remaining `lost` slots go round-robin over all n threads (all
   // are blocked) from tid cycle % n, as in do_fetch. Over any n
   // consecutive cycles of equal `lost`, every thread gets `lost` slots.
-  stats_.fetch_slots_idle += width * k;
   std::array<std::uint64_t, 64> slots{};  // n <= 64
   std::uint64_t each = 0;                 // slots charged to every thread
   const auto charge_cycle = [&slots, &each, n](std::uint64_t cycle,
@@ -876,7 +870,7 @@ void Pipeline::leap(std::uint64_t k) {
   for (; c < end && dt_work_ > 0; ++c) {
     const std::uint64_t used = std::min(width, dt_work_);
     dt_work_ -= used;
-    stats_.dt_slots_used += used;
+    events_.dt_slots_used += used;
     charge_cycle(c, width - used);
   }
   const std::uint64_t periods = (end - c) / n;
@@ -893,7 +887,6 @@ void Pipeline::leap(std::uint64_t k) {
   }
   if (cpi_.enabled) account_cpi(k);
 
-  stats_.cycles += k;
   cycle_ += k;
   cycles_leapt_ += k;
 }
@@ -957,7 +950,7 @@ void Pipeline::squash_from(std::uint32_t tid, std::uint64_t first_seq,
     if (replay_correct_path && !(t.flags[slot] & kFlagWrongPath)) {
       t.replay.push_back(t.si[slot]);
     }
-    ++stats_.squashed;
+    ++events_.squashed;
     t.state[slot] = static_cast<std::uint8_t>(InstrState::kEmpty);
     --t.next_seq;
   }
@@ -1009,7 +1002,7 @@ void Pipeline::squash_from(std::uint32_t tid, std::uint64_t first_seq,
 }
 
 void Pipeline::syscall_flush(std::uint32_t /*syscall_tid*/) {
-  ++stats_.syscall_flushes;
+  ++events_.syscall_flushes;
   for (std::uint32_t tid = 0; tid < num_threads(); ++tid) {
     Thread& t = threads_[tid];
     if (!win_empty(t)) {
@@ -1020,7 +1013,6 @@ void Pipeline::syscall_flush(std::uint32_t /*syscall_tid*/) {
     t.fetch_stall_until =
         std::max<std::uint64_t>(t.fetch_stall_until,
                                 cycle_ + cfg_.syscall_flush_penalty);
-    t.icache_stalled = false;
     t.counters.l1i_outstanding = 0;
   }
 }
@@ -1044,7 +1036,6 @@ workload::ThreadProgram Pipeline::swap_program(std::uint32_t tid,
   // (a real OS would refetch from the saved PC just the same).
   t.replay.clear();
   t.wrong_path_mode = false;
-  t.icache_stalled = false;
   t.delivered_block = ~std::uint64_t{0};
   // The squash emptied the window, so every occupancy counter but the
   // I-miss flag is already 0. The event totals run on; the incoming
@@ -1430,7 +1421,7 @@ void set_buckets(obs::MetricsRegistry& reg, const std::string& prefix,
 }  // namespace
 
 void export_metrics(const Pipeline& pipe, obs::MetricsRegistry& reg) {
-  const PipelineStats& s = pipe.stats();
+  const PipelineStats s = pipe.stats();
   reg.set("machine.cycles", s.cycles);
   reg.set("machine.committed", s.committed);
   reg.set("machine.ipc", s.ipc());

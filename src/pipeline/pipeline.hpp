@@ -67,19 +67,27 @@ struct PipeviewWindow {
   std::uint64_t count = 0;
 };
 
-/// Aggregate machine statistics (whole-run).
-struct PipelineStats {
+/// The machine events with no per-thread total: the only whole-run
+/// counts the pipeline stores itself.
+struct MachineEvents {
+  std::uint64_t fetched_wrong_path = 0;
+  std::uint64_t squashed = 0;
+  std::uint64_t btb_misses = 0;
+  std::uint64_t syscall_flushes = 0;
+  std::uint64_t dt_slots_used = 0;  ///< idle slots consumed by the DT
+};
+
+/// Aggregate machine statistics (whole-run), built by value by
+/// Pipeline::stats(): the stored MachineEvents, the clock, and the sums
+/// of the per-thread event totals.
+struct PipelineStats : MachineEvents {
   std::uint64_t cycles = 0;
   std::uint64_t committed = 0;
   std::uint64_t fetched = 0;
-  std::uint64_t fetched_wrong_path = 0;
-  std::uint64_t squashed = 0;
   std::uint64_t branches_resolved = 0;
   std::uint64_t mispredicts = 0;
-  std::uint64_t btb_misses = 0;
-  std::uint64_t syscall_flushes = 0;
-  std::uint64_t fetch_slots_idle = 0;  ///< slots no normal thread could use
-  std::uint64_t dt_slots_used = 0;     ///< idle slots consumed by the DT
+  /// Slots no normal thread used: cycles × fetch_width − fetched.
+  std::uint64_t fetch_slots_idle = 0;
 
   [[nodiscard]] double ipc() const noexcept {
     return cycles ? static_cast<double>(committed) / static_cast<double>(cycles)
@@ -99,9 +107,25 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = default;
   Pipeline& operator=(Pipeline&&) = default;
 
+  /// Per-stage node handles a profiling caller resolves once (children of
+  /// its "cycle" phase) and hands to step().
+  struct ProfNodes {
+    prof::PhaseProfiler::Node commit = 0;
+    prof::PhaseProfiler::Node complete = 0;
+    prof::PhaseProfiler::Node issue = 0;
+    prof::PhaseProfiler::Node dispatch = 0;
+    prof::PhaseProfiler::Node fetch = 0;
+  };
+
   /// Advance one cycle. Always runs every stage: the per-cycle reference
-  /// path that run()'s leaps are checked against.
-  void step();
+  /// path that run()'s leaps are checked against. With a profiler, each
+  /// of the five stage calls runs under an RAII phase scope of `p`; the
+  /// caller decides which cycles are timed (Simulator::step's stride
+  /// test) and the pipeline keeps no profiler of its own, so a copy never
+  /// times itself. Host ticks never feed back into simulated state: a
+  /// timed step is bit-identical to a bare one.
+  void step(prof::PhaseProfiler* p, const ProfNodes& nodes);
+  void step() { step(nullptr, ProfNodes{}); }
 
   /// Advance n cycles: step() on live cycles, leap() over quiet spans.
   /// The resulting state equals that of n step() calls.
@@ -118,8 +142,8 @@ class Pipeline {
   [[nodiscard]] std::uint64_t quiet_span(std::uint64_t limit) const;
 
   /// Advance `k` quiet cycles at once, applying in bulk exactly the side
-  /// effects k step() calls would have had (cycle counters, idle fetch
-  /// slots, DT slot use, the round-robin stall ledger, LSQ-full events,
+  /// effects k step() calls would have had (the clock, stall totals, DT
+  /// slot use, the round-robin stall ledger, LSQ-full events,
   /// CPI charges). Precondition: k <= quiet_span(k).
   void leap(std::uint64_t k);
 
@@ -166,7 +190,9 @@ class Pipeline {
     return static_cast<std::uint32_t>(threads_.size());
   }
   [[nodiscard]] const PipelineConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] const PipelineStats& stats() const noexcept { return stats_; }
+  /// Whole-run machine statistics. Only MachineEvents is stored; the
+  /// rest derives from the clock and the per-thread event totals.
+  [[nodiscard]] PipelineStats stats() const noexcept;
   [[nodiscard]] const ThreadCounters& counters(std::uint32_t tid) const {
     return threads_[tid].counters;
   }
@@ -180,7 +206,7 @@ class Pipeline {
 
   /// Committed instructions (all threads) since construction.
   [[nodiscard]] std::uint64_t committed_total() const noexcept {
-    return stats_.committed;
+    return stats().committed;
   }
 
   // --- stall attribution (observability) --------------------------------
@@ -252,24 +278,6 @@ class Pipeline {
     return pview_.live;
   }
 
-  // --- host-phase profiling (src/prof) ------------------------------------
-  /// Per-stage node handles a profiling caller resolves once (children of
-  /// its "cycle" phase) and hands to the timed step().
-  struct ProfNodes {
-    prof::PhaseProfiler::Node commit = 0;
-    prof::PhaseProfiler::Node complete = 0;
-    prof::PhaseProfiler::Node issue = 0;
-    prof::PhaseProfiler::Node dispatch = 0;
-    prof::PhaseProfiler::Node fetch = 0;
-  };
-
-  /// step() with each of the five stage calls under an RAII phase scope
-  /// of `p`. The caller decides which cycles are timed (Simulator::step's
-  /// stride test); the pipeline keeps no profiler of its own, so a copy
-  /// never times itself. Host ticks never feed back into simulated state:
-  /// a timed step is bit-identical to a bare one.
-  void step(prof::PhaseProfiler& p, const ProfNodes& nodes);
-
   // --- structural audit (src/check) --------------------------------------
   /// Result of a full structural resource audit: every occupancy counter
   /// recomputed from the windows and compared with the incrementally
@@ -311,15 +319,17 @@ class Pipeline {
   // --- test-only corruption hooks (negative tests for src/check) ---------
   // Each hook silently breaks one bookkeeping law so tests can prove the
   // corresponding invariant-checker pass actually fires. Never called
-  // outside tests/test_invariants.cpp.
+  // outside tests/test_invariants.cpp, except testing_corrupt_committed,
+  // with which perfbench's self-check corrupts its identity checks.
   void testing_corrupt_icount(std::uint32_t tid, std::int32_t delta) {
     threads_[tid].counters.icount += delta;
   }
   void testing_corrupt_stall_ledger(std::uint64_t slots) {
     machine_stalls_.slots[0] += slots;
   }
+  /// Bumps thread 0's committed total (the machine total is their sum).
   void testing_corrupt_committed(std::uint64_t delta) {
-    stats_.committed += delta;
+    threads_[0].counters.total.committed += delta;
   }
   void testing_corrupt_thread_committed(std::uint32_t tid,
                                         std::int64_t delta) {
@@ -397,7 +407,6 @@ class Pipeline {
     std::int32_t frontend_count = 0;  ///< instrs in state kFrontEnd
     std::uint64_t fetch_stall_until = 0;
     std::uint64_t fetch_block_until = 0;  ///< thread-control flag (ADTS)
-    bool icache_stalled = false;   ///< fetch_stall caused by an L1I miss
     /// Fetch-buffer bypass: the I-block whose miss just completed can be
     /// fetched once without a new I-cache lookup (critical-word delivery;
     /// also prevents livelock when contending threads evict the line
@@ -592,7 +601,7 @@ class Pipeline {
   std::uint64_t dt_work_ = 0;
   std::uint64_t cycles_leapt_ = 0;
 
-  PipelineStats stats_;
+  MachineEvents events_;
   obs::StallBreakdown machine_stalls_;  ///< lost slots with no thread to blame
 
   // --- pipeview sampler ---------------------------------------------------
@@ -656,10 +665,6 @@ class Pipeline {
   /// unless it is the only holder).
   void charge_cpi_contention(std::uint32_t tid, std::uint64_t lost,
                              std::uint64_t holders);
-
-  /// The end of every step() after its five stages: CPI accounting and
-  /// the cycle count.
-  void finish_step();
 
   // The helpers below run only with a sink attached: each call
   // site guards them with a cheap `pview_.sink != nullptr` test.

@@ -1,8 +1,10 @@
 #include "sim/experiment.hpp"
 
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
+#include "common/cli.hpp"
 #include "common/host_info.hpp"
 #include "core/detector.hpp"
 #include "core/heuristics.hpp"
@@ -37,6 +39,9 @@ ExperimentScale ExperimentScale::from_env() {
     s.plan.measure_cycles = 384 * 1024;  // 48 quanta
     s.oracle_quanta = 24;
     s.oracle_intervals = 2;
+  } else if (mode != "default") {
+    throw ConfigError("SMT_BENCH_SCALE: unknown scale '" + std::string(mode) +
+                      "' (quick, default or full)");
   }
   return s;
 }

@@ -34,8 +34,9 @@ struct ExperimentScale {
   /// Names of the mixes to sweep: all 13 unless the scale narrows them.
   std::vector<std::string> mixes = all_mix_names();
 
-  /// Read SMT_BENCH_SCALE and SMT_JOBS from the environment. The quick
-  /// scale sweeps a representative 5 mixes.
+  /// Read SMT_BENCH_SCALE (quick, default or full; unset = default) and
+  /// SMT_JOBS from the environment. The quick scale sweeps a
+  /// representative 5 mixes. Any other scale throws ConfigError.
   [[nodiscard]] static ExperimentScale from_env();
 };
 

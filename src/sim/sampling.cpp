@@ -36,7 +36,7 @@ SampleResult run_sampled(const SimConfig& cfg, const SamplingPlan& plan) {
     agg.interval_ipc.add(static_cast<double>(committed) /
                          static_cast<double>(plan.measure_cycles));
 
-    agg.quanta += adts1.quanta - adts0.quanta;
+    agg.quanta += adts1.quanta() - adts0.quanta();
     agg.low_throughput_quanta +=
         adts1.low_throughput_quanta - adts0.low_throughput_quanta;
     agg.switches += adts1.switches - adts0.switches;

@@ -215,35 +215,25 @@ void Simulator::attach_trace(obs::TraceSink* sink) {
 void Simulator::set_adts_active(bool active) {
   if (active && !use_adts_) {
     detector_.arm(pipe_);
-    pipe_.mark_quantum();
   }
   use_adts_ = active;
 }
 
 void Simulator::step() {
+  using Scope = prof::PhaseProfiler::Scope;
   // The one stride test of a profiled run, on the pre-step cycle: a
   // sampled cycle times its segments and hands the stage nodes to the
-  // pipeline, which never samples on its own.
-  if (prof_.prof != nullptr && prof::sampled_cycle(pipe_.now(), prof_.mask)) {
-    const prof::PhaseProfiler::Scope s(prof_.prof, prof_.nodes.cycle);
-    step_impl(true);
-  } else {
-    step_impl(false);
-  }
-}
-
-void Simulator::step_impl(bool profiled) {
-  using Scope = prof::PhaseProfiler::Scope;
-  // Scopes built with a null profiler are inert, so the unprofiled path
-  // pays only the construction of four no-op guards.
-  prof::PhaseProfiler* pp = profiled ? prof_.prof : nullptr;
+  // pipeline, which never samples on its own. Scopes built with a null
+  // profiler are inert, so the unprofiled path pays only the
+  // construction of no-op guards.
+  prof::PhaseProfiler* pp =
+      prof_.prof != nullptr && prof::sampled_cycle(pipe_.now(), prof_.mask)
+          ? prof_.prof
+          : nullptr;
+  const Scope s(pp, prof_.nodes.cycle);
   {
-    const Scope s(pp, prof_.nodes.pipeline);
-    if (pp != nullptr) {
-      pipe_.step(*pp, prof_.nodes.stages);
-    } else {
-      pipe_.step();
-    }
+    const Scope sp(pp, prof_.nodes.pipeline);
+    pipe_.step(pp, prof_.nodes.stages);
   }
   after_cycles(pp);
 }

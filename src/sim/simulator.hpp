@@ -150,7 +150,7 @@ class Simulator {
                        prof::PhaseProfiler::Node parent, std::uint64_t stride);
 
   /// Suspend / resume the detector thread. Resuming re-baselines the
-  /// detector (DetectorThread::arm) and sets the quantum marks so the
+  /// detector (DetectorThread::arm, which sets the quantum marks) so the
   /// first observed quantum is clean. The sampling driver uses this to
   /// keep warm-up transients (cold caches ⇒ artificially low IPC ⇒
   /// spurious cold-start policy switches) out of ADTS's view.
@@ -177,9 +177,6 @@ class Simulator {
 
   void record_quantum_snapshot();
 
-  /// One simulated cycle; `profiled` gates the per-segment phase scopes
-  /// (true only on stride-sampled cycles of a profiler-attached run).
-  void step_impl(bool profiled);
   /// Quiet cycles run() may leap from now without passing `end`, a
   /// quantum boundary or the detector's next event; 0 = step instead.
   [[nodiscard]] std::uint64_t leapable(std::uint64_t end) const;

@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
       return check_exit(sim);
     }
 
-    const auto& st = sim.pipeline().stats();
+    const auto st = sim.pipeline().stats();
     const auto& dt = sim.detector().stats();
     if (csv) {
       std::cout << "mode,ipc,cycles,committed,switches,benign,mispredicts,"
@@ -388,7 +388,7 @@ int main(int argc, char** argv) {
     std::cout << "\nmeasured IPC " << Table::num(run.ipc) << " over "
               << job.cycles << " cycles (+" << job.warmup << " warm-up)\n";
     if (cfg.use_adts) {
-      std::cout << dt.quanta << " quanta, " << dt.low_throughput_quanta
+      std::cout << dt.quanta() << " quanta, " << dt.low_throughput_quanta
                 << " low-throughput, " << dt.switches << " switches ("
                 << dt.benign_switches << " benign / " << dt.malignant_switches
                 << " malignant / " << dt.switches_skipped_dt_busy

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
+#include "common/cli.hpp"
 #include "sim/experiment.hpp"
 
 namespace smt::sim {
@@ -53,6 +55,23 @@ TEST(Experiment, FullScaleGrowsPlan) {
   ScopedEnv env("SMT_BENCH_SCALE", "full");
   const ExperimentScale s = ExperimentScale::from_env();
   EXPECT_GE(s.plan.intervals, 4u);
+}
+
+TEST(Experiment, UnknownScaleIsAConfigErrorNamingTheScales) {
+  for (const char* bad : {"fulll", "Quick", ""}) {
+    ScopedEnv env("SMT_BENCH_SCALE", bad);
+    try {
+      (void)ExperimentScale::from_env();
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      for (const char* scale : {"quick", "default", "full"}) {
+        EXPECT_NE(what.find(scale), std::string::npos) << what;
+      }
+    }
+  }
+  ScopedEnv env("SMT_BENCH_SCALE", "default");
+  EXPECT_EQ(ExperimentScale::from_env().plan.intervals, 2u);
 }
 
 TEST(Experiment, JobsComeFromSmtJobsAndASignMeansSerial) {

@@ -78,7 +78,7 @@ TEST(Integration, AdtsRunSwitchesPolicies) {
   cfg.adts.heuristic = core::HeuristicType::kType2;
   sim::Simulator s(cfg);
   s.run(30 * 8192);
-  EXPECT_GT(s.detector().stats().quanta, 0u);
+  EXPECT_GT(s.detector().stats().quanta(), 0u);
   EXPECT_GT(s.detector().stats().switches, 0u);
 }
 

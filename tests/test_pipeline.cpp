@@ -54,7 +54,7 @@ TEST(Pipeline, CommittedNeverExceedsFetched) {
 TEST(Pipeline, FetchedSplitsIntoCommittedSquashedInflight) {
   Pipeline p = make({"parser", "twolf"});
   p.run(20000);
-  const PipelineStats& s = p.stats();
+  const PipelineStats s = p.stats();
   // fetched = committed + squashed + still-in-flight.
   const std::uint64_t inflight = s.fetched - s.committed - s.squashed;
   EXPECT_LE(inflight, 2u * (p.config().rob_per_thread));
@@ -153,16 +153,6 @@ TEST(Pipeline, QuantumCountersResetButLifetimeSurvives) {
   p.mark_quantum();
   EXPECT_EQ(p.counters(0).since_quantum().committed, 0u);
   EXPECT_EQ(p.counters(0).total.committed, lifetime);
-}
-
-TEST(Pipeline, PerThreadCommitsSumToTotal) {
-  Pipeline p = make({"gzip", "swim", "gcc", "art"});
-  p.run(25000);
-  std::uint64_t sum = 0;
-  for (std::uint32_t t = 0; t < p.num_threads(); ++t) {
-    sum += p.counters(t).total.committed;
-  }
-  EXPECT_EQ(sum, p.committed_total());
 }
 
 TEST(Pipeline, SyscallsFlushWholePipeline) {

@@ -101,7 +101,7 @@ TEST(Mechanism, MispredictRateNearZeroForFullyBiasedSites) {
   workload::AppProfile p = branch_storm();  // predictable_sites = 1.0
   Pipeline pipe = single(p);
   pipe.run(40000);
-  const auto& st = pipe.stats();
+  const auto st = pipe.stats();
   ASSERT_GT(st.branches_resolved, 1000u);
   EXPECT_LT(static_cast<double>(st.mispredicts) /
                 static_cast<double>(st.branches_resolved),

@@ -80,7 +80,7 @@ TEST(PipelineSquash, SquashedNeverCommits) {
   p.run(30000);
   // Every fetched instruction is committed, squashed, or still in flight;
   // counts must reconcile.
-  const PipelineStats& s = p.stats();
+  const PipelineStats s = p.stats();
   EXPECT_EQ(s.fetched >= s.committed + s.squashed, true);
   EXPECT_LE(s.fetched - s.committed - s.squashed,
             static_cast<std::uint64_t>(p.config().rob_per_thread));

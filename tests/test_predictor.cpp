@@ -137,6 +137,18 @@ TEST(Predictor, RejectsBadConfig) {
   cfg = bimodal_cfg();
   cfg.btb_entries = 0;
   EXPECT_THROW(Predictor{cfg}, std::invalid_argument);
+  // 2^63 counters cannot be allocated: only a range check made before
+  // the table is sized throws invalid_argument here.
+  cfg = bimodal_cfg();
+  cfg.pht_bits = 63;
+  EXPECT_THROW(Predictor{cfg}, std::invalid_argument);
+  // A mask of 64 history bits would shift past the word.
+  cfg = bimodal_cfg();
+  cfg.kind = PredictorKind::kGshare;
+  cfg.history_bits = 64;
+  EXPECT_THROW(Predictor{cfg}, std::invalid_argument);
+  cfg.history_bits = 63;
+  EXPECT_NO_THROW(Predictor{cfg});
 }
 
 TEST(Predictor, CopyIsIndependent) {

@@ -198,7 +198,7 @@ TEST(StrideSampling, DetectorEnteredOnQuantumBoundariesAtDefaultStride) {
   sim.attach_profiler(&p, PhaseProfiler::kRoot, kStride);
   const PhaseProfiler::Node detector =
       p.child(p.child(PhaseProfiler::kRoot, "cycle"), "detector");
-  const std::uint64_t quanta_before = sim.detector().stats().quanta;
+  const std::uint64_t quanta_before = sim.detector().stats().quanta();
   std::uint64_t boundary_samples = 0;
   for (std::uint64_t q = 0; q < kQuanta; ++q) {
     for (std::uint64_t c = 0; c + 1 < kQuantum; ++c) sim.step();
@@ -209,7 +209,7 @@ TEST(StrideSampling, DetectorEnteredOnQuantumBoundariesAtDefaultStride) {
   }
   sim.attach_profiler(nullptr, 0, 1);
 
-  EXPECT_EQ(sim.detector().stats().quanta - quanta_before, kQuanta)
+  EXPECT_EQ(sim.detector().stats().quanta() - quanta_before, kQuanta)
       << "every boundary step did the detector's quantum work";
   EXPECT_EQ(p.count(detector), kQuanta * kQuantum / kStride)
       << "one sampled cycle per stride";

@@ -1,6 +1,8 @@
 // Unit tests: simulator facade (sim/simulator.hpp).
 #include <gtest/gtest.h>
 
+#include "core/heuristics.hpp"
+#include "obs/switch_audit.hpp"
 #include "sim/simulator.hpp"
 #include "workload/mix.hpp"
 
@@ -37,7 +39,7 @@ TEST(Simulator, AdtsDisabledMeansNoQuantumProcessing) {
   cfg.use_adts = false;
   Simulator s(cfg);
   s.run(3 * 8192);
-  EXPECT_EQ(s.detector().stats().quanta, 0u);
+  EXPECT_EQ(s.detector().stats().quanta(), 0u);
 }
 
 TEST(Simulator, AdtsEnabledProcessesQuanta) {
@@ -46,7 +48,36 @@ TEST(Simulator, AdtsEnabledProcessesQuanta) {
   cfg.adts.quantum_cycles = 2048;
   Simulator s(cfg);
   s.run(5 * 2048);
-  EXPECT_EQ(s.detector().stats().quanta, 5u);
+  EXPECT_EQ(s.detector().stats().quanta(), 5u);
+}
+
+TEST(Simulator, AdtsArmedMidQuantumMeasuresFromTheArmCycle) {
+  // Arming sets the quantum marks, so the first boundary's IPC_last
+  // covers only [arm, boundary): the committed delta of a copy that runs
+  // the same span (the detector does nothing before the boundary).
+  constexpr std::uint64_t kQuantum = 2048;
+  constexpr std::uint64_t kArm = kQuantum + 700;
+  constexpr std::uint64_t kSpan = 2 * kQuantum - kArm;
+  SimConfig cfg = make_config(workload::mix("mem8"), 8, 1);
+  cfg.use_adts = false;
+  cfg.adts.quantum_cycles = kQuantum;
+  cfg.adts.heuristic = core::HeuristicType::kType1;  // always toggles
+  cfg.adts.ipc_threshold = 100.0;  // every quantum is low-throughput
+  cfg.adts.instant_switch = true;
+  Simulator s(cfg);
+  s.run(kArm);
+  Simulator copy = s;
+  copy.run(kSpan);
+  const std::uint64_t committed = copy.committed() - s.committed();
+  ASSERT_GT(committed, 0u);
+
+  s.set_adts_active(true);
+  s.run(kSpan);
+  ASSERT_EQ(s.detector().audit_log().size(), 1u);
+  const obs::SwitchAudit& first = s.detector().audit_log()[0];
+  EXPECT_EQ(first.decided_cycle, 2 * kQuantum);
+  EXPECT_DOUBLE_EQ(first.ipc_before, static_cast<double>(committed) /
+                                         static_cast<double>(kSpan));
 }
 
 TEST(Simulator, RejectsEmptyApps) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "branch/predictor.hpp"
 #include "check/invariants.hpp"
 #include "common/rng.hpp"
 #include "core/heuristics.hpp"
@@ -25,9 +26,9 @@
 
 namespace smt::test {
 
-/// A random machine geometry (widths, queues, latencies and the three
-/// caches), thread count, policy and detector set-up, with the invariant
-/// checker on and CPI accounting on half the draws.
+/// A random machine geometry (widths, queues, latencies, the three caches
+/// and the branch predictor), thread count, policy and detector set-up,
+/// with the invariant checker on and CPI accounting on half the draws.
 inline sim::SimConfig random_config(Rng& rng) {
   const auto pick = [&rng](std::uint32_t lo, std::uint32_t hi) {
     return static_cast<std::uint32_t>(lo + rng.below(hi - lo + 1));
@@ -42,7 +43,7 @@ inline sim::SimConfig random_config(Rng& rng) {
 
   pipeline::PipelineConfig& m = cfg.machine;
   m.fetch_width = pick(1, 16);
-  m.fetch_threads = pick(1, 4);
+  m.fetch_threads = pick(1, 8);
   m.dispatch_width = pick(1, 12);
   m.issue_width = pick(1, 12);
   m.commit_width = pick(1, 12);
@@ -104,6 +105,15 @@ inline sim::SimConfig random_config(Rng& rng) {
   geometry(m.memory.l1i, 9);
   geometry(m.memory.l1d, 9);
   geometry(m.memory.l2, 12);
+
+  // The predictor, drawn after the caches for the same reason, over the
+  // whole range its constructor accepts.
+  branch::PredictorConfig& bp = m.predictor;
+  bp.kind = rng.below(2) == 0 ? branch::PredictorKind::kGshare
+                              : branch::PredictorKind::kBimodal;
+  bp.history_bits = pick(0, 63);
+  bp.pht_bits = pick(1, 24);
+  bp.btb_entries = pick(1, 4096);
   return cfg;
 }
 
